@@ -13,7 +13,10 @@ environment variable supplies the default output directory and nothing else.
 
 Exit status is 0 only if every validation of the invoked command passes;
 a failing validation prints its name on stdout and the command returns 1.
-Usage and configuration errors return 2.
+A command that breaks down numerically (an exception other than a usage
+error) counts as the failed validation <command>_completed and also returns 1,
+without a traceback.  Only usage and configuration errors, including model
+parameters out of range, return 2.
 """
 
 from __future__ import annotations
@@ -26,18 +29,20 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import expm
+from scipy.integrate import quad
 
 from .families import (
     BACKWARD,
     BlochDirection,
     FORWARD,
     FamilyTrajectory,
-    bloch_block,
+    X_DIRECTION,
+    Y_DIRECTION,
+    Z_DIRECTION,
     classify_regime,
     exact_direction,
     stationary_families,
+    transition_rate,
 )
 from .histories import Decomposition, HistoryFamily, consistency_check, decoherence_functional
 from .info_flow import build_info_report, verify_family_information_identity
@@ -102,15 +107,23 @@ class RunConfig:
         except KeyError:
             raise AttributeError(name) from None
 
-    def params(self) -> ModelParams:
-        return ModelParams(omega=self.values["omega"], gamma=self.values["gamma"], tau_c=self.values["tau_c"])
+    def params(self, gamma: float | None = None) -> ModelParams:
+        """Model parameters from the options; gamma overrides the configured rate."""
+        gamma = self.values["gamma"] if gamma is None else gamma
+        try:
+            return ModelParams(omega=self.values["omega"], gamma=gamma, tau_c=self.values["tau_c"])
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
 
     def out_dir(self) -> Path:
         out = self.values.get("out")
         if out is None:
             out = os.environ.get(OUTDIR_ENV) or "."
         path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot create output directory {path}: {exc}") from None
         return path
 
 
@@ -199,12 +212,12 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 def cmd_evolve(cfg: RunConfig) -> int:
     params = cfg.params()
     times = _grid(cfg)
+    transfer = propagator_closed_form(params, times)
     header = ["t"]
     header += [f"T{i}{j}" for i in range(4) for j in range(4)]
     header += [f"{c}_from_{ax}" for ax in ("x", "y", "z") for c in ("x", "y", "z")]
     rows = [",".join(header)]
-    for t in times:
-        T = propagator_closed_form(params, t)
+    for t, T in zip(times, transfer):
         cells = [f"{t:.17g}"] + [f"{T[i, j]:.17g}" for i in range(4) for j in range(4)]
         for col in (1, 2, 3):  # transported +x, +y, +z Bloch vectors
             cells += [f"{T[r, col]:.17g}" for r in (1, 2, 3)]
@@ -212,15 +225,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
     _write_csv(cfg, "evolve.csv", "\n".join(rows) + "\n")
 
     checks = _Checks()
-    worst_trace = max(
-        float(np.abs(propagator_closed_form(params, t)[0] - np.array([1.0, 0.0, 0.0, 0.0])).max())
-        for t in times
-    )
+    worst_trace = float(np.abs(transfer[:, 0] - np.array([1.0, 0.0, 0.0, 0.0])).max())
     checks.check("trace_preservation", worst_trace < 1e-12, f"max deviation {worst_trace:.3e}")
-    samples = times[:: max(1, len(times) // 5)][1:] if len(times) > 1 else []
     worst_gap = 0.0
-    for t in samples:
-        gap = float(np.abs(propagator_closed_form(params, t) - propagator_numeric(params, t)).max())
+    for k in range(0, len(times), max(1, len(times) // 5))[1:]:
+        gap = float(np.abs(transfer[k] - propagator_numeric(params, float(times[k]))).max())
         worst_gap = max(worst_gap, gap)
     checks.check("closed_form_vs_ode", worst_gap < 1e-9, f"max deviation {worst_gap:.3e}")
     return checks.status
@@ -245,8 +254,7 @@ def cmd_families(cfg: RunConfig) -> int:
     start = BlochDirection(theta=cfg.theta0, phi=cfg.phi0)
     trajectories = {}
     for g in gammas:
-        params = ModelParams(omega=cfg.omega, gamma=g, tau_c=cfg.tau_c)
-        trajectories[g] = FamilyTrajectory.integrate(start, params, direction, times)
+        trajectories[g] = FamilyTrajectory.integrate(start, cfg.params(gamma=g), direction, times)
 
     header = ["t"]
     for g in gammas:
@@ -264,8 +272,7 @@ def cmd_families(cfg: RunConfig) -> int:
     stat_rows = ["gamma,label,condition,theta,phi,kappa"]
     stat_sets = {}
     for g in gammas:
-        params = ModelParams(omega=cfg.omega, gamma=g, tau_c=cfg.tau_c)
-        stat = stationary_families(params)
+        stat = stationary_families(cfg.params(gamma=g))
         stat_sets[g] = stat
         for fam in (stat.z_family, *stat.equatorial):
             d = fam.direction
@@ -288,21 +295,23 @@ def cmd_families(cfg: RunConfig) -> int:
         worst_kappa = max(worst_kappa, float(max(-kap.min(), (kap - g).max())))
     checks.check("flip_rate_bounds", worst_kappa < 1e-10, f"excess {worst_kappa:.3e}")
 
-    # quadrature for the rate integral needs a fine grid regardless of the
-    # requested output resolution
+    # radius identity: the closed-form radius exp(-2 Lambda) against adaptive
+    # quadrature of the rate along exact_direction.  kappa relaxes on the scale
+    # 1/(2 gamma), so the quadrature gets breakpoints at several multiples of
+    # 1/gamma; a single one misses that transient at gamma = 1e4
     worst_radius = 0.0
-    dense = np.linspace(times[0], times[-1], 4001)
-    n0 = start.unit_vector
-    for g in gammas:
-        params = ModelParams(omega=cfg.omega, gamma=g, tau_c=cfg.tau_c)
-        traj = FamilyTrajectory.integrate(start, params, direction, dense)
-        integral = cumulative_trapezoid(traj.kappa, traj.times, initial=0.0)
-        for t, accum in zip(traj.times[::500], integral[::500]):
-            if direction == BACKWARD:
-                r_lin = float(np.linalg.norm(expm(-t * bloch_block(params).T) @ n0))
-            else:
-                r_lin = float(np.linalg.norm(expm(t * bloch_block(params)) @ n0))
-            worst_radius = max(worst_radius, abs(r_lin - math.exp(-2.0 * accum)))
+    for g, traj in trajectories.items():
+        params = traj.params
+
+        def rate(s, params=params):
+            return transition_rate(exact_direction(start, params, direction, s), params)
+
+        for k in range(0, len(times), max(1, len(times) // 4))[1:]:
+            t = float(times[k])
+            edges = [m / g for m in (1.0, 4.0, 16.0, 64.0, 256.0) if g > 0 and m / g < t]
+            integral = quad(rate, 0.0, t, points=edges or None, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
+            radius = math.exp(-2.0 * float(traj.rate_integral[k]))
+            worst_radius = max(worst_radius, abs(radius - math.exp(-2.0 * integral)))
     checks.check("radius_vs_rate_integral", worst_radius < 1e-6, f"max deviation {worst_radius:.3e}")
     return checks.status
 
@@ -315,15 +324,9 @@ _INITIAL_STATES = {
     "minus": np.array([-1.0, 0.0, 0.0]),
 }
 
-_BASIS_DIRECTIONS = {
-    "x": BlochDirection(theta=math.pi / 2.0, phi=0.0),
-    "y": BlochDirection(theta=math.pi / 2.0, phi=math.pi / 2.0),
-    "z": BlochDirection(theta=0.0, phi=0.0),
-}
-
 
 def cmd_histories(cfg: RunConfig) -> int:
-    if cfg.basis not in _BASIS_DIRECTIONS:
+    if cfg.basis not in ("x", "y", "z"):
         raise CliError("basis must be one of x, y, z")
     if cfg.initial not in _INITIAL_STATES:
         raise CliError(f"initial must be one of {', '.join(_INITIAL_STATES)}")
@@ -335,7 +338,7 @@ def cmd_histories(cfg: RunConfig) -> int:
         raise CliError("dt must be positive")
     params = cfg.params()
     times = np.arange(cfg.steps) * cfg.dt
-    base = _BASIS_DIRECTIONS[cfg.basis]
+    base = {"x": X_DIRECTION, "y": Y_DIRECTION, "z": Z_DIRECTION}[cfg.basis]
     if cfg.moving == "static":
         decomps = tuple(Decomposition.from_direction(base) for _ in times)
     else:
@@ -419,7 +422,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_info(cfg: RunConfig) -> int:
-    if cfg.basis not in _BASIS_DIRECTIONS:
+    if cfg.basis not in ("x", "y", "z"):
         raise CliError("basis must be one of x, y, z")
     params = cfg.params()
     times = _grid(cfg)
@@ -491,7 +494,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     ordering_ok = True
     count_ok = True
     for ratio in ratios:
-        params = ModelParams(omega=cfg.omega, gamma=ratio * cfg.omega, tau_c=cfg.tau_c)
+        params = cfg.params(gamma=ratio * cfg.omega)
         stat = stationary_families(params)
         n_eq = len(stat.equatorial)
         if ratio > 1.0 + 1e-12:
@@ -598,9 +601,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a numerical breakdown is a failed validation, not a crash
+        print(f"VALIDATION FAILED: {args.command}_completed ({type(exc).__name__}: {exc})")
+        return 1
 
 
 if __name__ == "__main__":

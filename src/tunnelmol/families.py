@@ -12,9 +12,15 @@ n(t) = exp(t S3) n0 / |exp(t S3) n0| with S3 the lower-right 3x3 block of the
 generator; a basis dragged along it satisfies the span condition
 T(span{P}) inside span{P'} between any two of its instants, which is what
 makes the associated history family consistent.  The backward flow is the same
-construction for the adjoint map run against time, equivalent to flipping the
-sign of gamma.  Both flows are available as adaptive ODE integration, as the
-exact normalized linear flow, and as a tangent-variable closed form
+construction for the adjoint map run against time, n(t) prop exp(-t S3^T) n0,
+equivalent to flipping the sign of gamma.
+
+The production route is that closed form: FamilyTrajectory.integrate and
+exact_direction evaluate the linear flow with ptm.scaled_block, which stays
+finite and cancellation-free at any gamma t, so a family at gamma/omega = 5e7
+costs the same as one at gamma = omega.  Two independent routes remain as
+cross-checks: adaptive integration of the angle ODEs (family_ode_step) and
+the tangent-variable closed form
 
     mu = tan phi,  nu = tan theta
 
@@ -45,9 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
-from .ptm import CRITICAL, IntegrationError, ModelParams, UNDERDAMPED, generator, propagator_closed_form
+from .ptm import CRITICAL, IntegrationError, ModelParams, UNDERDAMPED, generator, propagator_closed_form, scaled_block
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -153,27 +158,95 @@ def family_ode_step(state: BlochDirection, params: ModelParams, direction: str, 
     return BlochDirection(theta=float(sol.y[0, -1]), phi=float(sol.y[1, -1]))
 
 
+def _signed_gamma(params: ModelParams, direction: str) -> float:
+    """The backward flow is the forward one with gamma -> -gamma."""
+    if direction not in (FORWARD, BACKWARD):
+        raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
+    return params.gamma if direction == FORWARD else -params.gamma
+
+
 def exact_direction(initial: BlochDirection, params: ModelParams, direction: str, t: float) -> BlochDirection:
     """Family direction at time t through the normalized linear flow.
 
     forward:  n(t) prop exp(t S3) n(0);  backward:  n(t) prop exp(-t S3^T) n(0).
     Identical to integrating the angle ODEs (the ODEs are the projective form
-    of the linear flow), but exact to machine precision.  The returned angles
-    are one valid representative of the diameter; they are not guaranteed to
-    be the unwrapped continuation (the ODE route provides that).
+    of the linear flow), but exact to machine precision and finite for any
+    gamma t.  The returned angles are one valid representative of the
+    diameter, theta in [0, pi] and phi within pi of the initial azimuth; they
+    are not guaranteed to be the unwrapped continuation (FamilyTrajectory
+    provides that).
     """
-    A = bloch_block(params)
-    M = expm(t * A) if direction == FORWARD else expm(-t * A.T)
-    v = M @ _as_direction(initial).unit_vector
-    nrm = np.linalg.norm(v)
+    g = _signed_gamma(params, direction)
+    t = float(t)
+    L, a, b, c = scaled_block(g, params.omega, t)
+    x0, y0, z0 = _as_direction(initial).unit_vector
+    vx, vy = a * x0 - b * y0, b * x0 + c * y0
+    # the x-y part carries exp(L), the z part exp(-2 g t): rescale both by the
+    # larger of the two magnitudes, in logarithms, so neither overflows
+    rxy = math.hypot(vx, vy)
+    lxy = L + math.log(rxy) if rxy > 0.0 else -math.inf
+    lz = -2.0 * g * t + math.log(abs(z0)) if z0 != 0.0 else -math.inf
+    top = max(lxy, lz)
+    if rxy > 0.0:
+        vx, vy = vx * math.exp(L - top), vy * math.exp(L - top)
+    vz = z0 * math.exp(-2.0 * g * t - top) if z0 != 0.0 else 0.0
+    nrm = math.sqrt(vx * vx + vy * vy + vz * vz)
     if nrm == 0.0:
         raise IntegrationError("linear flow collapsed to zero vector")
-    v /= nrm
-    theta = math.acos(np.clip(v[2], -1.0, 1.0))
-    phi = math.atan2(v[1], v[0])
+    theta = math.acos(min(1.0, max(-1.0, vz / nrm)))
+    phi = math.atan2(vy, vx)
     # unwrap phi against the initial value so callers see a continuous angle
     k = round((initial.phi - phi) / (2.0 * math.pi))
     return BlochDirection(theta=theta, phi=phi + 2.0 * math.pi * k)
+
+
+def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.ndarray, angles: bool = True):
+    """Closed-form family at elapsed times tau >= 0: (theta, phi, kappa, rate_integral).
+
+    The x-y part of the flow acts on u0 = (cos phi0, sin phi0) alone, and the
+    z part is exp(-2 g tau) cos theta0, so
+
+        v(tau) = (sin theta0 * T2(tau) u0, cos theta0 * exp(-2 g tau)).
+
+    phi is the angle of T2 u0, which is exactly the solution of the phi ODE
+    (also on the poles, where the ODE still moves phi); theta stays in the
+    quadrant of theta0, as the theta ODE keeps it.  Both parts are handled in
+    logarithms, so nothing overflows.  The radius identity
+    d ln|v| / dt = -+2 kappa gives the integrated flip rate from ln|v| in
+    closed form.  kappa = gamma (n_y^2 + n_z^2) is gamma (1 - n_x^2) without
+    the cancellation near the pointer axis.  With angles=False theta and phi
+    are None.
+    """
+    g = _signed_gamma(params, direction)
+    L, a, b, c = scaled_block(g, params.omega, tau)
+    c0, s0 = math.cos(initial.phi), math.sin(initial.phi)
+    ux, uy = a * c0 - b * s0, b * c0 + c * s0
+    rho = np.hypot(ux, uy)
+    st, ct = math.sin(initial.theta), math.cos(initial.theta)
+    lxy = L + np.log(rho) + (math.log(abs(st)) if st != 0.0 else -math.inf)
+    lz = -2.0 * g * tau + (math.log(abs(ct)) if ct != 0.0 else -math.inf)
+    xy_larger = lxy >= lz
+    e = np.exp(-np.abs(lxy - lz))  # the smaller part relative to the larger one
+    wxy = np.where(xy_larger, 1.0, e)
+    wz = np.where(xy_larger, e, 1.0)
+    norm2 = 1.0 + e * e
+    log_radius = np.maximum(lxy, lz) + 0.5 * np.log1p(e * e)
+    sy = uy / rho
+    kappa = params.gamma * (wxy * wxy * sy * sy + wz * wz) / norm2
+    rate_integral = -0.5 * log_radius if g >= 0.0 else 0.5 * log_radius
+    if not angles:
+        return None, None, kappa, rate_integral
+    branch = round((initial.theta - math.atan2(st, ct)) / (2.0 * math.pi))
+    theta = np.arctan2(math.copysign(1.0, st) * wxy, math.copysign(1.0, ct) * wz) + 2.0 * math.pi * branch
+    turn = np.arctan2(uy, ux) - initial.phi
+    if params.regime == UNDERDAMPED:
+        # phi advances monotonically, by exactly pi per half period pi/eta
+        half_turns = np.floor(params.discriminant * tau / math.pi) * math.pi
+        turn = half_turns + np.mod(turn - half_turns + math.pi / 2.0, 2.0 * math.pi) - math.pi / 2.0
+    else:
+        # phi moves toward a stationary root and never passes one: |turn| < pi
+        turn = np.mod(turn + math.pi, 2.0 * math.pi) - math.pi
+    return theta, initial.phi + turn, kappa, rate_integral
 
 
 def _pole_time(params: ModelParams, q: float) -> float:
@@ -243,10 +316,14 @@ def family_closed_form(initial: BlochDirection, params: ModelParams, direction: 
 
 @dataclass(frozen=True)
 class FamilyTrajectory:
-    """A family sampled on a time grid: raw angles plus the local flip rate.
+    """A family on a time grid, evaluated in closed form from the initial direction.
 
-    theta/phi are the raw integrated values (phi unwrapped, theta not folded);
-    canonical representatives are available per sample via direction_at().
+    theta/phi are the continuous angles the flow ODEs integrate to (phi
+    unwrapped, theta on the branch of the initial polar angle); canonical
+    representatives are available per sample via direction_at().
+    rate_integral is the integrated flip rate Lambda(t), the integral of
+    kappa from times[0] to t.  The *_at methods evaluate the same closed form
+    at any time, not by interpolation.
     """
 
     params: ModelParams
@@ -255,39 +332,38 @@ class FamilyTrajectory:
     theta: np.ndarray
     phi: np.ndarray
     kappa: np.ndarray
+    rate_integral: np.ndarray
+    initial: BlochDirection
 
     @classmethod
-    def integrate(cls, initial: BlochDirection, params: ModelParams, direction: str, times) -> "FamilyTrajectory":
-        """Integrate the angle ODEs across a (sorted, t[0] >= 0) time grid."""
+    def integrate(cls, initial, params: ModelParams, direction: str, times) -> "FamilyTrajectory":
+        """Evaluate the family across a (sorted, t[0] >= 0) time grid, starting at t[0]."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be a strictly increasing 1-D grid")
         init = _as_direction(initial)
-        sol = solve_ivp(
-            _ode_rhs(direction),
-            (times[0], times[-1]),
-            (init.theta, init.phi),
-            args=(params.omega, params.gamma),
-            method="DOP853",
-            rtol=1e-11,
-            atol=1e-12,
-            t_eval=times,
-        )
-        if not sol.success:
-            raise IntegrationError(f"family integration failed: {sol.message}")
-        th, ph = sol.y
-        nx = np.sin(th) * np.cos(ph)
-        kap = params.gamma * (1.0 - nx * nx)
-        return cls(params=params, direction=direction, times=times, theta=th, phi=ph, kappa=kap)
+        th, ph, kap, lam = _flow(init, params, direction, times - times[0])
+        return cls(params=params, direction=direction, times=times, theta=th, phi=ph, kappa=kap,
+                   rate_integral=lam, initial=init)
+
+    def _at(self, t, angles: bool = True):
+        return _flow(self.initial, self.params, self.direction, np.asarray(t, dtype=float) - self.times[0], angles)
 
     def direction_at(self, t: float) -> BlochDirection:
-        return BlochDirection(
-            theta=float(np.interp(t, self.times, self.theta)),
-            phi=float(np.interp(t, self.times, self.phi)),
-        )
+        theta, phi, _, _ = self._at(t)
+        return BlochDirection(theta=float(theta), phi=float(phi))
+
+    def unit_vectors_at(self, times) -> np.ndarray:
+        """Unit vectors n(t), one row per time."""
+        theta, phi, _, _ = self._at(times)
+        st = np.sin(theta)
+        return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
     def kappa_at(self, t) -> np.ndarray | float:
-        return np.interp(t, self.times, self.kappa)
+        return self._at(t, angles=False)[2]
+
+    def rate_integral_at(self, t) -> np.ndarray | float:
+        return self._at(t, angles=False)[3]
 
     def to_csv(self) -> str:
         lines = ["t,theta,phi,kappa"]

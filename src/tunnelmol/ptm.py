@@ -61,6 +61,8 @@ PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # Taylor series, which keeps the critical point gamma = omega exact
 _SERIES_CUTOFF = 1e-4
 
+_IDENTITY = np.eye(4)
+
 OVERDAMPED = "overdamped"
 CRITICAL = "critical"
 UNDERDAMPED = "underdamped"
@@ -138,50 +140,115 @@ def generator(params: ModelParams) -> np.ndarray:
     )
 
 
-def _kernels(params: ModelParams, t: float) -> tuple[float, float]:
-    """(C, Sh) with C = cosh(xi t) and Sh = sinh(xi t)/xi, valid in all regimes.
-
-    Both are even functions of xi, so they only depend on the signed square
-    u = (gamma^2 - omega^2) t^2; u < 0 gives the trigonometric branch.  Near
-    u = 0 a fourth-order series keeps full precision through the critical
-    point.
-    """
-    u = (params.gamma**2 - params.omega**2) * t * t
+def _scaled_block_scalar(g: float, om: float, t: float) -> tuple[float, float, float, float]:
+    G = abs(g)
+    d2 = (G - om) * (G + om)
+    u = d2 * t * t
     if abs(u) < _SERIES_CUTOFF**2:
         C = 1.0 + u / 2.0 + u * u / 24.0 + u**3 / 720.0
         Sh = (1.0 + u / 6.0 + u * u / 120.0 + u**3 / 5040.0) * t
-    elif u > 0:
-        x = math.sqrt(u)
-        C = math.cosh(x)
-        Sh = math.sinh(x) / x * t
+        return -g * t, C + g * Sh, om * Sh, C - g * Sh
+    if d2 < 0.0:
+        eta = math.sqrt(-d2)
+        C = math.cos(eta * t)
+        Sh = math.sin(eta * t) / eta
+        return -g * t, C + g * Sh, om * Sh, C - g * Sh
+    xi = math.sqrt(d2)
+    k1 = om * om / (G + xi)
+    k2 = G + xi
+    h = -math.expm1(-2.0 * xi * t) / (2.0 * xi)
+    D = math.exp(-2.0 * xi * t)
+    p = 1.0 + k1 * h
+    r = 1.0 - k2 * h if D * k2 > 2.0 * xi else (D * k2 - k1) / (2.0 * xi)
+    if g >= 0.0:
+        return -k1 * t, p, om * h, r
+    return k2 * t, r, om * h, p
+
+
+def _scaled_block_array(g: float, om: float, t: np.ndarray) -> tuple:
+    G = abs(g)
+    d2 = (G - om) * (G + om)
+    if d2 < 0.0:
+        eta = math.sqrt(-d2)
+        C = np.cos(eta * t)
+        Sh = np.sin(eta * t) / eta
+        L, a, b, c = -g * t, C + g * Sh, om * Sh, C - g * Sh
+    elif d2 > 0.0:
+        xi = math.sqrt(d2)
+        k1 = om * om / (G + xi)
+        k2 = G + xi
+        h = -np.expm1(-2.0 * xi * t) / (2.0 * xi)
+        D = np.exp(-2.0 * xi * t)
+        p = 1.0 + k1 * h
+        r = np.where(D * k2 > 2.0 * xi, 1.0 - k2 * h, (D * k2 - k1) / (2.0 * xi))
+        L, a, b, c = (-k1 * t, p, om * h, r) if g >= 0.0 else (k2 * t, r, om * h, p)
     else:
-        x = math.sqrt(-u)
-        C = math.cos(x)
-        Sh = math.sin(x) / x * t
-    return C, Sh
+        L = a = b = c = np.zeros_like(t)
+    u = d2 * t * t
+    series = np.abs(u) < _SERIES_CUTOFF**2
+    if series.any():
+        L, a, b, c = (np.array(x, dtype=float, copy=True) for x in (L, a, b, c))
+        us, ts = u[series], t[series]
+        C = 1.0 + us / 2.0 + us * us / 24.0 + us**3 / 720.0
+        Sh = (1.0 + us / 6.0 + us * us / 120.0 + us**3 / 5040.0) * ts
+        L[series], a[series], b[series], c[series] = -g * ts, C + g * Sh, om * Sh, C - g * Sh
+    return L, a, b, c
 
 
-def propagator_closed_form(params: ModelParams, t: float) -> np.ndarray:
-    """Analytic T(t) = exp(t S) as a 4x4 real PTM.
+def scaled_block(gamma: float, omega: float, t):
+    """The tunneling block of exp(t S) as (log_scale, a, b, c), overflow-free.
 
-    Uses the regime-independent kernels cosh(xi t) and sinh(xi t)/xi, so the
-    overdamped, underdamped and critical branches are all exact; agreement
+    exp(t S2) = e^{log_scale} [[a, -b], [b, c]] for S2 = [[0, -omega],
+    [omega, -2 gamma]], the x-y block of the generator.  gamma may be negative:
+    gamma -> -gamma turns exp(t S2) into exp(-t S2^T), the backward flow.
+
+    Overdamped, the block is a sum of the decaying (or, for negative gamma,
+    growing) exponentials exp(-(gamma -+ xi) t).  Writing the slow rate as
+    k1 = gamma - xi = omega^2/(gamma + xi) and factoring out the dominant
+    exponential leaves a, b, c of order one, so no term overflows or cancels
+    for any gamma t (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The
+    underdamped branch factors out exp(-gamma t), and below |xi t| = 1e-4 a
+    Taylor series keeps the critical point exact.
+
+    A float t is evaluated with the math module, an array t elementwise with
+    numpy; the two agree to rounding.
+    """
+    if isinstance(t, (float, int)):
+        return _scaled_block_scalar(gamma, omega, float(t))
+    return _scaled_block_array(gamma, omega, np.asarray(t, dtype=float))
+
+
+def propagator_closed_form(params: ModelParams, t) -> np.ndarray:
+    """Analytic T(t) = exp(t S) as a 4x4 real PTM, or a stack (..., 4, 4) for an array t.
+
+    Built from scaled_block, so every entry stays finite and accurate for any
+    gamma t in the overdamped, underdamped and critical regimes; agreement
     with a brute-force matrix exponential is at machine precision.
     """
-    if t < 0:
+    if isinstance(t, (float, int)):
+        if t < 0:
+            raise ValueError("propagator is defined for t >= 0")
+        L, a, b, c = _scaled_block_scalar(params.gamma, params.omega, float(t))
+        s = math.exp(L)
+        T = _IDENTITY.copy()
+        T[1, 1] = s * a
+        T[1, 2] = -s * b
+        T[2, 1] = s * b
+        T[2, 2] = s * c
+        T[3, 3] = math.exp(-2.0 * params.gamma * t)
+        return T
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("propagator is defined for t >= 0")
-    om, g = params.omega, params.gamma
-    C, Sh = _kernels(params, t)
-    a = C + g * Sh
-    b = om * Sh
-    c = C - g * Sh
-    e1 = math.exp(-g * t)
-    T = np.eye(4)
-    T[1, 1] = e1 * a
-    T[1, 2] = -e1 * b
-    T[2, 1] = e1 * b
-    T[2, 2] = e1 * c
-    T[3, 3] = math.exp(-2.0 * g * t)
+    L, a, b, c = _scaled_block_array(params.gamma, params.omega, t)
+    s = np.exp(L)
+    T = np.zeros(t.shape + (4, 4))
+    T[..., 0, 0] = 1.0
+    T[..., 1, 1] = s * a
+    T[..., 1, 2] = -s * b
+    T[..., 2, 1] = s * b
+    T[..., 2, 2] = s * c
+    T[..., 3, 3] = np.exp(-2.0 * params.gamma * t)
     return T
 
 

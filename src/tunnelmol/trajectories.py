@@ -7,13 +7,18 @@ direction.  For the static z family kappa = gamma and the flips form a plain
 Poisson process; for moving families the process is an inhomogeneous Poisson
 flip stream.
 
-Sampling uses thinning: candidate events are drawn from a homogeneous
-Poisson process at the ceiling rate gamma and each is accepted with
-probability kappa(t)/gamma.  Because the candidate stream never depends on
-past acceptances, whole blocks of candidates can be drawn and filtered at
-once.  Every trajectory gets its own counter-based generator keyed by
-(seed, trajectory index), so results are bit-reproducible and independent of
-how many trajectories are requested or in which order they are produced.
+Sampling is exact, by time change.  Write Lambda(t) for the integral of
+kappa from the family's first instant to t.  The flips happen where Lambda
+crosses the cumulative sums of unit-rate exponential variables, so each
+trajectory draws unit exponentials until their running sum passes
+Lambda(t_end), then maps each sum s back to its flip time t = Lambda^{-1}(s).
+Lambda is known in closed form along a family (the radius identity, see
+families), and its derivative is kappa, so the inversion is a safeguarded
+Newton iteration bracketed on the family grid; it stops at a bracket or a
+step of a few ulps.  Every trajectory gets its own counter-based generator
+keyed by (seed, trajectory index), and the inversion is elementwise, so
+results are bit-reproducible and independent of how many trajectories are
+requested or in which order they are produced.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .families import FamilyTrajectory
 
-_CHUNK = 64  # candidates drawn per block; fixed so streams stay reproducible
+_CHUNK = 64  # unit exponentials drawn per block; fixed so streams stay reproducible
+_BLOCK = 4096  # flip times inverted together; bounds the solver's scratch memory
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -93,32 +99,79 @@ def _draw_initial_arm(config: SamplerConfig, rng: np.random.Generator) -> int:
     return int(rng.random() >= float(config.initial))
 
 
-def sample_trajectory(family: FamilyTrajectory, config: SamplerConfig, index: int = 0) -> Trajectory:
-    """Draw one trajectory over the family's time span by thinning."""
+def _draw(family: FamilyTrajectory, config: SamplerConfig, index: int) -> tuple[int, np.ndarray]:
+    """Starting arm and the running sums of unit exponentials below Lambda(t_end)."""
     rng = config.rng(index)
     arm = _draw_initial_arm(config, rng)
-    t0 = float(family.times[0])
-    t_end = float(family.times[-1])
-    gamma = family.params.gamma
-    if gamma == 0.0:
-        return Trajectory(t_start=t0, t_end=t_end, initial_arm=arm, flip_times=np.empty(0))
-    accepted = []
-    t = t0
-    while t < t_end:
-        gaps = rng.exponential(scale=1.0 / gamma, size=_CHUNK)
-        cand = t + np.cumsum(gaps)
-        u = rng.random(_CHUNK)
-        inside = cand < t_end
-        keep = inside & (u * gamma <= family.kappa_at(cand))
-        accepted.append(cand[keep])
-        t = cand[-1]
-    flips = np.concatenate(accepted) if accepted else np.empty(0)
-    return Trajectory(t_start=t0, t_end=t_end, initial_arm=arm, flip_times=flips)
+    total = float(family.rate_integral[-1])
+    if family.params.gamma == 0.0 or not total > 0.0:
+        return arm, np.empty(0)
+    sums = []
+    carry = 0.0
+    while True:
+        block = carry + np.cumsum(rng.standard_exponential(_CHUNK))
+        if block[-1] >= total:
+            sums.append(block[block < total])
+            return arm, np.concatenate(sums) if len(sums) > 1 else sums[0]
+        sums.append(block)
+        carry = block[-1]
+
+
+def _invert(family: FamilyTrajectory, targets: np.ndarray) -> np.ndarray:
+    """Times t with Lambda(t) = target, solved elementwise in blocks."""
+    out = np.empty_like(targets)
+    for start in range(0, len(targets), _BLOCK):
+        out[start : start + _BLOCK] = _invert_block(family, targets[start : start + _BLOCK])
+    return out
+
+
+def _invert_block(family: FamilyTrajectory, s: np.ndarray) -> np.ndarray:
+    # Lambda is nondecreasing; the running maximum only irons out rounding
+    grid = family.times
+    lam = np.maximum.accumulate(family.rate_integral)
+    k = np.clip(np.searchsorted(lam, s, side="right") - 1, 0, len(grid) - 2)
+    lo, hi = grid[k], grid[k + 1]
+    rise = lam[k + 1] - lam[k]
+    frac = np.divide(s - lam[k], rise, out=np.full_like(s, 0.5), where=rise > 0)
+    t = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+    out = t.copy()
+    active = np.arange(len(s))
+    for _ in range(_MAX_ITER):
+        if len(active) == 0:
+            break
+        _, _, slope, value = family._at(t, angles=False)
+        f = value - s
+        lo = np.where(f < 0.0, t, lo)
+        hi = np.where(f > 0.0, t, hi)
+        step = np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0.0)
+        nxt = t - step
+        nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        nxt = np.where(f == 0.0, t, nxt)
+        done = (np.abs(nxt - t) <= 4.0 * np.spacing(nxt)) | (hi - lo <= 4.0 * np.spacing(hi))
+        out[active] = nxt
+        keep = ~done
+        active, t, s, lo, hi = active[keep], nxt[keep], s[keep], lo[keep], hi[keep]
+    return out
+
+
+def sample_trajectory(family: FamilyTrajectory, config: SamplerConfig, index: int = 0) -> Trajectory:
+    """Draw one trajectory over the family's time span by time change."""
+    arm, targets = _draw(family, config, index)
+    t0, t_end = float(family.times[0]), float(family.times[-1])
+    return Trajectory(t_start=t0, t_end=t_end, initial_arm=arm, flip_times=_invert(family, targets))
 
 
 def sample_ensemble(family: FamilyTrajectory, config: SamplerConfig) -> list:
-    """Independent trajectories, one per stream index."""
-    return [sample_trajectory(family, config, index=i) for i in range(config.n_trajectories)]
+    """Independent trajectories, one per stream index, inverted in shared blocks.
+
+    Trajectory i is bit for bit sample_trajectory(family, config, index=i).
+    """
+    arms, targets = zip(*(_draw(family, config, i) for i in range(config.n_trajectories)))
+    ends = np.cumsum([len(x) for x in targets])
+    targets = np.concatenate(targets)  # drops the per-trajectory arrays before the solve
+    flips = np.split(_invert(family, targets), ends[:-1])
+    t0, t_end = float(family.times[0]), float(family.times[-1])
+    return [Trajectory(t_start=t0, t_end=t_end, initial_arm=arm, flip_times=f) for arm, f in zip(arms, flips)]
 
 
 @dataclass(frozen=True)
@@ -163,24 +216,20 @@ def ensemble_average(trajectories, family: FamilyTrajectory, times=None) -> Ense
     for traj in trajectories:
         counts += traj.arm_at(times) == 0
     p0 = counts / len(trajectories)
-    dirs = np.stack([family.direction_at(t).unit_vector for t in times])
-    bloch = (2.0 * p0 - 1.0)[:, None] * dirs
+    bloch = (2.0 * p0 - 1.0)[:, None] * family.unit_vectors_at(times)
     return EnsembleSeries(times=times, p0=p0, bloch=bloch, n_trajectories=len(trajectories))
 
 
 def deterministic_occupation(family: FamilyTrajectory, times=None, p0_initial: float = 1.0) -> np.ndarray:
-    """Master-equation arm-0 occupation: delta_p(t) = delta_p(0) e^{-2 int kappa}.
+    """Master-equation arm-0 occupation: delta_p(t) = delta_p(0) e^{-2 Lambda(t)}.
 
-    The integral of kappa along the family is taken on the family's own grid
-    by trapezoid rule and interpolated to the query times.
+    Lambda, the integral of kappa along the family, is exact at every query
+    time (the radius identity), so no quadrature or interpolation enters.
     """
     if times is None:
         times = family.times
-    times = np.asarray(times, dtype=float)
-    integral = cumulative_trapezoid(family.kappa, family.times, initial=0.0)
     delta0 = 2.0 * p0_initial - 1.0
-    delta = delta0 * np.exp(-2.0 * np.interp(times, family.times, integral))
-    return 0.5 * (1.0 + delta)
+    return 0.5 * (1.0 + delta0 * np.exp(-2.0 * family.rate_integral_at(np.asarray(times, dtype=float))))
 
 
 @dataclass(frozen=True)

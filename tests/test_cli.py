@@ -1,9 +1,17 @@
 """Command line behavior: subcommands, config layering, CSV output, exits."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import tunnelmol.cli
+from tunnelmol.channels import NonCPError
 from tunnelmol.cli import _Checks, main
+
+# deuterated disulfane: collisions outpace tunneling by 5e7
+D2S2 = ("--gamma", "9e9", "--omega", "176")
 
 
 def run(tmp_path, *args):
@@ -89,6 +97,72 @@ def test_bad_usage_exits_2(tmp_path):
     assert run(tmp_path, "histories", "--steps", "40") == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_model_parameters_out_of_range_are_usage_errors(tmp_path, capsys):
+    assert run(tmp_path, "evolve", "--gamma", "-1") == 2
+    assert run(tmp_path, "families", "--gammas", "1,-2") == 2
+    assert run(tmp_path, "scan", "--omega", "-1") == 2
+    captured = capsys.readouterr()
+    assert "non-negative" in captured.err
+    assert "VALIDATION FAILED" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "command, target, exc",
+    [
+        ("evolve", "propagator_closed_form", OverflowError("math range error")),
+        ("histories", "decoherence_functional", ValueError("negative history weight -1e-3")),
+        ("info", "build_info_report", NonCPError("Choi matrix has a negative eigenvalue")),
+        ("sample", "sample_ensemble", FloatingPointError("overflow")),
+    ],
+)
+def test_numerical_breakdown_is_a_named_failed_validation(tmp_path, capsys, monkeypatch, command, target, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(tunnelmol.cli, target, broken)
+    assert run(tmp_path, command, "--points", "5") == 1
+    captured = capsys.readouterr()
+    assert f"VALIDATION FAILED: {command}_completed ({type(exc).__name__}: {exc})" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _expm_occupation(gamma, omega, theta0, phi0, times, delta0):
+    # independent oracle: (1 + delta0 |expm(t S3) n0|) / 2 for a forward family
+    S3 = np.array([[0.0, -omega, 0.0], [omega, -2.0 * gamma, 0.0], [0.0, 0.0, -2.0 * gamma]])
+    n0 = np.array([math.sin(theta0) * math.cos(phi0), math.sin(theta0) * math.sin(phi0), math.cos(theta0)])
+    return 0.5 * (1.0 + delta0 * np.array([np.linalg.norm(expm(t * S3) @ n0) for t in times]))
+
+
+def test_evolve_at_the_d2s2_range_is_finite_and_matches_expm(tmp_path):
+    assert run(tmp_path, "evolve", *D2S2, "--tmax", "1e-6", "--points", "3") == 0
+    _, body = read_csv_body(tmp_path / "evolve.csv")
+    header = body[0].split(",")
+    rows = np.array([[float(x) for x in line.split(",")] for line in body[1:]])
+    assert np.all(np.isfinite(rows))
+    S = np.zeros((4, 4))
+    S[1:, 1:] = [[0.0, -176.0, 0.0], [176.0, -1.8e10, 0.0], [0.0, 0.0, -1.8e10]]
+    for row in rows:
+        got = np.array([[row[header.index(f"T{i}{j}")] for j in range(4)] for i in range(4)])
+        assert np.abs(got - expm(row[0] * S)).max() < 1e-12
+
+
+def test_stiff_families_pass_every_validation(tmp_path, capsys):
+    assert run(tmp_path, "families", "--gammas", "1e2,1e3,1e4", "--tmax", "1", "--theta0", "0.25") == 0
+    assert "VALIDATION FAILED" not in capsys.readouterr().out
+    assert run(tmp_path, "families", "--gammas", "1e2,1e3,1e4", "--tmax", "1", "--direction", "backward") == 0
+
+
+def test_moving_d2s2_sample_follows_the_exact_master_curve(tmp_path):
+    ntraj = 400
+    assert run(tmp_path, "sample", *D2S2, "--tmax", "1e-6", "--points", "41", "--ntraj", str(ntraj),
+               "--theta0", "0.9", "--phi0", "0.2", "--initial", "0", "--seed", "11") == 0
+    _, body = read_csv_body(tmp_path / "ensemble.csv")
+    table = np.array([[float(x) for x in line.split(",")[:2]] for line in body[1:]])
+    want = _expm_occupation(9e9, 176.0, 0.9, 0.2, table[:, 0], 1.0)
+    sigma = np.sqrt(np.maximum(want * (1.0 - want), 1.0 / ntraj) / ntraj)
+    assert np.max(np.abs(table[:, 1] - want) / sigma) < 6.0
 
 
 def test_histories_reports_inconsistent_family_but_passes_checks(tmp_path, capsys):

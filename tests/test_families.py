@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.linalg import expm
 
 from tunnelmol.families import (
@@ -209,6 +209,68 @@ def test_family_trajectory_grid_and_interpolation():
     assert header == "t,theta,phi,kappa"
     with pytest.raises(ValueError):
         FamilyTrajectory.integrate(BlochDirection(0.2, 0.0), p, FORWARD, np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "params, start, sense",
+    [
+        (ModelParams(omega=1.0, gamma=0.3), BlochDirection(0.7, 0.4), FORWARD),  # underdamped: phi winds
+        (ModelParams(omega=1.0, gamma=0.3), BlochDirection(2.5, -1.0), BACKWARD),
+        (ModelParams(omega=1.0, gamma=2.5), BlochDirection(-0.4, 2.0), FORWARD),  # sin theta < 0
+        (ModelParams(omega=1.0, gamma=2.5), BlochDirection(4.0, 0.3), BACKWARD),  # theta beyond pi
+        (ModelParams(omega=1.0, gamma=1.0), BlochDirection(1.2, 1.0), FORWARD),  # critical
+        (ModelParams(omega=1.3, gamma=0.6), Z_DIRECTION, FORWARD),  # on the pole only phi moves
+    ],
+)
+def test_closed_form_family_reproduces_the_raw_ode_angles(params, start, sense):
+    # not just the same diameter: the same continuous (theta, phi) the angle
+    # ODEs integrate to, with phi unwrapped across windings
+    grid = np.linspace(0.0, 12.0, 61)
+    fam = FamilyTrajectory.integrate(start, params, sense, grid)
+    state = start
+    for k in range(1, len(grid)):
+        state = family_ode_step(state, params, sense, float(grid[k] - grid[k - 1]))
+        assert abs(fam.theta[k] - state.theta) < 1e-8
+        assert abs(fam.phi[k] - state.phi) < 1e-8
+    # off-grid evaluation is the same closed form, not an interpolation
+    t = 3.21
+    assert angle_between(fam.direction_at(t), exact_direction(start, params, sense, t)) < 1e-12
+    want = transition_rate(exact_direction(start, params, sense, t), params)
+    assert fam.kappa_at(t) == pytest.approx(want, abs=1e-12)
+    integral = quad(lambda s: fam.kappa_at(s), 0.0, t, epsabs=1e-13, epsrel=1e-13)[0]
+    assert fam.rate_integral_at(t) == pytest.approx(integral, abs=1e-11)
+
+
+def test_backward_family_far_beyond_the_overflow_point():
+    # D2S2 backward: the flow grows like exp(2 gamma t) = exp(18000) at the end
+    mpmath = pytest.importorskip("mpmath")
+    p = ModelParams(omega=176.0, gamma=9e9)
+    start = BlochDirection(0.9, 0.2)
+    grid = np.linspace(0.0, 1e-6, 101)
+    fam = FamilyTrajectory.integrate(start, p, BACKWARD, grid)
+    for column in (fam.theta, fam.phi, fam.kappa, fam.rate_integral):
+        assert np.all(np.isfinite(column))
+    for k in (1, 50, 100):
+        with mpmath.workdps(40):
+            A = mpmath.matrix((-bloch_block(p).T).tolist())
+            v = mpmath.expm(A * mpmath.mpf(grid[k])) * mpmath.matrix(start.unit_vector.tolist())
+            nrm = mpmath.norm(v)
+            want = BlochDirection.from_vector([float(x / nrm) for x in v])
+            log_radius = float(mpmath.log(nrm))
+        assert angle_between(fam.direction_at(grid[k]), want) < 1e-12
+        assert angle_between(exact_direction(start, p, BACKWARD, float(grid[k])), want) < 1e-12
+        assert fam.rate_integral[k] == pytest.approx(0.5 * log_radius, rel=1e-12)
+
+
+def test_exact_direction_keeps_the_pole_far_beyond_the_overflow_point():
+    # the z diameter is invariant; at gamma t = 9e6 its exp(-2 gamma t) weight
+    # underflows, which must not read as a collapsed flow
+    p = ModelParams(omega=176.0, gamma=9e9)
+    for sense in (FORWARD, BACKWARD):
+        assert exact_direction(Z_DIRECTION, p, sense, 1e-3).theta == 0.0
+        fam = FamilyTrajectory.integrate(Z_DIRECTION, p, sense, np.array([0.0, 1e-3]))
+        assert fam.theta[-1] == 0.0
+        assert fam.rate_integral[-1] == pytest.approx(9e6, rel=1e-15)
 
 
 def test_span_conditions_accept_true_sequences_and_reject_perturbed():

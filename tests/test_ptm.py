@@ -61,6 +61,54 @@ def test_closed_form_matches_matrix_exponential():
     assert worst < 1e-12
 
 
+def test_array_times_give_the_stacked_scalar_propagators():
+    rng = np.random.default_rng(23)
+    for k in range(30):
+        p = random_params(rng, near_critical=(k % 5 == 0))
+        times = np.concatenate([[0.0], rng.uniform(0.0, 6.0, size=7), [1e-9]])
+        stack = propagator_closed_form(p, times)
+        assert stack.shape == (len(times), 4, 4)
+        for t, T in zip(times, stack):
+            assert np.abs(T - propagator_closed_form(p, float(t))).max() < 1e-15
+    assert propagator_closed_form(p, np.zeros((2, 3))).shape == (2, 3, 4, 4)
+
+
+def _mpmath_propagator(mpmath, p, t):
+    with mpmath.workdps(50):
+        E = mpmath.expm(mpmath.matrix(generator(p).tolist()) * mpmath.mpf(t))
+        return np.array([[float(E[i, j]) for j in range(4)] for i in range(4)])
+
+
+def test_closed_form_matches_50_digit_expm_to_gamma_t_1e12():
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(1.0, 3.0), (176.0, 9e9), (3.0, 1.0), (1.0, 1e-3), (1.0, 1.0), (1.0, 1.0 + 1e-9)]
+    for omega, gamma in cases:
+        p = ModelParams(omega=omega, gamma=gamma)
+        for gamma_t in (1e-3, 1.0, 7e2, 1e4, 1e12):
+            t = gamma_t / gamma
+            want = _mpmath_propagator(mpmath, p, t)
+            # the phase omega t of an underdamped rotation carries a rounding of a few ulps
+            tol = 1e-15 * (1.0 + omega * t)
+            for T in (propagator_closed_form(p, t), propagator_closed_form(p, np.array([t]))[0]):
+                assert np.all(np.isfinite(T))
+                assert np.abs(T - want).max() <= tol, (omega, gamma, gamma_t)
+
+
+def test_slow_decay_at_d2s2_out_to_the_slow_time():
+    # the transverse component decays as exp(-2 kappa_x t), sixteen orders of
+    # magnitude slower than the collisions; every x-y entry stays accurate to
+    # the last digits, including the 1e-17 sized T22
+    mpmath = pytest.importorskip("mpmath")
+    p = ModelParams(omega=176.0, gamma=9e9)
+    kappa_x = -eigen_system(p).eigenvalues[1].real / 2.0
+    for t in (1e-6, 1.0, 1e3, 1e5, 1.0 / kappa_x):
+        T = propagator_closed_form(p, t)
+        assert T[1, 1] == pytest.approx(math.exp(-2.0 * kappa_x * t), rel=1e-13)
+        want = _mpmath_propagator(mpmath, p, t)
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            assert T[i, j] == pytest.approx(want[i, j], rel=1e-13)
+
+
 def test_closed_form_matches_adaptive_ode():
     rng = np.random.default_rng(55)
     for _ in range(8):
@@ -79,6 +127,8 @@ def test_propagator_structure():
     assert T[3, 3] == pytest.approx(math.exp(-2.0 * 2.0 * 1.3), abs=1e-15)
     with pytest.raises(ValueError):
         propagator_closed_form(p, -0.1)
+    with pytest.raises(ValueError):
+        propagator_closed_form(p, np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
         propagator_numeric(p, -0.1)
 

@@ -1,4 +1,4 @@
-"""Telegraph sampling: streams, thinning, ensemble against the master equation."""
+"""Telegraph sampling: streams, time change, ensemble against the master equation."""
 
 import math
 
@@ -43,6 +43,23 @@ def test_streams_are_reproducible_and_index_keyed():
     # different index, different stream
     c = sample_trajectory(fam, cfg, index=4)
     assert not np.array_equal(a.flip_times, c.flip_times)
+
+
+def test_ensemble_members_are_bitwise_single_trajectories_across_solver_blocks():
+    # a moving family with several solver blocks of flips: trajectory i must
+    # depend on (seed, i) alone, not on the ensemble size or its block
+    p = ModelParams(omega=1.0, gamma=0.5)
+    fam = FamilyTrajectory.integrate(BlochDirection(0.9, 0.3), p, FORWARD, np.linspace(0.0, 40.0, 401))
+    cfg = SamplerConfig(seed=4, n_trajectories=1000, initial=0)
+    big = sample_ensemble(fam, cfg)
+    assert sum(t.n_flips for t in big) > 2 * 4096
+    small = sample_ensemble(fam, SamplerConfig(seed=4, n_trajectories=3, initial=0))
+    for i in range(3):
+        assert np.array_equal(small[i].flip_times, big[i].flip_times)
+    for i in (0, 1, 2, 411, 999):
+        single = sample_trajectory(fam, cfg, index=i)
+        assert np.array_equal(big[i].flip_times, single.flip_times)
+        assert big[i].initial_arm == single.initial_arm
 
 
 def test_initial_arm_modes():
@@ -159,6 +176,26 @@ def test_deterministic_occupation_closed_form_for_z_family():
     got = deterministic_occupation(fam, times, p0_initial=1.0)
     want = 0.5 * (1.0 + np.exp(-2.0 * gamma * times))
     assert np.abs(got - want).max() < 1e-7
+
+
+def test_deterministic_occupation_is_exact_off_the_grid():
+    # forward: (1 + delta0 |expm(t S3) n0|)/2, also at D2S2; backward:
+    # (1 + delta0 / |expm(-t S3^T) n0|)/2
+    d0 = BlochDirection(0.9, 0.2)
+    for p, sense, t_end in (
+        (ModelParams(omega=176.0, gamma=9e9), FORWARD, 1e-6),
+        (ModelParams(omega=1.0, gamma=0.6), FORWARD, 5.0),
+        (ModelParams(omega=1.0, gamma=0.6), BACKWARD, 5.0),
+    ):
+        fam = FamilyTrajectory.integrate(d0, p, sense, np.linspace(0.0, t_end, 11))
+        times = np.linspace(0.0, t_end, 7) + t_end / 13.0
+        S3 = bloch_block(p)
+        if sense == FORWARD:
+            radius = np.array([np.linalg.norm(expm(t * S3) @ d0.unit_vector) for t in times])
+        else:
+            radius = 1.0 / np.array([np.linalg.norm(expm(-t * S3.T) @ d0.unit_vector) for t in times])
+        got = deterministic_occupation(fam, times, p0_initial=0.0)
+        assert np.abs(got - 0.5 * (1.0 - radius)).max() < 1e-12
 
 
 def test_ensemble_series_csv_and_errors():
