@@ -59,6 +59,8 @@ BACKWARD = "backward"
 
 # tangent values beyond this mean the closed form left its branch
 _TANGENT_LIMIT = 1e12
+# exponents beyond this overflow the tangent form's cosh / sinh / exp kernels
+_KERNEL_LIMIT = 700.0
 
 
 class TangentBranchError(ValueError):
@@ -249,6 +251,17 @@ def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.
     return theta, initial.phi + turn, kappa, rate_integral
 
 
+def flow_unit_vectors(initial, params: ModelParams, direction: str, times) -> np.ndarray:
+    """Unit vectors n(t) of the family through `initial`, one row per elapsed time t >= 0.
+
+    The normalized linear flow of exact_direction on a whole grid at once:
+    forward n(t) = T3(t) n0 / |T3(t) n0|, finite for any gamma t.
+    """
+    theta, phi, _, _ = _flow(_as_direction(initial), params, direction, np.asarray(times, dtype=float))
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
 def _pole_time(params: ModelParams, q: float) -> float:
     """First t > 0 where the tangent closed form's denominator vanishes (inf if none)."""
     g, om = params.gamma, params.omega
@@ -267,8 +280,10 @@ def family_closed_form(initial: BlochDirection, params: ModelParams, direction: 
     """Closed-form family direction in tangent variables mu = tan phi, nu = tan theta.
 
     Valid while phi stays on its branch (no crossing of +-pi/2 mod pi); at or
-    past the pole, or if a tangent magnitude exceeds 1e12, TangentBranchError
-    is raised and the caller should integrate the ODE instead.
+    past the pole, if a tangent magnitude exceeds 1e12, or where its cosh,
+    sinh or exp kernels would overflow (xi t or gamma t beyond 700),
+    TangentBranchError is raised and the caller should integrate the ODE
+    instead.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
@@ -287,6 +302,8 @@ def family_closed_form(initial: BlochDirection, params: ModelParams, direction: 
 
     # shared kernels C = cosh(xi t), Sh = sinh(xi t)/xi (trig branch for omega > gamma)
     u = (g * g - om * om) * t * t
+    if u > _KERNEL_LIMIT**2 or s * g * t > _KERNEL_LIMIT:
+        raise TangentBranchError("tangent closed form kernels overflow beyond xi t or gamma t = 700")
     if abs(u) < 1e-8:
         C = 1.0 + u / 2.0 + u * u / 24.0
         Sh = (1.0 + u / 6.0 + u * u / 120.0) * t
@@ -355,9 +372,7 @@ class FamilyTrajectory:
 
     def unit_vectors_at(self, times) -> np.ndarray:
         """Unit vectors n(t), one row per time."""
-        theta, phi, _, _ = self._at(times)
-        st = np.sin(theta)
-        return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+        return flow_unit_vectors(self.initial, self.params, self.direction, np.asarray(times) - self.times[0])
 
     def kappa_at(self, t) -> np.ndarray | float:
         return self._at(t, angles=False)[2]

@@ -43,6 +43,13 @@ class NotConsistentError(ValueError):
     """Operation requires a consistent family but the off-diagonals are too large."""
 
 
+def projector_pairs(units) -> np.ndarray:
+    """(P0, P1) = ((I + n.sigma)/2, (I - n.sigma)/2) for unit vectors n (..., 3), as (..., 2, 2, 2)."""
+    units = np.asarray(units, dtype=float)
+    half = np.concatenate([np.ones(units.shape[:-1] + (1,)), units], axis=-1) / 2.0
+    return operator_from_pauli(np.stack([half, half * [1.0, -1.0, -1.0, -1.0]], axis=-2))
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """A two-outcome projective decomposition of the qubit identity.
@@ -71,10 +78,7 @@ class Decomposition:
     def from_direction(cls, direction, label: str = "") -> "Decomposition":
         if not isinstance(direction, BlochDirection):
             direction = BlochDirection.from_vector(direction)
-        n = direction.unit_vector
-        P0 = operator_from_pauli(np.array([1.0, *n]) / 2.0)
-        P1 = operator_from_pauli(np.array([1.0, *(-n)]) / 2.0)
-        return cls(projectors=(P0, P1), label=label)
+        return cls(projectors=tuple(projector_pairs(direction.unit_vector)), label=label)
 
     @classmethod
     def x_basis(cls) -> "Decomposition":
@@ -150,8 +154,7 @@ class DecoherenceMatrix:
 
     @property
     def max_offdiag(self) -> float:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return float(np.abs(off).max()) if off.size > 1 else 0.0
+        return float(_max_offdiag(self.entries))
 
     def label(self, index: int) -> tuple:
         """Outcome bits (a_1, ..., a_f), little-endian in the index."""
@@ -167,14 +170,17 @@ class DecoherenceMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _left_mult(P: np.ndarray) -> np.ndarray:
-    """Coefficient-space matrix of M -> P M."""
-    return np.column_stack([pauli_coefficients(P @ s) for s in PAULIS])
+# G[k, m, j] = Tr(sigma_k sigma_m sigma_j) / 2: in coefficient space, M -> P M
+# is the matrix sum_m p_m G[:, m, :] and M -> M P is sum_m p_m G[:, :, m]
+_PRODUCT = np.einsum("kab,mbc,jca->kmj", PAULIS, PAULIS, PAULIS) / 2.0
 
 
-def _right_mult(P: np.ndarray) -> np.ndarray:
-    """Coefficient-space matrix of M -> M P."""
-    return np.column_stack([pauli_coefficients(s @ P) for s in PAULIS])
+def _sandwiches(projectors: np.ndarray) -> np.ndarray:
+    """Coefficient-space matrices of M -> P_a M P_b, (..., 2, 2, 4, 4), from (..., 2, 2, 2) pairs (P_0, P_1)."""
+    p = pauli_coefficients(projectors)
+    left = np.einsum("...am,kmj->...akj", p, _PRODUCT)
+    right = np.einsum("...bm,kjm->...bkj", p, _PRODUCT)
+    return left[..., :, None, :, :] @ right[..., None, :, :, :]
 
 
 def _coerce_initial(initial) -> np.ndarray:
@@ -189,6 +195,30 @@ def _coerce_initial(initial) -> np.ndarray:
     raise ValueError("initial state must be None, a Bloch vector, or a 2x2 operator")
 
 
+def decoherence_entries(transfers, projectors, initial=None) -> np.ndarray:
+    """D(alpha, beta) of one family, or of a stack of families evaluated together.
+
+    transfers    f - 1 PTMs (..., 4, 4): the channel across each gap
+    projectors   f arrays (..., 2, 2, 2): the decomposition (P0, P1) at each time
+    initial      as for decoherence_functional, shared by the whole stack
+
+    Returns the (..., 2^f, 2^f) entries.  One level of the branching tree is
+    four coefficient-space matrix applications, broadcast over the stack.
+    """
+    A = pauli_coefficients(_coerce_initial(initial)).reshape(1, 1, 4)
+    for m, P in enumerate(projectors):
+        if m > 0:
+            A = A @ np.swapaxes(transfers[m - 1], -1, -2)[..., None, :, :]
+        S = np.swapaxes(_sandwiches(P), -1, -2)[..., None, :, :]
+        K = A.shape[-2]
+        nxt = np.empty(np.broadcast_shapes(A.shape[:-3], S.shape[:-5]) + (2 * K, 2 * K, 4), dtype=complex)
+        for a in range(2):
+            for b in range(2):
+                nxt[..., a * K : (a + 1) * K, b * K : (b + 1) * K, :] = A @ S[..., a, b, :, :, :]
+        A = nxt
+    return 2.0 * A[..., 0]
+
+
 def decoherence_functional(family: HistoryFamily, initial=None) -> DecoherenceMatrix:
     """Evaluate D(alpha, beta) for every pair of histories of the family.
 
@@ -197,22 +227,33 @@ def decoherence_functional(family: HistoryFamily, initial=None) -> DecoherenceMa
     """
     if family.f > 10:
         raise ValueError("history families are capped at f = 10 times")
-    rho0 = _coerce_initial(initial)
-    A = pauli_coefficients(rho0).reshape(1, 1, 4)
-    for m in range(family.f):
-        if m > 0:
-            dt = float(family.times[m] - family.times[m - 1])
-            A = A @ propagator_closed_form(family.params, dt).T
-        P0, P1 = family.decompositions[m].projectors
-        L = (_left_mult(P0), _left_mult(P1))
-        R = (_right_mult(P0), _right_mult(P1))
-        K = A.shape[0]
-        nxt = np.empty((2 * K, 2 * K, 4), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                nxt[a * K : (a + 1) * K, b * K : (b + 1) * K, :] = A @ (L[a] @ R[b]).T
-        A = nxt
-    return DecoherenceMatrix(family=family, entries=2.0 * A[:, :, 0])
+    transfers = [propagator_closed_form(family.params, float(dt)) for dt in np.diff(family.times)]
+    projectors = [np.array(d.projectors) for d in family.decompositions]
+    return DecoherenceMatrix(family=family, entries=decoherence_entries(transfers, projectors, initial))
+
+
+def _max_offdiag(entries: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal magnitude of each matrix in a stack (..., n, n)."""
+    off = np.abs(entries)
+    np.einsum("...ii->...i", off)[...] = 0.0
+    return off.max(axis=(-2, -1))
+
+
+def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """History weights and largest off-diagonal magnitude of one or a stack of decoherence matrices.
+
+    Validates that every matrix is Hermitian and its diagonal real and
+    non-negative up to roundoff, which any decoherence functional of a
+    positive initial state must satisfy; raises ValueError otherwise.
+    Returns (weights (..., 2^f), max_offdiag (...)).
+    """
+    E = np.asarray(entries)
+    if not np.allclose(E, np.swapaxes(E, -1, -2).conj(), atol=1e-10):
+        raise ValueError("decoherence matrix is not Hermitian")
+    w = np.real(np.diagonal(E, axis1=-2, axis2=-1))
+    if w.size and w.min() < -1e-10:
+        raise ValueError("negative history weight beyond roundoff")
+    return w, _max_offdiag(E)
 
 
 @dataclass(frozen=True)
@@ -232,19 +273,13 @@ class ConsistencyReport:
 def consistency_check(D: DecoherenceMatrix, tol: float = CONSISTENCY_TOL) -> ConsistencyReport:
     """Consistent iff every off-diagonal magnitude is below tol.
 
-    Also validates that the matrix is Hermitian and its diagonal real
-    and non-negative up to roundoff, which any decoherence functional of a
-    positive initial state must satisfy.
+    Also validates the matrix as checked_weights does (Hermitian, weights
+    non-negative up to roundoff).
     """
-    E = D.entries
-    if not np.allclose(E, E.conj().T, atol=1e-10):
-        raise ValueError("decoherence matrix is not Hermitian")
-    w = D.weights
-    if w.min() < -1e-10:
-        raise ValueError("negative history weight beyond roundoff")
+    w, max_offdiag = checked_weights(D.entries)
     return ConsistencyReport(
-        passed=D.max_offdiag < tol,
-        max_offdiag=D.max_offdiag,
+        passed=bool(max_offdiag < tol),
+        max_offdiag=float(max_offdiag),
         tol=tol,
         weights=np.clip(w, 0.0, None),
         total_weight=float(w.sum()),
@@ -284,23 +319,17 @@ def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSIST
         return MarkovChain(initial_distribution=p1, transitions=(), factorization_error=0.0)
     transitions = []
     axes = tuple(range(f))
+    # reconstruct the joint as p_1 * prod_m M_m, broadcast along the time axes,
+    # to measure the Markov factorization defect
+    rec = p1.reshape((2,) + (1,) * (f - 1))
     for m in range(f - 1):
         pair = W.sum(axis=tuple(a for a in axes if a not in (m, m + 1)))  # shape (2, 2): [now, next]
         now = pair.sum(axis=1)
-        M = np.zeros((2, 2))
-        for j in range(2):
-            if now[j] > 1e-15:
-                M[:, j] = pair[j, :] / now[j]
-            else:
-                M[:, j] = 0.5  # unreachable state: convention only
+        reachable = now > 1e-15
+        # an unreachable state gets the uniform column: convention only
+        M = np.where(reachable, pair.T / np.where(reachable, now, 1.0), 0.5)
         transitions.append(M)
-    # reconstruct the joint and measure the Markov factorization defect
-    rec = np.zeros(shape)
-    for idx in np.ndindex(*shape):
-        p = p1[idx[0]]
-        for m in range(f - 1):
-            p *= transitions[m][idx[m + 1], idx[m]]
-        rec[idx] = p
+        rec = rec * M.T.reshape((1,) * m + (2, 2) + (1,) * (f - m - 2))
     err = float(np.abs(rec - W).max())
     return MarkovChain(initial_distribution=p1, transitions=tuple(transitions), factorization_error=err)
 

@@ -20,6 +20,15 @@ Three structural facts get dedicated verifiers:
   * purity proxy: the quadratic measure (1/2) Tr[ T(sigma_W)^2 ] shares the
     qualitative flow pattern and has simple initial slopes, handy as a
     cheap cross-check.
+
+Reports are evaluated on the whole time grid at once: one array call gives
+the PTM stack, channels.complementary_outputs gives every environment output
+from one stacked Choi eigh, every entropy of the report (direct outputs,
+environment outputs and their averages) comes from one stacked eigvalsh, and
+the mutual-information column comes from the stacked two-time decoherence
+functional.  The one-time functions (holevo_direct, holevo_complementary,
+entropy_exchange, quadratic_information) are thin wrappers over the same
+kernels, so each quantity has one implementation.
 """
 
 from __future__ import annotations
@@ -29,13 +38,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import complementary_apply, complementary_channel
-from .families import FORWARD, check_forward_condition, exact_direction
-from .histories import Decomposition, HistoryFamily, consistency_check, decoherence_functional
-from .ptm import ModelParams, apply_ptm, operator_from_pauli, propagator_closed_form
+from .channels import complementary_outputs
+from .families import FORWARD, check_forward_condition, exact_direction, flow_unit_vectors
+from .histories import (
+    CONSISTENCY_TOL,
+    Decomposition,
+    HistoryFamily,
+    checked_weights,
+    decoherence_entries,
+    decoherence_functional,
+    projector_pairs,
+)
+from .ptm import ModelParams, apply_ptm, propagator_closed_form
 
 _LN2 = math.log(2.0)
 _EIG_FLOOR = -1e-8
+_EQUAL = (0.5, 0.5)  # priors of the two arms of a decomposition
 
 
 class ForwardConditionError(ValueError):
@@ -51,39 +69,40 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
-def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
-    """S(rho); eigenvalues are clipped against roundoff, never against real negativity."""
-    evals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    if evals.min() < _EIG_FLOOR:
+def _entropies(states: np.ndarray, base: float = 2.0) -> np.ndarray:
+    """S of every state in a stack (..., d, d), from one eigvalsh.
+
+    Eigenvalues are clipped against roundoff, never against real negativity:
+    one below -1e-8 anywhere in the stack raises ValueError.
+    """
+    evals = np.linalg.eigvalsh(np.asarray(states, dtype=complex))
+    if evals.size and evals.min() < _EIG_FLOOR:
         raise ValueError(f"state has negative eigenvalue {evals.min():.3e}")
     evals = np.clip(evals, 0.0, None)
-    nz = evals[evals > 0]
-    return float(-(nz * np.log(nz)).sum() / math.log(base))
+    return -(evals * np.log(np.where(evals > 0.0, evals, 1.0))).sum(axis=-1) / math.log(base)
 
 
-@dataclass(frozen=True)
-class InputEnsemble:
-    """Equal-prior preparations to be sent through a channel."""
+def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
+    """S(rho); eigenvalues are clipped against roundoff, never against real negativity."""
+    return float(_entropies(rho, base))
 
-    priors: tuple
-    states: tuple
 
-    def __post_init__(self):
-        if len(self.priors) != len(self.states):
-            raise ValueError("one prior per state")
-        if abs(sum(self.priors) - 1.0) > 1e-10:
-            raise ValueError("priors must sum to one")
-
-    @classmethod
-    def from_decomposition(cls, decomposition: Decomposition) -> "InputEnsemble":
-        return cls(priors=(0.5, 0.5), states=tuple(decomposition.projectors))
+def _holevo(priors, outputs: np.ndarray) -> np.ndarray:
+    """holevo_chi over a stack of ensembles: outputs (..., m, d, d) -> (...), one entropy pass."""
+    p = np.asarray(priors, dtype=float)
+    avg = np.einsum("j,...jab->...ab", p, outputs)
+    S = _entropies(np.concatenate([outputs, avg[..., None, :, :]], axis=-3))
+    return S[..., -1] - S[..., :-1] @ p
 
 
 def holevo_chi(priors, states) -> float:
     """S(sum_j p_j rho_j) - sum_j p_j S(rho_j), in bits."""
-    priors = [float(p) for p in priors]
-    avg = sum(p * np.asarray(r, dtype=complex) for p, r in zip(priors, states))
-    return von_neumann_entropy(avg) - sum(p * von_neumann_entropy(r) for p, r in zip(priors, states))
+    return float(_holevo(priors, np.asarray(states, dtype=complex)))
+
+
+def _half_trace_square(ops: np.ndarray) -> np.ndarray:
+    """(1/2) Tr[A^2] for a stack of Hermitian operators (..., d, d)."""
+    return 0.5 * np.einsum("...kl,...lk->...", ops, ops).real
 
 
 def _coerce_decomposition(basis) -> Decomposition:
@@ -97,20 +116,19 @@ def _coerce_decomposition(basis) -> Decomposition:
     return Decomposition.from_direction(basis)
 
 
+def _projectors(basis) -> np.ndarray:
+    """(P0, P1) of a basis as a (2, 2, 2) array."""
+    return np.array(_coerce_decomposition(basis).projectors)
+
+
 def holevo_direct(basis, params: ModelParams, t: float) -> float:
     """Information about the basis record still held by the molecule after t."""
-    ens = InputEnsemble.from_decomposition(_coerce_decomposition(basis))
-    T = propagator_closed_form(params, t)
-    outs = [apply_ptm(T, rho) for rho in ens.states]
-    return holevo_chi(ens.priors, outs)
+    return float(_holevo(_EQUAL, apply_ptm(propagator_closed_form(params, t), _projectors(basis))))
 
 
 def holevo_complementary(basis, params: ModelParams, t: float) -> float:
     """Information about the basis record carried off by the collisions up to t."""
-    ens = InputEnsemble.from_decomposition(_coerce_decomposition(basis))
-    comp = complementary_channel(propagator_closed_form(params, t))
-    outs = [complementary_apply(comp, rho) for rho in ens.states]
-    return holevo_chi(ens.priors, outs)
+    return float(_holevo(_EQUAL, complementary_outputs(propagator_closed_form(params, t), _projectors(basis))))
 
 
 def entropy_exchange(params: ModelParams, t: float, initial=None) -> float:
@@ -121,8 +139,28 @@ def entropy_exchange(params: ModelParams, t: float, initial=None) -> float:
     """
     if initial is None:
         initial = np.eye(2, dtype=complex) / 2.0
-    comp = complementary_channel(propagator_closed_form(params, t))
-    return von_neumann_entropy(complementary_apply(comp, np.asarray(initial, dtype=complex)))
+    out = complementary_outputs(propagator_closed_form(params, t), np.asarray(initial, dtype=complex)[None])
+    return float(_entropies(out[0]))
+
+
+def _record_information(entries: np.ndarray, tol: float) -> np.ndarray:
+    """Mutual information between the two records of consistent two-time families.
+
+    entries is one or a stack of (4, 4) decoherence matrices; any family of
+    the stack that fails the consistency check raises ValueError.
+    """
+    w, max_offdiag = checked_weights(entries)
+    if np.any(max_offdiag >= tol):
+        raise ValueError(
+            f"family is not consistent (max off-diagonal {np.max(max_offdiag):.3e}); "
+            "its weights are not a joint distribution"
+        )
+    # [second outcome, first outcome]; the information is symmetric in the two
+    joint = (np.clip(w, 0.0, None) / w.sum(axis=-1, keepdims=True)).reshape(w.shape[:-1] + (2, 2))
+    indep = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
+    seen = joint > 0.0
+    ratio = np.where(seen, joint, 1.0) / np.where(seen, indep, 1.0)
+    return (joint * np.log2(ratio)).sum(axis=(-2, -1))
 
 
 def mutual_information_family(family: HistoryFamily, initial=None, tol: float = 1e-8) -> float:
@@ -133,23 +171,7 @@ def mutual_information_family(family: HistoryFamily, initial=None, tol: float = 
     """
     if family.f != 2:
         raise ValueError("mutual information needs exactly two history times")
-    D = decoherence_functional(family, initial)
-    report = consistency_check(D, tol)
-    if not report.passed:
-        raise ValueError(
-            f"family is not consistent (max off-diagonal {report.max_offdiag:.3e}); "
-            "its weights are not a joint distribution"
-        )
-    w = report.normalized_weights()
-    joint = w.reshape(2, 2, order="F")  # [first outcome, second outcome]
-    p1 = joint.sum(axis=1)
-    p2 = joint.sum(axis=0)
-    mi = 0.0
-    for i in range(2):
-        for j in range(2):
-            if joint[i, j] > 0:
-                mi += joint[i, j] * math.log2(joint[i, j] / (p1[i] * p2[j]))
-    return mi
+    return float(_record_information(decoherence_functional(family, initial).entries, tol))
 
 
 @dataclass(frozen=True)
@@ -232,28 +254,19 @@ def mub_bound_check(basis, conjugate_basis, params: ModelParams, t: float) -> Mu
 def quadratic_information(basis, params: ModelParams, t: float, which: str = "direct"):
     """Purity-based proxy (1/2) Tr[ channel(sigma_W)^2 ] and its initial slope.
 
-    sigma_W = n . sigma for the basis direction n.  Returns (value at t,
-    slope at t = 0); the slope uses a second order one-sided difference so
-    no negative times are ever required.
+    sigma_W = n . sigma = P0 - P1 for the basis direction n.  Returns (value
+    at t, slope at t = 0); the slope uses a second order one-sided
+    difference so no negative times are ever required.  All four times go
+    through the channel in one stack.
     """
-    direction = _coerce_decomposition(basis).bloch_direction
-    sigma_w = operator_from_pauli(np.array([0.0, *direction.unit_vector]))
-
-    if which == "direct":
-        def f(s: float) -> float:
-            out = apply_ptm(propagator_closed_form(params, s), sigma_w)
-            return 0.5 * float(np.trace(out @ out).real)
-    elif which == "complementary":
-        def f(s: float) -> float:
-            comp = complementary_channel(propagator_closed_form(params, s))
-            out = complementary_apply(comp, sigma_w)
-            return 0.5 * float(np.trace(out @ out).real)
-    else:
+    P = _projectors(basis)
+    if which not in ("direct", "complementary"):
         raise ValueError("which must be 'direct' or 'complementary'")
-
     h = 1e-6
-    slope = (-3.0 * f(0.0) + 4.0 * f(h) - f(2.0 * h)) / (2.0 * h)
-    return f(float(t)), slope
+    T = propagator_closed_form(params, np.array([float(t), 0.0, h, 2.0 * h]))
+    outs = apply_ptm(T[:, None], P) if which == "direct" else complementary_outputs(T, P)
+    q = _half_trace_square(outs[:, 0] - outs[:, 1])
+    return float(q[0]), float((-3.0 * q[1] + 4.0 * q[2] - q[3]) / (2.0 * h))
 
 
 def short_time_leak_model(params: ModelParams, t: float) -> float:
@@ -290,48 +303,40 @@ class InfoReport:
 
 
 def build_info_report(params: ModelParams, times, family_basis=None) -> InfoReport:
-    """Evaluate the standard information curves on a grid.
+    """Evaluate the standard information curves on a grid, all times at once.
 
     Curves: direct and leaked Holevo information for the x and z bases, the
     two cross pairings sum_zx = z_direct + x_leaked and sum_xz = x_direct +
-    z_leaked (equal for this model), and the quadratic proxies.  When
-    family_basis is given, a mutual_info column tracks the two-time forward
-    family rooted at that basis.
+    z_leaked (equal for this model), and the quadratic proxies (values
+    only).  When family_basis is given, a mutual_info column tracks the
+    two-time forward family rooted at that basis: its second basis is the
+    flow image T3 n0 / |T3 n0| at each time.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
-    n = len(times)
+    T = propagator_closed_form(params, times)
+    P = np.array([_projectors("x"), _projectors("z")])  # [basis, arm, 2, 2]
+    env = complementary_outputs(T, P.reshape(4, 2, 2)).reshape(T.shape[:-2] + (2, 2, 4, 4))
+    direct = np.zeros_like(env)  # 2x2 outputs padded with zeros, which add no entropy
+    direct[..., :2, :2] = apply_ptm(T[..., None, None, :, :], P)
+    chi = _holevo(_EQUAL, np.stack([direct, env], axis=-5))  # [time, channel, basis]
+    xd, zd, xc, zc = chi[..., 0, 0], chi[..., 0, 1], chi[..., 1, 0], chi[..., 1, 1]
     cols = {
-        name: np.empty(n)
-        for name in (
-            "chi_x_direct", "chi_z_direct", "chi_x_comp", "chi_z_comp",
-            "sum_zx", "sum_xz", "quad_z_direct", "quad_x_comp",
-        )
+        "chi_x_direct": xd,
+        "chi_z_direct": zd,
+        "chi_x_comp": xc,
+        "chi_z_comp": zc,
+        "sum_zx": zd + xc,
+        "sum_xz": xd + zc,
+        "quad_z_direct": _half_trace_square(direct[..., 1, 0, :, :] - direct[..., 1, 1, :, :]),
+        "quad_x_comp": _half_trace_square(env[..., 0, 0, :, :] - env[..., 0, 1, :, :]),
     }
     if family_basis is not None:
-        cols["mutual_info"] = np.empty(n)
-        fam_decomp = _coerce_decomposition(family_basis)
-    for k, t in enumerate(times):
-        xd = holevo_direct("x", params, t)
-        zd = holevo_direct("z", params, t)
-        xc = holevo_complementary("x", params, t)
-        zc = holevo_complementary("z", params, t)
-        cols["chi_x_direct"][k] = xd
-        cols["chi_z_direct"][k] = zd
-        cols["chi_x_comp"][k] = xc
-        cols["chi_z_comp"][k] = zc
-        cols["sum_zx"][k] = zd + xc
-        cols["sum_xz"][k] = xd + zc
-        cols["quad_z_direct"][k] = quadratic_information("z", params, t, "direct")[0]
-        cols["quad_x_comp"][k] = quadratic_information("x", params, t, "complementary")[0]
-        if family_basis is not None:
-            if t == 0.0:
-                cols["mutual_info"][k] = holevo_direct(fam_decomp, params, 0.0)
-            else:
-                cols["mutual_info"][k] = verify_family_information_identity(
-                    fam_decomp, params, t
-                ).mutual_info
+        first = _coerce_decomposition(family_basis)
+        second = projector_pairs(flow_unit_vectors(first.bloch_direction, params, FORWARD, times))
+        entries = decoherence_entries([T], [np.array(first.projectors), second])
+        cols["mutual_info"] = _record_information(entries, CONSISTENCY_TOL)
     return InfoReport(params=params, times=times, curves=cols)
 
 

@@ -55,7 +55,7 @@ SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULIS = np.array([SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 # below this value of |xi*t| the hyperbolic/trigonometric kernels switch to a
 # Taylor series, which keeps the critical point gamma = omega exact
@@ -308,17 +308,16 @@ def eigen_system(params: ModelParams) -> EigenSystem:
 
 
 def pauli_coefficients(op: np.ndarray) -> np.ndarray:
-    """Coefficients c_j with op = sum_j c_j sigma_j (complex for general ops)."""
-    op = np.asarray(op, dtype=complex)
-    return np.array([np.trace(s @ op) / 2.0 for s in PAULIS])
+    """Coefficients c_j with op = sum_j c_j sigma_j (complex for general ops).
+
+    Accepts one 2x2 operator or a stack (..., 2, 2) and returns (..., 4).
+    """
+    return np.einsum("kij,...ji->...k", PAULIS, np.asarray(op, dtype=complex)) / 2.0
 
 
 def operator_from_pauli(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of pauli_coefficients."""
-    out = np.zeros((2, 2), dtype=complex)
-    for c, s in zip(coeffs, PAULIS):
-        out += c * s
-    return out
+    """Inverse of pauli_coefficients: (..., 4) coefficients to (..., 2, 2) operators."""
+    return np.einsum("...k,kij->...ij", np.asarray(coeffs), PAULIS)
 
 
 def apply_ptm(ptm: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -327,9 +326,11 @@ def apply_ptm(ptm: np.ndarray, op: np.ndarray) -> np.ndarray:
     Decomposes op over the Pauli basis, multiplies the (complex) coefficient
     vector by the real 4x4 matrix, and reassembles.  Linear in op, so it acts
     correctly on the non-Hermitian chain operators that show up inside the
-    decoherence functional.
+    decoherence functional.  PTM stacks (..., 4, 4) and operator stacks
+    (..., 2, 2) broadcast against each other.
     """
-    return operator_from_pauli(np.asarray(ptm) @ pauli_coefficients(op))
+    coeffs = pauli_coefficients(op)[..., None]
+    return operator_from_pauli((np.asarray(ptm) @ coeffs)[..., 0])
 
 
 def state_from_bloch(r: np.ndarray) -> np.ndarray:

@@ -7,12 +7,14 @@ import pytest
 from scipy.linalg import sqrtm
 
 from tunnelmol.channels import (
+    KrausSet,
     NonCPError,
     bit_flip_kraus,
     choi_to_kraus,
     choi_to_ptm,
     complementary_apply,
     complementary_channel,
+    complementary_outputs,
     kraus_to_ptm,
     ptm_to_choi,
     stinespring_isometry,
@@ -150,3 +152,39 @@ def test_bit_flip_channel_equals_pure_collision_propagator():
     assert np.abs(kraus_to_ptm(ks) - T).max() < 1e-12
     with pytest.raises(ValueError):
         bit_flip_kraus(1.2)
+
+
+def test_stacked_complementary_outputs_match_the_dilation_spectra():
+    p = ModelParams(omega=0.8, gamma=2.0)
+    times = np.array([0.0, 1e-5, 0.3, 0.7, 3.0])
+    rho = state_from_bloch(np.array([0.3, -0.2, 0.6]))
+    outs = complementary_outputs(propagator_closed_form(p, times), np.array([rho, np.eye(2) / 2.0]))
+    assert outs.shape == (len(times), 2, 4, 4)
+    for k, t in enumerate(times):
+        comp = complementary_channel(propagator_closed_form(p, float(t)))
+        for j, state in enumerate((rho, np.eye(2) / 2.0)):
+            want = np.linalg.eigvalsh(complementary_apply(comp, state))
+            got = np.linalg.eigvalsh(outs[k, j])
+            # zero-weight rows and columns only add zero eigenvalues
+            assert np.abs(got[4 - len(want):] - want).max() < 1e-12
+            assert np.abs(got[: 4 - len(want)]).max(initial=0.0) < 1e-12
+
+
+def test_stacked_complementary_outputs_of_a_generic_channel():
+    # a random four-Kraus channel has none of the model's symmetries
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+    ks = KrausSet(operators=tuple(Q.reshape(4, 2, 2)), eigenvalues=(1.0,) * 4)
+    rho = state_from_bloch(np.array([0.3, -0.2, 0.6]))
+    got = complementary_outputs(np.array([kraus_to_ptm(ks)]), rho[None])[0, 0]
+    want = np.array([[np.trace(Ki @ rho @ Kj.conj().T) for Kj in ks.operators] for Ki in ks.operators])
+    assert np.abs(np.linalg.eigvalsh(got) - np.linalg.eigvalsh(want)).max() < 1e-12
+
+
+def test_non_cp_map_anywhere_in_a_stack_is_rejected():
+    stack = propagator_closed_form(ModelParams(omega=0.8, gamma=2.0), np.linspace(0.0, 2.0, 5))
+    states = np.array([np.eye(2) / 2.0])
+    assert complementary_outputs(stack, states).shape == (5, 1, 4, 4)
+    stack[3] = np.diag([1.0, 1.0, -1.0, 1.0])  # transpose map
+    with pytest.raises(NonCPError):
+        complementary_outputs(stack, states)

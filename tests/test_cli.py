@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, config layering, CSV output, exits."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -216,3 +217,30 @@ def test_sample_trajectory_files(tmp_path):
     assert not (tmp_path / "trajectory_002.csv").exists()
     _, body = read_csv_body(tmp_path / "trajectory_000.csv")
     assert body[0] == "time,arm"
+
+
+def test_evolve_checks_the_closed_form_against_expm(tmp_path, capsys):
+    assert run(tmp_path, "evolve", *D2S2, "--tmax", "1e-6", "--points", "11") == 0
+    out = capsys.readouterr().out
+    assert "validation passed: closed_form_vs_expm" in out
+    assert "closed_form_vs_ode" not in out
+
+
+def test_sample_refuses_an_unbounded_flip_count(tmp_path, capsys):
+    start = time.perf_counter()
+    code = run(tmp_path, "sample", *D2S2, "--tmax", "1e-3", "--direction", "backward",
+               "--ntraj", "200", "--theta0", "0.9")
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "flips expected" in captured.err
+    assert not (tmp_path / "ensemble.csv").exists()
+
+
+def test_info_csv_header_and_column_order(tmp_path):
+    assert run(tmp_path, "info", "--points", "11", "--tmax", "2", "--basis", "x") == 0
+    _, body = read_csv_body(tmp_path / "info.csv")
+    assert body[0] == (
+        "t,chi_x_direct,chi_z_direct,chi_x_comp,chi_z_comp,sum_zx,sum_xz,quad_z_direct,quad_x_comp,mutual_info"
+    )
+    assert len(body) == 12

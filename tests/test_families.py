@@ -102,6 +102,16 @@ def test_closed_form_raises_at_tangent_pole():
             family_closed_form(d0, p, FORWARD, float(t))
 
 
+def test_closed_form_raises_branch_error_before_its_kernels_overflow():
+    # xi t ~ 1e4: cosh(xi t) would overflow; the linear flow stays finite
+    p = ModelParams(omega=1.0, gamma=1e4)
+    d0 = BlochDirection(theta=0.4, phi=0.3)
+    with pytest.raises(TangentBranchError):
+        family_closed_form(d0, p, FORWARD, 1.0)
+    moved = exact_direction(d0, p, FORWARD, 1.0)
+    assert math.isfinite(moved.theta) and math.isfinite(moved.phi)
+
+
 def test_transition_rate_formulas():
     rng = np.random.default_rng(19)
     p = ModelParams(omega=1.3, gamma=0.8)

@@ -10,8 +10,10 @@ from tunnelmol.histories import (
     Decomposition,
     HistoryFamily,
     NotConsistentError,
+    checked_weights,
     classical_collision_average,
     consistency_check,
+    decoherence_entries,
     decoherence_functional,
     markov_from_family,
     telegraph_flip_probability,
@@ -288,3 +290,34 @@ def test_chain_operator_route_matches_brute_force():
             M = apply_ptm(T2, M)
             M = ds[2].projectors[a[2]] @ M @ ds[2].projectors[b[2]]
             assert abs(D[i, j] - np.trace(M)) < 1e-12
+
+
+def test_stacked_functional_matches_one_family_at_a_time():
+    # three-time families sharing the first two bases, last basis moving
+    p = ModelParams(omega=1.1, gamma=0.6)
+    d0, d1 = Decomposition.from_direction(BlochDirection(1.0, 0.3)), Decomposition.x_basis()
+    gaps = np.array([0.2, 0.5, 1.3, 2.0])
+    lasts = [Decomposition.from_direction(BlochDirection(0.5 + g, 2.0 * g)) for g in gaps]
+    stacked = decoherence_entries(
+        [propagator_closed_form(p, 0.4), propagator_closed_form(p, gaps)],
+        [np.array(d0.projectors), np.array(d1.projectors), np.array([d.projectors for d in lasts])],
+        np.array([0.2, -0.1, 0.5]),
+    )
+    assert stacked.shape == (len(gaps), 8, 8)
+    for k, g in enumerate(gaps):
+        fam = HistoryFamily(params=p, times=np.array([0.0, 0.4, 0.4 + g]), decompositions=(d0, d1, lasts[k]))
+        one = decoherence_functional(fam, np.array([0.2, -0.1, 0.5])).entries
+        assert np.abs(stacked[k] - one).max() < 1e-15
+
+
+def test_checked_weights_validates_every_matrix_of_a_stack():
+    good = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    w, off = checked_weights(np.array([good, good]))
+    assert w.shape == (2, 4) and np.all(off == 0.0)
+    skew = good.copy()
+    skew[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        checked_weights(np.array([good, skew]))
+    negative = np.diag([0.5, -1e-9, 0.0, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match="negative history weight"):
+        checked_weights(np.array([negative, good]))

@@ -9,7 +9,6 @@ from tunnelmol.families import BlochDirection, exact_direction, FORWARD
 from tunnelmol.histories import Decomposition, HistoryFamily
 from tunnelmol.info_flow import (
     ForwardConditionError,
-    InputEnsemble,
     binary_entropy,
     build_info_report,
     entropy_exchange,
@@ -24,7 +23,14 @@ from tunnelmol.info_flow import (
     verify_family_information_identity,
     von_neumann_entropy,
 )
-from tunnelmol.channels import choi_to_kraus, complementary_apply, complementary_channel, ptm_to_choi
+from tunnelmol.channels import (
+    ComplementaryChannel,
+    choi_to_kraus,
+    complementary_apply,
+    complementary_channel,
+    ptm_to_choi,
+    stinespring_isometry,
+)
 from tunnelmol.ptm import ModelParams, propagator_closed_form, state_from_bloch
 
 # frozen: one bit minus the binary entropy at (1 + 1/e)/2
@@ -55,10 +61,6 @@ def test_holevo_chi_of_orthogonal_pure_pair_is_one_bit():
     up = state_from_bloch(np.array([0.0, 0.0, 1.0]))
     dn = state_from_bloch(np.array([0.0, 0.0, -1.0]))
     assert holevo_chi((0.5, 0.5), (up, dn)) == pytest.approx(1.0)
-    ens = InputEnsemble.from_decomposition(Decomposition.z_basis())
-    assert ens.priors == (0.5, 0.5)
-    with pytest.raises(ValueError):
-        InputEnsemble(priors=(0.6, 0.6), states=(up, dn))
 
 
 def test_holevo_direct_frozen_value():
@@ -219,3 +221,58 @@ def test_environment_gain_balances_system_loss_across_bases():
         lhs = holevo_direct("z", p, t) + holevo_complementary("x", p, t)
         rhs = holevo_direct("x", p, t) + holevo_complementary("z", p, t)
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def _definition_route_row(p, t, family_basis):
+    """One report row, map by map: Choi -> Kraus -> dilation -> entropies, and closed forms."""
+    T = propagator_closed_form(p, float(t))
+    kraus = choi_to_kraus(ptm_to_choi(T))
+    comp = ComplementaryChannel(isometry=stinespring_isometry(kraus), kraus=kraus)
+    x, z = Decomposition.x_basis(), Decomposition.z_basis()
+
+    def leaked(basis):
+        out0, out1 = (complementary_apply(comp, P) for P in basis.projectors)
+        avg = von_neumann_entropy(0.5 * out0 + 0.5 * out1)
+        return avg - 0.5 * (von_neumann_entropy(out0) + von_neumann_entropy(out1))
+
+    def kept(n):
+        return unital_holevo_closed_form(float(np.linalg.norm(T[1:, 1:] @ n)))
+
+    ex, ez = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    sigma_x = complementary_apply(comp, x.projectors[0] - x.projectors[1])
+    row = {
+        "chi_x_direct": kept(ex),
+        "chi_z_direct": kept(ez),
+        "chi_x_comp": leaked(x),
+        "chi_z_comp": leaked(z),
+        "sum_zx": kept(ez) + leaked(x),
+        "sum_xz": kept(ex) + leaked(z),
+        "quad_z_direct": float(np.linalg.norm(T[1:, 1:] @ ez) ** 2),
+        "quad_x_comp": 0.5 * float(np.trace(sigma_x @ sigma_x).real),
+        # records are faithful: the forward family's record information is
+        # the Holevo information of its first basis
+        "mutual_info": kept({"x": ex, "z": ez}[family_basis]),
+    }
+    return row
+
+
+@pytest.mark.parametrize(
+    "params, times, basis",
+    [
+        (ModelParams(omega=1.0, gamma=0.35), np.linspace(0.0, 6.0, 13), "z"),  # underdamped
+        (ModelParams(omega=1.1, gamma=1.1), np.linspace(0.0, 5.0, 11), "x"),  # critical
+        (ModelParams(omega=0.9, gamma=3.0), np.linspace(0.0, 4.0, 9), "z"),  # overdamped
+        # D2S2, gamma t from 0 to 1e6
+        (ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e6 / 9e9]), "x"),
+        (ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e6 / 9e9]), "z"),
+    ],
+)
+def test_batched_report_matches_the_definition_route(params, times, basis):
+    rep = build_info_report(params, times, family_basis=basis)
+    assert list(rep.curves) == [
+        "chi_x_direct", "chi_z_direct", "chi_x_comp", "chi_z_comp",
+        "sum_zx", "sum_xz", "quad_z_direct", "quad_x_comp", "mutual_info",
+    ]
+    for k, t in enumerate(times):
+        for key, want in _definition_route_row(params, t, basis).items():
+            assert rep.curves[key][k] == pytest.approx(want, abs=1e-12), f"{key} at t = {t}"
