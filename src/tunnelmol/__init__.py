@@ -18,7 +18,6 @@ from .channels import (
     choi_to_ptm,
     complementary_apply,
     complementary_channel,
-    complementary_outputs,
     kraus_to_ptm,
     ptm_to_choi,
     stinespring_isometry,
@@ -41,7 +40,6 @@ from .families import (
     classify_regime,
     exact_direction,
     family_closed_form,
-    flow_unit_vectors,
     family_ode_step,
     stationary_families,
     transition_rate,
@@ -53,18 +51,16 @@ from .histories import (
     HistoryFamily,
     MarkovChain,
     NotConsistentError,
-    checked_weights,
     classical_collision_average,
     consistency_check,
-    decoherence_entries,
     decoherence_functional,
     markov_from_family,
-    projector_pairs,
     telegraph_flip_probability,
 )
 from .info_flow import (
     ForwardConditionError,
     InfoReport,
+    InputEnsemble,
     binary_entropy,
     build_info_report,
     entropy_exchange,

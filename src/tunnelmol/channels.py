@@ -19,11 +19,8 @@ representations of the same map are used here:
     measure sees is invariant under re-dilation with a larger environment
     isometry, which the tests exercise.
 
-The production route works on whole time grids: complementary_outputs takes
-a PTM stack (..., 4, 4), builds every Choi matrix with one constant
-contraction, diagonalizes them with one stacked eigh and forms the
-environment outputs with one einsum.  The one-map objects (KrausSet,
-ComplementaryChannel with its literal dilation, choi_to_ptm, kraus_to_ptm)
+The production route, complementary_outputs, works on whole PTM stacks; the
+one-map objects (KrausSet, ComplementaryChannel with its literal dilation)
 are the definition route, kept as an independent oracle.
 
 For the tunneling model at omega = 0 the exact channel is the bit-flip channel
@@ -204,15 +201,11 @@ def complementary_apply(comp: ComplementaryChannel, rho: np.ndarray) -> np.ndarr
 def complementary_outputs(ptm: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Environment outputs T^c(rho)[k, l] = Tr(K_k rho K_l^dag) for a PTM stack.
 
-    ptm is (..., 4, 4) and states an (m, 2, 2) stack of inputs; the result is
-    (..., m, 4, 4).  The Kraus operators K_k = sqrt(lambda_k) (Choi
-    eigenvector k, reshaped) come from one stacked eigh of the Choi
-    matrices.  The environment basis is the eigenvector order and
-    eigenvalues at or below SIGNIFICANT_EIGENVALUE get weight zero instead of
-    being dropped, so an output is the minimal-dilation one of
-    complementary_apply up to a unitary on the environment plus zero rows
-    and columns: every spectrum, entropy and purity agrees.  Raises
-    NonCPError if any Choi eigenvalue in the stack lies below -1e-6.
+    ptm is (..., 4, 4) and states (m, 2, 2); the result is (..., m, 4, 4).
+    K_k comes from Choi eigenpair k of one stacked eigh, with weight zero for
+    eigenvalues at or below SIGNIFICANT_EIGENVALUE, so every spectrum agrees
+    with complementary_apply's minimal dilation.  Raises NonCPError if any
+    Choi eigenvalue in the stack lies below -1e-6.
     """
     w, V = np.linalg.eigh(ptm_to_choi(ptm))
     if w.size and w.min() < _NONCP_THRESHOLD:

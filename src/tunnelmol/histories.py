@@ -154,7 +154,8 @@ class DecoherenceMatrix:
 
     @property
     def max_offdiag(self) -> float:
-        return float(_max_offdiag(self.entries))
+        off = self.entries - np.diag(np.diag(self.entries))
+        return float(np.abs(off).max()) if off.size > 1 else 0.0
 
     def label(self, index: int) -> tuple:
         """Outcome bits (a_1, ..., a_f), little-endian in the index."""
@@ -202,8 +203,7 @@ def decoherence_entries(transfers, projectors, initial=None) -> np.ndarray:
     projectors   f arrays (..., 2, 2, 2): the decomposition (P0, P1) at each time
     initial      as for decoherence_functional, shared by the whole stack
 
-    Returns the (..., 2^f, 2^f) entries.  One level of the branching tree is
-    four coefficient-space matrix applications, broadcast over the stack.
+    Returns the (..., 2^f, 2^f) entries.
     """
     A = pauli_coefficients(_coerce_initial(initial)).reshape(1, 1, 4)
     for m, P in enumerate(projectors):
@@ -232,20 +232,11 @@ def decoherence_functional(family: HistoryFamily, initial=None) -> DecoherenceMa
     return DecoherenceMatrix(family=family, entries=decoherence_entries(transfers, projectors, initial))
 
 
-def _max_offdiag(entries: np.ndarray) -> np.ndarray:
-    """Largest off-diagonal magnitude of each matrix in a stack (..., n, n)."""
-    off = np.abs(entries)
-    np.einsum("...ii->...i", off)[...] = 0.0
-    return off.max(axis=(-2, -1))
-
-
 def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """History weights and largest off-diagonal magnitude of one or a stack of decoherence matrices.
+    """(weights, max off-diagonal magnitude) of one or a stack of decoherence matrices.
 
-    Validates that every matrix is Hermitian and its diagonal real and
-    non-negative up to roundoff, which any decoherence functional of a
-    positive initial state must satisfy; raises ValueError otherwise.
-    Returns (weights (..., 2^f), max_offdiag (...)).
+    Raises ValueError unless every matrix is Hermitian and its weights are
+    non-negative up to roundoff, as for any positive initial state.
     """
     E = np.asarray(entries)
     if not np.allclose(E, np.swapaxes(E, -1, -2).conj(), atol=1e-10):
@@ -253,7 +244,7 @@ def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = np.real(np.diagonal(E, axis1=-2, axis2=-1))
     if w.size and w.min() < -1e-10:
         raise ValueError("negative history weight beyond roundoff")
-    return w, _max_offdiag(E)
+    return w, (np.abs(E) * (1.0 - np.eye(E.shape[-1]))).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -319,17 +310,23 @@ def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSIST
         return MarkovChain(initial_distribution=p1, transitions=(), factorization_error=0.0)
     transitions = []
     axes = tuple(range(f))
-    # reconstruct the joint as p_1 * prod_m M_m, broadcast along the time axes,
-    # to measure the Markov factorization defect
-    rec = p1.reshape((2,) + (1,) * (f - 1))
     for m in range(f - 1):
         pair = W.sum(axis=tuple(a for a in axes if a not in (m, m + 1)))  # shape (2, 2): [now, next]
         now = pair.sum(axis=1)
-        reachable = now > 1e-15
-        # an unreachable state gets the uniform column: convention only
-        M = np.where(reachable, pair.T / np.where(reachable, now, 1.0), 0.5)
+        M = np.zeros((2, 2))
+        for j in range(2):
+            if now[j] > 1e-15:
+                M[:, j] = pair[j, :] / now[j]
+            else:
+                M[:, j] = 0.5  # unreachable state: convention only
         transitions.append(M)
-        rec = rec * M.T.reshape((1,) * m + (2, 2) + (1,) * (f - m - 2))
+    # reconstruct the joint and measure the Markov factorization defect
+    rec = np.zeros(shape)
+    for idx in np.ndindex(*shape):
+        p = p1[idx[0]]
+        for m in range(f - 1):
+            p *= transitions[m][idx[m + 1], idx[m]]
+        rec[idx] = p
     err = float(np.abs(rec - W).max())
     return MarkovChain(initial_distribution=p1, transitions=tuple(transitions), factorization_error=err)
 

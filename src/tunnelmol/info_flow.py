@@ -21,14 +21,10 @@ Three structural facts get dedicated verifiers:
     qualitative flow pattern and has simple initial slopes, handy as a
     cheap cross-check.
 
-Reports are evaluated on the whole time grid at once: one array call gives
-the PTM stack, channels.complementary_outputs gives every environment output
-from one stacked Choi eigh, every entropy of the report (direct outputs,
-environment outputs and their averages) comes from one stacked eigvalsh, and
-the mutual-information column comes from the stacked two-time decoherence
-functional.  The one-time functions (holevo_direct, holevo_complementary,
-entropy_exchange, quadratic_information) are thin wrappers over the same
-kernels, so each quantity has one implementation.
+Reports are evaluated on the whole time grid at once: one PTM stack, one
+stacked Choi eigh for the environment outputs, one stacked eigvalsh for
+every entropy.  The one-time functions are thin wrappers over the same
+kernels.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from .ptm import ModelParams, apply_ptm, propagator_closed_form
 
 _LN2 = math.log(2.0)
 _EIG_FLOOR = -1e-8
-_EQUAL = (0.5, 0.5)  # priors of the two arms of a decomposition
 
 
 class ForwardConditionError(ValueError):
@@ -87,6 +82,24 @@ def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
     return float(_entropies(rho, base))
 
 
+@dataclass(frozen=True)
+class InputEnsemble:
+    """Equal-prior preparations to be sent through a channel."""
+
+    priors: tuple
+    states: tuple
+
+    def __post_init__(self):
+        if len(self.priors) != len(self.states):
+            raise ValueError("one prior per state")
+        if abs(sum(self.priors) - 1.0) > 1e-10:
+            raise ValueError("priors must sum to one")
+
+    @classmethod
+    def from_decomposition(cls, decomposition: Decomposition) -> "InputEnsemble":
+        return cls(priors=(0.5, 0.5), states=tuple(decomposition.projectors))
+
+
 def _holevo(priors, outputs: np.ndarray) -> np.ndarray:
     """holevo_chi over a stack of ensembles: outputs (..., m, d, d) -> (...), one entropy pass."""
     p = np.asarray(priors, dtype=float)
@@ -116,19 +129,16 @@ def _coerce_decomposition(basis) -> Decomposition:
     return Decomposition.from_direction(basis)
 
 
-def _projectors(basis) -> np.ndarray:
-    """(P0, P1) of a basis as a (2, 2, 2) array."""
-    return np.array(_coerce_decomposition(basis).projectors)
-
-
 def holevo_direct(basis, params: ModelParams, t: float) -> float:
     """Information about the basis record still held by the molecule after t."""
-    return float(_holevo(_EQUAL, apply_ptm(propagator_closed_form(params, t), _projectors(basis))))
+    ens = InputEnsemble.from_decomposition(_coerce_decomposition(basis))
+    return float(_holevo(ens.priors, apply_ptm(propagator_closed_form(params, t), np.array(ens.states))))
 
 
 def holevo_complementary(basis, params: ModelParams, t: float) -> float:
     """Information about the basis record carried off by the collisions up to t."""
-    return float(_holevo(_EQUAL, complementary_outputs(propagator_closed_form(params, t), _projectors(basis))))
+    ens = InputEnsemble.from_decomposition(_coerce_decomposition(basis))
+    return float(_holevo(ens.priors, complementary_outputs(propagator_closed_form(params, t), np.array(ens.states))))
 
 
 def entropy_exchange(params: ModelParams, t: float, initial=None) -> float:
@@ -259,7 +269,7 @@ def quadratic_information(basis, params: ModelParams, t: float, which: str = "di
     difference so no negative times are ever required.  All four times go
     through the channel in one stack.
     """
-    P = _projectors(basis)
+    P = np.array(_coerce_decomposition(basis).projectors)
     if which not in ("direct", "complementary"):
         raise ValueError("which must be 'direct' or 'complementary'")
     h = 1e-6
@@ -316,11 +326,12 @@ def build_info_report(params: ModelParams, times, family_basis=None) -> InfoRepo
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
     T = propagator_closed_form(params, times)
-    P = np.array([_projectors("x"), _projectors("z")])  # [basis, arm, 2, 2]
+    ens = [InputEnsemble.from_decomposition(_coerce_decomposition(b)) for b in "xz"]
+    P = np.array([e.states for e in ens])  # [basis, arm, 2, 2]
     env = complementary_outputs(T, P.reshape(4, 2, 2)).reshape(T.shape[:-2] + (2, 2, 4, 4))
     direct = np.zeros_like(env)  # 2x2 outputs padded with zeros, which add no entropy
     direct[..., :2, :2] = apply_ptm(T[..., None, None, :, :], P)
-    chi = _holevo(_EQUAL, np.stack([direct, env], axis=-5))  # [time, channel, basis]
+    chi = _holevo(ens[0].priors, np.stack([direct, env], axis=-5))  # [time, channel, basis]
     xd, zd, xc, zc = chi[..., 0, 0], chi[..., 0, 1], chi[..., 1, 0], chi[..., 1, 1]
     cols = {
         "chi_x_direct": xd,

@@ -9,6 +9,7 @@ from tunnelmol.families import BlochDirection, exact_direction, FORWARD
 from tunnelmol.histories import Decomposition, HistoryFamily
 from tunnelmol.info_flow import (
     ForwardConditionError,
+    InputEnsemble,
     binary_entropy,
     build_info_report,
     entropy_exchange,
@@ -61,6 +62,10 @@ def test_holevo_chi_of_orthogonal_pure_pair_is_one_bit():
     up = state_from_bloch(np.array([0.0, 0.0, 1.0]))
     dn = state_from_bloch(np.array([0.0, 0.0, -1.0]))
     assert holevo_chi((0.5, 0.5), (up, dn)) == pytest.approx(1.0)
+    ens = InputEnsemble.from_decomposition(Decomposition.z_basis())
+    assert ens.priors == (0.5, 0.5)
+    with pytest.raises(ValueError):
+        InputEnsemble(priors=(0.6, 0.6), states=(up, dn))
 
 
 def test_holevo_direct_frozen_value():
