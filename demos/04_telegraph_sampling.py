@@ -2,8 +2,8 @@
 
 Along a consistent family the quantum dynamics looks like a two-state
 telegraph with a (generally time-dependent) flip rate kappa(t).  The sampler
-thins a homogeneous exponential clock, so no discretization enters: each
-record is a list of exact flip times.
+inverts the integrated flip rate at the running sums of unit exponentials, so
+no discretization enters: each record is a list of exact flip times.
 """
 
 import numpy as np

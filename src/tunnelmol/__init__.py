@@ -93,6 +93,7 @@ from .ptm import (
     state_from_bloch,
 )
 from .trajectories import (
+    Ensemble,
     EnsembleSeries,
     GapStatistics,
     SamplerConfig,

@@ -379,6 +379,11 @@ def cmd_sample(cfg: RunConfig) -> int:
         raise CliError("initial must be mixed, 0 or 1")
     if cfg.ntraj < 1:
         raise CliError("ntraj must be positive")
+    initial = None if cfg.initial == "mixed" else int(cfg.initial)
+    try:
+        sampler = SamplerConfig(seed=cfg.seed, n_trajectories=cfg.ntraj, initial=initial)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     params = cfg.params()
     times = _grid(cfg)
     dense = np.linspace(0.0, cfg.tmax, max(cfg.points, 1001))
@@ -390,8 +395,6 @@ def cmd_sample(cfg: RunConfig) -> int:
             f"about {expected_flips:.3g} flips expected (integrated rate {family.rate_integral[-1]:.3g} "
             f"x {cfg.ntraj} trajectories), above the limit {MAX_EXPECTED_FLIPS:.0e}; shorten tmax or ntraj"
         )
-    initial = None if cfg.initial == "mixed" else int(cfg.initial)
-    sampler = SamplerConfig(seed=cfg.seed, n_trajectories=cfg.ntraj, initial=initial)
     ensemble = sample_ensemble(family, sampler)
     series = ensemble_average(ensemble, family, times)
     p0_init = {None: 0.5, 0: 1.0, 1: 0.0}[initial]

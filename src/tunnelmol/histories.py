@@ -162,13 +162,20 @@ class DecoherenceMatrix:
         return tuple((index >> m) & 1 for m in range(self.f))
 
     def to_csv(self) -> str:
-        lines = ["row,col,real,imag"]
         n = self.entries.shape[0]
+        parts = np.ascontiguousarray(self.entries, dtype=np.complex128).view(np.float64)
+        # each distinct float is formatted once, keyed by its bits: -0.0 == 0.0
+        # but prints as -0
+        formatted = {}
+        cols = [f",{j}," for j in range(n)]
+        rows = ["row,col,real,imag\n"]
         for i in range(n):
-            for j in range(n):
-                z = self.entries[i, j]
-                lines.append(f"{i},{j},{z.real:.17g},{z.imag:.17g}")
-        return "\n".join(lines) + "\n"
+            keys, values = parts[i].view(np.uint64).tolist(), parts[i].tolist()
+            cells = iter([formatted.get(k) or formatted.setdefault(k, f"{v:.17g}") for k, v in zip(keys, values)])
+            row = str(i)
+            # zip stops on cols first, so the row takes exactly its n (real, imag) pairs
+            rows.append("".join([f"{row}{col}{re},{im}\n" for col, re, im in zip(cols, cells, cells)]))
+        return "".join(rows)
 
 
 # G[k, m, j] = Tr(sigma_k sigma_m sigma_j) / 2: in coefficient space, M -> P M

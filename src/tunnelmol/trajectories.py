@@ -15,10 +15,20 @@ Lambda(t_end), then maps each sum s back to its flip time t = Lambda^{-1}(s).
 Lambda is known in closed form along a family (the radius identity, see
 families), and its derivative is kappa, so the inversion is a safeguarded
 Newton iteration bracketed on the family grid; it stops at a bracket or a
-step of a few ulps.  Every trajectory gets its own counter-based generator
-keyed by (seed, trajectory index), and the inversion is elementwise, so
-results are bit-reproducible and independent of how many trajectories are
-requested or in which order they are produced.
+step of a few ulps.
+
+The random stream of trajectory i is Philox4x64-10 (Salmon et al., SC'11,
+the generator behind numpy.random.Philox) with the 128-bit key
+(seed mod 2^64, seed >> 64) and the counter (block, i, 0, 0), block = 0, 1,
+2, ...; each block gives four 64-bit words x, read in order as uniforms
+u = (x >> 11) 2^-53.  Word 0 of block 0 sets the initial arm (used or not),
+and every later word gives one unit exponential -log1p(-u), so the flips do
+not depend on the initial mode.  The kernel draws the next blocks of every
+trajectory whose running sum is still below Lambda(t_end) in one vectorized
+pass, and the inversion is elementwise, so trajectory i depends on (seed, i)
+alone, bit for bit, however many trajectories are requested.  An ensemble is
+stored flat (struct of arrays), so averages and gap statistics are single
+vectorized passes over all flips.
 """
 
 from __future__ import annotations
@@ -29,16 +39,22 @@ import numpy as np
 
 from .families import FamilyTrajectory
 
-_CHUNK = 64  # unit exponentials drawn per block; fixed so streams stay reproducible
+_PASS_BLOCKS = 1 << 14  # Philox blocks drawn in one pass; bounds the sampler's scratch memory
 _BLOCK = 4096  # flip times inverted together; bounds the solver's scratch memory
 _MAX_ITER = 100
+
+_MASK64 = (1 << 64) - 1
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     """Reproducible sampling setup.
 
-    seed          master seed; trajectory i uses the stream (seed, i)
+    seed          master seed in [0, 2^128), the Philox key; trajectory i
+                  uses the stream (seed, i)
     n_trajectories  ensemble size
     initial       None draws the starting arm fairly (maximally mixed start);
                   the ints 0 or 1 pin that arm; a float in [0, 1] is the
@@ -50,14 +66,12 @@ class SamplerConfig:
     initial: float | int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 1 << 128:
+            raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
         if self.initial is not None and not 0 <= float(self.initial) <= 1:
             raise ValueError("initial must be None, an arm index, or a probability")
-
-    def rng(self, index: int) -> np.random.Generator:
-        """Counter-based stream for one trajectory; splittable and stable."""
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence((self.seed, index))))
 
 
 @dataclass(frozen=True)
@@ -91,30 +105,118 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _draw_initial_arm(config: SamplerConfig, rng: np.random.Generator) -> int:
-    if config.initial is None:
-        return int(rng.random() >= 0.5)
-    if isinstance(config.initial, (int, np.integer)):
-        return int(config.initial)
-    return int(rng.random() >= float(config.initial))
+@dataclass(frozen=True)
+class Ensemble:
+    """Telegraph trajectories stored flat.
+
+    Trajectory i starts in initial_arms[i] and flips at
+    flip_times[offsets[i]:offsets[i + 1]] (sorted); indexing and iteration
+    give Trajectory views of that slice.
+    """
+
+    t_start: float
+    t_end: float
+    initial_arms: np.ndarray
+    flip_times: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.initial_arms)
+
+    def __getitem__(self, i) -> Trajectory:
+        i = range(len(self))[i]  # negative indices and IndexError as for a list
+        flips = self.flip_times[self.offsets[i] : self.offsets[i + 1]]
+        return Trajectory(self.t_start, self.t_end, int(self.initial_arms[i]), flips)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def n_flips(self) -> np.ndarray:
+        """Flip count of each trajectory."""
+        return np.diff(self.offsets)
+
+    @property
+    def flip_rank(self) -> np.ndarray:
+        """Position of each flip within its own trajectory, 0 for the first."""
+        return np.arange(len(self.flip_times)) - np.repeat(self.offsets[:-1], self.n_flips)
 
 
-def _draw(family: FamilyTrajectory, config: SamplerConfig, index: int) -> tuple[int, np.ndarray]:
-    """Starting arm and the running sums of unit exponentials below Lambda(t_end)."""
-    rng = config.rng(index)
-    arm = _draw_initial_arm(config, rng)
+def _as_ensemble(trajectories) -> Ensemble:
+    """An Ensemble as it is; any other sequence of Trajectory objects packed flat."""
+    if isinstance(trajectories, Ensemble):
+        return trajectories
+    trajs = list(trajectories)
+    flips = [t.flip_times for t in trajs]
+    offsets = np.concatenate(([0], np.cumsum([len(f) for f in flips], dtype=np.int64)))
+    span = (trajs[0].t_start, trajs[0].t_end) if trajs else (0.0, 0.0)
+    arms = np.array([t.initial_arm for t in trajs], dtype=np.int64)
+    return Ensemble(*span, arms, np.concatenate(flips) if flips else np.empty(0), offsets)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _SHIFT32)
+    w = (t & _LOW32) + m_lo * x_hi
+    return m_hi * x_hi + (t >> _SHIFT32) + (w >> _SHIFT32), m * x
+
+
+def _philox4x64(counter, key) -> tuple[np.ndarray, ...]:
+    """Philox4x64-10 blocks for broadcast uint64 counter arrays (c0, c1, c2, c3) under key (k0, k1)."""
+    x0, x1, x2, x3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    for r in range(10):
+        k0 = np.uint64((key[0] + r * _PHILOX_W[0]) & _MASK64)
+        k1 = np.uint64((key[1] + r * _PHILOX_W[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return x0, x1, x2, x3
+
+
+def _draw(family: FamilyTrajectory, config: SamplerConfig, indices: np.ndarray):
+    """Initial-arm uniforms, flat running sums of unit exponentials below Lambda(t_end), offsets.
+
+    Each pass draws the next run of blocks for every live trajectory; the run
+    doubles from one pass to the next within the pass budget.  Sums run on
+    from the carry in stream order, so they do not depend on the runs.
+    """
     total = float(family.rate_integral[-1])
     if family.params.gamma == 0.0 or not total > 0.0:
-        return arm, np.empty(0)
-    sums = []
-    carry = 0.0
-    while True:
-        block = carry + np.cumsum(rng.standard_exponential(_CHUNK))
-        if block[-1] >= total:
-            sums.append(block[block < total])
-            return arm, np.concatenate(sums) if len(sums) > 1 else sums[0]
-        sums.append(block)
-        carry = block[-1]
+        total = 0.0
+    key = (int(config.seed) & _MASK64, int(config.seed) >> 64)
+    index = np.asarray(indices, dtype=np.uint64)
+    n = len(index)
+    live, carry = np.arange(n), np.zeros(n)
+    owners, pieces = [], []
+    block, run = 0, 1
+    while live.size:
+        blocks = np.arange(block, block + run, dtype=np.uint64)
+        words = np.stack(_philox4x64((blocks, index[live, None], 0, 0), key), axis=-1).reshape(live.size, -1)
+        u = (words >> np.uint64(11)) * 2.0**-53
+        if block == 0:
+            arm_u, u = u[:, 0], u[:, 1:]
+        sums = np.cumsum(np.column_stack((carry[live], -np.log1p(-u))), axis=1)[:, 1:]
+        below = sums < total
+        owners.append(np.repeat(live, np.count_nonzero(below, axis=1)))
+        pieces.append(sums[below])
+        carry[live] = sums[:, -1]
+        live = live[below[:, -1]]
+        block += run
+        run = min(2 * run, max(1, _PASS_BLOCKS // max(live.size, 1)))
+    owner = np.concatenate(owners)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
+    return arm_u, np.concatenate(pieces)[np.argsort(owner, kind="stable")], offsets
+
+
+def _initial_arms(config: SamplerConfig, u: np.ndarray) -> np.ndarray:
+    if config.initial is None:
+        return (u >= 0.5).astype(np.int64)
+    if isinstance(config.initial, (int, np.integer)):
+        return np.full(len(u), int(config.initial), dtype=np.int64)
+    return (u >= float(config.initial)).astype(np.int64)
 
 
 def _invert(family: FamilyTrajectory, targets: np.ndarray) -> np.ndarray:
@@ -154,24 +256,23 @@ def _invert_block(family: FamilyTrajectory, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_trajectory(family: FamilyTrajectory, config: SamplerConfig, index: int = 0) -> Trajectory:
-    """Draw one trajectory over the family's time span by time change."""
-    arm, targets = _draw(family, config, index)
+def _sample(family: FamilyTrajectory, config: SamplerConfig, indices) -> Ensemble:
+    arm_u, sums, offsets = _draw(family, config, indices)
     t0, t_end = float(family.times[0]), float(family.times[-1])
-    return Trajectory(t_start=t0, t_end=t_end, initial_arm=arm, flip_times=_invert(family, targets))
+    return Ensemble(t0, t_end, _initial_arms(config, arm_u), _invert(family, sums), offsets)
 
 
-def sample_ensemble(family: FamilyTrajectory, config: SamplerConfig) -> list:
-    """Independent trajectories, one per stream index, inverted in shared blocks.
+def sample_trajectory(family: FamilyTrajectory, config: SamplerConfig, index: int = 0) -> Trajectory:
+    """Draw trajectory `index` of the ensemble over the family's time span by time change."""
+    return _sample(family, config, [index])[0]
+
+
+def sample_ensemble(family: FamilyTrajectory, config: SamplerConfig) -> Ensemble:
+    """Independent trajectories, one per stream index, drawn and inverted together.
 
     Trajectory i is bit for bit sample_trajectory(family, config, index=i).
     """
-    arms, targets = zip(*(_draw(family, config, i) for i in range(config.n_trajectories)))
-    ends = np.cumsum([len(x) for x in targets])
-    targets = np.concatenate(targets)  # drops the per-trajectory arrays before the solve
-    flips = np.split(_invert(family, targets), ends[:-1])
-    t0, t_end = float(family.times[0]), float(family.times[-1])
-    return [Trajectory(t_start=t0, t_end=t_end, initial_arm=arm, flip_times=f) for arm, f in zip(arms, flips)]
+    return _sample(family, config, np.arange(config.n_trajectories))
 
 
 @dataclass(frozen=True)
@@ -212,12 +313,18 @@ def ensemble_average(trajectories, family: FamilyTrajectory, times=None) -> Ense
     if times is None:
         times = family.times
     times = np.asarray(times, dtype=float)
-    counts = np.zeros(len(times))
-    for traj in trajectories:
-        counts += traj.arm_at(times) == 0
-    p0 = counts / len(trajectories)
+    ens = _as_ensemble(trajectories)
+    # a flip lands in arm (initial + rank + 1) % 2 and changes the arm-0
+    # count at every query time from its own on (arm_at counts flips <= t)
+    order = np.argsort(times, kind="stable")
+    bins = np.searchsorted(times[order], ens.flip_times, side="left")
+    into_0 = (np.repeat(ens.initial_arms, ens.n_flips) + ens.flip_rank) % 2 == 1
+    m = len(times)
+    steps = np.bincount(bins[into_0], minlength=m + 1) - np.bincount(bins[~into_0], minlength=m + 1)
+    p0 = np.empty(m)
+    p0[order] = (np.count_nonzero(ens.initial_arms == 0) + np.cumsum(steps[:m])) / len(ens)
     bloch = (2.0 * p0 - 1.0)[:, None] * family.unit_vectors_at(times)
-    return EnsembleSeries(times=times, p0=p0, bloch=bloch, n_trajectories=len(trajectories))
+    return EnsembleSeries(times=times, p0=p0, bloch=bloch, n_trajectories=len(ens))
 
 
 def deterministic_occupation(family: FamilyTrajectory, times=None, p0_initial: float = 1.0) -> np.ndarray:
@@ -263,12 +370,10 @@ def gap_statistics(trajectories, rate: float, max_gaps: int | None = None) -> Ga
     horizon long enough that max_gaps + 1 flips almost surely occur; the
     leftover bias is then the tail probability of that event.
     """
-    pooled = []
-    for t in trajectories:
-        if t.n_flips >= 2:
-            d = np.diff(t.flip_times)
-            pooled.append(d[:max_gaps] if max_gaps is not None else d)
-    gaps = np.sort(np.concatenate(pooled)) if pooled else np.empty(0)
+    ens = _as_ensemble(trajectories)
+    rank = ens.flip_rank[1:]  # gap k ends at flip k + 1: inside one trajectory if that flip is not a first
+    keep = rank >= 1 if max_gaps is None else (rank >= 1) & (rank <= max_gaps)
+    gaps = np.sort(np.diff(ens.flip_times)[keep])
     if len(gaps) == 0:
         raise ValueError("no complete gaps in the ensemble")
     cdf = 1.0 - np.exp(-rate * gaps)

@@ -109,6 +109,16 @@ def test_model_parameters_out_of_range_are_usage_errors(tmp_path, capsys):
     assert "VALIDATION FAILED" not in captured.out
 
 
+def test_seed_outside_the_philox_key_is_a_usage_error(tmp_path, capsys):
+    # the seed is the 128-bit Philox key of the sampler
+    assert run(tmp_path, "sample", "--ntraj", "20", "--points", "11", "--seed", "-1") == 2
+    assert run(tmp_path, "sample", "--ntraj", "20", "--points", "11", "--seed", str(2**128)) == 2
+    captured = capsys.readouterr()
+    assert "2**128" in captured.err
+    assert "VALIDATION FAILED" not in captured.out
+    assert run(tmp_path, "sample", "--ntraj", "20", "--points", "11", "--seed", str(2**128 - 1)) == 0
+
+
 @pytest.mark.parametrize(
     "command, target, exc",
     [

@@ -7,6 +7,7 @@ import pytest
 
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, exact_direction
 from tunnelmol.histories import (
+    DecoherenceMatrix,
     Decomposition,
     HistoryFamily,
     NotConsistentError,
@@ -321,3 +322,36 @@ def test_checked_weights_validates_every_matrix_of_a_stack():
     negative = np.diag([0.5, -1e-9, 0.0, 0.5]).astype(complex)
     with pytest.raises(ValueError, match="negative history weight"):
         checked_weights(np.array([negative, good]))
+
+
+def _csv_by_loop(entries):
+    # reference: one f-string per entry
+    lines = ["row,col,real,imag"]
+    n = entries.shape[0]
+    for i in range(n):
+        for j in range(n):
+            z = entries[i, j]
+            lines.append(f"{i},{j},{z.real:.17g},{z.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_decoherence_csv_is_byte_identical_to_the_entrywise_loop():
+    p = ModelParams(omega=1.0, gamma=0.9)
+    flow = FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), p, FORWARD, np.linspace(0.0, 2.0, 41))
+    for f in range(1, 7):
+        times = 0.35 * np.arange(f)
+        for fam in (z_family(p, times), HistoryFamily.from_trajectory(flow, times)):
+            D = decoherence_functional(fam, np.array([0.1, -0.2, 0.3]))
+            assert D.to_csv() == _csv_by_loop(D.entries)
+    # signed zeros compare equal but print apart; extremes keep all 17 digits
+    special = np.array(
+        [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1.0 / 3.0]
+    )
+    rng = np.random.default_rng(3)
+    entries = rng.choice(special, size=(8, 8)) + 1j * rng.choice(special, size=(8, 8))
+    entries[0, 0] = complex(-0.0, 0.0)
+    entries[0, 1] = complex(0.0, -0.0)
+    D = DecoherenceMatrix(family=z_family(p, [0.0, 0.3, 0.6]), entries=entries)
+    text = D.to_csv()
+    assert text == _csv_by_loop(entries)
+    assert text.splitlines()[1:3] == ["0,0,-0,0", "0,1,0,-0"]

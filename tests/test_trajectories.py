@@ -10,8 +10,11 @@ from scipy.linalg import expm
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, X_DIRECTION, Z_DIRECTION, bloch_block
 from tunnelmol.ptm import ModelParams
 from tunnelmol.trajectories import (
+    Ensemble,
     SamplerConfig,
     Trajectory,
+    _draw,
+    _philox4x64,
     deterministic_occupation,
     ensemble_average,
     gap_statistics,
@@ -30,6 +33,90 @@ def test_config_validation():
         SamplerConfig(seed=1, n_trajectories=0)
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, initial=1.5)
+    # the seed is the 128-bit Philox key
+    for bad in (-1, 2**128, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(seed=bad)
+    SamplerConfig(seed=2**128 - 1)
+    SamplerConfig(seed=np.uint64(2**64 - 1))
+
+
+def numpy_philox_words(key, counter, n_words):
+    """Raw output of numpy's Philox4x64-10, which steps the counter before each block."""
+    gen = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=np.array(counter, dtype=np.uint64))
+    return gen.random_raw(n_words)
+
+
+def test_philox_kernel_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    draw = lambda n: tuple(int(w) for w in rng.integers(0, 2**64, n, dtype=np.uint64))  # noqa: E731
+    keys = [(0, 0), (2**64 - 1, 2**64 - 1)] + [draw(2) for _ in range(6)]
+    counters = [(0, 0, 0, 0), (2**64 - 1, 5, 0, 0), (2**64 - 1, 2**64 - 1, 7, 0)]
+    counters += [draw(4) for _ in range(6)]
+    for key in keys:
+        for counter in counters:
+            want = numpy_philox_words(key, counter, 8)
+            value = sum(c << (64 * k) for k, c in enumerate(counter))
+            for block in range(2):
+                stepped = (value + 1 + block) % 2**256
+                words = [np.array([(stepped >> (64 * k)) & (2**64 - 1)], dtype=np.uint64) for k in range(4)]
+                got = np.concatenate(_philox4x64(words, key))
+                assert np.array_equal(got, want[4 * block : 4 * block + 4]), (key, counter, block)
+    # one broadcast call over a (block, index) grid is the same as one call per counter
+    blocks = np.arange(3, dtype=np.uint64)
+    index = np.array([[0], [9], [2**40]], dtype=np.uint64)
+    grid = np.stack(_philox4x64((blocks, index, 0, 0), keys[2]), axis=-1)
+    for r, i in enumerate(index[:, 0]):
+        for b in blocks:
+            one = np.concatenate(_philox4x64(([b], [i], [0], [0]), keys[2]))
+            assert np.array_equal(grid[r, int(b)], one)
+
+
+def test_stream_of_trajectory_i_is_philox_keyed_by_the_seed_at_counter_block_i():
+    # numpy steps the counter before its first block, so the counter one
+    # below (0, i, 0, 0) makes it emit the stream of trajectory i: word 0 sets
+    # the arm, every later word is one unit exponential -log1p(-u)
+    fam = z_traj_family(1.3, 40.0)
+    total = float(fam.rate_integral[-1])
+    for seed in (0, 5, 2**64 + 3, 2**128 - 1):
+        cfg = SamplerConfig(seed=seed, n_trajectories=4)
+        arm_u, sums, offsets = _draw(fam, cfg, np.array([0, 1, 3]))
+        for row, i in enumerate((0, 1, 3)):
+            counter = (2**64 - 1, i - 1, 0, 0) if i else (2**64 - 1,) * 4
+            raw = numpy_philox_words((seed % 2**64, seed >> 64), counter, 400)
+            u = (raw >> np.uint64(11)) * 2.0**-53
+            running = np.cumsum(-np.log1p(-u[1:]))
+            assert running[-1] > total
+            assert arm_u[row] == u[0]
+            assert np.array_equal(sums[offsets[row] : offsets[row + 1]], running[running < total])
+
+
+def test_flip_times_do_not_depend_on_the_initial_mode():
+    p = ModelParams(omega=1.0, gamma=0.5)
+    fam = FamilyTrajectory.integrate(BlochDirection(0.9, 0.3), p, FORWARD, np.linspace(0.0, 12.0, 241))
+    runs = [sample_ensemble(fam, SamplerConfig(seed=31, n_trajectories=400, initial=mode)) for mode in (None, 0, 0.3)]
+    for ens in runs[1:]:
+        assert np.array_equal(ens.offsets, runs[0].offsets)
+        assert np.array_equal(ens.flip_times, runs[0].flip_times)
+    assert np.all(runs[1].initial_arms == 0)
+    assert 0 < np.count_nonzero(runs[0].initial_arms) < 400
+
+
+def test_ensemble_is_flat_with_trajectory_views():
+    fam = z_traj_family(0.8, 10.0)
+    ens = sample_ensemble(fam, SamplerConfig(seed=8, n_trajectories=30))
+    assert isinstance(ens, Ensemble) and len(ens) == 30
+    assert ens.offsets[0] == 0 and ens.offsets[-1] == len(ens.flip_times)
+    trajs = list(ens)
+    assert len(trajs) == 30
+    for i, t in enumerate(trajs):
+        assert isinstance(t, Trajectory) and (t.t_start, t.t_end) == (0.0, 10.0)
+        assert t.initial_arm == ens.initial_arms[i] and t.n_flips == ens.n_flips[i]
+        assert np.all(np.diff(t.flip_times) >= 0.0)
+        assert t.flip_times.base is not None  # a view, not a copy
+    assert np.array_equal(ens[-1].flip_times, trajs[29].flip_times)
+    with pytest.raises(IndexError):
+        ens[30]
 
 
 def test_streams_are_reproducible_and_index_keyed():
@@ -216,3 +303,34 @@ def test_backward_family_sampling_runs():
     series = ensemble_average(ens, fam, np.linspace(0.0, 4.0, 9))
     master = deterministic_occupation(fam, np.linspace(0.0, 4.0, 9), p0_initial=1.0)
     assert np.abs(series.p0 - master).max() < 0.12
+
+
+def test_vectorized_ensemble_average_is_bitwise_the_per_trajectory_count():
+    p = ModelParams(omega=1.0, gamma=0.7)
+    fam = FamilyTrajectory.integrate(BlochDirection(0.8, 0.2), p, FORWARD, np.linspace(0.0, 6.0, 301))
+    for initial in (None, 1, 0.25):
+        ens = sample_ensemble(fam, SamplerConfig(seed=12, n_trajectories=700, initial=initial))
+        flips = ens.flip_times
+        # on a flip, before every flip, past t_end, unsorted and repeated
+        query = np.concatenate(([-1.0, 0.0, flips.min()], flips[::97], [3.0, 1.0, 3.0, 6.0, 7.5]))
+        series = ensemble_average(ens, fam, query)
+        counts = np.zeros(len(query))
+        for traj in ens:
+            counts += traj.arm_at(query) == 0
+        assert np.array_equal(series.p0, counts / len(ens))
+        assert series.n_trajectories == 700
+        # a plain list of trajectories gives the same series
+        assert np.array_equal(ensemble_average(list(ens), fam, query).p0, series.p0)
+
+
+def test_vectorized_gap_statistics_pools_like_the_per_trajectory_loop():
+    fam = z_traj_family(0.9, 3.0)
+    ens = sample_ensemble(fam, SamplerConfig(seed=21, n_trajectories=300, initial=0))
+    # trajectories without a gap are skipped; some have more gaps than the cap
+    assert np.count_nonzero(ens.n_flips < 2) > 0 and np.count_nonzero(ens.n_flips > 5) > 0
+    for cap in (None, 1, 4):
+        pooled = [np.diff(t.flip_times)[:cap] for t in ens if t.n_flips >= 2]
+        want = np.sort(np.concatenate(pooled))
+        stats = gap_statistics(ens, rate=0.9, max_gaps=cap)
+        assert np.array_equal(stats.gaps, want)
+        assert stats.ks_statistic == gap_statistics(list(ens), rate=0.9, max_gaps=cap).ks_statistic
