@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 from .families import (
     BACKWARD,
@@ -231,6 +229,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     checks = _Checks()
     worst_trace = float(np.abs(transfer[:, 0] - np.array([1.0, 0.0, 0.0, 0.0])).max())
     checks.check("trace_preservation", worst_trace < 1e-12, f"max deviation {worst_trace:.3e}")
+    from scipy.linalg import expm
+
     worst_gap = 0.0
     S = generator(params)
     for k in range(0, len(times), max(1, len(times) // 5))[1:]:
@@ -304,6 +304,8 @@ def cmd_families(cfg: RunConfig) -> int:
     # quadrature of the rate along exact_direction.  kappa relaxes on the scale
     # 1/(2 gamma), so the quadrature gets breakpoints at several multiples of
     # 1/gamma; a single one misses that transient at gamma = 1e4
+    from scipy.integrate import quad
+
     worst_radius = 0.0
     for g, traj in trajectories.items():
         params = traj.params

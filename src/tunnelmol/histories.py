@@ -213,12 +213,15 @@ def decoherence_entries(transfers, projectors, initial=None) -> np.ndarray:
     Returns the (..., 2^f, 2^f) entries.
     """
     A = pauli_coefficients(_coerce_initial(initial)).reshape(1, 1, 4)
+    f = len(projectors)
     for m, P in enumerate(projectors):
         if m > 0:
             A = A @ np.swapaxes(transfers[m - 1], -1, -2)[..., None, :, :]
         S = np.swapaxes(_sandwiches(P), -1, -2)[..., None, :, :]
+        if m == f - 1:
+            S = S[..., :1]  # only the trace (component 0) of the last level is read
         K = A.shape[-2]
-        nxt = np.empty(np.broadcast_shapes(A.shape[:-3], S.shape[:-5]) + (2 * K, 2 * K, 4), dtype=complex)
+        nxt = np.empty(np.broadcast_shapes(A.shape[:-3], S.shape[:-5]) + (2 * K, 2 * K, S.shape[-1]), dtype=complex)
         for a in range(2):
             for b in range(2):
                 nxt[..., a * K : (a + 1) * K, b * K : (b + 1) * K, :] = A @ S[..., a, b, :, :, :]
@@ -327,13 +330,11 @@ def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSIST
             else:
                 M[:, j] = 0.5  # unreachable state: convention only
         transitions.append(M)
-    # reconstruct the joint and measure the Markov factorization defect
-    rec = np.zeros(shape)
-    for idx in np.ndindex(*shape):
-        p = p1[idx[0]]
-        for m in range(f - 1):
-            p *= transitions[m][idx[m + 1], idx[m]]
-        rec[idx] = p
+    # reconstruct the joint p1[a_1] M_1[a_2, a_1] ... left to right and
+    # measure the Markov factorization defect
+    rec = p1
+    for m, M in enumerate(transitions):
+        rec = rec[..., None] * M.T.reshape((1,) * m + (2, 2))
     err = float(np.abs(rec - W).max())
     return MarkovChain(initial_distribution=p1, transitions=tuple(transitions), factorization_error=err)
 

@@ -38,8 +38,9 @@ becomes complex conjugate -gamma +/- i eta for weak damping, which is the
 underdamped / overdamped transition at gamma = omega that organizes the whole
 phenomenology of this package.
 
-All numerics in this module are plain numpy; the adaptive integrator used as a
-cross-check is scipy's.
+All numerics in this module are plain numpy, and importing it loads no scipy.
+The adaptive integrator behind the propagator_numeric cross-check is scipy's,
+imported on that function's first call.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -262,6 +262,8 @@ def propagator_numeric(params: ModelParams, t: float, rtol: float = 1e-12, atol:
         raise ValueError("propagator is defined for t >= 0")
     if t == 0.0:
         return np.eye(4)
+    from scipy.integrate import solve_ivp
+
     S = generator(params)
 
     def rhs(_t, y):

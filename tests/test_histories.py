@@ -5,21 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, exact_direction
+from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, exact_direction, flow_unit_vectors
 from tunnelmol.histories import (
     DecoherenceMatrix,
     Decomposition,
     HistoryFamily,
     NotConsistentError,
+    _coerce_initial,
+    _sandwiches,
     checked_weights,
     classical_collision_average,
     consistency_check,
     decoherence_entries,
     decoherence_functional,
     markov_from_family,
+    projector_pairs,
     telegraph_flip_probability,
 )
-from tunnelmol.ptm import ModelParams, apply_ptm, propagator_closed_form, state_from_bloch
+from tunnelmol.ptm import ModelParams, apply_ptm, pauli_coefficients, propagator_closed_form, state_from_bloch
 
 P05 = ModelParams(omega=1.0, gamma=0.5)
 
@@ -355,3 +358,76 @@ def test_decoherence_csv_is_byte_identical_to_the_entrywise_loop():
     text = D.to_csv()
     assert text == _csv_by_loop(entries)
     assert text.splitlines()[1:3] == ["0,0,-0,0", "0,1,0,-0"]
+
+
+def _entries_full_tensor(transfers, projectors, initial=None):
+    # reference: every level, the last one included, carries all four
+    # coefficient components
+    A = pauli_coefficients(_coerce_initial(initial)).reshape(1, 1, 4)
+    for m, P in enumerate(projectors):
+        if m > 0:
+            A = A @ np.swapaxes(transfers[m - 1], -1, -2)[..., None, :, :]
+        S = np.swapaxes(_sandwiches(P), -1, -2)[..., None, :, :]
+        K = A.shape[-2]
+        nxt = np.empty(np.broadcast_shapes(A.shape[:-3], S.shape[:-5]) + (2 * K, 2 * K, 4), dtype=complex)
+        for a in range(2):
+            for b in range(2):
+                nxt[..., a * K : (a + 1) * K, b * K : (b + 1) * K, :] = A @ S[..., a, b, :, :, :]
+        A = nxt
+    return 2.0 * A[..., 0]
+
+
+def _family_inputs(fam):
+    transfers = [propagator_closed_form(fam.params, float(dt)) for dt in np.diff(fam.times)]
+    return transfers, [np.array(d.projectors) for d in fam.decompositions]
+
+
+def test_last_level_trace_matches_the_full_tensor_loop():
+    p = ModelParams(omega=1.0, gamma=0.9)
+    rho0 = np.array([0.1, -0.2, 0.3])
+    flows = [
+        FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), p, sense, np.linspace(0.0, 2.5, 51))
+        for sense in (FORWARD, BACKWARD)
+    ]
+    for f in range(1, 8):
+        times = 0.35 * np.arange(f)
+        for initial in (None, rho0):
+            transfers, projectors = _family_inputs(z_family(p, times))
+            got = decoherence_entries(transfers, projectors, initial)
+            assert np.array_equal(got, _entries_full_tensor(transfers, projectors, initial))
+            for flow in flows:
+                transfers, projectors = _family_inputs(HistoryFamily.from_trajectory(flow, times))
+                got = decoherence_entries(transfers, projectors, initial)
+                assert np.abs(got - _entries_full_tensor(transfers, projectors, initial)).max() <= 1e-15
+    # the two-time stack of build_info_report's mutual_info column
+    times = np.linspace(0.0, 3.0, 31)
+    first = Decomposition.x_basis()
+    T = propagator_closed_form(p, times)
+    second = projector_pairs(flow_unit_vectors(first.bloch_direction, p, FORWARD, times))
+    projectors = [np.array(first.projectors), second]
+    got = decoherence_entries([T], projectors)
+    assert got.shape == (len(times), 4, 4)
+    assert np.abs(got - _entries_full_tensor([T], projectors)).max() <= 1e-15
+
+
+def _factorization_error_by_loop(chain, w, f):
+    # reference: one left-to-right product p_1 * prod_m M_m per history
+    W = w.reshape((2,) * f, order="F")
+    rec = np.zeros(W.shape)
+    for idx in np.ndindex(*W.shape):
+        q = chain.initial_distribution[idx[0]]
+        for m in range(f - 1):
+            q *= chain.transitions[m][idx[m + 1], idx[m]]
+        rec[idx] = q
+    return float(np.abs(rec - W).max())
+
+
+def test_markov_product_form_matches_the_index_loop():
+    p = ModelParams(omega=1.0, gamma=1.7)
+    flow = FamilyTrajectory.integrate(BlochDirection(0.7, 2.2), p, FORWARD, np.linspace(0.0, 4.5, 91))
+    for f in range(1, 11):
+        times = 0.45 * np.arange(f)
+        for fam in (z_family(p, times), HistoryFamily.from_trajectory(flow, times)):
+            chain = markov_from_family(fam)
+            w = consistency_check(decoherence_functional(fam)).normalized_weights()
+            assert chain.factorization_error == _factorization_error_by_loop(chain, w, f)
