@@ -177,9 +177,15 @@ def _echo_lines(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(cfg: RunConfig, filename: str, body: str) -> Path:
+def _write_csv(cfg: RunConfig, filename: str, body) -> Path:
+    """Write the config echo, then body: a string, or a function that writes to the file."""
     path = cfg.out_dir() / filename
-    path.write_text(_echo_lines(cfg) + body)
+    with open(path, "w") as fh:
+        fh.write(_echo_lines(cfg))
+        if isinstance(body, str):
+            fh.write(body)
+        else:
+            body(fh)
     print(f"wrote {path}")
     return path
 
@@ -355,7 +361,7 @@ def cmd_histories(cfg: RunConfig) -> int:
         )
     family = HistoryFamily(params=params, times=times, decompositions=decomps)
     D = decoherence_functional(family, _INITIAL_STATES[cfg.initial])
-    _write_csv(cfg, "dmatrix.csv", D.to_csv())
+    _write_csv(cfg, "dmatrix.csv", D.write_csv)
 
     checks = _Checks()
     try:
@@ -503,6 +509,9 @@ def cmd_preset(cfg: RunConfig) -> int:
 def cmd_scan(cfg: RunConfig) -> int:
     if cfg.ratio_min <= 0 or cfg.ratio_max <= cfg.ratio_min:
         raise CliError("need 0 < ratio_min < ratio_max")
+    if cfg.omega == 0:
+        # every ratio would map to gamma = 0; a negative omega fails in ModelParams
+        raise CliError("scan needs omega > 0")
     ratios = np.geomspace(cfg.ratio_min, cfg.ratio_max, cfg.points)
     rows = ["ratio,gamma,regime,n_equatorial,phi_x,phi_y,kappa_x,kappa_y,kappa_z"]
     checks = _Checks()

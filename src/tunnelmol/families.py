@@ -124,10 +124,14 @@ def bloch_block(params: ModelParams) -> np.ndarray:
 
 
 def transition_rate(direction: BlochDirection, params: ModelParams) -> float:
-    """Local flip rate kappa = gamma (1 - n_x^2) of the telegraph process."""
+    """Local flip rate kappa = gamma (1 - n_x^2) of the telegraph process.
+
+    Evaluated as gamma (n_y^2 + n_z^2), which does not cancel to zero near the
+    pointer axis, where a family at large gamma/omega spends its time.
+    """
     d = _as_direction(direction)
-    nx = math.sin(d.theta) * math.cos(d.phi)
-    return params.gamma * (1.0 - nx * nx)
+    ny, nz = math.sin(d.theta) * math.sin(d.phi), math.cos(d.theta)
+    return params.gamma * (ny * ny + nz * nz)
 
 
 def __getattr__(name: str):

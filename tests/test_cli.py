@@ -109,6 +109,14 @@ def test_model_parameters_out_of_range_are_usage_errors(tmp_path, capsys):
     assert "VALIDATION FAILED" not in captured.out
 
 
+def test_scan_without_tunneling_is_a_usage_error(tmp_path, capsys):
+    # a ratio sweep needs omega > 0: otherwise every point has gamma = 0
+    assert run(tmp_path, "scan", "--omega", "0") == 2
+    captured = capsys.readouterr()
+    assert "scan needs omega > 0" in captured.err
+    assert "VALIDATION FAILED" not in captured.out
+
+
 def test_seed_outside_the_philox_key_is_a_usage_error(tmp_path, capsys):
     # the seed is the 128-bit Philox key of the sampler
     assert run(tmp_path, "sample", "--ntraj", "20", "--points", "11", "--seed", "-1") == 2

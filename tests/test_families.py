@@ -125,6 +125,17 @@ def test_transition_rate_formulas():
         assert transition_rate(d, p) == pytest.approx(-0.5 * n @ (S3 @ n), abs=1e-12)
 
 
+def test_transition_rate_near_the_pointer_axis_does_not_cancel():
+    # at gamma/omega = 1e9 a forward family sits 5e-10 rad from the x axis,
+    # where 1 - n_x^2 rounds to exactly 0.0
+    p = ModelParams(omega=1.0, gamma=1e9)
+    start = BlochDirection(0.2, 0.0)
+    d = exact_direction(start, p, FORWARD, 1.0)
+    fam = FamilyTrajectory.integrate(start, p, FORWARD, np.linspace(0.0, 1.0, 11))
+    assert fam.kappa_at(1.0) == pytest.approx(2.5e-10, rel=1e-9)
+    assert transition_rate(d, p) == pytest.approx(fam.kappa_at(1.0), rel=1e-12)
+
+
 def test_radius_equals_integrated_rate():
     p = ModelParams(omega=1.0, gamma=0.4)
     times = np.linspace(0.0, 8.0, 4001)

@@ -1,6 +1,7 @@
 """Decoherence functional, consistency, Markov extraction, collision averaging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,14 +339,22 @@ def _csv_by_loop(entries):
     return "\n".join(lines) + "\n"
 
 
+def _assert_same_text(got, want):
+    # a failure names the first differing line, without a diff of megabytes
+    if got != want:
+        k = next((k for k, (a, b) in enumerate(zip(got.splitlines(), want.splitlines())) if a != b), None)
+        raise AssertionError(f"texts differ first at line {k} (lengths {len(got)}, {len(want)})")
+
+
 def test_decoherence_csv_is_byte_identical_to_the_entrywise_loop():
+    # up to f = 9 the CSV spans several blocks of written rows
     p = ModelParams(omega=1.0, gamma=0.9)
-    flow = FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), p, FORWARD, np.linspace(0.0, 2.0, 41))
-    for f in range(1, 7):
+    flow = FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), p, FORWARD, np.linspace(0.0, 3.0, 61))
+    for f in range(1, 10):
         times = 0.35 * np.arange(f)
         for fam in (z_family(p, times), HistoryFamily.from_trajectory(flow, times)):
             D = decoherence_functional(fam, np.array([0.1, -0.2, 0.3]))
-            assert D.to_csv() == _csv_by_loop(D.entries)
+            _assert_same_text(D.to_csv(), _csv_by_loop(D.entries))
     # signed zeros compare equal but print apart; extremes keep all 17 digits
     special = np.array(
         [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1.0 / 3.0]
@@ -360,16 +369,32 @@ def test_decoherence_csv_is_byte_identical_to_the_entrywise_loop():
     assert text.splitlines()[1:3] == ["0,0,-0,0", "0,1,0,-0"]
 
 
-def _entries_full_tensor(transfers, projectors, initial=None):
-    # reference: every level, the last one included, carries all four
-    # coefficient components
+def test_histories_command_writes_the_echo_then_the_entrywise_csv(tmp_path):
+    from tunnelmol.cli import main
+
+    assert main(["histories", "--steps", "9", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "dmatrix.csv").read_text()
+    body = text.index("row,col,real,imag\n")
+    echo = text[:body].splitlines()
+    assert echo[0] == "# command=histories" and "# steps=9" in echo
+    assert all(line.startswith("# ") for line in echo)
+    z = Decomposition.from_direction(BlochDirection(0.0, 0.0))
+    fam = HistoryFamily(params=ModelParams(omega=1.0, gamma=1.0), times=0.5 * np.arange(9), decompositions=(z,) * 9)
+    _assert_same_text(text[body:], _csv_by_loop(decoherence_functional(fam).entries))
+
+
+def _entries_level_loop(transfers, projectors, initial=None, last_components=4):
+    # reference: each level is one unblocked tensor; the last one keeps all four
+    # coefficient components, or only the trace with last_components=1
     A = pauli_coefficients(_coerce_initial(initial)).reshape(1, 1, 4)
     for m, P in enumerate(projectors):
         if m > 0:
             A = A @ np.swapaxes(transfers[m - 1], -1, -2)[..., None, :, :]
         S = np.swapaxes(_sandwiches(P), -1, -2)[..., None, :, :]
+        if m == len(projectors) - 1:
+            S = S[..., :last_components]
         K = A.shape[-2]
-        nxt = np.empty(np.broadcast_shapes(A.shape[:-3], S.shape[:-5]) + (2 * K, 2 * K, 4), dtype=complex)
+        nxt = np.empty(np.broadcast_shapes(A.shape[:-3], S.shape[:-5]) + (2 * K, 2 * K, S.shape[-1]), dtype=complex)
         for a in range(2):
             for b in range(2):
                 nxt[..., a * K : (a + 1) * K, b * K : (b + 1) * K, :] = A @ S[..., a, b, :, :, :]
@@ -394,11 +419,11 @@ def test_last_level_trace_matches_the_full_tensor_loop():
         for initial in (None, rho0):
             transfers, projectors = _family_inputs(z_family(p, times))
             got = decoherence_entries(transfers, projectors, initial)
-            assert np.array_equal(got, _entries_full_tensor(transfers, projectors, initial))
+            assert np.array_equal(got, _entries_level_loop(transfers, projectors, initial))
             for flow in flows:
                 transfers, projectors = _family_inputs(HistoryFamily.from_trajectory(flow, times))
                 got = decoherence_entries(transfers, projectors, initial)
-                assert np.abs(got - _entries_full_tensor(transfers, projectors, initial)).max() <= 1e-15
+                assert np.abs(got - _entries_level_loop(transfers, projectors, initial)).max() <= 1e-15
     # the two-time stack of build_info_report's mutual_info column
     times = np.linspace(0.0, 3.0, 31)
     first = Decomposition.x_basis()
@@ -407,7 +432,63 @@ def test_last_level_trace_matches_the_full_tensor_loop():
     projectors = [np.array(first.projectors), second]
     got = decoherence_entries([T], projectors)
     assert got.shape == (len(times), 4, 4)
-    assert np.abs(got - _entries_full_tensor([T], projectors)).max() <= 1e-15
+    assert np.abs(got - _entries_level_loop([T], projectors)).max() <= 1e-15
+
+
+def test_blocked_last_level_is_bitwise_the_level_loop():
+    # f = 8 and 9 put 128 and 256 rows into the last level: several row blocks
+    p = ModelParams(omega=1.0, gamma=0.9)
+    flow = FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), p, FORWARD, np.linspace(0.0, 3.0, 61))
+    for f in (8, 9):
+        times = 0.35 * np.arange(f)
+        for fam in (z_family(p, times), HistoryFamily.from_trajectory(flow, times)):
+            transfers, projectors = _family_inputs(fam)
+            for initial in (None, np.array([0.1, -0.2, 0.3])):
+                got = decoherence_entries(transfers, projectors, initial)
+                assert np.array_equal(got, _entries_level_loop(transfers, projectors, initial, last_components=1))
+
+
+def _checked_weights_verdict(entries):
+    try:
+        return checked_weights(entries)
+    except ValueError as exc:
+        assert "not Hermitian" in str(exc)
+        return None
+
+
+def test_blocked_hermiticity_check_matches_allclose():
+    n = 512
+    rng = np.random.default_rng(5)
+    half = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 1e-3
+    good = half + half.conj().T + np.diag(np.full(n, 1.0))
+    corner = good.copy()
+    corner[0, n - 1] += 1e-6  # only this entry breaks the symmetry, across row blocks
+    nan = good.copy()
+    nan[300, 7] = complex(np.nan, 0.0)
+    small = rng.standard_normal((101, 4, 4)) + 1j * rng.standard_normal((101, 4, 4))
+    stack = small + np.swapaxes(small, -1, -2).conj() + 10.0 * np.eye(4)
+    skewed_stack = stack.copy()
+    skewed_stack[57, 3, 1] += 1e-3  # beyond rtol 1e-5 of entries of order 1
+    for E, hermitian in ((good, True), (corner, False), (nan, False), (stack, True), (skewed_stack, False)):
+        assert np.allclose(E, np.swapaxes(E, -1, -2).conj(), atol=1e-10) == hermitian
+        verdict = _checked_weights_verdict(E)
+        assert (verdict is not None) == hermitian
+        if hermitian:
+            w, off = verdict
+            assert np.array_equal(w, np.real(np.diagonal(E, axis1=-2, axis2=-1)))
+            assert np.array_equal(off, (np.abs(E) * (1.0 - np.eye(E.shape[-1]))).max(axis=(-2, -1)))
+
+
+def test_consistency_check_at_f10_stays_within_its_memory_budget():
+    # the 2^10 x 2^10 entries alone take 16 MB
+    fam = z_family(ModelParams(omega=1.0, gamma=0.9), 0.35 * np.arange(10))
+    tracemalloc.start()
+    try:
+        consistency_check(decoherence_functional(fam))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def _factorization_error_by_loop(chain, w, f):
