@@ -39,9 +39,8 @@ from .families import (
     Y_DIRECTION,
     Z_DIRECTION,
     classify_regime,
-    exact_direction,
+    flow_unit_vectors,
     stationary_families,
-    transition_rate,
 )
 from .histories import Decomposition, HistoryFamily, consistency_check, decoherence_functional
 from .info_flow import build_info_report, verify_family_information_identity
@@ -164,6 +163,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    for key, val in values.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise CliError(f"{key} must be finite, got {val}")
     values["out"] = getattr(args, "out", None)
     return RunConfig(command=args.command, values=values)
 
@@ -237,11 +239,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
     checks.check("trace_preservation", worst_trace < 1e-12, f"max deviation {worst_trace:.3e}")
     from scipy.linalg import expm
 
-    worst_gap = 0.0
     S = generator(params)
-    for k in range(0, len(times), max(1, len(times) // 5))[1:]:
-        gap = float(np.abs(transfer[k] - expm(float(times[k]) * S)).max())
-        worst_gap = max(worst_gap, gap)
+    checked = range(0, len(times), max(1, len(times) // 5))[1:]
+    worst_gap = float(np.max([np.abs(transfer[k] - expm(float(times[k]) * S)).max() for k in checked]))
     checks.check("closed_form_vs_expm", worst_gap < 1e-9, f"max deviation {worst_gap:.3e}")
     return checks.status
 
@@ -253,7 +253,25 @@ def _parse_gamma_list(spec: str) -> list:
         raise CliError(f"cannot parse gamma list {spec!r}") from None
     if not gammas:
         raise CliError("empty gamma list")
+    if not all(math.isfinite(g) for g in gammas):
+        raise CliError(f"gamma list {spec!r} holds a non-finite rate")
     return gammas
+
+
+def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, t: float) -> float:
+    """Integral of the flip rate gamma (n_y^2 + n_z^2) over [0, t] along the family through start.
+
+    A 48-node Gauss-Legendre rule on each panel (Golub & Welsch, Math. Comp.
+    23, 221 (1969)), all nodes on one flow_unit_vectors stack.  kappa relaxes
+    on the scale 1/(2 gamma), so the panels break at several multiples of
+    1/gamma; a single break misses that transient at gamma = 1e4.
+    """
+    g = params.gamma
+    edges = np.array([0.0, *(m / g for m in (1.0, 4.0, 16.0, 64.0, 256.0) if g > 0 and m / g < t), t])
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    half = np.diff(edges)[:, None] / 2.0
+    n = flow_unit_vectors(start, params, direction, edges[:-1, None] + half * (nodes + 1.0))
+    return float(np.sum(half * weights * g * (n[..., 1] ** 2 + n[..., 2] ** 2)))
 
 
 def cmd_families(cfg: RunConfig) -> int:
@@ -293,38 +311,28 @@ def cmd_families(cfg: RunConfig) -> int:
     _write_csv(cfg, "stationary.csv", "\n".join(stat_rows) + "\n")
 
     checks = _Checks()
-    worst_root = 0.0
+    # worst cases are reduced with np.max, which keeps a NaN (max() drops it)
+    roots = []
     for g, stat in stat_sets.items():
         for fam in stat.equatorial:
             want = cfg.omega / g if fam.condition in (FORWARD, "both") else -cfg.omega / g
-            worst_root = max(worst_root, abs(math.sin(2.0 * fam.direction.phi) - want))
+            roots.append(abs(math.sin(2.0 * fam.direction.phi) - want))
+    worst_root = float(np.max(roots, initial=0.0))
     checks.check("stationary_roots", worst_root < 1e-12, f"max residual {worst_root:.3e}")
 
-    worst_kappa = 0.0
-    for g in gammas:
-        kap = trajectories[g].kappa
-        worst_kappa = max(worst_kappa, float(max(-kap.min(), (kap - g).max())))
+    excess = [np.max([-traj.kappa.min(), (traj.kappa - g).max()]) for g, traj in trajectories.items()]
+    worst_kappa = float(np.max(excess))
     checks.check("flip_rate_bounds", worst_kappa < 1e-10, f"excess {worst_kappa:.3e}")
 
-    # radius identity: the closed-form radius exp(-2 Lambda) against adaptive
-    # quadrature of the rate along exact_direction.  kappa relaxes on the scale
-    # 1/(2 gamma), so the quadrature gets breakpoints at several multiples of
-    # 1/gamma; a single one misses that transient at gamma = 1e4
-    from scipy.integrate import quad
-
-    worst_radius = 0.0
-    for g, traj in trajectories.items():
-        params = traj.params
-
-        def rate(s, params=params):
-            return transition_rate(exact_direction(start, params, direction, s), params)
-
+    # radius identity: the closed-form radius exp(-2 Lambda) against
+    # Gauss-Legendre quadrature of the rate on unit vectors of the flow, with
+    # panel breaks at 1, 4, 16, 64 and 256 times 1/gamma (_rate_integral)
+    deviations = []
+    for traj in trajectories.values():
         for k in range(0, len(times), max(1, len(times) // 4))[1:]:
-            t = float(times[k])
-            edges = [m / g for m in (1.0, 4.0, 16.0, 64.0, 256.0) if g > 0 and m / g < t]
-            integral = quad(rate, 0.0, t, points=edges or None, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
-            radius = math.exp(-2.0 * float(traj.rate_integral[k]))
-            worst_radius = max(worst_radius, abs(radius - math.exp(-2.0 * integral)))
+            integral = _rate_integral(start, traj.params, direction, float(times[k]))
+            deviations.append(abs(math.exp(-2.0 * float(traj.rate_integral[k])) - math.exp(-2.0 * integral)))
+    worst_radius = float(np.max(deviations))
     checks.check("radius_vs_rate_integral", worst_radius < 1e-6, f"max deviation {worst_radius:.3e}")
     return checks.status
 
@@ -355,10 +363,7 @@ def cmd_histories(cfg: RunConfig) -> int:
     if cfg.moving == "static":
         decomps = tuple(Decomposition.from_direction(base) for _ in times)
     else:
-        decomps = tuple(
-            Decomposition.from_direction(exact_direction(base, params, cfg.moving, float(t)))
-            for t in times
-        )
+        decomps = tuple(Decomposition.from_direction(n) for n in flow_unit_vectors(base, params, cfg.moving, times))
     family = HistoryFamily(params=params, times=times, decompositions=decomps)
     D = decoherence_functional(family, _INITIAL_STATES[cfg.initial])
     _write_csv(cfg, "dmatrix.csv", D.write_csv)
@@ -515,7 +520,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     ratios = np.geomspace(cfg.ratio_min, cfg.ratio_max, cfg.points)
     rows = ["ratio,gamma,regime,n_equatorial,phi_x,phi_y,kappa_x,kappa_y,kappa_z"]
     checks = _Checks()
-    worst_root = 0.0
+    roots = []
     ordering_ok = True
     count_ok = True
     for ratio in ratios:
@@ -538,7 +543,7 @@ def cmd_scan(cfg: RunConfig) -> int:
                 next(f.direction.phi for f in stat.equatorial if f.condition == BACKWARD),
             )
             kx, ky = stat.kappa_x, stat.kappa_y
-            worst_root = max(worst_root, abs(math.sin(2.0 * phi_x) - 1.0 / ratio))
+            roots.append(abs(math.sin(2.0 * phi_x) - 1.0 / ratio))
             ordering_ok &= kx <= ky + 1e-12 <= params.gamma + 1e-9
             cells = [f"{phi_x:.17g}", f"{phi_y:.17g}", f"{kx:.17g}", f"{ky:.17g}"]
         else:
@@ -547,6 +552,7 @@ def cmd_scan(cfg: RunConfig) -> int:
             f"{ratio:.17g},{params.gamma:.17g},{params.regime},{n_eq}," + ",".join(cells) + f",{stat.kappa_z:.17g}"
         )
     _write_csv(cfg, "scan.csv", "\n".join(rows) + "\n")
+    worst_root = float(np.max(roots, initial=0.0))
     checks.check("stationary_roots", worst_root < 1e-12, f"max residual {worst_root:.3e}")
     checks.check("rate_ordering", ordering_ok, "expected kappa_x <= kappa_y <= gamma")
     checks.check("family_count", count_ok, "expected 4 above the critical ratio, 0 below")

@@ -15,10 +15,12 @@ makes the associated history family consistent.  The backward flow is the same
 construction for the adjoint map run against time, n(t) prop exp(-t S3^T) n0,
 equivalent to flipping the sign of gamma.
 
-The production route is that closed form: FamilyTrajectory.integrate and
-exact_direction evaluate the linear flow with ptm.scaled_block, which stays
-finite and cancellation-free at any gamma t, so a family at gamma/omega = 5e7
-costs the same as one at gamma = omega.  Importing this module loads no scipy.
+The production route is that closed form: _flow evaluates the linear flow
+with ptm.scaled_block on a whole time grid, finite and cancellation-free at
+any gamma t, so a family at gamma/omega = 5e7 costs the same as one at
+gamma = omega.  FamilyTrajectory, flow_unit_vectors and exact_direction (the
+0-d case of a grid) all go through it and report the same continuous angles.
+Importing this module loads no scipy.
 Two independent routes remain as cross-checks: adaptive integration of the
 angle ODEs (family_ode_step, which loads scipy's solve_ivp on its first call)
 and the tangent-variable closed form
@@ -186,38 +188,17 @@ def _signed_gamma(params: ModelParams, direction: str) -> float:
 
 
 def exact_direction(initial: BlochDirection, params: ModelParams, direction: str, t: float) -> BlochDirection:
-    """Family direction at time t through the normalized linear flow.
+    """Family direction at one time t: the 0-d case of the closed-form flow.
 
     forward:  n(t) prop exp(t S3) n(0);  backward:  n(t) prop exp(-t S3^T) n(0).
     Identical to integrating the angle ODEs (the ODEs are the projective form
     of the linear flow), but exact to machine precision and finite for any
-    gamma t.  The returned angles are one valid representative of the
-    diameter, theta in [0, pi] and phi within pi of the initial azimuth; they
-    are not guaranteed to be the unwrapped continuation (FamilyTrajectory
-    provides that).
+    gamma t.  The angles are the continuous ones the ODEs integrate to, as in
+    FamilyTrajectory.direction_at: phi unwrapped from the initial azimuth,
+    theta on the branch of the initial polar angle.
     """
-    g = _signed_gamma(params, direction)
-    t = float(t)
-    L, a, b, c = scaled_block(g, params.omega, t)
-    x0, y0, z0 = _as_direction(initial).unit_vector
-    vx, vy = a * x0 - b * y0, b * x0 + c * y0
-    # the x-y part carries exp(L), the z part exp(-2 g t): rescale both by the
-    # larger of the two magnitudes, in logarithms, so neither overflows
-    rxy = math.hypot(vx, vy)
-    lxy = L + math.log(rxy) if rxy > 0.0 else -math.inf
-    lz = -2.0 * g * t + math.log(abs(z0)) if z0 != 0.0 else -math.inf
-    top = max(lxy, lz)
-    if rxy > 0.0:
-        vx, vy = vx * math.exp(L - top), vy * math.exp(L - top)
-    vz = z0 * math.exp(-2.0 * g * t - top) if z0 != 0.0 else 0.0
-    nrm = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if nrm == 0.0:
-        raise IntegrationError("linear flow collapsed to zero vector")
-    theta = math.acos(min(1.0, max(-1.0, vz / nrm)))
-    phi = math.atan2(vy, vx)
-    # unwrap phi against the initial value so callers see a continuous angle
-    k = round((initial.phi - phi) / (2.0 * math.pi))
-    return BlochDirection(theta=theta, phi=phi + 2.0 * math.pi * k)
+    theta, phi, _, _ = _flow(_as_direction(initial), params, direction, np.asarray(t, dtype=float))
+    return BlochDirection(theta=float(theta), phi=float(phi))
 
 
 def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.ndarray, angles: bool = True):
@@ -272,7 +253,7 @@ def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.
 def flow_unit_vectors(initial, params: ModelParams, direction: str, times) -> np.ndarray:
     """Unit vectors n(t) of the family through `initial`, one row per elapsed time t >= 0.
 
-    The normalized linear flow of exact_direction on a whole grid at once:
+    The normalized linear flow on a whole grid at once:
     forward n(t) = T3(t) n0 / |T3(t) n0|, finite for any gamma t.
     """
     theta, phi, _, _ = _flow(_as_direction(initial), params, direction, np.asarray(times, dtype=float))
@@ -524,10 +505,21 @@ class ConditionReport:
     direction: str
 
 
-def _span_residual(w: np.ndarray, target: np.ndarray) -> float:
-    """Euclidean norm of the part of w orthogonal to the target diameter."""
-    t = target / np.linalg.norm(target)
-    return float(np.linalg.norm(w - (w @ t) * t))
+def _span_condition(decomp_sequence, params: ModelParams, times, tol: float, direction: str) -> ConditionReport:
+    """The span condition between consecutive instants, with one propagator stack for all gaps."""
+    units = np.array([_as_direction(d).unit_vector for d in decomp_sequence]).reshape(-1, 3)
+    times = np.asarray(times, dtype=float)
+    if len(units) != len(times):
+        raise ValueError("need one decomposition per time")
+    T3 = propagator_closed_form(params, np.diff(times))[:, 1:, 1:]
+    if direction == FORWARD:
+        w, target = (T3 @ units[:-1, :, None])[..., 0], units[1:]
+    else:
+        w, target = (np.swapaxes(T3, -1, -2) @ units[1:, :, None])[..., 0], units[:-1]
+    target = target / np.linalg.norm(target, axis=-1, keepdims=True)
+    resids = np.linalg.norm(w - np.sum(w * target, axis=-1, keepdims=True) * target, axis=-1)
+    mx = float(np.max(resids, initial=0.0))
+    return ConditionReport(passed=mx < tol, max_residual=mx, residuals=tuple(resids.tolist()), direction=direction)
 
 
 def check_forward_condition(decomp_sequence, params: ModelParams, times, tol: float = 1e-8) -> ConditionReport:
@@ -537,17 +529,7 @@ def check_forward_condition(decomp_sequence, params: ModelParams, times, tol: fl
     3x3 Bloch block must be parallel to the later diameter; the residual is
     the Euclidean norm of the orthogonal component of that image.
     """
-    dirs = [_as_direction(d) for d in decomp_sequence]
-    times = np.asarray(times, dtype=float)
-    if len(dirs) != len(times):
-        raise ValueError("need one decomposition per time")
-    resids = []
-    for m in range(len(dirs) - 1):
-        T3 = propagator_closed_form(params, float(times[m + 1] - times[m]))[1:, 1:]
-        w = T3 @ dirs[m].unit_vector
-        resids.append(_span_residual(w, dirs[m + 1].unit_vector))
-    mx = max(resids) if resids else 0.0
-    return ConditionReport(passed=mx < tol, max_residual=mx, residuals=tuple(resids), direction=FORWARD)
+    return _span_condition(decomp_sequence, params, times, tol, FORWARD)
 
 
 def check_backward_condition(decomp_sequence, params: ModelParams, times, tol: float = 1e-8) -> ConditionReport:
@@ -557,14 +539,4 @@ def check_backward_condition(decomp_sequence, params: ModelParams, times, tol: f
     product is the transposed matrix in the Pauli basis, so the check applies
     T3^T to the later diameter and compares against the earlier one.
     """
-    dirs = [_as_direction(d) for d in decomp_sequence]
-    times = np.asarray(times, dtype=float)
-    if len(dirs) != len(times):
-        raise ValueError("need one decomposition per time")
-    resids = []
-    for m in range(len(dirs) - 1):
-        T3 = propagator_closed_form(params, float(times[m + 1] - times[m]))[1:, 1:]
-        w = T3.T @ dirs[m + 1].unit_vector
-        resids.append(_span_residual(w, dirs[m].unit_vector))
-    mx = max(resids) if resids else 0.0
-    return ConditionReport(passed=mx < tol, max_residual=mx, residuals=tuple(resids), direction=BACKWARD)
+    return _span_condition(decomp_sequence, params, times, tol, BACKWARD)

@@ -139,7 +139,7 @@ class HistoryFamily:
     def from_trajectory(cls, traj: FamilyTrajectory, times) -> "HistoryFamily":
         """Sample a moving-basis family at the given instants."""
         times = np.asarray(times, dtype=float)
-        decomps = tuple(Decomposition.from_direction(traj.direction_at(t)) for t in times)
+        decomps = tuple(Decomposition.from_direction(n) for n in traj.unit_vectors_at(times))
         return cls(params=traj.params, times=times, decompositions=decomps)
 
 
@@ -284,7 +284,7 @@ def decoherence_functional(family: HistoryFamily, initial=None) -> DecoherenceMa
     """
     if family.f > 10:
         raise ValueError("history families are capped at f = 10 times")
-    transfers = [propagator_closed_form(family.params, float(dt)) for dt in np.diff(family.times)]
+    transfers = propagator_closed_form(family.params, np.diff(family.times))
     projectors = [np.array(d.projectors) for d in family.decompositions]
     return DecoherenceMatrix(family=family, entries=decoherence_entries(transfers, projectors, initial))
 

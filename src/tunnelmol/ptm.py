@@ -39,6 +39,8 @@ underdamped / overdamped transition at gamma = omega that organizes the whole
 phenomenology of this package.
 
 All numerics in this module are plain numpy, and importing it loads no scipy.
+The closed form evaluates a whole time grid at once; a single time is the 0-d
+case of the same route.
 The adaptive integrator behind the propagator_numeric cross-check is scipy's,
 imported on that function's first call.
 """
@@ -60,8 +62,6 @@ PAULIS = np.array([SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z])
 # below this value of |xi*t| the hyperbolic/trigonometric kernels switch to a
 # Taylor series, which keeps the critical point gamma = omega exact
 _SERIES_CUTOFF = 1e-4
-
-_IDENTITY = np.eye(4)
 
 OVERDAMPED = "overdamped"
 CRITICAL = "critical"
@@ -89,8 +89,8 @@ class ModelParams:
     tau_c: float = 0.0
 
     def __post_init__(self):
-        if self.omega < 0 or self.gamma < 0 or self.tau_c < 0:
-            raise ValueError("omega, gamma and tau_c must all be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.omega, self.gamma, self.tau_c)):
+            raise ValueError("omega, gamma and tau_c must all be finite and non-negative")
 
     @property
     def regime(self) -> str:
@@ -140,32 +140,25 @@ def generator(params: ModelParams) -> np.ndarray:
     )
 
 
-def _scaled_block_scalar(g: float, om: float, t: float) -> tuple[float, float, float, float]:
-    G = abs(g)
-    d2 = (G - om) * (G + om)
-    u = d2 * t * t
-    if abs(u) < _SERIES_CUTOFF**2:
-        C = 1.0 + u / 2.0 + u * u / 24.0 + u**3 / 720.0
-        Sh = (1.0 + u / 6.0 + u * u / 120.0 + u**3 / 5040.0) * t
-        return -g * t, C + g * Sh, om * Sh, C - g * Sh
-    if d2 < 0.0:
-        eta = math.sqrt(-d2)
-        C = math.cos(eta * t)
-        Sh = math.sin(eta * t) / eta
-        return -g * t, C + g * Sh, om * Sh, C - g * Sh
-    xi = math.sqrt(d2)
-    k1 = om * om / (G + xi)
-    k2 = G + xi
-    h = -math.expm1(-2.0 * xi * t) / (2.0 * xi)
-    D = math.exp(-2.0 * xi * t)
-    p = 1.0 + k1 * h
-    r = 1.0 - k2 * h if D * k2 > 2.0 * xi else (D * k2 - k1) / (2.0 * xi)
-    if g >= 0.0:
-        return -k1 * t, p, om * h, r
-    return k2 * t, r, om * h, p
+def scaled_block(gamma: float, omega: float, t):
+    """The tunneling block of exp(t S) as (log_scale, a, b, c), overflow-free.
 
+    exp(t S2) = e^{log_scale} [[a, -b], [b, c]] for S2 = [[0, -omega],
+    [omega, -2 gamma]], the x-y block of the generator.  gamma may be negative:
+    gamma -> -gamma turns exp(t S2) into exp(-t S2^T), the backward flow.
 
-def _scaled_block_array(g: float, om: float, t: np.ndarray) -> tuple:
+    Overdamped, the block is a sum of the decaying (or, for negative gamma,
+    growing) exponentials exp(-(gamma -+ xi) t).  Writing the slow rate as
+    k1 = gamma - xi = omega^2/(gamma + xi) and factoring out the dominant
+    exponential leaves a, b, c of order one, so no term overflows or cancels
+    for any gamma t (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The
+    underdamped branch factors out exp(-gamma t), and below |xi t| = 1e-4 a
+    Taylor series keeps the critical point exact.
+
+    t is any array of times, evaluated elementwise; a float t is a 0-d array.
+    """
+    g, om = gamma, omega
+    t = np.asarray(t, dtype=float)
     G = abs(g)
     d2 = (G - om) * (G + om)
     if d2 < 0.0:
@@ -195,52 +188,18 @@ def _scaled_block_array(g: float, om: float, t: np.ndarray) -> tuple:
     return L, a, b, c
 
 
-def scaled_block(gamma: float, omega: float, t):
-    """The tunneling block of exp(t S) as (log_scale, a, b, c), overflow-free.
-
-    exp(t S2) = e^{log_scale} [[a, -b], [b, c]] for S2 = [[0, -omega],
-    [omega, -2 gamma]], the x-y block of the generator.  gamma may be negative:
-    gamma -> -gamma turns exp(t S2) into exp(-t S2^T), the backward flow.
-
-    Overdamped, the block is a sum of the decaying (or, for negative gamma,
-    growing) exponentials exp(-(gamma -+ xi) t).  Writing the slow rate as
-    k1 = gamma - xi = omega^2/(gamma + xi) and factoring out the dominant
-    exponential leaves a, b, c of order one, so no term overflows or cancels
-    for any gamma t (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The
-    underdamped branch factors out exp(-gamma t), and below |xi t| = 1e-4 a
-    Taylor series keeps the critical point exact.
-
-    A float t is evaluated with the math module, an array t elementwise with
-    numpy; the two agree to rounding.
-    """
-    if isinstance(t, (float, int)):
-        return _scaled_block_scalar(gamma, omega, float(t))
-    return _scaled_block_array(gamma, omega, np.asarray(t, dtype=float))
-
-
 def propagator_closed_form(params: ModelParams, t) -> np.ndarray:
-    """Analytic T(t) = exp(t S) as a 4x4 real PTM, or a stack (..., 4, 4) for an array t.
+    """Analytic T(t) = exp(t S): one real 4x4 PTM per entry of t, stacked (..., 4, 4).
 
-    Built from scaled_block, so every entry stays finite and accurate for any
-    gamma t in the overdamped, underdamped and critical regimes; agreement
-    with a brute-force matrix exponential is at machine precision.
+    A float t is a 0-d array and gives a single 4x4 matrix.  Built from
+    scaled_block, so every entry stays finite and accurate for any gamma t in
+    the overdamped, underdamped and critical regimes; agreement with a
+    brute-force matrix exponential is at machine precision.
     """
-    if isinstance(t, (float, int)):
-        if t < 0:
-            raise ValueError("propagator is defined for t >= 0")
-        L, a, b, c = _scaled_block_scalar(params.gamma, params.omega, float(t))
-        s = math.exp(L)
-        T = _IDENTITY.copy()
-        T[1, 1] = s * a
-        T[1, 2] = -s * b
-        T[2, 1] = s * b
-        T[2, 2] = s * c
-        T[3, 3] = math.exp(-2.0 * params.gamma * t)
-        return T
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("propagator is defined for t >= 0")
-    L, a, b, c = _scaled_block_array(params.gamma, params.omega, t)
+    L, a, b, c = scaled_block(params.gamma, params.omega, t)
     s = np.exp(L)
     T = np.zeros(t.shape + (4, 4))
     T[..., 0, 0] = 1.0

@@ -5,11 +5,14 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 import tunnelmol.cli
 from tunnelmol.channels import NonCPError
-from tunnelmol.cli import _Checks, main
+from tunnelmol.cli import _Checks, _rate_integral, main
+from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, exact_direction, transition_rate
+from tunnelmol.ptm import ModelParams
 
 # deuterated disulfane: collisions outpace tunneling by 5e7
 D2S2 = ("--gamma", "9e9", "--omega", "176")
@@ -107,6 +110,76 @@ def test_model_parameters_out_of_range_are_usage_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "non-negative" in captured.err
     assert "VALIDATION FAILED" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evolve", "--gamma", "nan", "--points", "3"),
+        ("evolve", "--gamma", "inf"),
+        ("evolve", "--omega=-inf"),
+        ("evolve", "--tau-c", "nan"),
+        ("evolve", "--tmax", "inf"),
+        ("scan", "--omega", "nan"),
+        ("scan", "--ratio-max", "inf"),
+        ("histories", "--dt", "nan"),
+        ("families", "--gammas", "1,nan"),
+        ("families", "--gammas", "inf"),
+        ("families", "--theta0", "nan"),
+        ("sample", "--phi0", "inf", "--ntraj", "20"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "VALIDATION FAILED" not in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tmax = inf\n")
+    assert run(tmp_path, "evolve", "--config", str(cfg)) == 2
+    cfg.write_text("gamma = nan\n")
+    assert run(tmp_path, "info", "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert "tmax must be finite" in captured.err and "gamma must be finite" in captured.err
+
+
+def test_a_nan_deviation_fails_its_validation(tmp_path, capsys, monkeypatch):
+    # worst cases are reduced with np.max: max(0.0, nan) would read 0.0 and pass
+    exact = tunnelmol.cli.propagator_closed_form
+
+    def one_nan(params, t):
+        T = exact(params, t).copy()
+        T[len(T) // 5, 1, 1] = math.nan
+        return T
+
+    monkeypatch.setattr(tunnelmol.cli, "propagator_closed_form", one_nan)
+    assert run(tmp_path, "evolve", "--points", "11") == 1
+    out = capsys.readouterr().out
+    assert "validation passed: trace_preservation" in out
+    assert "VALIDATION FAILED: closed_form_vs_expm (max deviation nan)" in out
+
+
+@pytest.mark.parametrize("sense", [FORWARD, BACKWARD])
+def test_gauss_legendre_rate_integral_matches_adaptive_quadrature(sense):
+    # scipy's quad stays the oracle for the radius_vs_rate_integral check
+    start = BlochDirection(theta=0.25, phi=0.1)
+    for gamma in (0.3, 1.0, 3.0, 1e2, 1e4, 5e7):
+        params = ModelParams(omega=1.0, gamma=gamma)
+
+        def rate(s):
+            return transition_rate(exact_direction(start, params, sense, s), params)
+
+        for t in (0.5, 1.0, 5.0):
+            edges = [m / gamma for m in (1.0, 4.0, 16.0, 64.0, 256.0) if m / gamma < t]
+            want = quad(rate, 0.0, t, points=edges or None, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
+            got = _rate_integral(start, params, sense, t)
+            assert abs(math.exp(-2.0 * got) - math.exp(-2.0 * want)) <= 1e-12
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
 def test_scan_without_tunneling_is_a_usage_error(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Cold start: importing the package and its CLI loads numpy alone.
 
-scipy is imported only inside the functions that call it: the
-propagator_numeric and family_ode_step cross-checks and the evolve / families
-validations.  families.solve_ivp still resolves to scipy's solver, so a
-wrapper set on that module attribute sees every family ODE solve.
+scipy is imported only inside the functions that call it: evolve's
+closed_form_vs_expm validation and the propagator_numeric and family_ode_step
+cross-checks.  The families command loads none of it.  families.solve_ivp
+still resolves to scipy's solver, so a wrapper set on that module attribute
+sees every family ODE solve.
 """
 
 import subprocess
@@ -37,6 +38,16 @@ def test_importing_the_package_and_cli_loads_no_scipy():
         "print('solve_ivp' in vars(tunnelmol.families))"
     )
     assert out.splitlines() == ["[]", "False"]
+
+
+def test_the_families_command_loads_no_scipy_integrate(tmp_path):
+    out = fresh(
+        "from tunnelmol import cli; "
+        f"code = cli.main(['families', '--gammas', '0.5,1e4', '--points', '41', '--out', {str(tmp_path)!r}]); "
+        "print(code); "
+        "print(sorted(m for m in sys.modules if m == 'scipy.integrate' or m.startswith('scipy.integrate.')))"
+    )
+    assert out.splitlines()[-2:] == ["0", "[]"]
 
 
 def test_cross_checks_agree_with_the_closed_form_on_first_call():

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, exact_direction, flow_unit_vectors
 from tunnelmol.ptm import (
     CRITICAL,
     ModelParams,
@@ -44,6 +45,10 @@ def test_params_validation_and_regime():
         ModelParams(omega=-1.0, gamma=1.0)
     with pytest.raises(ValueError):
         ModelParams(omega=1.0, gamma=-0.1)
+    for bad in (math.nan, math.inf):
+        for name in ("omega", "gamma", "tau_c"):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(**{"omega": 1.0, "gamma": 1.0, name: bad})
     assert ModelParams(omega=1.0, gamma=2.0).regime == OVERDAMPED
     assert ModelParams(omega=2.0, gamma=1.0).regime == UNDERDAMPED
     assert ModelParams(omega=1.5, gamma=1.5).regime == CRITICAL
@@ -61,7 +66,10 @@ def test_closed_form_matches_matrix_exponential():
     assert worst < 1e-12
 
 
-def test_array_times_give_the_stacked_scalar_propagators():
+def test_a_float_time_is_the_0d_case_of_the_grid_route():
+    # one route per kernel: a float t is a 0-d array, so it must give the
+    # matching entry of the stack bit for bit, and so must exact_direction
+    # against the flow_unit_vectors row
     rng = np.random.default_rng(23)
     for k in range(30):
         p = random_params(rng, near_critical=(k % 5 == 0))
@@ -69,7 +77,12 @@ def test_array_times_give_the_stacked_scalar_propagators():
         stack = propagator_closed_form(p, times)
         assert stack.shape == (len(times), 4, 4)
         for t, T in zip(times, stack):
-            assert np.abs(T - propagator_closed_form(p, float(t))).max() < 1e-15
+            single = propagator_closed_form(p, float(t))
+            assert single.shape == (4, 4) and np.array_equal(single, T)
+        d0 = BlochDirection(float(rng.uniform(0.0, math.pi)), float(rng.uniform(-math.pi, math.pi)))
+        for sense in (FORWARD, BACKWARD):
+            for t, n in zip(times, flow_unit_vectors(d0, p, sense, times)):
+                assert np.array_equal(exact_direction(d0, p, sense, float(t)).unit_vector, n)
     assert propagator_closed_form(p, np.zeros((2, 3))).shape == (2, 3, 4, 4)
 
 
