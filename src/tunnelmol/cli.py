@@ -258,20 +258,31 @@ def _parse_gamma_list(spec: str) -> list:
     return gammas
 
 
-def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, t: float) -> float:
-    """Integral of the flip rate gamma (n_y^2 + n_z^2) over [0, t] along the family through start.
+def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, times: np.ndarray) -> np.ndarray:
+    """Integrals of the flip rate gamma (n_y^2 + n_z^2) over [0, t] along the family through start.
 
-    A 48-node Gauss-Legendre rule on each panel (Golub & Welsch, Math. Comp.
-    23, 221 (1969)), all nodes on one flow_unit_vectors stack.  kappa relaxes
-    on the scale 1/(2 gamma), so the panels break at several multiples of
-    1/gamma; a single break misses that transient at gamma = 1e4.
+    One value per t of the increasing times, read off one cumulative sum.  A
+    48-node Gauss-Legendre rule on each panel (Golub & Welsch, Math. Comp.
+    23, 221 (1969)), the nodes on flow_unit_vectors stacks of at most 4096
+    panels.  kappa relaxes on the scale 1/(2 gamma), so the panels break at
+    several multiples of 1/gamma; a single break misses that transient at
+    gamma = 1e4.  The rate oscillates with period pi/eta >= pi/omega when
+    underdamped, so no panel is longer than pi/omega; past 256/gamma the
+    overdamped flow is slower than that.
     """
     g = params.gamma
-    edges = np.array([0.0, *(m / g for m in (1.0, 4.0, 16.0, 64.0, 256.0) if g > 0 and m / g < t), t])
+    edges = np.union1d([0.0, *(m / g for m in (1.0, 4.0, 16.0, 64.0, 256.0) if g > 0 and m / g < times[-1])], times)
+    pieces = np.maximum(np.ceil(np.diff(edges) * params.omega / math.pi), 1).astype(int)
+    edges = np.concatenate(
+        [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(edges, edges[1:], pieces)] + [times[-1:]])
     nodes, weights = np.polynomial.legendre.leggauss(48)
-    half = np.diff(edges)[:, None] / 2.0
-    n = flow_unit_vectors(start, params, direction, edges[:-1, None] + half * (nodes + 1.0))
-    return float(np.sum(half * weights * g * (n[..., 1] ** 2 + n[..., 2] ** 2)))
+    sums = [0.0]
+    for lo in range(0, len(edges) - 1, 4096):
+        panel = edges[lo:lo + 4097]
+        half = np.diff(panel)[:, None] / 2.0
+        n = flow_unit_vectors(start, params, direction, panel[:-1, None] + half * (nodes + 1.0))
+        sums.extend(np.sum(half * weights * g * (n[..., 1] ** 2 + n[..., 2] ** 2), axis=1))
+    return np.cumsum(sums)[np.searchsorted(edges, times)]
 
 
 def cmd_families(cfg: RunConfig) -> int:
@@ -326,12 +337,13 @@ def cmd_families(cfg: RunConfig) -> int:
 
     # radius identity: the closed-form radius exp(-2 Lambda) against
     # Gauss-Legendre quadrature of the rate on unit vectors of the flow, with
-    # panel breaks at 1, 4, 16, 64 and 256 times 1/gamma (_rate_integral)
+    # panel breaks at 1, 4, 16, 64 and 256 times 1/gamma and no panel longer
+    # than pi/omega (_rate_integral)
+    checked = np.arange(0, len(times), max(1, len(times) // 4))[1:]
     deviations = []
     for traj in trajectories.values():
-        for k in range(0, len(times), max(1, len(times) // 4))[1:]:
-            integral = _rate_integral(start, traj.params, direction, float(times[k]))
-            deviations.append(abs(math.exp(-2.0 * float(traj.rate_integral[k])) - math.exp(-2.0 * integral)))
+        integral = _rate_integral(start, traj.params, direction, times[checked])
+        deviations.append(np.abs(np.exp(-2.0 * traj.rate_integral[checked]) - np.exp(-2.0 * integral)))
     worst_radius = float(np.max(deviations))
     checks.check("radius_vs_rate_integral", worst_radius < 1e-6, f"max deviation {worst_radius:.3e}")
     return checks.status

@@ -166,20 +166,24 @@ def test_a_nan_deviation_fails_its_validation(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("sense", [FORWARD, BACKWARD])
 def test_gauss_legendre_rate_integral_matches_adaptive_quadrature(sense):
-    # scipy's quad stays the oracle for the radius_vs_rate_integral check
+    # scipy's quad stays the oracle for the radius_vs_rate_integral check: the
+    # paper's range at omega = 1, then underdamped runs over tens of periods
     start = BlochDirection(theta=0.25, phi=0.1)
-    for gamma in (0.3, 1.0, 3.0, 1e2, 1e4, 5e7):
-        params = ModelParams(omega=1.0, gamma=gamma)
+    cases = [(1.0, gamma, (0.5, 1.0, 5.0)) for gamma in (0.3, 1.0, 3.0, 1e2, 1e4, 5e7)]
+    cases += [(10.0, 0.05, (20.0,)), (10.0, 0.3, (20.0,)), (40.0, 1.0, (5.0,))]
+    for omega, gamma, ts in cases:
+        params = ModelParams(omega=omega, gamma=gamma)
 
         def rate(s):
             return transition_rate(exact_direction(start, params, sense, s), params)
 
-        for t in (0.5, 1.0, 5.0):
+        got = _rate_integral(start, params, sense, np.array(ts))
+        for t, got_t in zip(ts, got):
             edges = [m / gamma for m in (1.0, 4.0, 16.0, 64.0, 256.0) if m / gamma < t]
-            want = quad(rate, 0.0, t, points=edges or None, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
-            got = _rate_integral(start, params, sense, t)
-            assert abs(math.exp(-2.0 * got) - math.exp(-2.0 * want)) <= 1e-12
-            assert abs(got - want) <= 1e-12 * max(1.0, want)
+            want, err = quad(rate, 0.0, t, points=edges or None, limit=1000, epsabs=1e-13, epsrel=1e-12)
+            assert err <= 1e-12 * max(1.0, want)
+            assert abs(math.exp(-2.0 * got_t) - math.exp(-2.0 * want)) <= 1e-12
+            assert abs(got_t - want) <= 1e-12 * max(1.0, want)
 
 
 def test_scan_without_tunneling_is_a_usage_error(tmp_path, capsys):
