@@ -22,6 +22,7 @@ parameters out of range, return 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -51,6 +52,7 @@ from .trajectories import (
     ensemble_average,
     gap_statistics,
     sample_ensemble,
+    sample_trajectory,
 )
 
 OUTDIR_ENV = "TUNNELMOL_OUTDIR"
@@ -258,6 +260,15 @@ def _parse_gamma_list(spec: str) -> list:
     return gammas
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule, shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, times: np.ndarray) -> np.ndarray:
     """Integrals of the flip rate gamma (n_y^2 + n_z^2) over [0, t] along the family through start.
 
@@ -275,7 +286,7 @@ def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, t
     pieces = np.maximum(np.ceil(np.diff(edges) * params.omega / math.pi), 1).astype(int)
     edges = np.concatenate(
         [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(edges, edges[1:], pieces)] + [times[-1:]])
-    nodes, weights = np.polynomial.legendre.leggauss(48)
+    nodes, weights = _gauss_legendre(48)
     sums = [0.0]
     for lo in range(0, len(edges) - 1, 4096):
         panel = edges[lo:lo + 4097]
@@ -433,8 +444,10 @@ def cmd_sample(cfg: RunConfig) -> int:
             f"{2.0 * series.p0[k] - 1.0:.17g},{bx:.17g},{by:.17g},{bz:.17g}"
         )
     _write_csv(cfg, "ensemble.csv", "\n".join(rows) + "\n")
+    # each saved trajectory is drawn again on its own stream, bitwise the
+    # ensemble member, so only its flips are turned into clock times
     for k in range(min(cfg.save_trajectories, len(ensemble))):
-        _write_csv(cfg, f"trajectory_{k:03d}.csv", ensemble[k].to_csv())
+        _write_csv(cfg, f"trajectory_{k:03d}.csv", sample_trajectory(family, sampler, index=k).to_csv())
 
     checks = _Checks()
     sigma = np.sqrt(np.maximum(master * (1.0 - master), 0.01) / cfg.ntraj)

@@ -11,11 +11,14 @@ Sampling is exact, by time change.  Write Lambda(t) for the integral of
 kappa from the family's first instant to t.  The flips happen where Lambda
 crosses the cumulative sums of unit-rate exponential variables, so each
 trajectory draws unit exponentials until their running sum passes
-Lambda(t_end), then maps each sum s back to its flip time t = Lambda^{-1}(s).
-Lambda is known in closed form along a family (the radius identity, see
-families), and its derivative is kappa, so the inversion is a safeguarded
-Newton iteration bracketed on the family grid; it stops at a bracket or a
-step of a few ulps.
+Lambda(t_end).  An ensemble keeps those sums; a flip's clock time
+t = Lambda^{-1}(s) is derived on demand.  Lambda is known in closed form
+along a family (the radius identity, see families), and its derivative is
+kappa, so the inversion is a safeguarded Newton iteration bracketed on the
+family grid; it stops at a bracket or a step of a few ulps, or once the
+residual sits at the rounding floor of Lambda and no longer falls.  Because
+Lambda is nondecreasing, ensemble averages bin the flips in Lambda and
+invert only the few that lie within rounding of a query.
 
 The random stream of trajectory i is Philox4x64-10 (Salmon et al., SC'11,
 the generator behind numpy.random.Philox) with the 128-bit key
@@ -26,14 +29,16 @@ and every later word gives one unit exponential -log1p(-u), so the flips do
 not depend on the initial mode.  The kernel draws the next blocks of every
 trajectory whose running sum is still below Lambda(t_end) in one vectorized
 pass, and the inversion is elementwise, so trajectory i depends on (seed, i)
-alone, bit for bit, however many trajectories are requested.  An ensemble is
-stored flat (struct of arrays), so averages and gap statistics are single
+alone, bit for bit, however many trajectories are requested, and inverting
+some flips gives the same times as inverting all.  An ensemble is stored
+flat (struct of arrays), so averages and gap statistics are single
 vectorized passes over all flips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,18 +112,37 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Telegraph trajectories stored flat.
+    """Telegraph trajectories along a family, stored flat.
 
-    Trajectory i starts in initial_arms[i] and flips at
-    flip_times[offsets[i]:offsets[i + 1]] (sorted); indexing and iteration
-    give Trajectory views of that slice.
+    Trajectory i starts in initial_arms[i]; its flips are the unit-rate sums
+    flip_sums[offsets[i]:offsets[i + 1]] (sorted) in the integrated-rate time
+    Lambda of family.  flip_times, their clock times Lambda^{-1}(s), are
+    inverted all at once on first access and kept; indexing and iteration
+    give Trajectory views of slices of that array.
     """
 
-    t_start: float
-    t_end: float
+    family: FamilyTrajectory
     initial_arms: np.ndarray
-    flip_times: np.ndarray
+    flip_sums: np.ndarray
     offsets: np.ndarray
+
+    @property
+    def t_start(self) -> float:
+        return float(self.family.times[0])
+
+    @property
+    def t_end(self) -> float:
+        return float(self.family.times[-1])
+
+    @cached_property
+    def flip_times(self) -> np.ndarray:
+        return _invert(self.family, self.flip_sums)
+
+    def _flip_times_at(self, index: np.ndarray) -> np.ndarray:
+        """Clock times of the flips at index, bitwise those entries of flip_times."""
+        if "flip_times" in vars(self):
+            return self.flip_times[index]
+        return _invert(self.family, self.flip_sums[index])
 
     def __len__(self) -> int:
         return len(self.initial_arms)
@@ -139,19 +163,39 @@ class Ensemble:
     @property
     def flip_rank(self) -> np.ndarray:
         """Position of each flip within its own trajectory, 0 for the first."""
-        return np.arange(len(self.flip_times)) - np.repeat(self.offsets[:-1], self.n_flips)
+        return _flip_rank(self.offsets)
 
 
-def _as_ensemble(trajectories) -> Ensemble:
-    """An Ensemble as it is; any other sequence of Trajectory objects packed flat."""
-    if isinstance(trajectories, Ensemble):
-        return trajectories
+def _flip_rank(offsets: np.ndarray) -> np.ndarray:
+    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
+
+
+def _pack(trajectories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial arms, flat flip times and offsets of a sequence of Trajectory objects."""
     trajs = list(trajectories)
     flips = [t.flip_times for t in trajs]
     offsets = np.concatenate(([0], np.cumsum([len(f) for f in flips], dtype=np.int64)))
-    span = (trajs[0].t_start, trajs[0].t_end) if trajs else (0.0, 0.0)
     arms = np.array([t.initial_arm for t in trajs], dtype=np.int64)
-    return Ensemble(*span, arms, np.concatenate(flips) if flips else np.empty(0), offsets)
+    return arms, np.concatenate(flips) if flips else np.empty(0), offsets
+
+
+def _rate_integral_within(family: FamilyTrajectory, times: np.ndarray) -> np.ndarray:
+    # Lambda only inside the family's span: outside it the closed form can
+    # overflow (exp(-2 xi t) at t < 0); clipping keeps the order of the times
+    return family.rate_integral_at(np.clip(times, family.times[0], family.times[-1]))
+
+
+def _as_ensemble(trajectories, family: FamilyTrajectory) -> Ensemble:
+    """An Ensemble as it is; any other sequence of Trajectory objects packed flat along family.
+
+    A packed ensemble keeps the flip times it is given; its sums are Lambda at those times.
+    """
+    if isinstance(trajectories, Ensemble):
+        return trajectories
+    arms, flips, offsets = _pack(trajectories)
+    ens = Ensemble(family, arms, _rate_integral_within(family, flips), offsets)
+    vars(ens)["flip_times"] = flips  # the cached_property's slot: nothing to invert
+    return ens
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,6 +281,11 @@ def _invert_block(family: FamilyTrajectory, s: np.ndarray) -> np.ndarray:
     frac = np.divide(s - lam[k], rise, out=np.full_like(s, 0.5), where=rise > 0)
     t = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
     out = t.copy()
+    # the closed form knows Lambda to a few ulps of max(1, Lambda); a residual
+    # at that floor that no longer falls is noise, and Newton steps on it
+    # only crawl a few ulps at a time
+    floor = 4.0 * np.spacing(np.maximum(1.0, np.abs(s)))
+    f_prev = np.full_like(s, np.inf)
     active = np.arange(len(s))
     for _ in range(_MAX_ITER):
         if len(active) == 0:
@@ -245,21 +294,24 @@ def _invert_block(family: FamilyTrajectory, s: np.ndarray) -> np.ndarray:
         f = value - s
         lo = np.where(f < 0.0, t, lo)
         hi = np.where(f > 0.0, t, hi)
-        step = np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0.0)
-        nxt = t - step
-        nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
-        nxt = np.where(f == 0.0, t, nxt)
-        done = (np.abs(nxt - t) <= 4.0 * np.spacing(nxt)) | (hi - lo <= 4.0 * np.spacing(hi))
-        out[active] = nxt
-        keep = ~done
+        step = np.divide(f, slope, out=np.where(f == 0.0, 0.0, np.inf), where=slope > 0.0)
+        newton = t - step
+        nxt = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        # a Newton step of a few ulps ends the solve even where rounding puts
+        # it on or just past the bracket, which would otherwise fall back to
+        # bisection and crawl toward that end of the bracket
+        converged = np.abs(newton - t) <= 4.0 * np.spacing(newton)
+        stalled = (np.abs(f) >= f_prev) & (np.abs(f) <= floor)
+        out[active] = np.where(converged, newton, np.where(stalled, t, nxt))
+        keep = ~(converged | stalled | (hi - lo <= 4.0 * np.spacing(hi)))
         active, t, s, lo, hi = active[keep], nxt[keep], s[keep], lo[keep], hi[keep]
+        floor, f_prev = floor[keep], np.abs(f)[keep]
     return out
 
 
 def _sample(family: FamilyTrajectory, config: SamplerConfig, indices) -> Ensemble:
     arm_u, sums, offsets = _draw(family, config, indices)
-    t0, t_end = float(family.times[0]), float(family.times[-1])
-    return Ensemble(t0, t_end, _initial_arms(config, arm_u), _invert(family, sums), offsets)
+    return Ensemble(family, _initial_arms(config, arm_u), sums, offsets)
 
 
 def sample_trajectory(family: FamilyTrajectory, config: SamplerConfig, index: int = 0) -> Trajectory:
@@ -268,7 +320,7 @@ def sample_trajectory(family: FamilyTrajectory, config: SamplerConfig, index: in
 
 
 def sample_ensemble(family: FamilyTrajectory, config: SamplerConfig) -> Ensemble:
-    """Independent trajectories, one per stream index, drawn and inverted together.
+    """Independent trajectories, one per stream index, drawn together.
 
     Trajectory i is bit for bit sample_trajectory(family, config, index=i).
     """
@@ -313,11 +365,11 @@ def ensemble_average(trajectories, family: FamilyTrajectory, times=None) -> Ense
     if times is None:
         times = family.times
     times = np.asarray(times, dtype=float)
-    ens = _as_ensemble(trajectories)
+    ens = _as_ensemble(trajectories, family)
     # a flip lands in arm (initial + rank + 1) % 2 and changes the arm-0
     # count at every query time from its own on (arm_at counts flips <= t)
     order = np.argsort(times, kind="stable")
-    bins = np.searchsorted(times[order], ens.flip_times, side="left")
+    bins = _queries_before(ens, times[order])
     into_0 = (np.repeat(ens.initial_arms, ens.n_flips) + ens.flip_rank) % 2 == 1
     m = len(times)
     steps = np.bincount(bins[into_0], minlength=m + 1) - np.bincount(bins[~into_0], minlength=m + 1)
@@ -325,6 +377,30 @@ def ensemble_average(trajectories, family: FamilyTrajectory, times=None) -> Ense
     p0[order] = (np.count_nonzero(ens.initial_arms == 0) + np.cumsum(steps[:m])) / len(ens)
     bloch = (2.0 * p0 - 1.0)[:, None] * family.unit_vectors_at(times)
     return EnsembleSeries(times=times, p0=p0, bloch=bloch, n_trajectories=len(ens))
+
+
+def _queries_before(ens: Ensemble, sorted_times: np.ndarray) -> np.ndarray:
+    """For each flip, how many of the sorted query times come strictly before its clock time.
+
+    Lambda is nondecreasing, so a flip at sum s is at or before a query time
+    tau exactly when s <= Lambda(tau).  That test decides every flip whose s
+    is farther than tol from each Lambda(tau); the others are inverted and
+    binned by their clock times, as arm_at counts.
+    """
+    family, s = ens.family, ens.flip_sums
+    lam = np.maximum.accumulate(_rate_integral_within(family, sorted_times))
+    bins = np.searchsorted(lam, s, side="left")
+    # the sum of a flip and the Lambda of its inverted time differ by the
+    # Newton residual: a few ulps of max(1, Lambda), or kappa <= gamma times
+    # a few ulps of t; Lambda itself is rounded to a few ulps of its
+    # log-radius terms, which are at most of order 1 + (gamma + omega) t_end.
+    # tol leaves some seven orders of magnitude above both
+    params = family.params
+    tol = 1e-9 * (1.0 + (params.gamma + params.omega) * float(family.times[-1]))
+    padded = np.concatenate(([-np.inf], lam, [np.inf]))
+    near = np.flatnonzero((padded[bins + 1] - s <= tol) | (s - padded[bins] <= tol))
+    bins[near] = np.searchsorted(sorted_times, ens._flip_times_at(near), side="left")
+    return bins
 
 
 def deterministic_occupation(family: FamilyTrajectory, times=None, p0_initial: float = 1.0) -> np.ndarray:
@@ -370,10 +446,13 @@ def gap_statistics(trajectories, rate: float, max_gaps: int | None = None) -> Ga
     horizon long enough that max_gaps + 1 flips almost surely occur; the
     leftover bias is then the tail probability of that event.
     """
-    ens = _as_ensemble(trajectories)
-    rank = ens.flip_rank[1:]  # gap k ends at flip k + 1: inside one trajectory if that flip is not a first
+    if isinstance(trajectories, Ensemble):
+        flips, offsets = trajectories.flip_times, trajectories.offsets
+    else:
+        _, flips, offsets = _pack(trajectories)
+    rank = _flip_rank(offsets)[1:]  # gap k ends at flip k + 1: inside one trajectory if that flip is not a first
     keep = rank >= 1 if max_gaps is None else (rank >= 1) & (rank <= max_gaps)
-    gaps = np.sort(np.diff(ens.flip_times)[keep])
+    gaps = np.sort(np.diff(flips)[keep])
     if len(gaps) == 0:
         raise ValueError("no complete gaps in the ensemble")
     cdf = 1.0 - np.exp(-rate * gaps)

@@ -9,10 +9,12 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import tunnelmol.cli
+from tunnelmol import trajectories
 from tunnelmol.channels import NonCPError
 from tunnelmol.cli import _Checks, _rate_integral, main
-from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, exact_direction, transition_rate
+from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, exact_direction, transition_rate
 from tunnelmol.ptm import ModelParams
+from tunnelmol.trajectories import SamplerConfig, _draw
 
 # deuterated disulfane: collisions outpace tunneling by 5e7
 D2S2 = ("--gamma", "9e9", "--omega", "176")
@@ -312,6 +314,37 @@ def test_sample_trajectory_files(tmp_path):
     assert not (tmp_path / "trajectory_002.csv").exists()
     _, body = read_csv_body(tmp_path / "trajectory_000.csv")
     assert body[0] == "time,arm"
+
+
+@pytest.mark.parametrize(
+    "family, params, start, sense",
+    [
+        # the defaults: gamma = omega = 1 and the static z family (tmax 5, 201 points, seed 7)
+        ((), ModelParams(omega=1.0, gamma=1.0), BlochDirection(0.0, 0.0), FORWARD),
+        (("--direction", "backward", "--gamma", "0.41", "--omega", "0.86", "--theta0", "1.17", "--phi0", "0.52"),
+         ModelParams(omega=0.86, gamma=0.41), BlochDirection(1.17, 0.52), BACKWARD),
+    ],
+    ids=["static-z", "moving-backward"],
+)
+def test_sample_inverts_only_the_flips_it_writes_out(tmp_path, monkeypatch, family, params, start, sense):
+    fam = FamilyTrajectory.integrate(start, params, sense, np.linspace(0.0, 5.0, 1001))
+    _, sums, _ = _draw(fam, SamplerConfig(seed=7, n_trajectories=2000), np.arange(2000))
+    # an upper bound on the flips within rounding of a query's Lambda
+    lam = fam.rate_integral_at(np.linspace(0.0, 5.0, 201))
+    tol = 1e-6 * (1.0 + (params.gamma + params.omega) * 5.0)
+    near = np.count_nonzero(np.abs(sums[:, None] - lam).min(axis=1) <= tol)
+    gap_flips = 0
+    if not family:  # the constant-rate family also samples the KS gap ensemble
+        horizon = FamilyTrajectory.integrate(start, params, FORWARD, np.linspace(0.0, 30.0, 201))
+        gap_flips = len(_draw(horizon, SamplerConfig(seed=7, n_trajectories=500, initial=0), np.arange(500))[1])
+
+    inverted = []
+    invert = trajectories._invert
+    monkeypatch.setattr(trajectories, "_invert", lambda f, s: inverted.append(len(s)) or invert(f, s))
+    assert run(tmp_path, "sample", "--ntraj", "2000", *family) == 0
+    saved = sum(len(read_csv_body(tmp_path / f"trajectory_{k:03d}.csv")[1]) - 2 for k in range(3))
+    assert sum(inverted) <= saved + near + gap_flips
+    assert sum(inverted) < len(sums) + gap_flips
 
 
 def test_evolve_checks_the_closed_form_against_expm(tmp_path, capsys):

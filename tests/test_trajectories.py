@@ -9,11 +9,13 @@ from scipy.linalg import expm
 
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, X_DIRECTION, Z_DIRECTION, bloch_block
 from tunnelmol.ptm import ModelParams
+from tunnelmol import trajectories
 from tunnelmol.trajectories import (
     Ensemble,
     SamplerConfig,
     Trajectory,
     _draw,
+    _invert,
     _philox4x64,
     deterministic_occupation,
     ensemble_average,
@@ -334,3 +336,74 @@ def test_vectorized_gap_statistics_pools_like_the_per_trajectory_loop():
         stats = gap_statistics(ens, rate=0.9, max_gaps=cap)
         assert np.array_equal(stats.gaps, want)
         assert stats.ks_statistic == gap_statistics(list(ens), rate=0.9, max_gaps=cap).ks_statistic
+
+
+def test_flip_times_are_inverted_once_on_first_access_and_sliced_into_views():
+    p = ModelParams(omega=1.0, gamma=0.5)
+    fam = FamilyTrajectory.integrate(BlochDirection(0.9, 0.3), p, FORWARD, np.linspace(0.0, 40.0, 401))
+    ens = sample_ensemble(fam, SamplerConfig(seed=4, n_trajectories=300))
+    # counts, ranks and averages do not need clock times
+    assert ens.flip_rank.shape == (ens.offsets[-1],) and ens.n_flips.sum() == ens.offsets[-1]
+    ensemble_average(ens, fam, np.linspace(0.0, 40.0, 41))
+    assert "flip_times" not in vars(ens)
+    some = np.arange(0, ens.offsets[-1], 7)
+    partial = ens._flip_times_at(some)
+    assert "flip_times" not in vars(ens)
+    eager = _invert(fam, ens.flip_sums)
+    assert np.array_equal(ens.flip_times, eager)
+    assert ens.flip_times is ens.flip_times
+    assert np.array_equal(partial, eager[some])
+    for i in (0, 17, 299):
+        flips = ens[i].flip_times
+        assert np.shares_memory(flips, ens.flip_times)
+        assert np.array_equal(flips, eager[ens.offsets[i] : ens.offsets[i + 1]])
+
+
+@pytest.mark.parametrize(
+    "params, start, sense, t_end, before",
+    [
+        # no query before the span: there the Bloch column's flow overflows at D2S2
+        (ModelParams(omega=176.0, gamma=9e9), BlochDirection(0.9, 0.2), FORWARD, 1e-6, []),
+        (ModelParams(omega=0.86, gamma=0.41), BlochDirection(1.17, 0.52), BACKWARD, 5.8, [-5.8]),
+    ],
+    ids=["d2s2", "underdamped-backward"],
+)
+def test_rate_binned_average_is_bitwise_the_time_count(params, start, sense, t_end, before):
+    fam = FamilyTrajectory.integrate(start, params, sense, np.linspace(0.0, t_end, 1001))
+    cfg = SamplerConfig(seed=23, n_trajectories=300)
+    flips = sample_ensemble(fam, cfg).flip_times
+    # on flips, one ulp either side of flips, past the span, unsorted and repeated
+    on = flips[:: max(1, len(flips) // 40)]
+    query = np.concatenate((
+        before, np.linspace(0.0, t_end, 41), on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+        on[::-1], [t_end / 3.0, t_end / 3.0, t_end, 2.0 * t_end],
+    ))
+    ens = sample_ensemble(fam, cfg)
+    series = ensemble_average(ens, fam, query)
+    assert "flip_times" not in vars(ens)  # binned in Lambda, without the full inversion
+    counts = np.zeros(len(query))
+    for traj in ens:
+        counts += traj.arm_at(query) == 0
+    assert np.array_equal(series.p0, counts / len(ens))
+    assert np.array_equal(ensemble_average(list(ens), fam, query).p0, series.p0)
+
+
+def test_inversion_stops_at_the_rounding_floor_of_lambda(monkeypatch):
+    # backward underdamped family: at the parent rule some flips crawled a few
+    # ulps per Newton step on a residual at Lambda's rounding floor, and
+    # others bisected toward a bracket end their Newton step had already hit
+    p = ModelParams(omega=0.86, gamma=0.41)
+    fam = FamilyTrajectory.integrate(BlochDirection(1.17, 0.52), p, BACKWARD, np.linspace(0.0, 5.0 / 0.86, 1001))
+    calls = []
+    at = FamilyTrajectory._at
+    monkeypatch.setattr(FamilyTrajectory, "_at", lambda self, t, angles=True: calls.append(1) or at(self, t, angles))
+    for seed in (1, 3, 4):
+        _, sums, _ = _draw(fam, SamplerConfig(seed=seed, n_trajectories=15000), np.arange(15000))
+        assert len(sums) > 6 * 4096
+        for start in range(0, len(sums), 4096):
+            s = sums[start : start + 4096]
+            calls.clear()
+            t = trajectories._invert_block(fam, s)
+            assert len(calls) <= 12
+            residual = np.abs(at(fam, t, angles=False)[3] - s)
+            assert np.all(residual <= 4.0 * np.spacing(np.maximum(1.0, s)))
