@@ -27,6 +27,7 @@ plain telegraph process).
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import warnings
@@ -44,6 +45,12 @@ CONSISTENCY_TOL = 1e-8
 _CSV_BLOCK_ROWS = 64
 _CHECK_BLOCK_ROWS = 128
 _LEVEL_BLOCK_ROWS = 64
+# values per step of _format17g, whose (29, n) byte template then stays in cache
+_FORMAT_BLOCK_VALUES = 8192
+# _format17g itself formats |v| in [1e-300, 1e300], whose decimal exponents
+# lie in [-301, 300] even where log10 rounds across a power of ten
+_FORMAT_MAX_EXPONENT = 301
+_LOW32 = 0xFFFFFFFF
 
 
 class NotConsistentError(ValueError):
@@ -175,13 +182,17 @@ class DecoherenceMatrix:
         # each distinct float is formatted once, keyed by its bits: -0.0 == 0.0
         # but prints as -0
         bits, inverse = _distinct(parts.view(np.uint64).ravel())
-        text = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()], dtype=object)
+        # bytes objects are made a block of cells at a time: one per distinct
+        # value (up to 2^21) left allocator arenas that the caller's next
+        # small objects pinned, and peak memory crept up from call to call
+        text = _format17g(bits.view(np.float64))
         inverse = inverse.reshape(n, 2 * n)
-        cells = [f",{j},%s,%s\n" for j in range(n)]
+        cells = [b",%d,%%s,%%s\n" % j for j in range(n)]
         fh.write("row,col,real,imag\n")
         for start in range(0, n, _CSV_BLOCK_ROWS):
             block = text[inverse[start : start + _CSV_BLOCK_ROWS]].tolist()
-            fh.write("".join([(str(i) + str(i).join(cells)) % tuple(row) for i, row in enumerate(block, start)]))
+            rows = [(b"%d" % i + (b"%d" % i).join(cells)) % tuple(row) for i, row in enumerate(block, start)]
+            fh.write(b"".join(rows).decode("ascii"))
 
     def to_csv(self) -> str:
         """The CSV of write_csv as one string."""
@@ -208,6 +219,109 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(keys), dtype=np.int32)
     inverse[perm] = rank
     return distinct, inverse
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of _format17g, indexed by decimal exponent x + 301 for x in [-301, 301].
+
+    10^(16 - x) = c 2^s (1 - eps) with c in [2^95, 2^96) and 0 <= eps < 2^-95:
+    the 32-bit limbs of c (3, 603), high first, and s; then the exponent text
+    of %g ("e-05", "e+300"), NUL-padded to 5 bytes.
+    """
+    limbs, shifts = [], []
+    for x in range(-_FORMAT_MAX_EXPONENT, _FORMAT_MAX_EXPONENT + 1):
+        p = 16 - x
+        b = (10 ** abs(p)).bit_length()
+        c = 10**p << 96 >> b if p >= 0 else (1 << 95 + b) // 10**-p
+        limbs.append((c >> 64, c >> 32 & _LOW32, c & _LOW32))
+        shifts.append(b - 96 if p >= 0 else -95 - b)
+    exponents = np.array([b"e%+03d" % x for x in range(-_FORMAT_MAX_EXPONENT, _FORMAT_MAX_EXPONENT + 1)], dtype="S5")
+    return np.array(limbs, dtype=np.uint64).T.copy(), np.array(shifts), exponents.view(np.uint8).reshape(-1, 5)
+
+
+def _digits17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, x, certified): |v| rounded half-even to 17 digits is D 10^(x - 16), 10^16 <= D < 10^17.
+
+    The 53-bit significand times the table's 10^(16 - x), in 32-bit limbs,
+    gives D and the next 64 bits G, which read low by less than 2^27.  Not
+    certified: 0, NaN, inf, |v| outside [1e-300, 1e300], G within 2^27 of a
+    tie, and D outside [10^16, 10^17), as where log10 rounds across a power
+    of ten and x is off by one.
+    """
+    a = np.abs(values)
+    certified = (a >= 1e-300) & (a <= 1e300)
+    a[~certified] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    significand, e2 = np.frexp(a)
+    m = np.ldexp(significand, 53).astype(np.uint64)
+    limbs, shifts, _ = _format_tables()
+    c2, c1, c0 = limbs.take(x + _FORMAT_MAX_EXPONENT, axis=1)
+    m1, m0 = m >> 32, m & _LOW32
+    # m c < 2^149: a top word over two 32-bit columns (with their carries);
+    # the lowest column only carries
+    p01, p10, p02, p11 = m0 * c1, m1 * c0, m0 * c2, m1 * c1
+    col1 = (m0 * c0 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    col2 = (col1 >> 32) + (p01 >> 32) + (p10 >> 32) + (p02 & _LOW32) + (p11 & _LOW32)
+    top = (col2 >> 32) + (p02 >> 32) + (p11 >> 32) + m1 * c2
+    # the binary point of v 10^(16 - x) lies d bits below the top word: d is
+    # 1..5 where x is right, and where it is not D falls out of range
+    d = np.maximum(e2 + shifts.take(x + _FORMAT_MAX_EXPONENT) + 43, 0).astype(np.uint64)
+    D = top << d | (col2 & _LOW32) >> 32 - d
+    G = col2 << 32 + d | (col1 & _LOW32) << d
+    certified &= G - (2**63 - 2**27) > 2**28
+    certified &= D >= 10**16
+    D += G >> 63
+    certified &= D < 10**17
+    return D, x, certified
+
+
+def _format17g(values: np.ndarray) -> np.ndarray:
+    """b"%.17g" % v for each float v of a 1-d array, as an S24 array.
+
+    Each block is laid out in a (29, n) byte template, a column per value: a
+    spare row, four zero slots for 0.000ddd, the 17 digits with a slot opened
+    for the point, and room for the exponent.  Slots not shown are NUL, the
+    sign goes just before the first one shown, and one window gather per
+    value reads its text.  Values _digits17 does not certify go to Python.
+    """
+    _, _, exponents = _format_tables()
+    slots = np.arange(21)[:, None]
+    text = np.empty((len(values), 24), dtype=np.uint8)
+    certified = np.empty(len(values), dtype=bool)
+    for start in range(0, len(values), _FORMAT_BLOCK_VALUES):
+        v = values[start : start + _FORMAT_BLOCK_VALUES]
+        n = len(v)
+        D, x, certified[start : start + n] = _digits17(v)
+        digits = np.empty((17, n), dtype=np.uint8)
+        for k in range(16, -1, -1):
+            q = D // 10
+            digits[k] = D - q * 10
+            D = q
+        # %g drops trailing zeros, and writes d.ddde+xx outside 1e-4 <= |v| < 1e17
+        significant = 17 - np.argmax(digits[::-1] != 0, axis=0)
+        sci = (x < -4) | (x > 16)
+        point = 4 + np.where(sci, 0, x)  # the point follows this slot of zeros and digits
+        first = np.minimum(point, 4)
+        end = np.maximum(4 + significant, point + 1)
+        T = np.zeros((29, n), dtype=np.uint8)
+        T[1:5] = ord("0")
+        T[5:22] = digits + ord("0")
+        T[1:22] *= (slots >= first) & (slots < end)
+        T[2:23] = np.where(slots < point, T[2:23], T[1:22])
+        has_point = end > point + 1  # else the opened slot holds a copy: clear it
+        T[point + 2, np.arange(n)] = np.where(has_point, ord("."), 0)
+        flat = T.T.ravel()
+        base = np.arange(0, 29 * n, 29)
+        flat[(base + end + has_point + 1)[sci, None] + np.arange(5)] = exponents[x[sci] + _FORMAT_MAX_EXPONENT]
+        negative = np.signbit(v)
+        flat[(base + first)[negative]] = ord("-")
+        windows = np.lib.stride_tricks.sliding_window_view(flat, 24)
+        text[start : start + n] = windows[base + first + 1 - negative]
+    text = text.view("S24")[:, 0]
+    for k in np.flatnonzero(~certified):
+        text[k] = b"%.17g" % values[k]
+    return text
 
 
 # G[k, m, j] = Tr(sigma_k sigma_m sigma_j) / 2: in coefficient space, M -> P M

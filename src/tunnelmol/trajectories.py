@@ -375,7 +375,9 @@ def ensemble_average(trajectories, family: FamilyTrajectory, times=None) -> Ense
     steps = np.bincount(bins[into_0], minlength=m + 1) - np.bincount(bins[~into_0], minlength=m + 1)
     p0 = np.empty(m)
     p0[order] = (np.count_nonzero(ens.initial_arms == 0) + np.cumsum(steps[:m])) / len(ens)
-    bloch = (2.0 * p0 - 1.0)[:, None] * family.unit_vectors_at(times)
+    # before the family's start the ensemble sits in the arms at times[0]:
+    # the flow run backwards from there can overflow (stiff overdamped families)
+    bloch = (2.0 * p0 - 1.0)[:, None] * family.unit_vectors_at(np.maximum(times, family.times[0]))
     return EnsembleSeries(times=times, p0=p0, bloch=bloch, n_trajectories=len(ens))
 
 

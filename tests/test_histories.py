@@ -13,6 +13,9 @@ from tunnelmol.histories import (
     HistoryFamily,
     NotConsistentError,
     _coerce_initial,
+    _digits17,
+    _distinct,
+    _format17g,
     _sandwiches,
     checked_weights,
     classical_collision_average,
@@ -355,18 +358,49 @@ def test_decoherence_csv_is_byte_identical_to_the_entrywise_loop():
         for fam in (z_family(p, times), HistoryFamily.from_trajectory(flow, times)):
             D = decoherence_functional(fam, np.array([0.1, -0.2, 0.3]))
             _assert_same_text(D.to_csv(), _csv_by_loop(D.entries))
-    # signed zeros compare equal but print apart; extremes keep all 17 digits
+    # signed zeros compare equal but print apart; extremes keep all 17 digits;
+    # the rest sit on the fixed/scientific switch, just below a new decade, on
+    # exact halves, and among the values formatted by Python
     special = np.array(
-        [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1.0 / 3.0]
+        [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1.0 / 3.0,
+         np.nan, -np.nan, np.inf, -np.inf, 1e16, 9999999999999998.0, 1e17, 1e-4, 1e-5, 0.5, 123.5]
     )
     rng = np.random.default_rng(3)
-    entries = rng.choice(special, size=(8, 8)) + 1j * rng.choice(special, size=(8, 8))
+    # every value appears, as a real and as an imaginary part
+    entries = rng.permutation(np.resize(special, 2 * 64)).view(np.complex128).reshape(8, 8)
     entries[0, 0] = complex(-0.0, 0.0)
     entries[0, 1] = complex(0.0, -0.0)
     D = DecoherenceMatrix(family=z_family(p, [0.0, 0.3, 0.6]), entries=entries)
     text = D.to_csv()
     assert text == _csv_by_loop(entries)
     assert text.splitlines()[1:3] == ["0,0,-0,0", "0,1,0,-0"]
+
+
+def test_format17g_is_byte_identical_to_percent_formatting():
+    rng = np.random.default_rng(17)
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    neighbours = np.concatenate((powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)))
+    halfway = ((np.arange(200) + 0.5)[:, None] * 10.0 ** np.arange(-30, 31)).ravel()
+    # exact ties at the 17th digit: odd multiples of 2^-j with 18 significant digits
+    ties = []
+    for j in range(2, 25):
+        lo, hi = math.ceil(10.0 ** (17 - j) * 2**j), int(min(10.0 ** (18 - j) * 2**j, 2.0**53))
+        ties.append(np.ldexp(rng.integers(lo // 2, hi // 2, 200) * 2 + 1, -j))
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+    values = np.concatenate((neighbours, -neighbours, halfway, *ties, bits.view(np.float64)))
+    assert _format17g(values).tolist() == [b"%.17g" % v for v in values.tolist()]
+    assert not _digits17(np.concatenate(ties))[2].any()
+    # on the entries of a moving x family only exact zeros, outside the
+    # kernel's range, are formatted by Python
+    p = ModelParams(omega=1.1, gamma=0.9)
+    times = 0.4 * np.arange(9)
+    units = flow_unit_vectors(np.array([1.0, 0.0, 0.0]), p, FORWARD, times)
+    fam = HistoryFamily(params=p, times=times, decompositions=tuple(Decomposition.from_direction(n) for n in units))
+    for initial in (None, np.array([1.0, 0.0, 0.0])):
+        entries = decoherence_functional(fam, initial).entries
+        distinct = _distinct(entries.view(np.uint64).ravel())[0].view(np.float64)
+        assert len(distinct) > 100_000
+        assert np.array_equal(distinct[~_digits17(distinct)[2]], distinct[distinct == 0.0])
 
 
 def test_histories_command_writes_the_echo_then_the_entrywise_csv(tmp_path):
