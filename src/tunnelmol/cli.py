@@ -402,9 +402,10 @@ def cmd_histories(cfg: RunConfig) -> int:
     checks.check("weight_normalization", weight_gap < 1e-10, f"|sum - 1| = {weight_gap:.3e}")
     verdict = "consistent" if report.passed else "NOT consistent"
     print(f"family is {verdict}: max off-diagonal {report.max_offdiag:.3e} (tolerance {report.tol:.0e})")
-    for idx, w in enumerate(report.weights):
-        bits = "".join(str(b) for b in D.label(idx))
-        print(f"  history {bits}: weight {w:.6f}")
+    # the outcome bits of D.label, first time first
+    print("\n".join(
+        f"  history {format(idx, f'0{D.f}b')[::-1]}: weight {w:.6f}" for idx, w in enumerate(report.weights.tolist())
+    ))
     return checks.status
 
 
@@ -648,9 +649,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() built once per process: building it costs about 2 ms, and main runs per command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args)
         return _COMMANDS[cfg.command](cfg)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -40,9 +41,8 @@ from .ptm import ModelParams, PAULIS, operator_from_pauli, pauli_coefficients, p
 
 CONSISTENCY_TOL = 1e-8
 
-# rows per step of the row-blocked loops: the CSV writer, the Hermiticity and
-# off-diagonal check, and the last level of the decoherence functional
-_CSV_BLOCK_ROWS = 64
+# rows per step of the row-blocked loops: the Hermiticity and off-diagonal
+# check, and the last level of the decoherence functional
 _CHECK_BLOCK_ROWS = 128
 _LEVEL_BLOCK_ROWS = 64
 # values per step of _format17g, whose (29, n) byte template then stays in cache
@@ -51,6 +51,13 @@ _FORMAT_BLOCK_VALUES = 8192
 # lie in [-301, 300] even where log10 rounds across a power of ten
 _FORMAT_MAX_EXPONENT = 301
 _LOW32 = 0xFFFFFFFF
+# lines per block of write_csv: its grid of lines and the grid's NUL mask
+# stay near 1 MB each
+_CSV_BLOCK_LINES = 16384
+# odd, so the high word of key * multiplier mod 2^64 mixes every bit of the key
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# the low 32-bit word of a native uint64 viewed as two uint32
+_LOW_WORD = 0 if sys.byteorder == "little" else 1
 
 
 class NotConsistentError(ValueError):
@@ -76,12 +83,18 @@ class Decomposition:
     label: str = ""
 
     def __post_init__(self):
-        P0, P1 = self.projectors
-        if not np.allclose(P0 + P1, np.eye(2), atol=1e-10):
+        # one isclose over the stack P0 + P1, P0, P1, P0 P0, P1 P1 against
+        # I, P0^H, P1^H, P0, P1: each matrix is np.allclose(atol=1e-10) of its pair
+        P = np.asarray(self.projectors)
+        close = np.isclose(
+            np.concatenate(((P[0] + P[1])[None], P, P @ P)),
+            np.concatenate((np.eye(2)[None], np.swapaxes(P, -1, -2).conj(), P)),
+            atol=1e-10,
+        ).all(axis=(-2, -1))
+        if not close[0]:
             raise ValueError("projectors must sum to the identity")
-        for P in (P0, P1):
-            if not np.allclose(P, P.conj().T, atol=1e-10) or not np.allclose(P @ P, P, atol=1e-10):
-                raise ValueError("decomposition entries must be Hermitian projectors")
+        if not close.all():
+            raise ValueError("decomposition entries must be Hermitian projectors")
 
     @property
     def bloch_direction(self) -> BlochDirection:
@@ -176,23 +189,40 @@ class DecoherenceMatrix:
         return tuple((index >> m) & 1 for m in range(self.f))
 
     def write_csv(self, fh) -> None:
-        """Write the entries as CSV rows (row, col, real, imag), row-major, to a text file."""
+        """Write the entries as CSV rows (row, col, real, imag), row-major, to a text file.
+
+        A block of lines is laid out as a grid of fixed-width fields: the
+        NUL-padded labels, the separators, and the S24 texts of _format17g
+        gathered through the inverse of _distinct.  The block's text is its
+        grid with the NULs dropped.
+        """
         n = self.entries.shape[0]
         parts = np.ascontiguousarray(self.entries, dtype=np.complex128).view(np.float64)
         # each distinct float is formatted once, keyed by its bits: -0.0 == 0.0
         # but prints as -0
         bits, inverse = _distinct(parts.view(np.uint64).ravel())
-        # bytes objects are made a block of cells at a time: one per distinct
-        # value (up to 2^21) left allocator arenas that the caller's next
-        # small objects pinned, and peak memory crept up from call to call
         text = _format17g(bits.view(np.float64))
-        inverse = inverse.reshape(n, 2 * n)
-        cells = [b",%d,%%s,%%s\n" % j for j in range(n)]
+        inverse = inverse.reshape(n, n, 2)
+        labels = np.arange(n).astype(bytes)
+        line = np.dtype(
+            [("row", labels.dtype), ("comma1", "u1"), ("col", labels.dtype), ("comma2", "u1"),
+             ("real", "S24"), ("comma3", "u1"), ("imag", "S24"), ("newline", "u1")]
+        )
+        rows = max(1, _CSV_BLOCK_LINES // n)
+        grid = np.empty((min(rows, n), n), dtype=line)
+        grid["col"] = labels
+        grid["comma1"] = grid["comma2"] = grid["comma3"] = ord(",")
+        grid["newline"] = ord("\n")
         fh.write("row,col,real,imag\n")
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            block = text[inverse[start : start + _CSV_BLOCK_ROWS]].tolist()
-            rows = [(b"%d" % i + (b"%d" % i).join(cells)) % tuple(row) for i, row in enumerate(block, start)]
-            fh.write(b"".join(rows).decode("ascii"))
+        for start in range(0, n, rows):
+            block = grid[: min(rows, n - start)]
+            block["row"] = labels[start : start + rows, None]
+            # the inverse is in range by construction; mode="clip" lets take
+            # write straight into the strided field
+            np.take(text, inverse[start : start + rows, :, 0], out=block["real"], mode="clip")
+            np.take(text, inverse[start : start + rows, :, 1], out=block["imag"], mode="clip")
+            chars = block.view(np.uint8)
+            fh.write(chars[chars != 0].tobytes().decode("ascii"))
 
     def to_csv(self) -> str:
         """The CSV of write_csv as one string."""
@@ -202,13 +232,20 @@ class DecoherenceMatrix:
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct keys and the index of each key among them.
+    """Distinct keys and the int32 index of each key among them: distinct[inverse] == keys.
 
-    np.unique(keys, return_inverse=True) with an int32 inverse: over 2^21 keys
-    (the entries at f = 10) its traced peak is 36-41 MB against 86-91 MB.
+    One np.sort orders (hash32(key) << 32) | position; equal keys then sit
+    together, in order of position.  A hash collision can interleave two
+    keys and list one of them twice in distinct, which costs one extra
+    format and keeps distinct[inverse] exact.  distinct is not sorted.
+    Positions take 32 bits: write_csv passes at most 2^21 keys (f = 10).
     """
-    perm = np.argsort(keys)
-    ordered = keys[perm]
+    packed = keys * _HASH_MULTIPLIER
+    packed &= np.uint64(_LOW32 << 32)
+    packed.view(np.uint32)[_LOW_WORD::2] = np.arange(len(keys), dtype=np.uint32)
+    packed.sort()
+    order = packed.view(np.uint32)[_LOW_WORD::2]
+    ordered = keys[order]
     first = np.empty(len(keys), dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
@@ -217,7 +254,7 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.cumsum(first, dtype=np.int32)
     rank -= 1
     inverse = np.empty(len(keys), dtype=np.int32)
-    inverse[perm] = rank
+    inverse[order] = rank
     return distinct, inverse
 
 
@@ -407,18 +444,26 @@ def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(weights, max off-diagonal magnitude) of one or a stack of decoherence matrices.
 
     Raises ValueError unless every matrix is Hermitian and its weights are
-    non-negative up to roundoff, as for any positive initial state.
+    non-negative up to roundoff, as for any positive initial state.  The
+    Hermiticity verdict is np.allclose(E, E^H, atol=1e-10), taken a block of
+    rows at a time; np.isclose runs only on a block where some |E - E^H|
+    exceeds 1e-10 or is not a number.
     """
     E = np.asarray(entries)
     n = E.shape[-1]
     hermitian = True
     off = np.zeros(E.shape[:-2])
-    # np.allclose(E, E^H, atol=1e-10) and the largest off-diagonal magnitude,
-    # a block of rows at a time over the whole stack
     for start in range(0, n, _CHECK_BLOCK_ROWS):
         stop = min(start + _CHECK_BLOCK_ROWS, n)
         rows = E[..., start:stop, :]
-        hermitian &= bool(np.isclose(rows, np.swapaxes(E[..., :, start:stop], -1, -2).conj(), atol=1e-10).all())
+        cols = np.swapaxes(E[..., :, start:stop], -1, -2).conj()
+        # |rows - cols| <= atol passes isclose whatever rtol adds; a NaN fails
+        # the test, and an infinite entry makes the max infinite or NaN
+        # (inf - inf, hence the errstate); initial=0 admits an empty stack
+        with np.errstate(invalid="ignore"):
+            within_atol = np.max(np.abs(rows - cols), initial=0.0) <= 1e-10
+        if not within_atol:
+            hermitian &= bool(np.isclose(rows, cols, atol=1e-10).all())
         mag = np.abs(rows)
         # times 0 rather than set to 0: an infinite diagonal gives NaN, as in |E| (1 - I)
         mag[..., np.arange(stop - start), np.arange(start, stop)] *= 0.0

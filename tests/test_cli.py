@@ -372,3 +372,52 @@ def test_info_csv_header_and_column_order(tmp_path):
         "t,chi_x_direct,chi_z_direct,chi_x_comp,chi_z_comp,sum_zx,sum_xz,quad_z_direct,quad_x_comp,mutual_info"
     )
     assert len(body) == 12
+
+
+def _first_call(tmp_path, argv):
+    # a command run by a freshly built parser: exit code and the bytes of each CSV
+    tunnelmol.cli._parser.cache_clear()
+    code = run(tmp_path, *argv)
+    return code, {p.name: p.read_bytes() for p in sorted(tmp_path.glob("*.csv"))}
+
+
+def test_successive_commands_reuse_one_parser(tmp_path):
+    commands = {
+        "scan": ("scan", "--points", "11"),
+        "histories": ("histories", "--steps", "3", "--basis", "x", "--initial", "up"),
+        "preset": ("preset", "D2S2"),
+        "usage": ("histories", "--steps", "40"),
+    }
+    first = {name: _first_call(tmp_path / "first" / name, argv) for name, argv in commands.items()}
+    assert first["usage"] == (2, {}) and all(code == 0 for code, _ in list(first.values())[:3])
+    tunnelmol.cli._parser.cache_clear()
+    for k, name in enumerate(("scan", "histories", "usage", "preset", "histories", "scan")):
+        # an argparse error leaves the shared parser as it was
+        with pytest.raises(SystemExit) as exc:
+            main(["histories", "--basis", "w"])
+        assert exc.value.code == 2
+        out = tmp_path / "again" / str(k)
+        code = run(out, *commands[name])
+        assert (code, {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}) == first[name]
+    assert tunnelmol.cli._parser.cache_info().misses == 1
+    assert tunnelmol.cli.build_parser() is not tunnelmol.cli.build_parser()
+
+
+@pytest.mark.parametrize("steps", [1, 3, 9])
+def test_histories_weight_lines_match_the_label_loop(tmp_path, capsys, steps):
+    from tunnelmol.histories import Decomposition, HistoryFamily, consistency_check, decoherence_functional
+
+    assert run(tmp_path, "histories", "--steps", str(steps), "--basis", "x", "--initial", "up",
+               "--gamma", "0.7", "--omega", "1.3", "--dt", "0.4") == 0
+    out = capsys.readouterr().out
+    x = Decomposition.from_direction(np.array([1.0, 0.0, 0.0]))
+    fam = HistoryFamily(params=ModelParams(omega=1.3, gamma=0.7), times=0.4 * np.arange(steps),
+                        decompositions=(x,) * steps)
+    D = decoherence_functional(fam, np.array([0.0, 0.0, 1.0]))
+    report = consistency_check(D)
+    # reference: one print per history, its bits from D.label
+    lines = [f"family is {'consistent' if report.passed else 'NOT consistent'}: max off-diagonal "
+             f"{report.max_offdiag:.3e} (tolerance {report.tol:.0e})"]
+    for idx, w in enumerate(report.weights):
+        lines.append(f"  history {''.join(str(b) for b in D.label(idx))}: weight {w:.6f}")
+    assert out.endswith("\n".join(lines) + "\n")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tunnelmol.histories import (
     NotConsistentError,
     _coerce_initial,
     _digits17,
+    _HASH_MULTIPLIER,
     _distinct,
     _format17g,
     _sandwiches,
@@ -52,6 +54,21 @@ def test_decomposition_validation_and_roundtrip():
     assert abs(back.theta - 0.8) < 1e-12
     with pytest.raises(ValueError):
         Decomposition(projectors=(np.eye(2), np.eye(2)))
+
+
+def test_each_decomposition_fault_raises_its_own_message():
+    P0, P1 = projector_pairs(np.array([0.6, 0.0, 0.8]))
+    Decomposition(projectors=(P0 + 4e-11, P1 - 4e-11))  # within atol
+    skew = np.array([[1.0, 1.0], [0.0, 0.0]])  # idempotent, not Hermitian
+    faults = [
+        ("must sum to the identity", (P0, P0)),
+        ("must sum to the identity", (P0 + 1e-9, P1)),
+        ("Hermitian projectors", (skew, np.eye(2) - skew)),
+        ("Hermitian projectors", (np.eye(2) / 2, np.eye(2) / 2)),  # Hermitian, not idempotent
+    ]
+    for message, projectors in faults:
+        with pytest.raises(ValueError, match=message):
+            Decomposition(projectors=projectors)
 
 
 def test_family_validation():
@@ -403,6 +420,29 @@ def test_format17g_is_byte_identical_to_percent_formatting():
         assert np.array_equal(distinct[~_digits17(distinct)[2]], distinct[distinct == 0.0])
 
 
+def test_distinct_is_exact_under_forced_hash_collisions():
+    # k and k + C^-1 (mod 2^64) hash to products one apart: the same high word
+    # unless the low word carries
+    rng = np.random.default_rng(11)
+    step = pow(int(_HASH_MULTIPLIER), -1, 2**64)
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, 1.0]).view(np.uint64)
+    payloads = np.uint64(0x7FF8000000000000) | rng.integers(1, 2**51, 4, dtype=np.uint64)  # NaNs
+    base = np.concatenate((specials, payloads, rng.integers(0, 2**64, 50, dtype=np.uint64)))
+    partners = base + np.uint64(step)
+    keys = np.stack([base, partners, base, partners], axis=1).ravel()
+    keys = np.concatenate((keys, rng.permutation(keys)))
+    collide = (base * _HASH_MULTIPLIER) >> np.uint64(32) == (partners * _HASH_MULTIPLIER) >> np.uint64(32)
+    assert collide.mean() > 0.9
+    distinct, inverse = _distinct(keys)
+    assert inverse.dtype == np.int32
+    assert np.array_equal(distinct[inverse], keys)
+    assert set(distinct.tolist()) == set(keys.tolist())
+    assert len(distinct) > len(set(keys.tolist()))  # colliding keys interleave: some are listed twice
+    # signed zeros and NaN payloads keep their bits through the formatted texts
+    text = _format17g(distinct.view(np.float64))[inverse]
+    assert text.tolist() == [b"%.17g" % v for v in keys.view(np.float64).tolist()]
+
+
 def test_histories_command_writes_the_echo_then_the_entrywise_csv(tmp_path):
     from tunnelmol.cli import main
 
@@ -511,6 +551,49 @@ def test_blocked_hermiticity_check_matches_allclose():
             w, off = verdict
             assert np.array_equal(w, np.real(np.diagonal(E, axis1=-2, axis2=-1)))
             assert np.array_equal(off, (np.abs(E) * (1.0 - np.eye(E.shape[-1]))).max(axis=(-2, -1)))
+
+
+def test_infinite_entries_get_the_isclose_verdict_without_a_warning():
+    good = np.diag([0.5, 0.25, 0.25]).astype(complex)
+    cases = []
+    for upper, lower in ((np.inf, np.inf), (complex(1.0, np.inf), complex(1.0, -np.inf)), (np.inf, -np.inf),
+                         (np.inf, 1.0), (complex(np.inf, np.inf), complex(np.inf, np.inf))):
+        E = good.copy()
+        E[0, 2], E[2, 0] = upper, lower
+        cases.append(E)
+    for E in cases + [np.array(cases)]:
+        hermitian = bool(np.isclose(E, np.swapaxes(E, -1, -2).conj(), atol=1e-10).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = _checked_weights_verdict(E)
+        assert (verdict is not None) == hermitian
+        if hermitian:
+            assert np.all(verdict[1] == np.inf)
+
+
+class _NullSink:
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("moving, budget", [(False, 40e6), (True, 56e6)])
+def test_csv_writer_at_f10_stays_within_its_memory_budget(moving, budget):
+    # 2^21 floats: the static z family has 31 distinct, the moving x one 640,701
+    p = ModelParams(omega=1.0, gamma=1.0)
+    times = 0.5 * np.arange(10)
+    if moving:
+        units = flow_unit_vectors(np.array([1.0, 0.0, 0.0]), p, FORWARD, times)
+        fam = HistoryFamily(params=p, times=times, decompositions=tuple(Decomposition.from_direction(n) for n in units))
+    else:
+        fam = z_family(p, times)
+    D = decoherence_functional(fam)
+    tracemalloc.start()
+    try:
+        D.write_csv(_NullSink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 def test_consistency_check_at_f10_stays_within_its_memory_budget():
