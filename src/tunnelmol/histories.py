@@ -466,7 +466,8 @@ def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             hermitian &= bool(np.isclose(rows, cols, atol=1e-10).all())
         mag = np.abs(rows)
         # times 0 rather than set to 0: an infinite diagonal gives NaN, as in |E| (1 - I)
-        mag[..., np.arange(stop - start), np.arange(start, stop)] *= 0.0
+        with np.errstate(invalid="ignore"):
+            mag[..., np.arange(stop - start), np.arange(start, stop)] *= 0.0
         off = np.maximum(off, mag.max(axis=(-2, -1)))
     if not hermitian:
         raise ValueError("decoherence matrix is not Hermitian")

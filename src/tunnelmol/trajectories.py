@@ -22,17 +22,22 @@ invert only the few that lie within rounding of a query.
 
 The random stream of trajectory i is Philox4x64-10 (Salmon et al., SC'11,
 the generator behind numpy.random.Philox) with the 128-bit key
-(seed mod 2^64, seed >> 64) and the counter (block, i, 0, 0), block = 0, 1,
+(seed mod 2^64, seed >> 64) and the counter (i, block, 0, 0), block = 0, 1,
 2, ...; each block gives four 64-bit words x, read in order as uniforms
 u = (x >> 11) 2^-53.  Word 0 of block 0 sets the initial arm (used or not),
 and every later word gives one unit exponential -log1p(-u), so the flips do
 not depend on the initial mode.  The kernel draws the next blocks of every
 trajectory whose running sum is still below Lambda(t_end) in one vectorized
-pass, and the inversion is elementwise, so trajectory i depends on (seed, i)
-alone, bit for bit, however many trajectories are requested, and inverting
-some flips gives the same times as inverting all.  An ensemble is stored
-flat (struct of arrays), so averages and gap statistics are single
-vectorized passes over all flips.
+pass.  With the trajectory index in the low counter word, one block of a run
+of indices is one contiguous run of counters, which numpy's C Philox
+produces in a single call; a pass over few live trajectories, scattered
+across a wide index span, runs the same rounds in numpy array arithmetic on
+those trajectories alone.  The two producers agree bit for bit and the
+inversion is elementwise, so trajectory i depends on (seed, i) alone, bit
+for bit, however many trajectories are requested, and inverting some flips
+gives the same times as inverting all.  An ensemble is stored flat (struct
+of arrays), so averages and gap statistics are single vectorized passes
+over all flips.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class Ensemble:
     def flip_times(self) -> np.ndarray:
         return _invert(self.family, self.flip_sums)
 
-    def _flip_times_at(self, index: np.ndarray) -> np.ndarray:
+    def _flip_times_at(self, index) -> np.ndarray:
         """Clock times of the flips at index, bitwise those entries of flip_times."""
         if "flip_times" in vars(self):
             return self.flip_times[index]
@@ -148,8 +153,13 @@ class Ensemble:
         return len(self.initial_arms)
 
     def __getitem__(self, i) -> Trajectory:
+        self.flip_times  # all inverted on first access, so members are views of it
+        return self.member(i)
+
+    def member(self, i) -> Trajectory:
+        """Trajectory i, inverting only its own flips until flip_times is known; bitwise self[i]."""
         i = range(len(self))[i]  # negative indices and IndexError as for a list
-        flips = self.flip_times[self.offsets[i] : self.offsets[i + 1]]
+        flips = self._flip_times_at(slice(self.offsets[i], self.offsets[i + 1]))
         return Trajectory(self.t_start, self.t_end, int(self.initial_arms[i]), flips)
 
     def __iter__(self):
@@ -219,12 +229,58 @@ def _philox4x64(counter, key) -> tuple[np.ndarray, ...]:
     return x0, x1, x2, x3
 
 
+def _prefer_dense(span: int, live: int, run: int) -> bool:
+    """Whether numpy's C Philox over the whole index span beats the array kernel on the live rows.
+
+    Costs in ns, as measured on a 2-vCPU x86 VM with numpy 2.4: per block
+    index the C generator takes about 5 us a call, 45 per counter of the
+    span and 70 per live row it gathers; the array kernel takes about 0.45 ms
+    a pass and 230 per live block.
+    """
+    return run * (5e3 + 45.0 * span + 70.0 * live) < 4.5e5 + 230.0 * live * run
+
+
+def _dense_words(key, index: np.ndarray, block: int, run: int) -> np.ndarray:
+    """Words of blocks block .. block + run - 1 of the trajectories index, one C call per block.
+
+    Counters (lo, b, 0, 0) .. (hi, b, 0, 0) are one contiguous run, and
+    numpy's Philox steps its counter before each block: it starts one below
+    (lo, b, 0, 0), borrowing from the higher words at lo = 0, and is advanced
+    to one below (lo, b + 1, 0, 0) after each block index.
+    """
+    lo = int(index.min())
+    span = int(index.max()) - lo + 1
+    start = (lo - 1 + (block << 64)) & ((1 << 256) - 1)
+    gen = np.random.Philox(
+        key=np.array(key, dtype=np.uint64),
+        counter=np.array([(start >> (64 * k)) & _MASK64 for k in range(4)], dtype=np.uint64),
+    )
+    rows = (index - np.uint64(lo)).astype(np.intp)
+    every = np.array_equal(rows, np.arange(span))
+    parts = []
+    for _ in range(run):
+        words = gen.random_raw(4 * span).reshape(span, 4)
+        parts.append(words if every else words[rows])
+        gen.advance((1 << 64) - span)
+    return parts[0] if run == 1 else np.concatenate(parts, axis=1)
+
+
+def _sparse_words(key, index: np.ndarray, block: int, run: int) -> np.ndarray:
+    """The same words as _dense_words, from the array kernel on the given trajectories only."""
+    blocks = np.arange(block, block + run, dtype=np.uint64)
+    return np.stack(_philox4x64((index[:, None], blocks, 0, 0), key), axis=-1).reshape(len(index), -1)
+
+
 def _draw(family: FamilyTrajectory, config: SamplerConfig, indices: np.ndarray):
     """Initial-arm uniforms, flat running sums of unit exponentials below Lambda(t_end), offsets.
 
     Each pass draws the next run of blocks for every live trajectory; the run
     doubles from one pass to the next within the pass budget.  Sums run on
-    from the carry in stream order, so they do not depend on the runs.
+    from the carry in stream order, so they do not depend on the runs.  A
+    pass takes its words from whichever producer is cheaper for its shape:
+    numpy's C Philox over the span of live indices, or the array kernel on
+    the live indices alone; both give the same words, bit for bit.  Each
+    pass's sums are scattered straight to their place in the flat array.
     """
     total = float(family.rate_integral[-1])
     if family.params.gamma == 0.0 or not total > 0.0:
@@ -233,26 +289,39 @@ def _draw(family: FamilyTrajectory, config: SamplerConfig, indices: np.ndarray):
     index = np.asarray(indices, dtype=np.uint64)
     n = len(index)
     live, carry = np.arange(n), np.zeros(n)
-    owners, pieces = [], []
+    counts = np.zeros(n, dtype=np.int64)
+    passes = []
     block, run = 0, 1
     while live.size:
-        blocks = np.arange(block, block + run, dtype=np.uint64)
-        words = np.stack(_philox4x64((blocks, index[live, None], 0, 0), key), axis=-1).reshape(live.size, -1)
-        u = (words >> np.uint64(11)) * 2.0**-53
+        live_index = index[live]
+        span = int(live_index.max()) - int(live_index.min()) + 1
+        produce = _dense_words if _prefer_dense(span, live.size, run) else _sparse_words
+        u = (produce(key, live_index, block, run) >> np.uint64(11)) * 2.0**-53
         if block == 0:
-            arm_u, u = u[:, 0], u[:, 1:]
-        sums = np.cumsum(np.column_stack((carry[live], -np.log1p(-u))), axis=1)[:, 1:]
+            arm_u = u[:, 0].copy()
+        # unit exponentials -log1p(-u) in place (contiguous, so the arm word too),
+        # then their running sums from the carry
+        sums = np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+        if block == 0:
+            sums = sums[:, 1:]
+        sums[:, 0] += carry[live]
+        np.cumsum(sums, axis=1, out=sums)
         below = sums < total
-        owners.append(np.repeat(live, np.count_nonzero(below, axis=1)))
-        pieces.append(sums[below])
+        found = np.count_nonzero(below, axis=1)
+        passes.append((live, counts[live], found, sums[below]))
+        counts[live] += found
         carry[live] = sums[:, -1]
         live = live[below[:, -1]]
         block += run
         run = min(2 * run, max(1, _PASS_BLOCKS // max(live.size, 1)))
-    owner = np.concatenate(owners)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
-    return arm_u, np.concatenate(pieces)[np.argsort(owner, kind="stable")], offsets
+    np.cumsum(counts, out=offsets[1:])
+    flat = np.empty(offsets[-1])
+    for rows, before, found, piece in passes:
+        # a row's sums follow its earlier ones: offset + count so far + rank in the row
+        first = offsets[rows] + before - (np.cumsum(found) - found)
+        flat[np.repeat(first, found) + np.arange(len(piece))] = piece
+    return arm_u, flat, offsets
 
 
 def _initial_arms(config: SamplerConfig, u: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ from tunnelmol import trajectories
 from tunnelmol.channels import NonCPError
 from tunnelmol.cli import _Checks, _rate_integral, main
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, exact_direction, transition_rate
-from tunnelmol.ptm import ModelParams
-from tunnelmol.trajectories import SamplerConfig, _draw
+from tunnelmol.ptm import ModelParams, generator, propagator_closed_form
+from tunnelmol.trajectories import SamplerConfig, _draw, sample_trajectory
 
 # deuterated disulfane: collisions outpace tunneling by 5e7
 D2S2 = ("--gamma", "9e9", "--omega", "176")
@@ -317,6 +317,29 @@ def test_sample_trajectory_files(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags, params, start, sense, initial",
+    [
+        (("--points", "21"), ModelParams(omega=1.0, gamma=1.0), BlochDirection(0.0, 0.0), FORWARD, None),
+        (("--direction", "backward", "--gamma", "0.41", "--omega", "0.86", "--theta0", "1.17", "--phi0", "0.52",
+          "--tmax", "9", "--seed", "2024", "--initial", "1"),
+         ModelParams(omega=0.86, gamma=0.41), BlochDirection(1.17, 0.52), BACKWARD, 1),
+    ],
+    ids=["static-z", "moving-backward"],
+)
+def test_saved_trajectories_are_the_single_trajectory_draws(tmp_path, flags, params, start, sense, initial):
+    assert run(tmp_path, "sample", "--ntraj", "300", "--save-trajectories", "4", *flags) == 0
+    echo, _ = read_csv_body(tmp_path / "ensemble.csv")
+    values = dict(line[2:].split("=", 1) for line in echo if "=" in line)
+    tmax, points, seed = float(values["tmax"]), int(values["points"]), int(values["seed"])
+    fam = FamilyTrajectory.integrate(start, params, sense, np.linspace(0.0, tmax, max(points, 1001)))
+    sampler = SamplerConfig(seed=seed, n_trajectories=300, initial=initial)
+    header = "".join(f"{line}\n" for line in echo)
+    for k in range(4):
+        want = header + sample_trajectory(fam, sampler, index=k).to_csv()
+        assert (tmp_path / f"trajectory_{k:03d}.csv").read_text() == want
+
+
+@pytest.mark.parametrize(
     "family, params, start, sense",
     [
         # the defaults: gamma = omega = 1 and the static z family (tmax 5, 201 points, seed 7)
@@ -352,6 +375,43 @@ def test_evolve_checks_the_closed_form_against_expm(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "validation passed: closed_form_vs_expm" in out
     assert "closed_form_vs_ode" not in out
+
+
+def test_evolve_exponential_matches_scipy_expm():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(40):  # random generators at random times
+        p = ModelParams(omega=rng.uniform(0.0, 3.0), gamma=rng.uniform(0.0, 3.0))
+        cases.append(rng.uniform(0.0, 8.0) * generator(p))
+    for t in (0.0, 1e-3, 0.7, 5.0, 40.0):  # the critical point
+        cases.append(t * generator(ModelParams(omega=1.3, gamma=1.3)))
+    cases.append(1e-7 * generator(ModelParams(omega=176.0, gamma=9e9)))  # D2S2
+    for _ in range(40):  # and any real matrix, not only a contractive one
+        cases.append(rng.standard_normal((4, 4)) * rng.uniform(0.01, 3.0))
+    for a in cases:
+        want = expm(a)
+        assert np.abs(tunnelmol.cli._expm(a) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_evolve_exponential_keeps_the_slow_mode_of_a_stiff_generator():
+    # at D2S2 the slow rate omega^2 / (2 gamma) is ten orders below the norm
+    # of S: the squarings carry exp(a) - I, so the closed form agrees to
+    # rounding where a plain scaling and squaring loses seven digits
+    p = ModelParams(omega=176.0, gamma=9e9)
+    for t in (1e-3, 1.0, 5.0):
+        exact = propagator_closed_form(p, np.array([t]))[0]
+        assert np.abs(tunnelmol.cli._expm(t * generator(p)) - exact).max() < 1e-14
+
+
+@pytest.mark.parametrize("gamma", ["1e50", "1e150"])
+def test_evolve_checks_hold_at_rates_where_scipy_expm_is_nan(tmp_path, capsys, gamma):
+    assert run(tmp_path, "evolve", "--gamma", gamma, "--points", "3") == 0
+    assert "validation passed: closed_form_vs_expm" in capsys.readouterr().out
+
+
+def test_evolve_passes_at_the_d2s2_preset_over_the_default_span(tmp_path, capsys):
+    assert run(tmp_path, "evolve", *D2S2) == 0
+    assert "VALIDATION FAILED" not in capsys.readouterr().out
 
 
 def test_sample_refuses_an_unbounded_flip_count(tmp_path, capsys):

@@ -571,6 +571,21 @@ def test_infinite_entries_get_the_isclose_verdict_without_a_warning():
             assert np.all(verdict[1] == np.inf)
 
 
+@pytest.mark.parametrize("diagonal", [[np.inf, 0.5], [0.25, np.inf, 0.5]], ids=["first", "middle"])
+def test_an_infinite_diagonal_entry_gives_a_nan_off_diagonal_magnitude_without_a_warning(diagonal):
+    E = np.diag(diagonal).astype(complex)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan((np.abs(E) * (1.0 - np.eye(len(E)))).max())  # inf * 0, as in |E| (1 - I)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, off = checked_weights(E)
+    assert np.array_equal(w, np.real(np.diagonal(E))) and np.isnan(off)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, off = checked_weights(np.array([E, np.diag(np.full(len(E), 0.5)).astype(complex)]))
+    assert np.isnan(off[0]) and off[1] == 0.0
+
+
 class _NullSink:
     def write(self, text):
         pass

@@ -74,23 +74,51 @@ def test_philox_kernel_matches_numpy_bit_for_bit():
             assert np.array_equal(grid[r, int(b)], one)
 
 
-def test_stream_of_trajectory_i_is_philox_keyed_by_the_seed_at_counter_block_i():
-    # numpy steps the counter before its first block, so the counter one
-    # below (0, i, 0, 0) makes it emit the stream of trajectory i: word 0 sets
-    # the arm, every later word is one unit exponential -log1p(-u)
+def below_counter(i, b):
+    """The counter one below (i, b, 0, 0), from which numpy's Philox emits block b of trajectory i."""
+    value = (i + (b << 64) - 1) % 2**256
+    return tuple((value >> (64 * k)) & (2**64 - 1) for k in range(4))
+
+
+def test_stream_of_trajectory_i_is_philox_keyed_by_the_seed_at_counter_i_block():
+    # block b of trajectory i is numpy's Philox block at counter (i, b, 0, 0):
+    # word 0 of block 0 sets the arm, every later word is one unit
+    # exponential -log1p(-u)
     fam = z_traj_family(1.3, 40.0)
     total = float(fam.rate_integral[-1])
     for seed in (0, 5, 2**64 + 3, 2**128 - 1):
         cfg = SamplerConfig(seed=seed, n_trajectories=4)
         arm_u, sums, offsets = _draw(fam, cfg, np.array([0, 1, 3]))
         for row, i in enumerate((0, 1, 3)):
-            counter = (2**64 - 1, i - 1, 0, 0) if i else (2**64 - 1,) * 4
-            raw = numpy_philox_words((seed % 2**64, seed >> 64), counter, 400)
+            key = (seed % 2**64, seed >> 64)
+            raw = np.concatenate([numpy_philox_words(key, below_counter(i, b), 4) for b in range(100)])
             u = (raw >> np.uint64(11)) * 2.0**-53
             running = np.cumsum(-np.log1p(-u[1:]))
             assert running[-1] > total
             assert arm_u[row] == u[0]
             assert np.array_equal(sums[offsets[row] : offsets[row + 1]], running[running < total])
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [np.arange(300), np.arange(40, 340), np.array([2, 5, 6, 11, 97, 98, 250, 4000, 4001]),
+     np.array([7, 3, 5, 4, 6])],
+    ids=["from-0", "from-40", "sparse", "unordered"],
+)
+def test_dense_and_sparse_producers_give_the_same_draw(monkeypatch, indices):
+    # a long horizon, so later passes run several blocks on a thinned live set
+    fam = z_traj_family(1.1, 60.0)
+    cfg = SamplerConfig(seed=2**64 + 9, n_trajectories=5000)
+    draws = []
+    for dense in (True, False):
+        monkeypatch.setattr(trajectories, "_prefer_dense", lambda span, live, run, dense=dense: dense)
+        draws.append(_draw(fam, cfg, indices))
+    for got, want in zip(*draws):
+        assert np.array_equal(got, want)
+    # and the internal choice gives the same draw again
+    monkeypatch.undo()
+    for got, want in zip(_draw(fam, cfg, indices), draws[0]):
+        assert np.array_equal(got, want)
 
 
 def test_flip_times_do_not_depend_on_the_initial_mode():
@@ -348,8 +376,12 @@ def test_flip_times_are_inverted_once_on_first_access_and_sliced_into_views():
     assert "flip_times" not in vars(ens)
     some = np.arange(0, ens.offsets[-1], 7)
     partial = ens._flip_times_at(some)
+    members = [ens.member(i) for i in (0, 17, -1)]
     assert "flip_times" not in vars(ens)
     eager = _invert(fam, ens.flip_sums)
+    for member, i in zip(members, (0, 17, 299)):
+        assert member.initial_arm == ens.initial_arms[i]
+        assert np.array_equal(member.flip_times, eager[ens.offsets[i] : ens.offsets[i + 1]])
     assert np.array_equal(ens.flip_times, eager)
     assert ens.flip_times is ens.flip_times
     assert np.array_equal(partial, eager[some])
