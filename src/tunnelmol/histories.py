@@ -14,9 +14,12 @@ per-step flip probabilities come from the local rate kappa.
 
 Everything is evaluated in Pauli-coefficient space: sandwiching by projectors
 and transport by the PTM are both linear maps on the complex coefficient
-4-vector, so one level of the branching tree is four 4x4 matrix applications.
-Multi-indices are packed little-endian: the outcome at t_1 is the least
-significant bit of the row/column index.
+4-vector.  The branching tree is split in the middle: a forward tree of
+coefficient vectors over the first half of the times, and a backward tree of
+covectors that carry the second half down to the trace.  Each entry is one
+dot product of the two, so nothing as large as the 2^f x 2^f matrix is built
+beside it.  Multi-indices are packed little-endian: the outcome at t_1 is the
+least significant bit of the row/column index.
 
 Two classical utilities live here as well: extraction of per-step transition
 matrices from a consistent family's weights, and averaging of
@@ -41,10 +44,8 @@ from .ptm import ModelParams, PAULIS, operator_from_pauli, pauli_coefficients, p
 
 CONSISTENCY_TOL = 1e-8
 
-# rows per step of the row-blocked loops: the Hermiticity and off-diagonal
-# check, and the last level of the decoherence functional
+# rows per step of the row-blocked Hermiticity and off-diagonal checks
 _CHECK_BLOCK_ROWS = 128
-_LEVEL_BLOCK_ROWS = 64
 # values per step of _format17g, whose (29, n) byte template then stays in cache
 _FORMAT_BLOCK_VALUES = 8192
 # _format17g itself formats |v| in [1e-300, 1e300], whose decimal exponents
@@ -181,8 +182,8 @@ class DecoherenceMatrix:
 
     @property
     def max_offdiag(self) -> float:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return float(np.abs(off).max()) if off.size > 1 else 0.0
+        """Largest off-diagonal magnitude; unlike consistency_check, no validation."""
+        return float(_max_offdiag(np.asarray(self.entries)))
 
     def label(self, index: int) -> tuple:
         """Outcome bits (a_1, ..., a_f), little-endian in the index."""
@@ -362,15 +363,18 @@ def _format17g(values: np.ndarray) -> np.ndarray:
 
 
 # G[k, m, j] = Tr(sigma_k sigma_m sigma_j) / 2: in coefficient space, M -> P M
-# is the matrix sum_m p_m G[:, m, :] and M -> M P is sum_m p_m G[:, :, m]
+# is the matrix sum_m p_m G[:, m, :] and M -> M P is sum_m p_m G[:, :, m];
+# the tables lay G out so that p @ table gives those matrices, flattened
 _PRODUCT = np.einsum("kab,mbc,jca->kmj", PAULIS, PAULIS, PAULIS) / 2.0
+_LEFT_TABLE = np.ascontiguousarray(_PRODUCT.transpose(1, 0, 2)).reshape(4, 16)
+_RIGHT_TABLE = np.ascontiguousarray(_PRODUCT.transpose(2, 0, 1)).reshape(4, 16)
 
 
 def _sandwiches(projectors: np.ndarray) -> np.ndarray:
     """Coefficient-space matrices of M -> P_a M P_b, (..., 2, 2, 4, 4), from (..., 2, 2, 2) pairs (P_0, P_1)."""
     p = pauli_coefficients(projectors)
-    left = np.einsum("...am,kmj->...akj", p, _PRODUCT)
-    right = np.einsum("...bm,kjm->...bkj", p, _PRODUCT)
+    left = (p @ _LEFT_TABLE).reshape(p.shape[:-1] + (4, 4))
+    right = (p @ _RIGHT_TABLE).reshape(p.shape[:-1] + (4, 4))
     return left[..., :, None, :, :] @ right[..., None, :, :, :]
 
 
@@ -386,6 +390,24 @@ def _coerce_initial(initial) -> np.ndarray:
     raise ValueError("initial state must be None, a Bloch vector, or a 2x2 operator")
 
 
+def _grow(V, S, newest_high: bool) -> np.ndarray:
+    """Branch a tree of coefficient (co)vectors V (..., K, K, 4) on one more time.
+
+    S holds the (..., 2, 2, 4, 4) matrices that act on V from the right, one
+    per outcome pair (a, b).  The new outcome is the most significant bit of
+    the grown (..., 2K, 2K, 4) index with newest_high, the least without.
+    """
+    K = V.shape[-2]
+    stack = np.broadcast_shapes(V.shape[:-3], S.shape[:-4])
+    grown = np.empty(stack + (2 * K, 2 * K, 4), dtype=complex)
+    blocks = grown.reshape(stack + ((2, K, 2, K, 4) if newest_high else (K, 2, K, 2, 4)))
+    for a in range(2):
+        for b in range(2):
+            block = blocks[..., a, :, b, :, :] if newest_high else blocks[..., :, a, :, b, :]
+            np.matmul(V, S[..., a, b, None, :, :], out=block)
+    return grown
+
+
 def decoherence_entries(transfers, projectors, initial=None) -> np.ndarray:
     """D(alpha, beta) of one family, or of a stack of families evaluated together.
 
@@ -393,45 +415,43 @@ def decoherence_entries(transfers, projectors, initial=None) -> np.ndarray:
     projectors   f arrays (..., 2, 2, 2): the decomposition (P0, P1) at each time
     initial      as for decoherence_functional, shared by the whole stack
 
-    Returns the (..., 2^f, 2^f) entries.
+    Returns the (..., 2^f, 2^f) entries.  The branching tree meets in the
+    middle, after h = floor(f/2) times.  The forward tree holds the coefficient
+    vectors A[i, j] of the branch operators over t_1..t_h, carried on to
+    t_{h+1}; the backward tree holds the covectors
+    R[p, q] = 2 e_0^T S_f T_{f-1} ... T_{h+1} S_{h+1} that take such a vector
+    to its trace.  Each entry D[(p, i), (q, j)] = R[p, q] . A[i, j] is written
+    once, straight into the output.
     """
+    f = len(projectors)
+    h = f // 2
     A = pauli_coefficients(_coerce_initial(initial)).reshape(1, 1, 4)
-    for m, P in enumerate(projectors[:-1]):
-        if m > 0:
-            A = A @ np.swapaxes(transfers[m - 1], -1, -2)[..., None, :, :]
-        S = np.swapaxes(_sandwiches(P), -1, -2)[..., None, :, :]
-        K = A.shape[-2]
-        nxt = np.empty(np.broadcast_shapes(A.shape[:-3], S.shape[:-5]) + (2 * K, 2 * K, 4), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                nxt[..., a * K : (a + 1) * K, b * K : (b + 1) * K, :] = A @ S[..., a, b, :, :, :]
-        A = nxt
-    # the last level: only the trace (component 0) is read, and the transfer
-    # and the sandwiches go through A a block of rows at a time
-    last = len(projectors) - 1
-    S = np.swapaxes(_sandwiches(projectors[last]), -1, -2)[..., None, :, :1]
-    # with one time there is no transfer; the identity only sets the broadcast shape
-    T = np.swapaxes(transfers[last - 1], -1, -2)[..., None, :, :] if last else np.eye(4)
-    K = A.shape[-2]
-    out = np.empty(np.broadcast_shapes(A.shape[:-3], T.shape[:-3], S.shape[:-5]) + (2 * K, 2 * K), dtype=complex)
-    for start in range(0, K, _LEVEL_BLOCK_ROWS):
-        stop = min(start + _LEVEL_BLOCK_ROWS, K)
-        block = A[..., start:stop, :, :]
-        if last:
-            block = block @ T
-        for a in range(2):
-            for b in range(2):
-                out[..., a * K + start : a * K + stop, b * K : (b + 1) * K] = (block @ S[..., a, b, :, :, :])[..., 0]
-    out *= 2.0
+    for m in range(h):
+        A = _grow(A, np.swapaxes(_sandwiches(projectors[m]), -1, -2), newest_high=True)
+        A = A @ np.swapaxes(transfers[m], -1, -2)[..., None, :, :]
+    # the trace of P_a M P_b is twice its coefficient 0.  Read off the sandwich
+    # matrices like every other factor, it keeps the roundoff of entries that
+    # the products make equal bitwise equal, and write_csv formats each
+    # distinct float once
+    R = 2.0 * _sandwiches(projectors[f - 1])[..., 0, :]
+    for m in range(f - 2, h - 1, -1):
+        R = _grow(R @ transfers[m][..., None, :, :], _sandwiches(projectors[m]), newest_high=False)
+    P, I = R.shape[-2], A.shape[-2]
+    stack = np.broadcast_shapes(A.shape[:-3], R.shape[:-3])
+    out = np.empty(stack + (P * I, P * I), dtype=complex)
+    # out[p, i, q, j] = sum_k R[p, q, k] A[i, j, k]
+    np.matmul(R[..., :, None, :, :], np.swapaxes(A, -1, -2)[..., None, :, :, :],
+              out=out.reshape(stack + (P, I, P, I)))
     return out
 
 
 def decoherence_functional(family: HistoryFamily, initial=None) -> DecoherenceMatrix:
     """Evaluate D(alpha, beta) for every pair of histories of the family.
 
-    Cost grows as 4^f, and f is capped at 10.  At f = 10 (2^20 entries, 16.8 MB)
-    one call takes 30-40 ms with a traced peak of 36 MB on a 2-vCPU VM; past the
-    cap, f = 11 measured 1.2 s and 140 MB for the entries alone.
+    Cost grows as 4^f, and f is capped at 10 because the CSV of every entry
+    grows with it.  At f = 10 (2^20 entries, 16.8 MB) one call takes 5-7 ms
+    with a traced peak of 17 MB, the entries plus 0.2 MB, on a 2-vCPU VM; past
+    the cap, f = 11 measured 31-35 ms and 67 MB, again the entries alone.
     """
     if family.f > 10:
         raise ValueError("history families are capped at f = 10 times")
@@ -452,7 +472,6 @@ def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     E = np.asarray(entries)
     n = E.shape[-1]
     hermitian = True
-    off = np.zeros(E.shape[:-2])
     for start in range(0, n, _CHECK_BLOCK_ROWS):
         stop = min(start + _CHECK_BLOCK_ROWS, n)
         rows = E[..., start:stop, :]
@@ -464,17 +483,26 @@ def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             within_atol = np.max(np.abs(rows - cols), initial=0.0) <= 1e-10
         if not within_atol:
             hermitian &= bool(np.isclose(rows, cols, atol=1e-10).all())
-        mag = np.abs(rows)
-        # times 0 rather than set to 0: an infinite diagonal gives NaN, as in |E| (1 - I)
-        with np.errstate(invalid="ignore"):
-            mag[..., np.arange(stop - start), np.arange(start, stop)] *= 0.0
-        off = np.maximum(off, mag.max(axis=(-2, -1)))
     if not hermitian:
         raise ValueError("decoherence matrix is not Hermitian")
     w = np.real(np.diagonal(E, axis1=-2, axis2=-1))
     if w.size and w.min() < -1e-10:
         raise ValueError("negative history weight beyond roundoff")
-    return w, off
+    return w, _max_offdiag(E)
+
+
+def _max_offdiag(E: np.ndarray) -> np.ndarray:
+    """max |E[..., i, j]| over i != j, taken a block of rows at a time; NaN where a diagonal entry is infinite."""
+    n = E.shape[-1]
+    off = np.zeros(E.shape[:-2])
+    for start in range(0, n, _CHECK_BLOCK_ROWS):
+        stop = min(start + _CHECK_BLOCK_ROWS, n)
+        mag = np.abs(E[..., start:stop, :])
+        # times 0 rather than set to 0: an infinite diagonal gives NaN, as in |E| (1 - I)
+        with np.errstate(invalid="ignore"):
+            mag[..., np.arange(stop - start), np.arange(start, stop)] *= 0.0
+        off = np.maximum(off, mag.max(axis=(-2, -1)))
+    return off
 
 
 @dataclass(frozen=True)

@@ -289,32 +289,53 @@ def test_family_from_trajectory_matches_pointwise_directions():
     assert decoherence_functional(fam).max_offdiag < 1e-4
 
 
+def _entries_by_brute_force(transfers, projectors, rho0):
+    # reference: every branch operator built by explicit 2x2 matrix products
+    f = len(projectors)
+    D = np.empty((2**f, 2**f), dtype=complex)
+    for i in range(2**f):
+        for j in range(2**f):
+            M = rho0
+            for m in range(f):
+                if m > 0:
+                    M = apply_ptm(transfers[m - 1], M)
+                M = projectors[m][(i >> m) & 1] @ M @ projectors[m][(j >> m) & 1]
+            D[i, j] = np.trace(M)
+    return D
+
+
+def _random_decomposition(rng):
+    theta, phi = math.acos(float(rng.uniform(-1, 1))), float(rng.uniform(0, 2 * math.pi))
+    return Decomposition.from_direction(BlochDirection(theta=theta, phi=phi))
+
+
 def test_chain_operator_route_matches_brute_force():
-    # brute force: build every branch operator by explicit matrix products
+    # f = 1..6 puts the split between the forward and backward trees at every
+    # point, after an odd and after an even number of times
     p = ModelParams(omega=0.9, gamma=1.1)
-    times = np.array([0.0, 0.4, 1.1])
     rng = np.random.default_rng(47)
-    ds = tuple(
-        Decomposition.from_direction(
-            BlochDirection(theta=math.acos(float(rng.uniform(-1, 1))), phi=float(rng.uniform(0, 2 * math.pi)))
-        )
-        for _ in range(3)
-    )
-    fam = HistoryFamily(params=p, times=times, decompositions=ds)
-    rho0 = state_from_bloch(np.array([0.3, 0.1, -0.4]))
-    D = decoherence_functional(fam, rho0).entries
-    T1 = propagator_closed_form(p, 0.4)
-    T2 = propagator_closed_form(p, 0.7)
-    for i in range(8):
-        for j in range(8):
-            a = [(i >> m) & 1 for m in range(3)]
-            b = [(j >> m) & 1 for m in range(3)]
-            M = ds[0].projectors[a[0]] @ rho0 @ ds[0].projectors[b[0]]
-            M = apply_ptm(T1, M)
-            M = ds[1].projectors[a[1]] @ M @ ds[1].projectors[b[1]]
-            M = apply_ptm(T2, M)
-            M = ds[2].projectors[a[2]] @ M @ ds[2].projectors[b[2]]
-            assert abs(D[i, j] - np.trace(M)) < 1e-12
+    for f in range(1, 7):
+        times = np.cumsum(rng.uniform(0.2, 0.8, f))
+        ds = tuple(_random_decomposition(rng) for _ in range(f))
+        fam = HistoryFamily(params=p, times=times, decompositions=ds)
+        bloch = rng.standard_normal(3)
+        rho0 = state_from_bloch(bloch * rng.uniform(0.0, 1.0) / np.linalg.norm(bloch))
+        D = decoherence_functional(fam, rho0).entries
+        transfers = [propagator_closed_form(p, float(dt)) for dt in np.diff(times)]
+        want = _entries_by_brute_force(transfers, [np.array(d.projectors) for d in ds], rho0)
+        assert np.abs(D - want).max() < 1e-12
+    # stacks: one gap and one basis per stacked family, checked entry by entry
+    for f in (2, 3):
+        gaps = rng.uniform(0.1, 1.5, (5, f - 1))
+        bases = [[_random_decomposition(rng) for _ in range(f)] for _ in range(5)]
+        transfers = [propagator_closed_form(p, gaps[:, m]) for m in range(f - 1)]
+        projectors = [np.array([b[m].projectors for b in bases]) for m in range(f)]
+        rho0 = state_from_bloch(np.array([0.3, 0.1, -0.4]))
+        stacked = decoherence_entries(transfers, projectors, rho0)
+        assert stacked.shape == (5, 2**f, 2**f)
+        for k in range(5):
+            want = _entries_by_brute_force([T[k] for T in transfers], [P[k] for P in projectors], rho0)
+            assert np.abs(stacked[k] - want).max() < 1e-12
 
 
 def test_stacked_functional_matches_one_family_at_a_time():
@@ -488,12 +509,12 @@ def test_last_level_trace_matches_the_full_tensor_loop():
         FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), p, sense, np.linspace(0.0, 2.5, 51))
         for sense in (FORWARD, BACKWARD)
     ]
-    for f in range(1, 8):
+    for f in range(1, 11):
         times = 0.35 * np.arange(f)
         for initial in (None, rho0):
             transfers, projectors = _family_inputs(z_family(p, times))
             got = decoherence_entries(transfers, projectors, initial)
-            assert np.array_equal(got, _entries_level_loop(transfers, projectors, initial))
+            assert np.abs(got - _entries_level_loop(transfers, projectors, initial)).max() <= 1e-15
             for flow in flows:
                 transfers, projectors = _family_inputs(HistoryFamily.from_trajectory(flow, times))
                 got = decoherence_entries(transfers, projectors, initial)
@@ -509,8 +530,9 @@ def test_last_level_trace_matches_the_full_tensor_loop():
     assert np.abs(got - _entries_level_loop([T], projectors)).max() <= 1e-15
 
 
-def test_blocked_last_level_is_bitwise_the_level_loop():
-    # f = 8 and 9 put 128 and 256 rows into the last level: several row blocks
+def test_split_trees_match_the_trace_only_level_loop():
+    # f = 8 and 9 split the times 4 + 4 and 4 + 5 between the forward and
+    # backward trees
     p = ModelParams(omega=1.0, gamma=0.9)
     flow = FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), p, FORWARD, np.linspace(0.0, 3.0, 61))
     for f in (8, 9):
@@ -519,7 +541,12 @@ def test_blocked_last_level_is_bitwise_the_level_loop():
             transfers, projectors = _family_inputs(fam)
             for initial in (None, np.array([0.1, -0.2, 0.3])):
                 got = decoherence_entries(transfers, projectors, initial)
-                assert np.array_equal(got, _entries_level_loop(transfers, projectors, initial, last_components=1))
+                want = _entries_level_loop(transfers, projectors, initial, last_components=1)
+                assert np.abs(got - want).max() <= 1e-15
+        # z projectors and a z-diagonal start keep every coherence an exact zero
+        transfers, projectors = _family_inputs(z_family(p, times))
+        got = decoherence_entries(transfers, projectors, np.array([0.0, 0.0, 0.3]))
+        assert np.all(got[~np.eye(2**f, dtype=bool)] == 0.0)
 
 
 def _checked_weights_verdict(entries):
@@ -586,6 +613,25 @@ def test_an_infinite_diagonal_entry_gives_a_nan_off_diagonal_magnitude_without_a
     assert np.isnan(off[0]) and off[1] == 0.0
 
 
+def test_max_offdiag_reads_what_checked_weights_reads_and_validates_nothing():
+    p = ModelParams(omega=1.0, gamma=0.9)
+    flow = FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), p, FORWARD, np.linspace(0.0, 3.0, 61))
+    # f = 9 spans several row blocks
+    D = decoherence_functional(HistoryFamily.from_trajectory(flow, 0.35 * np.arange(9)), np.array([0.1, -0.2, 0.3]))
+    assert D.max_offdiag == checked_weights(D.entries)[1] > 0.0
+    assert D.max_offdiag == (np.abs(D.entries) * (1.0 - np.eye(512))).max()
+    fam = z_family(p, [0.0, 0.5])
+    skew = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    skew[3, 0] = 0.125j  # not Hermitian: checked_weights raises, the property does not
+    with pytest.raises(ValueError, match="not Hermitian"):
+        checked_weights(skew)
+    assert DecoherenceMatrix(family=fam, entries=skew).max_offdiag == 0.125
+    infinite = DecoherenceMatrix(family=fam, entries=np.diag([0.5, np.inf, 0.5, 0.0]).astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(infinite.max_offdiag)
+
+
 class _NullSink:
     def write(self, text):
         pass
@@ -612,7 +658,7 @@ def test_csv_writer_at_f10_stays_within_its_memory_budget(moving, budget):
 
 
 def test_consistency_check_at_f10_stays_within_its_memory_budget():
-    # the 2^10 x 2^10 entries alone take 16 MB
+    # the 2^10 x 2^10 entries alone take 16.8 MB
     fam = z_family(ModelParams(omega=1.0, gamma=0.9), 0.35 * np.arange(10))
     tracemalloc.start()
     try:
@@ -620,7 +666,22 @@ def test_consistency_check_at_f10_stays_within_its_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6
+    assert peak <= 26e6
+
+
+def test_decoherence_functional_at_f10_allocates_little_beside_its_entries():
+    # the 16.8 MB of entries plus less than 1.2 MB
+    p = ModelParams(omega=1.0, gamma=1.0)
+    times = 0.5 * np.arange(10)
+    units = flow_unit_vectors(np.array([1.0, 0.0, 0.0]), p, FORWARD, times)
+    fam = HistoryFamily(params=p, times=times, decompositions=tuple(Decomposition.from_direction(n) for n in units))
+    tracemalloc.start()
+    try:
+        decoherence_functional(fam, np.array([0.1, -0.2, 0.3]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18e6
 
 
 def _factorization_error_by_loop(chain, w, f):
