@@ -10,17 +10,8 @@ of where the information about each observable goes.
 """
 
 from .channels import (
-    ComplementaryChannel,
-    KrausSet,
     NonCPError,
-    bit_flip_kraus,
-    choi_to_kraus,
-    choi_to_ptm,
-    complementary_apply,
-    complementary_channel,
-    kraus_to_ptm,
     ptm_to_choi,
-    stinespring_isometry,
 )
 from .families import (
     BACKWARD,
@@ -30,17 +21,12 @@ from .families import (
     RegimeReport,
     StationaryFamily,
     StationarySet,
-    TangentBranchError,
     X_DIRECTION,
     Y_DIRECTION,
     Z_DIRECTION,
-    bloch_block,
-    check_backward_condition,
     check_forward_condition,
     classify_regime,
     exact_direction,
-    family_closed_form,
-    family_ode_step,
     stationary_families,
     transition_rate,
 )
@@ -51,7 +37,6 @@ from .histories import (
     HistoryFamily,
     MarkovChain,
     NotConsistentError,
-    classical_collision_average,
     consistency_check,
     decoherence_functional,
     markov_from_family,
@@ -63,7 +48,6 @@ from .info_flow import (
     InputEnsemble,
     binary_entropy,
     build_info_report,
-    entropy_exchange,
     holevo_chi,
     holevo_complementary,
     holevo_direct,
@@ -71,26 +55,21 @@ from .info_flow import (
     mutual_information_family,
     quadratic_information,
     short_time_leak_model,
-    unital_holevo_closed_form,
     verify_family_information_identity,
     von_neumann_entropy,
 )
 from .ptm import (
     EigenSystem,
-    IntegrationError,
     ModelParams,
     OVERDAMPED,
     CRITICAL,
     UNDERDAMPED,
     apply_ptm,
-    bloch_from_state,
     eigen_system,
     generator,
     operator_from_pauli,
     pauli_coefficients,
     propagator_closed_form,
-    propagator_numeric,
-    state_from_bloch,
 )
 from .trajectories import (
     Ensemble,

@@ -436,6 +436,8 @@ def cmd_sample(cfg: RunConfig) -> int:
         raise CliError("initial must be mixed, 0 or 1")
     if cfg.ntraj < 1:
         raise CliError("ntraj must be positive")
+    if cfg.save_trajectories < 0:
+        raise CliError("save_trajectories must be non-negative")
     initial = None if cfg.initial == "mixed" else int(cfg.initial)
     try:
         sampler = SamplerConfig(seed=cfg.seed, n_trajectories=cfg.ntraj, initial=initial)
@@ -562,6 +564,8 @@ def cmd_scan(cfg: RunConfig) -> int:
     if cfg.omega == 0:
         # every ratio would map to gamma = 0; a negative omega fails in ModelParams
         raise CliError("scan needs omega > 0")
+    if cfg.points < 2:
+        raise CliError("points must be at least 2")
     ratios = np.geomspace(cfg.ratio_min, cfg.ratio_max, cfg.points)
     rows = ["ratio,gamma,regime,n_equatorial,phi_x,phi_y,kappa_x,kappa_y,kappa_z"]
     checks = _Checks()

@@ -21,14 +21,6 @@ any gamma t, so a family at gamma/omega = 5e7 costs the same as one at
 gamma = omega.  FamilyTrajectory, flow_unit_vectors and exact_direction (the
 0-d case of a grid) all go through it and report the same continuous angles.
 Importing this module loads no scipy.
-Two independent routes remain as cross-checks: adaptive integration of the
-angle ODEs (family_ode_step, which loads scipy's solve_ivp on its first call)
-and the tangent-variable closed form
-
-    mu = tan phi,  nu = tan theta
-
-valid on any branch where phi stays clear of +-pi/2 (the closed form has a
-pole there; callers get TangentBranchError and should fall back to the ODE).
 
 Along a family the local basis-flip rate is
 
@@ -54,19 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ptm import CRITICAL, IntegrationError, ModelParams, UNDERDAMPED, generator, propagator_closed_form, scaled_block
+from .ptm import CRITICAL, ModelParams, UNDERDAMPED, propagator_closed_form, scaled_block
 
 FORWARD = "forward"
 BACKWARD = "backward"
-
-# tangent values beyond this mean the closed form left its branch
-_TANGENT_LIMIT = 1e12
-# exponents beyond this overflow the tangent form's cosh / sinh / exp kernels
-_KERNEL_LIMIT = 700.0
-
-
-class TangentBranchError(ValueError):
-    """The tangent-space closed form hit a pole; integrate the ODE instead."""
 
 
 @dataclass(frozen=True)
@@ -120,11 +103,6 @@ def _as_direction(obj) -> BlochDirection:
     return BlochDirection.from_vector(obj)
 
 
-def bloch_block(params: ModelParams) -> np.ndarray:
-    """Lower-right 3x3 block S3 of the generator (the traceless-sector flow)."""
-    return generator(params)[1:, 1:]
-
-
 def transition_rate(direction: BlochDirection, params: ModelParams) -> float:
     """Local flip rate kappa = gamma (1 - n_x^2) of the telegraph process.
 
@@ -138,46 +116,14 @@ def transition_rate(direction: BlochDirection, params: ModelParams) -> float:
 
 def __getattr__(name: str):
     # PEP 562 hook: families.solve_ivp resolves to scipy's on access, so
-    # importing this module loads no scipy while the benchmark tracer can still
-    # wrap the name.  It goes away with ROADMAP item 6, once the tracer no
-    # longer needs it and family_ode_step moves into the test tree.
+    # importing this module loads no scipy.  No code here calls it; it stays
+    # only because the benchmark tracer patches the name, until that hook
+    # becomes optional in perfbench/tracer.py.
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 
         return solve_ivp
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _ode_rhs(direction: str):
-    s = +1.0 if direction == FORWARD else -1.0
-
-    def rhs(_t, y, om, g):
-        th, ph = y
-        return (s * g * math.sin(2.0 * th) * math.cos(ph) ** 2, om - s * g * math.sin(2.0 * ph))
-
-    return rhs
-
-
-def family_ode_step(state: BlochDirection, params: ModelParams, direction: str, dt: float) -> BlochDirection:
-    """Advance (theta, phi) by dt with adaptive integration (local error <= 1e-10)."""
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
-    if dt == 0.0:
-        return state
-    # the module attribute, so a wrapper set on families.solve_ivp sees the call
-    solve_ivp = globals().get("solve_ivp") or __getattr__("solve_ivp")
-    sol = solve_ivp(
-        _ode_rhs(direction),
-        (0.0, dt),
-        (state.theta, state.phi),
-        args=(params.omega, params.gamma),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise IntegrationError(f"family ODE step failed: {sol.message}")
-    return BlochDirection(theta=float(sol.y[0, -1]), phi=float(sol.y[1, -1]))
 
 
 def _signed_gamma(params: ModelParams, direction: str) -> float:
@@ -259,75 +205,6 @@ def flow_unit_vectors(initial, params: ModelParams, direction: str, times) -> np
     theta, phi, _, _ = _flow(_as_direction(initial), params, direction, np.asarray(times, dtype=float))
     st = np.sin(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-
-
-def _pole_time(params: ModelParams, q: float) -> float:
-    """First t > 0 where the tangent closed form's denominator vanishes (inf if none)."""
-    g, om = params.gamma, params.omega
-    if g > om:
-        xi = params.discriminant
-        if q < -xi:
-            return math.atanh(xi / (-q)) / xi
-        return math.inf
-    if g == om:
-        return -1.0 / q if q < 0 else math.inf
-    eta = params.discriminant
-    return (math.atan(q / eta) + math.pi / 2.0) / eta
-
-
-def family_closed_form(initial: BlochDirection, params: ModelParams, direction: str, t: float) -> BlochDirection:
-    """Closed-form family direction in tangent variables mu = tan phi, nu = tan theta.
-
-    Valid while phi stays on its branch (no crossing of +-pi/2 mod pi); at or
-    past the pole, if a tangent magnitude exceeds 1e12, or where its cosh,
-    sinh or exp kernels would overflow (xi t or gamma t beyond 700),
-    TangentBranchError is raised and the caller should integrate the ODE
-    instead.
-    """
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
-    th0, ph0 = initial.theta, initial.phi
-    if abs(math.cos(ph0)) < 1e-12 or abs(math.cos(th0)) < 1e-12:
-        raise TangentBranchError("initial angles sit on a tangent branch boundary")
-    s = +1.0 if direction == FORWARD else -1.0
-    om, g = params.omega, params.gamma
-    mu0 = math.tan(ph0)
-    nu0 = math.tan(th0)
-
-    q = s * g - om * mu0
-    tp = _pole_time(params, q)
-    if t >= tp * (1.0 - 1e-12):
-        raise TangentBranchError(f"closed form leaves its branch at t = {tp:.6g} <= requested t = {t:.6g}")
-
-    # shared kernels C = cosh(xi t), Sh = sinh(xi t)/xi (trig branch for omega > gamma)
-    u = (g * g - om * om) * t * t
-    if u > _KERNEL_LIMIT**2 or s * g * t > _KERNEL_LIMIT:
-        raise TangentBranchError("tangent closed form kernels overflow beyond xi t or gamma t = 700")
-    if abs(u) < 1e-8:
-        C = 1.0 + u / 2.0 + u * u / 24.0
-        Sh = (1.0 + u / 6.0 + u * u / 120.0) * t
-    elif u > 0:
-        x = math.sqrt(u)
-        C = math.cosh(x)
-        Sh = math.sinh(x) / x * t
-    else:
-        x = math.sqrt(-u)
-        C = math.cos(x)
-        Sh = math.sin(x) / x * t
-
-    mu = mu0 + (om - s * 2.0 * g * mu0 + om * mu0 * mu0) * Sh / (C + q * Sh)
-    w = 1.0 + mu0 * mu0
-    radicand = 1.0 + s * 2.0 * g * ((1.0 - mu0 * mu0) / w) * Sh * C + 2.0 * g * (g - s * 2.0 * om * mu0 / w) * Sh * Sh
-    if radicand < 0.0:
-        raise TangentBranchError("tangent closed form left its branch (negative radicand)")
-    nu = nu0 * math.exp(s * g * t) * math.sqrt(radicand)
-    if not (math.isfinite(mu) and math.isfinite(nu)) or max(abs(mu), abs(nu)) > _TANGENT_LIMIT:
-        raise TangentBranchError("tangent magnitude exceeded 1e12; use the ODE route")
-
-    # invert the tangents on the branch the initial angles live on
-    phi = math.atan(mu) + math.pi * round((ph0 - math.atan(mu0)) / math.pi)
-    theta = math.atan(nu) + math.pi * round((th0 - math.atan(nu0)) / math.pi)
-    return BlochDirection(theta=theta, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -505,38 +382,21 @@ class ConditionReport:
     direction: str
 
 
-def _span_condition(decomp_sequence, params: ModelParams, times, tol: float, direction: str) -> ConditionReport:
-    """The span condition between consecutive instants, with one propagator stack for all gaps."""
-    units = np.array([_as_direction(d).unit_vector for d in decomp_sequence]).reshape(-1, 3)
-    times = np.asarray(times, dtype=float)
-    if len(units) != len(times):
-        raise ValueError("need one decomposition per time")
-    T3 = propagator_closed_form(params, np.diff(times))[:, 1:, 1:]
-    if direction == FORWARD:
-        w, target = (T3 @ units[:-1, :, None])[..., 0], units[1:]
-    else:
-        w, target = (np.swapaxes(T3, -1, -2) @ units[1:, :, None])[..., 0], units[:-1]
-    target = target / np.linalg.norm(target, axis=-1, keepdims=True)
-    resids = np.linalg.norm(w - np.sum(w * target, axis=-1, keepdims=True) * target, axis=-1)
-    mx = float(np.max(resids, initial=0.0))
-    return ConditionReport(passed=mx < tol, max_residual=mx, residuals=tuple(resids.tolist()), direction=direction)
-
-
 def check_forward_condition(decomp_sequence, params: ModelParams, times, tol: float = 1e-8) -> ConditionReport:
     """Does T map each basis span into the next one?
 
     For consecutive instants the image of the earlier diameter under the
     3x3 Bloch block must be parallel to the later diameter; the residual is
-    the Euclidean norm of the orthogonal component of that image.
+    the Euclidean norm of the orthogonal component of that image.  One
+    propagator stack covers all gaps.
     """
-    return _span_condition(decomp_sequence, params, times, tol, FORWARD)
-
-
-def check_backward_condition(decomp_sequence, params: ModelParams, times, tol: float = 1e-8) -> ConditionReport:
-    """Adjoint-map variant: T^dag must pull each span back into the previous one.
-
-    The adjoint superoperator of a PTM with respect to the Frobenius inner
-    product is the transposed matrix in the Pauli basis, so the check applies
-    T3^T to the later diameter and compares against the earlier one.
-    """
-    return _span_condition(decomp_sequence, params, times, tol, BACKWARD)
+    units = np.array([_as_direction(d).unit_vector for d in decomp_sequence]).reshape(-1, 3)
+    times = np.asarray(times, dtype=float)
+    if len(units) != len(times):
+        raise ValueError("need one decomposition per time")
+    T3 = propagator_closed_form(params, np.diff(times))[:, 1:, 1:]
+    w = (T3 @ units[:-1, :, None])[..., 0]
+    target = units[1:] / np.linalg.norm(units[1:], axis=-1, keepdims=True)
+    resids = np.linalg.norm(w - np.sum(w * target, axis=-1, keepdims=True) * target, axis=-1)
+    mx = float(np.max(resids, initial=0.0))
+    return ConditionReport(passed=mx < tol, max_residual=mx, residuals=tuple(resids.tolist()), direction=FORWARD)

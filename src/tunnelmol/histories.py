@@ -21,11 +21,8 @@ dot product of the two, so nothing as large as the 2^f x 2^f matrix is built
 beside it.  Multi-indices are packed little-endian: the outcome at t_1 is the
 least significant bit of the row/column index.
 
-Two classical utilities live here as well: extraction of per-step transition
-matrices from a consistent family's weights, and averaging of
-collision-count-conditioned transition matrices over the count distribution
-(the coarse-graining that turns a collision-counting description into the
-plain telegraph process).
+A classical utility lives here as well: extraction of per-step transition
+matrices from a consistent family's weights.
 """
 
 from __future__ import annotations
@@ -585,32 +582,6 @@ def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSIST
         rec = rec[..., None] * M.T.reshape((1,) * m + (2, 2))
     err = float(np.abs(rec - W).max())
     return MarkovChain(initial_distribution=p1, transitions=tuple(transitions), factorization_error=err)
-
-
-def classical_collision_average(markov_by_count, count_dist) -> np.ndarray:
-    """Average count-conditioned transition matrices over the count distribution.
-
-    markov_by_count[n] is the column-stochastic matrix given exactly n
-    collisions in the interval; count_dist[n] their probabilities.  Because
-    counts in disjoint intervals are independent, chaining intervals commutes
-    with this average, which the tests verify by exhaustive enumeration.
-    """
-    Ms = [np.asarray(M, dtype=float) for M in markov_by_count]
-    pr = np.asarray(count_dist, dtype=float)
-    if len(Ms) != len(pr):
-        raise ValueError("need one probability per matrix")
-    if abs(pr.sum() - 1.0) > 1e-9 or pr.min() < -1e-12:
-        raise ValueError("count distribution must be a probability vector")
-    shape = Ms[0].shape
-    for M in Ms:
-        if M.shape != shape:
-            raise ValueError("transition matrices must share one shape")
-        if np.any(M < -1e-12) or not np.allclose(M.sum(axis=0), 1.0, atol=1e-9):
-            raise ValueError("matrices must be column-stochastic")
-    out = np.zeros(shape)
-    for p, M in zip(pr, Ms):
-        out += p * M
-    return out
 
 
 def telegraph_flip_probability(params: ModelParams, dt: float) -> float:

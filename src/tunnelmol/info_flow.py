@@ -141,18 +141,6 @@ def holevo_complementary(basis, params: ModelParams, t: float) -> float:
     return float(_holevo(ens.priors, complementary_outputs(propagator_closed_form(params, t), np.array(ens.states))))
 
 
-def entropy_exchange(params: ModelParams, t: float, initial=None) -> float:
-    """Entropy picked up by a fresh environment over [0, t], in bits.
-
-    Equals the von Neumann entropy of the complementary channel's output for
-    the given initial state (maximally mixed by default).
-    """
-    if initial is None:
-        initial = np.eye(2, dtype=complex) / 2.0
-    out = complementary_outputs(propagator_closed_form(params, t), np.asarray(initial, dtype=complex)[None])
-    return float(_entropies(out[0]))
-
-
 def _record_information(entries: np.ndarray, tol: float) -> np.ndarray:
     """Mutual information between the two records of consistent two-time families.
 
@@ -349,11 +337,3 @@ def build_info_report(params: ModelParams, times, family_basis=None) -> InfoRepo
         entries = decoherence_entries([T], [np.array(first.projectors), second])
         cols["mutual_info"] = _record_information(entries, CONSISTENCY_TOL)
     return InfoReport(params=params, times=times, curves=cols)
-
-
-def unital_holevo_closed_form(transported_length: float) -> float:
-    """1 - h2((1 + r)/2) for a unital qubit channel with output radius r."""
-    if not 0.0 <= transported_length <= 1.0 + 1e-12:
-        raise ValueError("transported Bloch length out of range")
-    r = min(transported_length, 1.0)
-    return 1.0 - binary_entropy(0.5 * (1.0 + r))

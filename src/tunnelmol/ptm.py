@@ -41,13 +41,10 @@ phenomenology of this package.
 All numerics in this module are plain numpy, and importing it loads no scipy.
 The closed form evaluates a whole time grid at once; a single time is the 0-d
 case of the same route.
-The adaptive integrator behind the propagator_numeric cross-check is scipy's,
-imported on that function's first call.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -66,10 +63,6 @@ _SERIES_CUTOFF = 1e-4
 OVERDAMPED = "overdamped"
 CRITICAL = "critical"
 UNDERDAMPED = "underdamped"
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive integration failed (step-size underflow or solver breakdown)."""
 
 
 @dataclass(frozen=True)
@@ -211,29 +204,6 @@ def propagator_closed_form(params: ModelParams, t) -> np.ndarray:
     return T
 
 
-def propagator_numeric(params: ModelParams, t: float, rtol: float = 1e-12, atol: float = 1e-12) -> np.ndarray:
-    """T(t) by adaptive integration of dT/dt = S T from the identity.
-
-    Entirely independent of the closed form; exists as a cross-check route.
-    Raises IntegrationError if the adaptive solver gives up.
-    """
-    if t < 0:
-        raise ValueError("propagator is defined for t >= 0")
-    if t == 0.0:
-        return np.eye(4)
-    from scipy.integrate import solve_ivp
-
-    S = generator(params)
-
-    def rhs(_t, y):
-        return (S @ y.reshape(4, 4)).ravel()
-
-    sol = solve_ivp(rhs, (0.0, t), np.eye(4).ravel(), method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(f"propagator integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(4, 4)
-
-
 def eigen_system(params: ModelParams) -> EigenSystem:
     """Eigenvalues and left/right eigenvectors of the generator S.
 
@@ -292,40 +262,3 @@ def apply_ptm(ptm: np.ndarray, op: np.ndarray) -> np.ndarray:
     """
     coeffs = pauli_coefficients(op)[..., None]
     return operator_from_pauli((np.asarray(ptm) @ coeffs)[..., 0])
-
-
-def state_from_bloch(r: np.ndarray) -> np.ndarray:
-    """Density operator (I + r . sigma)/2 from a Bloch vector with |r| <= 1."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    if np.linalg.norm(r) > 1.0 + 1e-9:
-        raise ValueError("Bloch vector lies outside the unit ball")
-    return operator_from_pauli(np.array([1.0, *r]) / 2.0)
-
-
-def bloch_from_state(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector of a density operator (real part of the X,Y,Z coefficients)."""
-    c = pauli_coefficients(rho)
-    return 2.0 * c[1:].real
-
-
-def is_trace_preserving(ptm: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.allclose(np.asarray(ptm)[0], [1.0, 0.0, 0.0, 0.0], atol=tol))
-
-
-def ptm_to_csv(ptm: np.ndarray) -> str:
-    """Row-major CSV text of a 4x4 matrix (17 significant digits)."""
-    buf = io.StringIO()
-    for row in np.asarray(ptm):
-        buf.write(",".join(format(float(x), ".17g") for x in row))
-        buf.write("\n")
-    return buf.getvalue()
-
-
-def ptm_from_csv(text: str) -> np.ndarray:
-    rows = [[float(x) for x in line.split(",")] for line in text.strip().splitlines()]
-    M = np.array(rows)
-    if M.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {M.shape}")
-    return M

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import propagator_numeric, unital_holevo_closed_form
 from tunnelmol import (
     BACKWARD,
     BlochDirection,
@@ -32,11 +33,9 @@ from tunnelmol import (
     holevo_direct,
     mutual_information_family,
     propagator_closed_form,
-    propagator_numeric,
     quadratic_information,
     sample_ensemble,
     stationary_families,
-    unital_holevo_closed_form,
     verify_family_information_identity,
 )
 

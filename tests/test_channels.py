@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
-from tunnelmol.channels import (
+from oracles import (
     KrausSet,
-    NonCPError,
     bit_flip_kraus,
     choi_to_kraus,
     choi_to_ptm,
     complementary_apply,
     complementary_channel,
-    complementary_outputs,
     kraus_to_ptm,
-    ptm_to_choi,
+    state_from_bloch,
     stinespring_isometry,
 )
-from tunnelmol.ptm import ModelParams, apply_ptm, propagator_closed_form, state_from_bloch
+from tunnelmol.channels import NonCPError, complementary_outputs, ptm_to_choi
+from tunnelmol.ptm import ModelParams, apply_ptm, propagator_closed_form
 
 
 def random_channel(rng):

@@ -101,6 +101,9 @@ def test_bad_usage_exits_2(tmp_path):
     assert run(tmp_path, "families", "--direction", "forward", "--gammas", "abc") == 2
     assert run(tmp_path, "scan", "--ratio-min", "5", "--ratio-max", "1") == 2
     assert run(tmp_path, "histories", "--steps", "40") == 2
+    assert run(tmp_path, "scan", "--points", "0") == 2
+    assert run(tmp_path, "scan", "--points", "-1") == 2
+    assert run(tmp_path, "sample", "--save-trajectories", "-1") == 2
     with pytest.raises(SystemExit):
         main([])
 

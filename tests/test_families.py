@@ -7,21 +7,17 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.linalg import expm
 
+from oracles import TangentBranchError, bloch_block, check_backward_condition, family_closed_form, family_ode_step
 from tunnelmol.families import (
     BACKWARD,
     BlochDirection,
     FORWARD,
     FamilyTrajectory,
-    TangentBranchError,
     X_DIRECTION,
     Z_DIRECTION,
-    bloch_block,
-    check_backward_condition,
     check_forward_condition,
     classify_regime,
     exact_direction,
-    family_closed_form,
-    family_ode_step,
     stationary_families,
     transition_rate,
 )

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import classical_collision_average, state_from_bloch
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, exact_direction, flow_unit_vectors
 from tunnelmol.histories import (
     DecoherenceMatrix,
@@ -20,7 +21,6 @@ from tunnelmol.histories import (
     _format17g,
     _sandwiches,
     checked_weights,
-    classical_collision_average,
     consistency_check,
     decoherence_entries,
     decoherence_functional,
@@ -28,7 +28,7 @@ from tunnelmol.histories import (
     projector_pairs,
     telegraph_flip_probability,
 )
-from tunnelmol.ptm import ModelParams, apply_ptm, pauli_coefficients, propagator_closed_form, state_from_bloch
+from tunnelmol.ptm import ModelParams, apply_ptm, pauli_coefficients, propagator_closed_form
 
 P05 = ModelParams(omega=1.0, gamma=0.5)
 

@@ -5,6 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    ComplementaryChannel,
+    choi_to_kraus,
+    complementary_apply,
+    entropy_exchange,
+    state_from_bloch,
+    stinespring_isometry,
+    unital_holevo_closed_form,
+)
 from tunnelmol.families import BlochDirection, exact_direction, FORWARD
 from tunnelmol.histories import Decomposition, HistoryFamily
 from tunnelmol.info_flow import (
@@ -12,7 +21,6 @@ from tunnelmol.info_flow import (
     InputEnsemble,
     binary_entropy,
     build_info_report,
-    entropy_exchange,
     holevo_chi,
     holevo_complementary,
     holevo_direct,
@@ -20,19 +28,11 @@ from tunnelmol.info_flow import (
     mutual_information_family,
     quadratic_information,
     short_time_leak_model,
-    unital_holevo_closed_form,
     verify_family_information_identity,
     von_neumann_entropy,
 )
-from tunnelmol.channels import (
-    ComplementaryChannel,
-    choi_to_kraus,
-    complementary_apply,
-    complementary_channel,
-    ptm_to_choi,
-    stinespring_isometry,
-)
-from tunnelmol.ptm import ModelParams, propagator_closed_form, state_from_bloch
+from tunnelmol.channels import ptm_to_choi
+from tunnelmol.ptm import ModelParams, propagator_closed_form
 
 # frozen: one bit minus the binary entropy at (1 + 1/e)/2
 CHI_Z_AT_UNIT_EXPONENT = 0.09995440847646475

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
-from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, X_DIRECTION, Z_DIRECTION, bloch_block
+from oracles import bloch_block
+from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, X_DIRECTION, Z_DIRECTION
 from tunnelmol.ptm import ModelParams
 from tunnelmol import trajectories
 from tunnelmol.trajectories import (
