@@ -11,6 +11,7 @@ of where the information about each observable goes.
 
 from .channels import (
     NonCPError,
+    choi_eigenvalues,
     ptm_to_choi,
 )
 from .families import (
@@ -45,10 +46,7 @@ from .histories import (
 from .info_flow import (
     ForwardConditionError,
     InfoReport,
-    InputEnsemble,
-    binary_entropy,
     build_info_report,
-    holevo_chi,
     holevo_complementary,
     holevo_direct,
     mub_bound_check,
@@ -56,7 +54,6 @@ from .info_flow import (
     quadratic_information,
     short_time_leak_model,
     verify_family_information_identity,
-    von_neumann_entropy,
 )
 from .ptm import (
     EigenSystem,

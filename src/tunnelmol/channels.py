@@ -1,32 +1,25 @@
-"""Channel representations: PTM -> Choi -> Kraus, and the complementary channel.
+"""Channel representations: the Choi matrix of a PTM and its spectrum.
 
-A 4x4 Pauli transfer matrix fixes a linear map on 2x2 operators.  Three other
-representations of the same map are used here:
+A 4x4 Pauli transfer matrix fixes a linear map on 2x2 operators.  Its Choi
+matrix M = sum_{ij} |i><j| (x) T(|i><j|) is Hermitian, has trace 2 for a
+trace-preserving map, and is positive semidefinite exactly when the map is
+completely positive.  Its spectrum fixes everything the environment of a
+minimal dilation can learn: the eigenvalues lambda_k are the weights of the
+Kraus operators K_k of the map, and the complementary channel
 
-  * Choi matrix  M = sum_{ij} |i><j| (x) T(|i><j|), Hermitian, trace 2 for a
-    trace-preserving map, positive semidefinite exactly when the map is
-    completely positive.
-  * Kraus form   T(rho) = sum_k K_k rho K_k^dag, obtained from the spectral
-    decomposition of M; the number of significant Choi eigenvalues is the
-    minimal environment dimension d_E.
-  * Stinespring dilation  V = sum_k |k>_E (x) K_k, an isometry from the system
-    into environment (x) system.  Tracing the system out of V rho V^dag gives
-    the complementary channel
+    T^c(rho)[k, l] = Tr(K_k rho K_l^dag)
 
-        T^c(rho) = Tr_M[V rho V^dag],   T^c(rho)[k,l] = Tr(K_k rho K_l^dag),
-
-    i.e. what the collisional environment learns.  Everything an information
-    measure sees is invariant under re-dilation with a larger environment
-    isometry, which the tests exercise.
-
-complementary_outputs takes that whole route at once for a stack of PTMs:
-one stacked Choi eigh gives the Kraus operators of every map, and the
-environment outputs are their overlaps.  It never forms the isometry V.
+sends the maximally mixed state to a state with spectrum lambda/2, so
+H(lambda/2) is the entropy the collisions take from I/2.  For a pure input
+the environment's output has the spectrum of the molecule's (the dilated
+state is pure).  info_flow builds every information quantity from these two
+facts; the explicit Kraus, Stinespring and environment-output route lives in
+the tests as the independent check.
 
 For the tunneling model at omega = 0 the exact channel is the bit-flip channel
-with Kraus set {sqrt(1-p) I, sqrt(p) X}, p = (1 - e^{-2 gamma t})/2; for small
-t the full channel is still described by two Kraus operators up to O(t^2)
-corrections, which is why d_E = 2 at short times.
+with Kraus set {sqrt(1-p) I, sqrt(p) X}, p = (1 - e^{-2 gamma t})/2, so the
+spectrum is (2(1-p), 2p, 0, 0); for small t the full channel is still
+described by two Kraus operators up to O(t^2) corrections.
 """
 
 from __future__ import annotations
@@ -35,8 +28,6 @@ import numpy as np
 
 from .ptm import PAULIS
 
-# Choi eigenvalues below this count as numerically zero and are dropped
-SIGNIFICANT_EIGENVALUE = 1e-10
 # eigenvalues below this are a genuine complete-positivity violation
 _NONCP_THRESHOLD = -1e-6
 
@@ -60,19 +51,14 @@ def ptm_to_choi(ptm: np.ndarray) -> np.ndarray:
     return np.einsum("...kl,klrc->...rc", np.asarray(ptm, dtype=float), _CHOI_BASIS)
 
 
-def complementary_outputs(ptm: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Environment outputs T^c(rho)[k, l] = Tr(K_k rho K_l^dag) for a PTM stack.
+def choi_eigenvalues(choi: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Choi stack (..., 4, 4), ascending, from one stacked eigvalsh.
 
-    ptm is (..., 4, 4) and states (m, 2, 2); the result is (..., m, 4, 4).
-    K_k comes from Choi eigenpair k of one stacked eigh, with weight zero for
-    eigenvalues at or below SIGNIFICANT_EIGENVALUE, so each output is the
-    minimal dilation's d_E x d_E output padded with zero rows and columns.
-    Raises NonCPError if any Choi eigenvalue in the stack lies below -1e-6.
+    Roundoff below zero is clipped to 0; no positive eigenvalue is dropped,
+    however small.  Raises NonCPError if any eigenvalue in the stack lies
+    below -1e-6.
     """
-    w, V = np.linalg.eigh(ptm_to_choi(ptm))
+    w = np.linalg.eigvalsh(choi)
     if w.size and w.min() < _NONCP_THRESHOLD:
         raise NonCPError(f"Choi matrix has eigenvalue {w.min():.3e}; map is not completely positive")
-    amp = np.sqrt(np.where(w > SIGNIFICANT_EIGENVALUE, w, 0.0))
-    # Choi row 2 i + a of eigenvector k holds K_k[a, i] / sqrt(lambda_k)
-    K = V.reshape(V.shape[:-2] + (2, 2, 4)) * amp[..., None, None, :]
-    return np.einsum("...iak,mij,...jal->...mkl", K, np.asarray(states, dtype=complex), K.conj())
+    return np.clip(w, 0.0, None)

@@ -4,10 +4,30 @@ All quantities are in bits.  The central object is the Holevo information of
 a two-state ensemble fed through a channel: prepare the molecule in one arm
 of a decomposition (equal priors), transmit with the collisional channel T
 or leak through its complementary channel, and ask how distinguishable the
-outputs remain.  For this unital qubit model the direct quantity has the
-closed form 1 - h2((1 + |n'|)/2) with n' the transported Bloch direction,
-which the tests use as an independent check on the definition-based route
-implemented here.
+outputs remain.  Every such quantity here is a closed form in the PTM T and
+its Choi matrix C; no output state is ever built or diagonalized.
+
+  * The arms (I +- n.sigma)/2 of the basis along a unit vector n leave the
+    channel with Bloch vectors t +- T3 n, where t = T[1:, 0] and T3 =
+    T[1:, 1:], and a qubit state with Bloch length r has entropy
+    h2((1 + r)/2).  The arms average to I/2, whose output has Bloch vector t:
+
+        chi_direct(n) = S(t) - (1/2) sum_+- S(t +- T3 n).
+
+  * A pure input leaves the environment with the spectrum it leaves the
+    molecule (the dilated state is pure), so the leaked arms have the same
+    entropies; and T^c(I/2) has the spectrum of C/2, the entropy exchange
+    (Schumacher, PRA 54, 2614 (1996)):
+
+        chi_comp(n) = H(lambda/2) - (1/2) sum_+- S(t +- T3 n),
+
+    lambda the Choi eigenvalues, none of them dropped.
+  * The quadratic proxies are (1/2) Tr[T(n.sigma)^2] = |T3 n|^2 and
+    (1/2) Tr[T^c(n.sigma)^2] = (1/2) Tr[(((n.sigma)^T (x) I) C)^2], the
+    Choi matrix contracted with itself.
+
+The definition route (Kraus operators, dilation, environment outputs and
+their eigenvalues) lives in the tests as the independent check.
 
 Three structural facts get dedicated verifiers:
 
@@ -17,14 +37,11 @@ Three structural facts get dedicated verifiers:
   * complementarity: for mutually unbiased bases the direct information
     about one basis plus the leaked information about the other cannot
     exceed one bit;
-  * purity proxy: the quadratic measure (1/2) Tr[ T(sigma_W)^2 ] shares the
-    qualitative flow pattern and has simple initial slopes, handy as a
-    cheap cross-check.
+  * purity proxy: the quadratic measures share the qualitative flow pattern
+    and have simple initial slopes, handy as a cheap cross-check.
 
 Reports are evaluated on the whole time grid at once: one PTM stack, one
-stacked Choi eigh for the environment outputs, one stacked eigvalsh for
-every entropy.  The one-time functions are thin wrappers over the same
-kernels.
+stacked Choi eigvalsh, Bloch lengths for every arm.
 """
 
 from __future__ import annotations
@@ -34,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import complementary_outputs
-from .families import FORWARD, check_forward_condition, exact_direction, flow_unit_vectors
+from .channels import choi_eigenvalues, ptm_to_choi
+from .families import FORWARD, _as_direction, check_forward_condition, exact_direction, flow_unit_vectors
 from .histories import (
     CONSISTENCY_TOL,
     Decomposition,
@@ -45,100 +62,79 @@ from .histories import (
     decoherence_functional,
     projector_pairs,
 )
-from .ptm import ModelParams, apply_ptm, propagator_closed_form
+from .ptm import PAULIS, ModelParams, propagator_closed_form
 
 _LN2 = math.log(2.0)
-_EIG_FLOOR = -1e-8
+# a Bloch length beyond this is a state with an eigenvalue below -1e-8, not roundoff
+_MAX_BLOCH_LENGTH = 1.0 + 2e-8
+_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+# rows of the two report bases, x then z
+_XZ = np.array([_AXES["x"], _AXES["z"]])
 
 
 class ForwardConditionError(ValueError):
     """Supplied target basis is not the forward flow image of the source basis."""
 
 
-def binary_entropy(p: float) -> float:
-    """h2(p) in bits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability out of range")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+def _shannon(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits over the last axis of a stack of distributions."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) / _LN2
 
 
-def _entropies(states: np.ndarray, base: float = 2.0) -> np.ndarray:
-    """S of every state in a stack (..., d, d), from one eigvalsh.
+def _qubit_entropy(bloch: np.ndarray) -> np.ndarray:
+    """S of qubit states given by Bloch vectors (..., 3): h2((1 + r)/2), r = |b|.
 
-    Eigenvalues are clipped against roundoff, never against real negativity:
-    one below -1e-8 anywhere in the stack raises ValueError.
+    Raises ValueError if some r exceeds 1 + 2e-8, a state with an
+    eigenvalue below -1e-8; smaller excesses are roundoff and are clipped.
     """
-    evals = np.linalg.eigvalsh(np.asarray(states, dtype=complex))
-    if evals.size and evals.min() < _EIG_FLOOR:
-        raise ValueError(f"state has negative eigenvalue {evals.min():.3e}")
-    evals = np.clip(evals, 0.0, None)
-    return -(evals * np.log(np.where(evals > 0.0, evals, 1.0))).sum(axis=-1) / math.log(base)
+    r = np.linalg.norm(bloch, axis=-1)
+    if r.size and r.max() > _MAX_BLOCH_LENGTH:
+        raise ValueError(f"state has negative eigenvalue {(1.0 - r.max()) / 2.0:.3e}")
+    r = np.minimum(r, 1.0)
+    return _shannon(np.stack([0.5 + 0.5 * r, 0.5 - 0.5 * r], axis=-1))
 
 
-def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
-    """S(rho); eigenvalues are clipped against roundoff, never against real negativity."""
-    return float(_entropies(rho, base))
+def _arm_entropy(T: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """(1/2) sum_+- S(t +- T3 n) for PTMs (..., 4, 4) and unit vectors n (m, 3) -> (..., m)."""
+    t = T[..., None, None, 1:, 0]
+    moved = np.einsum("...ij,mj->...mi", T[..., 1:, 1:], axes)[..., None, :]
+    return 0.5 * _qubit_entropy(t + np.array([[1.0], [-1.0]]) * moved).sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class InputEnsemble:
-    """Equal-prior preparations to be sent through a channel."""
-
-    priors: tuple
-    states: tuple
-
-    def __post_init__(self):
-        if len(self.priors) != len(self.states):
-            raise ValueError("one prior per state")
-        if abs(sum(self.priors) - 1.0) > 1e-10:
-            raise ValueError("priors must sum to one")
-
-    @classmethod
-    def from_decomposition(cls, decomposition: Decomposition) -> "InputEnsemble":
-        return cls(priors=(0.5, 0.5), states=tuple(decomposition.projectors))
+def _output_entropy(T: np.ndarray) -> np.ndarray:
+    """S(T(I/2)) for PTMs (..., 4, 4): the entropy of the averaged arms' output."""
+    return _qubit_entropy(T[..., 1:, 0])
 
 
-def _holevo(priors, outputs: np.ndarray) -> np.ndarray:
-    """holevo_chi over a stack of ensembles: outputs (..., m, d, d) -> (...), one entropy pass."""
-    p = np.asarray(priors, dtype=float)
-    avg = np.einsum("j,...jab->...ab", p, outputs)
-    S = _entropies(np.concatenate([outputs, avg[..., None, :, :]], axis=-3))
-    return S[..., -1] - S[..., :-1] @ p
+def _exchange_entropy(choi: np.ndarray) -> np.ndarray:
+    """S(T^c(I/2)) = H(lambda/2) for Choi matrices (..., 4, 4), every eigenvalue kept."""
+    return _shannon(choi_eigenvalues(choi) / 2.0)
 
 
-def holevo_chi(priors, states) -> float:
-    """S(sum_j p_j rho_j) - sum_j p_j S(rho_j), in bits."""
-    return float(_holevo(priors, np.asarray(states, dtype=complex)))
-
-
-def _half_trace_square(ops: np.ndarray) -> np.ndarray:
-    """(1/2) Tr[A^2] for a stack of Hermitian operators (..., d, d)."""
-    return 0.5 * np.einsum("...kl,...lk->...", ops, ops).real
+def _axis(basis) -> np.ndarray:
+    """Unit Bloch vector of a basis: a name x, y or z, a Decomposition, a direction or a vector."""
+    if isinstance(basis, str):
+        try:
+            return np.array(_AXES[basis])
+        except KeyError:
+            raise ValueError(f"unknown basis name {basis!r}") from None
+    return _as_direction(basis).unit_vector
 
 
 def _coerce_decomposition(basis) -> Decomposition:
-    if isinstance(basis, Decomposition):
-        return basis
-    if isinstance(basis, str):
-        try:
-            return {"x": Decomposition.x_basis, "y": Decomposition.y_basis, "z": Decomposition.z_basis}[basis]()
-        except KeyError:
-            raise ValueError(f"unknown basis name {basis!r}") from None
-    return Decomposition.from_direction(basis)
+    return basis if isinstance(basis, Decomposition) else Decomposition.from_direction(_axis(basis))
 
 
 def holevo_direct(basis, params: ModelParams, t: float) -> float:
     """Information about the basis record still held by the molecule after t."""
-    ens = InputEnsemble.from_decomposition(_coerce_decomposition(basis))
-    return float(_holevo(ens.priors, apply_ptm(propagator_closed_form(params, t), np.array(ens.states))))
+    T = propagator_closed_form(params, t)
+    return float(_output_entropy(T) - _arm_entropy(T, _axis(basis)[None])[0])
 
 
 def holevo_complementary(basis, params: ModelParams, t: float) -> float:
     """Information about the basis record carried off by the collisions up to t."""
-    ens = InputEnsemble.from_decomposition(_coerce_decomposition(basis))
-    return float(_holevo(ens.priors, complementary_outputs(propagator_closed_form(params, t), np.array(ens.states))))
+    T = propagator_closed_form(params, t)
+    return float(_exchange_entropy(ptm_to_choi(T)) - _arm_entropy(T, _axis(basis)[None])[0])
 
 
 def _record_information(entries: np.ndarray, tol: float) -> np.ndarray:
@@ -232,14 +228,11 @@ def mub_bound_check(basis, conjugate_basis, params: ModelParams, t: float) -> Mu
     Validates unbiasedness first: every cross overlap Tr(P_i Q_j) must equal
     one half.  slack = 1 - holevo_direct(basis) - holevo_complementary(conjugate).
     """
-    d1 = _coerce_decomposition(basis)
-    d2 = _coerce_decomposition(conjugate_basis)
-    for P in d1.projectors:
-        for Q in d2.projectors:
-            if abs(np.trace(P @ Q).real - 0.5) > 1e-10:
-                raise ValueError("bases are not mutually unbiased")
-    direct = holevo_direct(d1, params, t)
-    leaked = holevo_complementary(d2, params, t)
+    # Tr(P_i Q_j) = (1 +- n.m)/2 for the basis directions n and m
+    if abs(_axis(basis) @ _axis(conjugate_basis)) > 2e-10:
+        raise ValueError("bases are not mutually unbiased")
+    direct = holevo_direct(basis, params, t)
+    leaked = holevo_complementary(conjugate_basis, params, t)
     slack = 1.0 - direct - leaked
     return MubBoundReport(
         holevo_direct=direct,
@@ -247,6 +240,21 @@ def mub_bound_check(basis, conjugate_basis, params: ModelParams, t: float) -> Mu
         slack=slack,
         passed=slack > -1e-9,
     )
+
+
+def _kept_square(T: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(1/2) Tr[T(n.sigma)^2] = |T3 n|^2 for a PTM stack (..., 4, 4)."""
+    return np.square(T[..., 1:, 1:] @ n).sum(axis=-1)
+
+
+def _leaked_square(choi: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(1/2) Tr[T^c(n.sigma)^2] for a Choi stack (..., 4, 4).
+
+    With rows of C indexed (i, a), T^c(A) has the Gram entries Tr(K_k A K_l^dag)
+    of any Kraus set, and sum_kl |Tr(K_k A K_l^dag)|^2 = Tr[((A^T (x) I) C)^2].
+    """
+    M = np.kron(np.einsum("i,iab->ba", n, PAULIS[1:]), np.eye(2)) @ choi
+    return 0.5 * np.einsum("...ij,...ji->...", M, M).real
 
 
 def quadratic_information(basis, params: ModelParams, t: float, which: str = "direct"):
@@ -257,13 +265,12 @@ def quadratic_information(basis, params: ModelParams, t: float, which: str = "di
     difference so no negative times are ever required.  All four times go
     through the channel in one stack.
     """
-    P = np.array(_coerce_decomposition(basis).projectors)
+    n = _axis(basis)
     if which not in ("direct", "complementary"):
         raise ValueError("which must be 'direct' or 'complementary'")
     h = 1e-6
     T = propagator_closed_form(params, np.array([float(t), 0.0, h, 2.0 * h]))
-    outs = apply_ptm(T[:, None], P) if which == "direct" else complementary_outputs(T, P)
-    q = _half_trace_square(outs[:, 0] - outs[:, 1])
+    q = _kept_square(T, n) if which == "direct" else _leaked_square(ptm_to_choi(T), n)
     return float(q[0]), float((-3.0 * q[1] + 4.0 * q[2] - q[3]) / (2.0 * h))
 
 
@@ -314,13 +321,11 @@ def build_info_report(params: ModelParams, times, family_basis=None) -> InfoRepo
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
     T = propagator_closed_form(params, times)
-    ens = [InputEnsemble.from_decomposition(_coerce_decomposition(b)) for b in "xz"]
-    P = np.array([e.states for e in ens])  # [basis, arm, 2, 2]
-    env = complementary_outputs(T, P.reshape(4, 2, 2)).reshape(T.shape[:-2] + (2, 2, 4, 4))
-    direct = np.zeros_like(env)  # 2x2 outputs padded with zeros, which add no entropy
-    direct[..., :2, :2] = apply_ptm(T[..., None, None, :, :], P)
-    chi = _holevo(ens[0].priors, np.stack([direct, env], axis=-5))  # [time, channel, basis]
-    xd, zd, xc, zc = chi[..., 0, 0], chi[..., 0, 1], chi[..., 1, 0], chi[..., 1, 1]
+    choi = ptm_to_choi(T)
+    arms = _arm_entropy(T, _XZ)  # [time, basis]
+    direct = _output_entropy(T)[..., None] - arms
+    leaked = _exchange_entropy(choi)[..., None] - arms
+    xd, zd, xc, zc = direct[..., 0], direct[..., 1], leaked[..., 0], leaked[..., 1]
     cols = {
         "chi_x_direct": xd,
         "chi_z_direct": zd,
@@ -328,12 +333,12 @@ def build_info_report(params: ModelParams, times, family_basis=None) -> InfoRepo
         "chi_z_comp": zc,
         "sum_zx": zd + xc,
         "sum_xz": xd + zc,
-        "quad_z_direct": _half_trace_square(direct[..., 1, 0, :, :] - direct[..., 1, 1, :, :]),
-        "quad_x_comp": _half_trace_square(env[..., 0, 0, :, :] - env[..., 0, 1, :, :]),
+        "quad_z_direct": _kept_square(T, _XZ[1]),
+        "quad_x_comp": _leaked_square(choi, _XZ[0]),
     }
     if family_basis is not None:
-        first = _coerce_decomposition(family_basis)
-        second = projector_pairs(flow_unit_vectors(first.bloch_direction, params, FORWARD, times))
-        entries = decoherence_entries([T], [np.array(first.projectors), second])
+        n0 = _axis(family_basis)
+        second = projector_pairs(flow_unit_vectors(n0, params, FORWARD, times))
+        entries = decoherence_entries([T], [projector_pairs(n0), second])
         cols["mutual_info"] = _record_information(entries, CONSISTENCY_TOL)
     return InfoReport(params=params, times=times, curves=cols)

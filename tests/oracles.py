@@ -19,14 +19,23 @@ checks need, and only the tests import them:
     the family flows.
   * The one-map channel route, choi_to_kraus, stinespring_isometry,
     complementary_channel and complementary_apply, builds the literal
-    Stinespring dilation of one PTM and traces the system out of it; it
-    cross-checks the stacked channels.complementary_outputs.  choi_to_ptm,
-    kraus_to_ptm and bit_flip_kraus close the PTM -> Choi -> Kraus -> PTM
-    loop and give the analytic omega = 0 channel.
+    Stinespring dilation of one PTM and traces the system out of it.
+    complementary_outputs takes the same route for a stack of PTMs: one
+    stacked Choi eigh gives the Kraus operators of every map, and the
+    environment outputs are their overlaps; the two cross-check each other.
+    choi_to_ptm, kraus_to_ptm and bit_flip_kraus close the PTM -> Choi ->
+    Kraus -> PTM loop and give the analytic omega = 0 channel.
+  * The definition route of the information curves: binary_entropy,
+    von_neumann_entropy (eigenvalues of the state), holevo_chi and
+    InputEnsemble.  Fed with the explicit outputs of the dilation, they
+    check the closed forms of info_flow.
   * entropy_exchange is the entropy of the complementary output, checked
     against explicit Kraus overlaps.
   * unital_holevo_closed_form is 1 - h2((1 + r)/2), the closed form that
     info_flow.holevo_direct and the record mutual information must reach.
+  * leaked_information_mp is the leaked Holevo information at 60 digits
+    with mpmath: the propagator from its 2x2 block exponential, the Choi
+    matrix term by term, and its spectrum from mpmath's Hermitian solver.
   * classical_collision_average averages collision-count-conditioned
     transition matrices, which the tests hold against the telegraph flip
     probability.
@@ -40,15 +49,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from tunnelmol.channels import _NONCP_THRESHOLD, SIGNIFICANT_EIGENVALUE, NonCPError, complementary_outputs, ptm_to_choi
+from tunnelmol.channels import _NONCP_THRESHOLD, NonCPError, ptm_to_choi
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, ConditionReport, _as_direction
-from tunnelmol.info_flow import binary_entropy, von_neumann_entropy
+from tunnelmol.histories import Decomposition
 from tunnelmol.ptm import PAULIS, ModelParams, generator, operator_from_pauli, pauli_coefficients, propagator_closed_form
 
 # tangent values beyond this mean the closed form left its branch
 _TANGENT_LIMIT = 1e12
 # exponents beyond this overflow the tangent form's cosh / sinh / exp kernels
 _KERNEL_LIMIT = 700.0
+# Choi eigenvalues at or below this count as numerically zero and give no Kraus operator
+SIGNIFICANT_EIGENVALUE = 1e-10
+# state eigenvalues below this are a genuine negativity, not roundoff
+_EIG_FLOOR = -1e-8
 
 
 class IntegrationError(RuntimeError):
@@ -376,7 +389,83 @@ def bit_flip_kraus(p: float) -> KrausSet:
     )
 
 
+def complementary_outputs(ptm: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Environment outputs T^c(rho)[k, l] = Tr(K_k rho K_l^dag) for a PTM stack.
+
+    ptm is (..., 4, 4) and states (m, 2, 2); the result is (..., m, 4, 4).
+    K_k comes from Choi eigenpair k of one stacked eigh, with weight zero for
+    eigenvalues at or below SIGNIFICANT_EIGENVALUE, so each output is the
+    minimal dilation's d_E x d_E output padded with zero rows and columns.
+    Raises NonCPError if any Choi eigenvalue in the stack lies below -1e-6.
+    """
+    w, V = np.linalg.eigh(ptm_to_choi(ptm))
+    if w.size and w.min() < _NONCP_THRESHOLD:
+        raise NonCPError(f"Choi matrix has eigenvalue {w.min():.3e}; map is not completely positive")
+    amp = np.sqrt(np.where(w > SIGNIFICANT_EIGENVALUE, w, 0.0))
+    # Choi row 2 i + a of eigenvector k holds K_k[a, i] / sqrt(lambda_k)
+    K = V.reshape(V.shape[:-2] + (2, 2, 4)) * amp[..., None, None, :]
+    return np.einsum("...iak,mij,...jal->...mkl", K, np.asarray(states, dtype=complex), K.conj())
+
+
 # -- information and classical averages ---------------------------------------
+
+
+def binary_entropy(p: float) -> float:
+    """h2(p) in bits."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probability out of range")
+    if p in (0.0, 1.0):
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+
+
+def _entropies(states: np.ndarray, base: float = 2.0) -> np.ndarray:
+    """S of every state in a stack (..., d, d), from one eigvalsh.
+
+    Eigenvalues are clipped against roundoff, never against real negativity:
+    one below -1e-8 anywhere in the stack raises ValueError.
+    """
+    evals = np.linalg.eigvalsh(np.asarray(states, dtype=complex))
+    if evals.size and evals.min() < _EIG_FLOOR:
+        raise ValueError(f"state has negative eigenvalue {evals.min():.3e}")
+    evals = np.clip(evals, 0.0, None)
+    return -(evals * np.log(np.where(evals > 0.0, evals, 1.0))).sum(axis=-1) / math.log(base)
+
+
+def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
+    """S(rho); eigenvalues are clipped against roundoff, never against real negativity."""
+    return float(_entropies(rho, base))
+
+
+@dataclass(frozen=True)
+class InputEnsemble:
+    """Equal-prior preparations to be sent through a channel."""
+
+    priors: tuple
+    states: tuple
+
+    def __post_init__(self):
+        if len(self.priors) != len(self.states):
+            raise ValueError("one prior per state")
+        if abs(sum(self.priors) - 1.0) > 1e-10:
+            raise ValueError("priors must sum to one")
+
+    @classmethod
+    def from_decomposition(cls, decomposition: Decomposition) -> "InputEnsemble":
+        return cls(priors=(0.5, 0.5), states=tuple(decomposition.projectors))
+
+
+def _holevo(priors, outputs: np.ndarray) -> np.ndarray:
+    """holevo_chi over a stack of ensembles: outputs (..., m, d, d) -> (...), one entropy pass."""
+    p = np.asarray(priors, dtype=float)
+    avg = np.einsum("j,...jab->...ab", p, outputs)
+    S = _entropies(np.concatenate([outputs, avg[..., None, :, :]], axis=-3))
+    return S[..., -1] - S[..., :-1] @ p
+
+
+def holevo_chi(priors, states) -> float:
+    """S(sum_j p_j rho_j) - sum_j p_j S(rho_j), in bits."""
+    return float(_holevo(priors, np.asarray(states, dtype=complex)))
 
 
 def entropy_exchange(params: ModelParams, t: float, initial=None) -> float:
@@ -395,6 +484,46 @@ def unital_holevo_closed_form(transported_length: float) -> float:
     """1 - h2((1 + r)/2) for a unital qubit channel with output radius r."""
     r = min(transported_length, 1.0)
     return 1.0 - binary_entropy(0.5 * (1.0 + r))
+
+
+def leaked_information_mp(omega: float, gamma: float, t: float, n) -> float:
+    """H(lambda/2) - (1/2) sum_+- S(t +- T3 n) in bits, evaluated with mpmath at 60 digits.
+
+    The arguments are taken at their exact binary values.  The x-y block of
+    the propagator is e^{-gamma t} [cosh(xi t) I + sinh(xi t)/xi N] with
+    N = [[gamma, -omega], [omega, -gamma]], N^2 = xi^2 I.
+    """
+    import mpmath as mp
+
+    with mp.workdps(60):
+        om, g, t = mp.mpf(omega), mp.mpf(gamma), mp.mpf(t)
+        xi = mp.sqrt(mp.mpc(g * g - om * om))
+        damp = mp.exp(-g * t)
+        c = damp * mp.cosh(xi * t)
+        s = damp * (mp.sinh(xi * t) / xi if xi != 0 else t)
+        T = mp.zeros(4, 4)
+        T[0, 0] = 1
+        for (i, j), v in {(0, 0): c + s * g, (0, 1): -s * om, (1, 0): s * om, (1, 1): c - s * g}.items():
+            T[1 + i, 1 + j] = mp.re(v)
+        T[3, 3] = mp.exp(-2 * g * t)
+        paulis = [mp.matrix(P.tolist()) for P in PAULIS]
+        # rows (i, a), columns (j, b): C = (1/2) sum_kl T_kl (sigma_l)_ji (sigma_k)_ab, as in ptm_to_choi
+        C = mp.zeros(4, 4)
+        for k in range(4):
+            for l in range(4):
+                for i, j, a, b in np.ndindex(2, 2, 2, 2):
+                    C[2 * i + a, 2 * j + b] += T[k, l] * paulis[l][j, i] * paulis[k][a, b] / 2
+
+        def shannon(ps):
+            return -sum(p * mp.log(p, 2) for p in ps if p > 0)
+
+        exchange = shannon([mp.re(lam) / 2 for lam in mp.eighe(C, eigvals_only=True)])
+        arms = 0
+        for sign in (1, -1):
+            b = [T[1 + i, 0] + sign * sum(T[1 + i, 1 + j] * mp.mpf(n[j]) for j in range(3)) for i in range(3)]
+            r = mp.sqrt(sum(x * x for x in b))
+            arms += shannon([(1 + r) / 2, (1 - r) / 2]) / 2
+        return float(exchange - arms)
 
 
 def classical_collision_average(markov_by_count, count_dist) -> np.ndarray:

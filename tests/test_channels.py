@@ -13,11 +13,12 @@ from oracles import (
     choi_to_ptm,
     complementary_apply,
     complementary_channel,
+    complementary_outputs,
     kraus_to_ptm,
     state_from_bloch,
     stinespring_isometry,
 )
-from tunnelmol.channels import NonCPError, complementary_outputs, ptm_to_choi
+from tunnelmol.channels import NonCPError, choi_eigenvalues, ptm_to_choi
 from tunnelmol.ptm import ModelParams, apply_ptm, propagator_closed_form
 
 
@@ -187,3 +188,19 @@ def test_non_cp_map_anywhere_in_a_stack_is_rejected():
     stack[3] = np.diag([1.0, 1.0, -1.0, 1.0])  # transpose map
     with pytest.raises(NonCPError):
         complementary_outputs(stack, states)
+
+
+def test_choi_spectrum_keeps_every_positive_eigenvalue_and_rejects_non_cp_maps():
+    stack = propagator_closed_form(ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-6]))
+    lam = choi_eigenvalues(ptm_to_choi(stack))
+    assert lam.shape == (2, 4) and lam.min() >= 0.0
+    assert lam.sum(axis=-1) == pytest.approx([2.0, 2.0], abs=1e-12)
+    # kappa_x t: far below the old 1e-10 significance cut, and physical
+    assert lam[1, :2] == pytest.approx([8.60349e-13, 8.60349e-13], rel=1e-5)
+    transpose = np.diag([1.0, 1.0, -1.0, 1.0])  # the textbook non-CP positive map
+    with pytest.raises(NonCPError):
+        choi_eigenvalues(ptm_to_choi(transpose))
+    stack = propagator_closed_form(ModelParams(omega=0.8, gamma=2.0), np.linspace(0.0, 2.0, 5))
+    stack[3] = transpose
+    with pytest.raises(NonCPError):
+        choi_eigenvalues(ptm_to_choi(stack))

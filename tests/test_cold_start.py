@@ -26,7 +26,8 @@ GONE = (
     "family_ode_step family_closed_form TangentBranchError check_backward_condition bloch_block "
     "KrausSet ComplementaryChannel choi_to_kraus stinespring_isometry complementary_channel complementary_apply "
     "choi_to_ptm kraus_to_ptm bit_flip_kraus entropy_exchange unital_holevo_closed_form classical_collision_average "
-    "ptm_to_csv ptm_from_csv is_trace_preserving"
+    "ptm_to_csv ptm_from_csv is_trace_preserving "
+    "complementary_outputs SIGNIFICANT_EIGENVALUE binary_entropy von_neumann_entropy holevo_chi InputEnsemble"
 ).split()
 
 

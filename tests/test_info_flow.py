@@ -1,27 +1,30 @@
 """Entropies, Holevo quantities, identities and bounds on information flow."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from oracles import (
     ComplementaryChannel,
+    InputEnsemble,
+    binary_entropy,
     choi_to_kraus,
     complementary_apply,
     entropy_exchange,
+    holevo_chi,
+    leaked_information_mp,
     state_from_bloch,
     stinespring_isometry,
     unital_holevo_closed_form,
+    von_neumann_entropy,
 )
 from tunnelmol.families import BlochDirection, exact_direction, FORWARD
 from tunnelmol.histories import Decomposition, HistoryFamily
 from tunnelmol.info_flow import (
     ForwardConditionError,
-    InputEnsemble,
-    binary_entropy,
     build_info_report,
-    holevo_chi,
     holevo_complementary,
     holevo_direct,
     mub_bound_check,
@@ -29,9 +32,9 @@ from tunnelmol.info_flow import (
     quadratic_information,
     short_time_leak_model,
     verify_family_information_identity,
-    von_neumann_entropy,
 )
 from tunnelmol.channels import ptm_to_choi
+from tunnelmol.info_flow import _qubit_entropy
 from tunnelmol.ptm import ModelParams, propagator_closed_form
 
 # frozen: one bit minus the binary entropy at (1 + 1/e)/2
@@ -229,9 +232,13 @@ def test_environment_gain_balances_system_loss_across_bases():
 
 
 def _definition_route_row(p, t, family_basis):
-    """One report row, map by map: Choi -> Kraus -> dilation -> entropies, and closed forms."""
+    """One report row, map by map: Choi -> Kraus -> dilation -> entropies, and closed forms.
+
+    The dilation is exact: every positive Choi eigenvalue gives a Kraus
+    operator, however small (at D2S2 the physical ones reach 1e-12).
+    """
     T = propagator_closed_form(p, float(t))
-    kraus = choi_to_kraus(ptm_to_choi(T))
+    kraus = choi_to_kraus(ptm_to_choi(T), significance=0.0)
     comp = ComplementaryChannel(isometry=stinespring_isometry(kraus), kraus=kraus)
     x, z = Decomposition.x_basis(), Decomposition.z_basis()
 
@@ -281,3 +288,71 @@ def test_batched_report_matches_the_definition_route(params, times, basis):
     for k, t in enumerate(times):
         for key, want in _definition_route_row(params, t, basis).items():
             assert rep.curves[key][k] == pytest.approx(want, abs=1e-12), f"{key} at t = {t}"
+
+
+def test_leaked_parity_information_at_d2s2_matches_mpmath():
+    # the Choi eigenvalues kappa_x t = 8.6e-13 are physical: dropping them
+    # reads the leaked z information as -2.2e-16 instead of 3.57e-11 bits
+    pytest.importorskip("mpmath")
+    p, t = ModelParams(omega=176.0, gamma=9e9), 1e-6
+    exact = leaked_information_mp(p.omega, p.gamma, t, (0.0, 0.0, 1.0))
+    assert exact == pytest.approx(3.5724125948e-11, rel=1e-10)
+    assert build_info_report(p, np.array([0.0, t])).curves["chi_z_comp"][1] == pytest.approx(exact, abs=1e-13)
+    assert holevo_complementary("z", p, t) == pytest.approx(exact, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "params, times, basis",
+    [
+        (ModelParams(omega=1.3, gamma=0.0), np.linspace(0.0, 5.0, 11), "x"),  # unitary: nothing leaks
+        (ModelParams(omega=0.0, gamma=1.4), np.linspace(0.0, 3.0, 13), "z"),  # bit flip
+        (ModelParams(omega=0.7, gamma=0.7), np.linspace(0.0, 9.0, 10), "z"),  # exact critical point
+        (ModelParams(omega=1.0, gamma=1e4), np.array([0.0, 1e-6, 0.07, 1.0, 5.0]), "x"),  # gamma t to 5e4
+        (ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-9, 1e-7, 1e-4, 1e-3]), "z"),  # gamma t to 9e6
+    ],
+)
+def test_closed_form_report_at_the_edges_of_the_model(params, times, basis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = build_info_report(params, times, family_basis=basis)
+    for key, col in rep.curves.items():
+        assert np.all(np.isfinite(col)), key
+    for k, t in enumerate(times):
+        for key, want in _definition_route_row(params, t, basis).items():
+            assert rep.curves[key][k] == pytest.approx(want, abs=1e-12), f"{key} at t = {t}"
+    if params.gamma == 0.0:
+        assert np.abs(rep.curves["chi_x_comp"]).max() < 1e-12
+        assert np.abs(rep.curves["chi_z_comp"]).max() < 1e-12
+    if params.omega == 0.0:
+        # Kraus set {sqrt(1-p) I, sqrt(p) X}: x passes untouched, z is flipped
+        # with probability p, and the environment holds exactly h2(p) about x
+        h = np.array([binary_entropy(0.5 * (1.0 - math.exp(-2.0 * params.gamma * t))) for t in times])
+        assert rep.curves["chi_x_direct"] == pytest.approx(np.ones_like(times), abs=1e-12)
+        assert rep.curves["chi_z_direct"] == pytest.approx(1.0 - h, abs=1e-12)
+        assert rep.curves["chi_x_comp"] == pytest.approx(h, abs=1e-12)
+        assert rep.curves["chi_z_comp"] == pytest.approx(np.zeros_like(times), abs=1e-12)
+
+
+def test_one_time_quantities_agree_with_the_report_and_the_dilation_for_any_direction():
+    p = ModelParams(omega=0.9, gamma=1.7)
+    times = np.array([0.0, 0.2, 1.1, 3.0])
+    rep = build_info_report(p, times)
+    P0, P1 = Decomposition.from_direction(BlochDirection(theta=0.7, phi=2.1)).projectors
+    for k, t in enumerate(times):
+        assert holevo_direct("x", p, t) == pytest.approx(rep.curves["chi_x_direct"][k], abs=1e-14)
+        assert holevo_complementary("z", p, t) == pytest.approx(rep.curves["chi_z_comp"][k], abs=1e-14)
+        kraus = choi_to_kraus(ptm_to_choi(propagator_closed_form(p, float(t))), significance=0.0)
+        comp = ComplementaryChannel(isometry=stinespring_isometry(kraus), kraus=kraus)
+        leaked = holevo_chi((0.5, 0.5), (complementary_apply(comp, P0), complementary_apply(comp, P1)))
+        assert holevo_complementary(Decomposition((P0, P1)), p, t) == pytest.approx(leaked, abs=1e-12)
+        sigma = complementary_apply(comp, P0 - P1)
+        value, _ = quadratic_information(Decomposition((P0, P1)), p, t, "complementary")
+        assert value == pytest.approx(0.5 * float(np.trace(sigma @ sigma).real), abs=1e-12)
+
+
+def test_bloch_lengths_beyond_one_are_clipped_as_roundoff_or_rejected_as_states():
+    # the Bloch length r has eigenvalues (1 +- r)/2: r = 1 + 2e-8 is the -1e-8 floor
+    assert _qubit_entropy(np.array([0.0, 0.0, 1.0 + 1e-8])) == 0.0
+    assert _qubit_entropy(np.array([[0.6, 0.0, 0.0]])) == pytest.approx([binary_entropy(0.8)], abs=1e-15)
+    with pytest.raises(ValueError):
+        _qubit_entropy(np.array([[0.0, 0.0, 0.5], [0.0, 1.0 + 3e-8, 0.0]]))
