@@ -6,8 +6,11 @@ probabilities only if its decoherence matrix is diagonal.  Three cases below:
 * the pointer basis (z) is consistent at any set of times,
 * a static transverse basis is not, unless the initial state is maximally
   mixed or the times are chosen stroboscopically,
-* a transported basis that rides the family flow is consistent by design,
-  and its history weights factor into a classical Markov chain.
+* a transported basis that rides the family flow is consistent by design.
+
+The weights of any family factor into a classical Markov chain; the forward
+residual of that chain bounds the off-diagonals, so the last part reads the
+chain off one propagator stack and checks it against the full matrix.
 """
 
 import math
@@ -20,10 +23,12 @@ from tunnelmol import (
     FORWARD,
     HistoryFamily,
     ModelParams,
+    chain_kernel,
     consistency_check,
     decoherence_functional,
     exact_direction,
     markov_from_family,
+    propagator_closed_form,
     telegraph_flip_probability,
 )
 
@@ -68,19 +73,29 @@ def main() -> None:
         family = HistoryFamily(params=params, times=times, decompositions=decomps)
         verdict(family, initial, note)
 
-    print("\nclassical readout of the pointer family:")
+    print("\nclassical readout: the chain from one propagator stack, checked against the full matrix:")
     z_times = np.array([0.0, 0.6, 1.2, 1.8])
-    family = HistoryFamily(
-        params=params, times=z_times, decompositions=tuple(Decomposition.z_basis() for _ in z_times)
-    )
-    chain = markov_from_family(family, UP)
-    print(f"  initial distribution: {np.array2string(chain.initial_distribution, precision=4)}")
     q = telegraph_flip_probability(params, 0.6)
     print(f"  flip probability per 0.6 step: {q:.6f} (telegraph value)")
-    for k, M in enumerate(chain.transitions):
-        print(f"  step {k}: off-diagonal {M[1, 0]:.6f}, factorization checks out")
-    print(f"  worst factorization error over all histories: {chain.factorization_error:.2e}")
-
+    pointer = tuple(Decomposition.z_basis() for _ in z_times)
+    moving = tuple(Decomposition.from_direction(exact_direction(start, params, FORWARD, t)) for t in z_times)
+    for decomps, initial, note in ((pointer, UP, "pointer family, pure start"), (moving, None, "forward transport, mixed start")):
+        family = HistoryFamily(params=params, times=z_times, decompositions=decomps)
+        units = np.array([d.bloch_direction.unit_vector for d in decomps])
+        T3 = propagator_closed_form(params, np.diff(z_times))[:, 1:, 1:]
+        residual = chain_kernel(units, T3, np.zeros(3) if initial is None else initial)[2].max()
+        chain = markov_from_family(family, initial)
+        print(f"  {note}: residual {residual:.1e}, so every off-diagonal is at most {residual / 2:.1e}")
+        print(f"    initial distribution: {np.array2string(chain.initial_distribution, precision=4)}")
+        for k, M in enumerate(chain.transitions):
+            print(f"    step {k}: flip probability {M[1, 0]:.6f}")
+        # the chain's product against the diagonal of the full functional
+        D = decoherence_functional(family, initial)
+        product = [
+            chain.initial_distribution[bits[0]] * math.prod(M[b, a] for M, a, b in zip(chain.transitions, bits, bits[1:]))
+            for bits in map(D.label, range(2**D.f))
+        ]
+        print(f"    chain product vs the functional's diagonal: max deviation {np.abs(product - D.weights).max():.1e}")
 
 if __name__ == "__main__":
     main()

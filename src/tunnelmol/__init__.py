@@ -38,6 +38,7 @@ from .histories import (
     HistoryFamily,
     MarkovChain,
     NotConsistentError,
+    chain_kernel,
     consistency_check,
     decoherence_functional,
     markov_from_family,

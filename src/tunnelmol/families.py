@@ -387,16 +387,17 @@ def check_forward_condition(decomp_sequence, params: ModelParams, times, tol: fl
 
     For consecutive instants the image of the earlier diameter under the
     3x3 Bloch block must be parallel to the later diameter; the residual is
-    the Euclidean norm of the orthogonal component of that image.  One
-    propagator stack covers all gaps.
+    the Euclidean norm of the orthogonal component of that image, the gap
+    residual of histories.chain_kernel.  One propagator stack covers all gaps.
     """
+    # histories imports this module, so its kernel is imported on use
+    from .histories import chain_kernel
+
     units = np.array([_as_direction(d).unit_vector for d in decomp_sequence]).reshape(-1, 3)
     times = np.asarray(times, dtype=float)
-    if len(units) != len(times):
-        raise ValueError("need one decomposition per time")
+    if len(units) != len(times) or not len(times):
+        raise ValueError("need at least one time, and one decomposition per time")
     T3 = propagator_closed_form(params, np.diff(times))[:, 1:, 1:]
-    w = (T3 @ units[:-1, :, None])[..., 0]
-    target = units[1:] / np.linalg.norm(units[1:], axis=-1, keepdims=True)
-    resids = np.linalg.norm(w - np.sum(w * target, axis=-1, keepdims=True) * target, axis=-1)
+    resids = chain_kernel(units, T3, np.zeros(3))[2][1:]
     mx = float(np.max(resids, initial=0.0))
     return ConditionReport(passed=mx < tol, max_residual=mx, residuals=tuple(resids.tolist()), direction=FORWARD)

@@ -21,8 +21,29 @@ dot product of the two, so nothing as large as the 2^f x 2^f matrix is built
 beside it.  Multi-indices are packed little-endian: the outcome at t_1 is the
 least significant bit of the row/column index.
 
-A classical utility lives here as well: extraction of per-step transition
-matrices from a consistent family's weights.
+The diagonal needs none of that.  For rank-one projectors P_a = (I + s_a
+n.sigma)/2, with s_0 = +1 and s_1 = -1, P_a X P_a = Tr(P_a X) P_a: after each
+projection the branch is its weight times P_a again.  So the weights of any
+family, from any initial state, are a Markov chain (Griffiths, Consistent
+Quantum Theory, CUP 2002, ch. 11; Gell-Mann & Hartle, PRD 47, 3345 (1993)).
+chain_kernel computes it in O(f) from one propagator stack:
+
+    p1(a)     = (1 + s_a n_1 . r0)/2,
+    M_k(b|a)  = (1 + s_a s_b n_{k+1} . T3_k n_k)/2,
+
+with r0 the initial Bloch vector and T3_k the Bloch block of the channel
+across gap k (the model is unital, T[1:, 0] = 0, so no shift term).  It also
+returns one residual per time: |r0_perp| off n_1, then
+|T3_k n_k - (n_{k+1} . T3_k n_k) n_{k+1}| for each gap, the miss of the
+forward condition.  A pair of histories that first differ at time k carries
+a term of trace norm (prefix weight) x residual_k / 2 there, and the later
+projections and CPTP steps cannot enlarge it; at the last time the trace
+closes the term, Tr(P_a Y P_b) = 0.  So every off-diagonal entry obeys
+|D(alpha, beta)| <= trace(rho_0) x (largest residual before the last) / 2.
+markov_from_family returns the chain without the functional whenever that
+bound is below the tolerance; otherwise it builds the 4^f functional for the
+verdict (f <= 10) or reports the verdict as undetermined (f > 10), never
+guessed.
 """
 
 from __future__ import annotations
@@ -32,7 +53,7 @@ import io
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,8 +62,11 @@ from .ptm import ModelParams, PAULIS, operator_from_pauli, pauli_coefficients, p
 
 CONSISTENCY_TOL = 1e-8
 
-# rows per step of the row-blocked Hermiticity and off-diagonal checks
+# rows per step of the off-diagonal check, and the side of a Hermiticity tile
 _CHECK_BLOCK_ROWS = 128
+# real and imaginary parts within this put a complex difference within the
+# Hermiticity atol 1e-10: 0.7e-10 * sqrt(2) < 1e-10, with room for rounding
+_ATOL_PART = 0.7e-10
 # values per step of _format17g, whose (29, n) byte template then stays in cache
 _FORMAT_BLOCK_VALUES = 8192
 # _format17g itself formats |v| in [1e-300, 1e300], whose decimal exponents
@@ -462,24 +486,34 @@ def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ValueError unless every matrix is Hermitian and its weights are
     non-negative up to roundoff, as for any positive initial state.  The
-    Hermiticity verdict is np.allclose(E, E^H, atol=1e-10), taken a block of
-    rows at a time; np.isclose runs only on a block where some |E - E^H|
-    exceeds 1e-10 or is not a number.
+    Hermiticity verdict is np.allclose(E, E^H, atol=1e-10), taken over square
+    tiles E[I, J] against E[J, I]^H with J >= I, so each pair of entries is
+    read once and the transposed read stays within a tile.  A tile where
+    every real and imaginary part of E - E^H is within 0.7e-10 is
+    within atol; np.isclose runs, both ways round, only on another tile,
+    which includes every tile with an entry that is not a number.
     """
     E = np.asarray(entries)
     n = E.shape[-1]
+    diff = np.empty(E.shape[:-2] + (min(n, _CHECK_BLOCK_ROWS),) * 2, dtype=complex)
     hermitian = True
-    for start in range(0, n, _CHECK_BLOCK_ROWS):
-        stop = min(start + _CHECK_BLOCK_ROWS, n)
-        rows = E[..., start:stop, :]
-        cols = np.swapaxes(E[..., :, start:stop], -1, -2).conj()
-        # |rows - cols| <= atol passes isclose whatever rtol adds; a NaN fails
-        # the test, and an infinite entry makes the max infinite or NaN
-        # (inf - inf, hence the errstate); initial=0 admits an empty stack
-        with np.errstate(invalid="ignore"):
-            within_atol = np.max(np.abs(rows - cols), initial=0.0) <= 1e-10
-        if not within_atol:
-            hermitian &= bool(np.isclose(rows, cols, atol=1e-10).all())
+    for i in range(0, n, _CHECK_BLOCK_ROWS):
+        rows = slice(i, i + _CHECK_BLOCK_ROWS)
+        for j in range(i, n, _CHECK_BLOCK_ROWS):
+            cols = slice(j, j + _CHECK_BLOCK_ROWS)
+            upper = E[..., rows, cols]
+            lower = np.swapaxes(E[..., cols, rows], -1, -2)
+            d = diff[..., : upper.shape[-2], : upper.shape[-1]]
+            # an infinite entry makes inf - inf (hence the errstate), and a NaN
+            # fails both comparisons; initial admits an empty stack
+            with np.errstate(invalid="ignore"):
+                np.conjugate(lower, out=d)
+                np.subtract(upper, d, out=d)
+                parts = d.view(float)
+                within_atol = max(parts.max(initial=0.0), -parts.min(initial=0.0)) <= _ATOL_PART
+            if not within_atol:
+                hermitian &= bool(np.isclose(upper, lower.conj(), atol=1e-10).all())
+                hermitian &= bool(np.isclose(lower, upper.conj(), atol=1e-10).all())
     if not hermitian:
         raise ValueError("decoherence matrix is not Hermitian")
     w = np.real(np.diagonal(E, axis1=-2, axis2=-1))
@@ -534,54 +568,105 @@ def consistency_check(D: DecoherenceMatrix, tol: float = CONSISTENCY_TOL) -> Con
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """Initial distribution and per-step column-stochastic transition matrices."""
+    """Initial distribution and per-step column-stochastic transition matrices.
+
+    factorization_error is 0.0 where the chain came from chain_kernel alone,
+    whose product is the family's weights by construction; where the
+    functional was built for the verdict, it is the largest deviation of the
+    product p_1 * prod_m M_m from the functional's normalized diagonal.
+    """
 
     initial_distribution: np.ndarray
     transitions: tuple
     factorization_error: float
 
 
-def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSISTENCY_TOL) -> MarkovChain:
-    """Extract the classical chain hiding in a consistent family's weights.
+# s_a of outcome a, and s_a s_b, the same on [next, now] as on [now, next]
+_SIGNS = np.array([1.0, -1.0])
+_SIGN_PRODUCTS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
-    Transition matrices are column-stochastic, M[k, j] = P(next = k | now = j).
-    factorization_error is the largest deviation between the family weights
-    and the product form p_1 * prod_m M_m, which vanishes for Markovian
-    families (all the families this package constructs).  Raises
-    NotConsistentError when the family fails the consistency check.
+
+def chain_kernel(units, T3, r0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Markov chain on the diagonal of the decoherence functional, and the residuals that bound the rest.
+
+    units   (..., f, 3) unit vectors n_k: P^a_k = (I + s_a n_k.sigma)/2, s = (+1, -1)
+    T3      (..., f - 1, 3, 3) Bloch blocks of the (unital) channel across each gap
+    r0      (..., 3) Bloch vector of the initial state at t_1
+
+    Returns (p1, transitions, residuals):
+      p1           (..., 2)           p1[a] = (1 + s_a n_1 . r0)/2
+      transitions  (..., f - 1, 2, 2) M_k[b, a] = (1 + s_a s_b n_{k+1} . T3_k n_k)/2,
+                                      [next, now], column-stochastic
+      residuals    (..., f)           |r0 - (n_1 . r0) n_1|, then the forward
+                                      miss |T3_k n_k - (n_{k+1} . T3_k n_k) n_{k+1}|
+                                      of each gap
+    The product of p1 and the transitions is the weight of every history.
+    Histories that first differ at t_k (k from 1) have
+    |D(alpha, beta)| <= trace(rho_0) residuals[k - 1] / 2, and 0 at k = f,
+    where the trace closes the cross term; so a family whose residuals
+    before the last are below the tolerance is consistent.
     """
-    D = decoherence_functional(family, initial)
-    report = consistency_check(D, tol)
+    units = np.asarray(units, dtype=float)
+    r0 = np.asarray(r0, dtype=float)
+    moved = (T3 @ units[..., :-1, :, None])[..., 0]
+    overlap = np.sum(units[..., 1:, :] * moved, axis=-1)
+    first = np.sum(units[..., 0, :] * r0, axis=-1)
+    p1 = 0.5 * (1.0 + _SIGNS * first[..., None])
+    transitions = 0.5 * (1.0 + _SIGN_PRODUCTS * overlap[..., None, None])
+    residuals = np.concatenate(
+        (np.linalg.norm(r0 - first[..., None] * units[..., 0, :], axis=-1)[..., None],
+         np.linalg.norm(moved - overlap[..., None] * units[..., 1:, :], axis=-1)),
+        axis=-1,
+    )
+    return p1, transitions, residuals
+
+
+def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSISTENCY_TOL) -> MarkovChain:
+    """The classical chain of a consistent family's weights, from one propagator stack.
+
+    Transition matrices are column-stochastic, M[k, j] = P(next = k | now = j),
+    each column the physical conditional of chain_kernel, also for a state
+    the chain cannot reach (at gamma = 0, from "up", a flow family's steps
+    are the identity).  The unit vectors are read from the family's own
+    projectors, as the functional reads them.  When chain_kernel's bound
+    proves the family consistent, no functional is built and
+    factorization_error is 0.0.  Otherwise, for f <= 10, the 4^f functional
+    gives the verdict: NotConsistentError when it fails, and when it passes,
+    factorization_error measured against its diagonal.  For f > 10 the
+    verdict is undetermined, and ValueError says so.
+    """
+    coefficients = pauli_coefficients(_coerce_initial(initial))
+    trace = 2.0 * coefficients[0].real
+    if np.abs(coefficients.imag).max() > 1e-10 or not trace > 0.0:
+        raise ValueError("initial state must be a Hermitian operator with positive trace")
+    projectors = np.array([d.projectors[0] for d in family.decompositions])
+    units = 2.0 * pauli_coefficients(projectors)[:, 1:].real
+    T3 = propagator_closed_form(family.params, np.diff(family.times))[:, 1:, 1:]
+    p1, transitions, residuals = chain_kernel(units, T3, 2.0 * coefficients[1:].real / trace)
+    if p1.min() < -1e-10 / trace:
+        raise ValueError("negative history weight beyond roundoff")
+    chain = MarkovChain(initial_distribution=p1, transitions=tuple(transitions), factorization_error=0.0)
+    # twice the bound on every off-diagonal entry; histories that first
+    # differ at the last time have none, as the trace closes P_a Y P_b
+    residual = trace * residuals[:-1].max(initial=0.0)
+    if residual < tol:
+        return chain
+    if family.f > 10:
+        raise ValueError(
+            f"consistency undetermined: residual {residual:.3e} >= {tol:.0e}, and at f = {family.f} "
+            "the functional is past its cap of 10 times"
+        )
+    report = consistency_check(decoherence_functional(family, initial), tol)
     if not report.passed:
         raise NotConsistentError(
             f"family is not consistent: max off-diagonal {report.max_offdiag:.3e} >= {tol:.0e}"
         )
-    w = report.normalized_weights()
-    f = family.f
-    shape = (2,) * f
-    W = w.reshape(shape, order="F")  # little-endian: first axis = first time
-    p1 = W.reshape(2, -1).sum(axis=1) if f > 1 else W.copy()
-    if f == 1:
-        return MarkovChain(initial_distribution=p1, transitions=(), factorization_error=0.0)
-    transitions = []
-    axes = tuple(range(f))
-    for m in range(f - 1):
-        pair = W.sum(axis=tuple(a for a in axes if a not in (m, m + 1)))  # shape (2, 2): [now, next]
-        now = pair.sum(axis=1)
-        M = np.zeros((2, 2))
-        for j in range(2):
-            if now[j] > 1e-15:
-                M[:, j] = pair[j, :] / now[j]
-            else:
-                M[:, j] = 0.5  # unreachable state: convention only
-        transitions.append(M)
-    # reconstruct the joint p1[a_1] M_1[a_2, a_1] ... left to right and
-    # measure the Markov factorization defect
-    rec = p1
+    product = p1
     for m, M in enumerate(transitions):
-        rec = rec[..., None] * M.T.reshape((1,) * m + (2, 2))
-    err = float(np.abs(rec - W).max())
-    return MarkovChain(initial_distribution=p1, transitions=tuple(transitions), factorization_error=err)
+        # p1[a_1] M_1[a_2, a_1] ... with the first time on the first axis
+        product = product[..., None] * M.T.reshape((1,) * m + (2, 2))
+    weights = report.normalized_weights().reshape((2,) * family.f, order="F")
+    return replace(chain, factorization_error=float(np.abs(product - weights).max()))
 
 
 def telegraph_flip_probability(params: ModelParams, dt: float) -> float:

@@ -33,7 +33,15 @@ Three structural facts get dedicated verifiers:
 
   * records are faithful: for a family whose later basis is the forward flow
     image of the first one, the classical mutual information between first
-    and last outcome equals the Holevo information of the connecting channel;
+    and last outcome equals the Holevo information of the connecting channel.
+    The joint distribution of the two records is the Markov chain of
+    histories.chain_kernel, (1 + s_a s_b n1 . T3 n0)/4 from I/2, so no
+    decoherence functional is built.  A two-time family from I/2 is
+    consistent for any pair of axes (I/2 leaves no cross term at the first
+    time and the trace closes every one at the last), so the report's column
+    and the identity need no verdict; mutual_information_family, which takes
+    any initial state, gets its verdict from histories.markov_from_family,
+    by the kernel's residual bound or, where that fails, the 4x4 functional;
   * complementarity: for mutually unbiased bases the direct information
     about one basis plus the leaked information about the other cannot
     exceed one bit;
@@ -41,7 +49,7 @@ Three structural facts get dedicated verifiers:
     and have simple initial slopes, handy as a cheap cross-check.
 
 Reports are evaluated on the whole time grid at once: one PTM stack, one
-stacked Choi eigvalsh, Bloch lengths for every arm.
+stacked Choi eigvalsh, Bloch lengths for every arm, one chain per time.
 """
 
 from __future__ import annotations
@@ -52,16 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import choi_eigenvalues, ptm_to_choi
-from .families import FORWARD, _as_direction, check_forward_condition, exact_direction, flow_unit_vectors
-from .histories import (
-    CONSISTENCY_TOL,
-    Decomposition,
-    HistoryFamily,
-    checked_weights,
-    decoherence_entries,
-    decoherence_functional,
-    projector_pairs,
-)
+from .families import FORWARD, _as_direction, check_forward_condition, flow_unit_vectors
+from .histories import CONSISTENCY_TOL, HistoryFamily, chain_kernel, markov_from_family
 from .ptm import PAULIS, ModelParams, propagator_closed_form
 
 _LN2 = math.log(2.0)
@@ -121,10 +121,6 @@ def _axis(basis) -> np.ndarray:
     return _as_direction(basis).unit_vector
 
 
-def _coerce_decomposition(basis) -> Decomposition:
-    return basis if isinstance(basis, Decomposition) else Decomposition.from_direction(_axis(basis))
-
-
 def holevo_direct(basis, params: ModelParams, t: float) -> float:
     """Information about the basis record still held by the molecule after t."""
     T = propagator_closed_form(params, t)
@@ -137,35 +133,44 @@ def holevo_complementary(basis, params: ModelParams, t: float) -> float:
     return float(_exchange_entropy(ptm_to_choi(T)) - _arm_entropy(T, _axis(basis)[None])[0])
 
 
-def _record_information(entries: np.ndarray, tol: float) -> np.ndarray:
-    """Mutual information between the two records of consistent two-time families.
+def _record_information(p1: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Mutual information between the two records of two-time families, from their chains.
 
-    entries is one or a stack of (4, 4) decoherence matrices; any family of
-    the stack that fails the consistency check raises ValueError.
+    p1 (..., 2) and M (..., 2, 2), [next, now], as chain_kernel gives them;
+    the joint distribution of the two outcomes is M[b, a] p1[a].
     """
-    w, max_offdiag = checked_weights(entries)
-    if np.any(max_offdiag >= tol):
-        raise ValueError(
-            f"family is not consistent (max off-diagonal {np.max(max_offdiag):.3e}); "
-            "its weights are not a joint distribution"
-        )
-    # [second outcome, first outcome]; the information is symmetric in the two
-    joint = (np.clip(w, 0.0, None) / w.sum(axis=-1, keepdims=True)).reshape(w.shape[:-1] + (2, 2))
+    joint = np.clip(M * p1[..., None, :], 0.0, None)
     indep = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
     seen = joint > 0.0
     ratio = np.where(seen, joint, 1.0) / np.where(seen, indep, 1.0)
     return (joint * np.log2(ratio)).sum(axis=(-2, -1))
 
 
-def mutual_information_family(family: HistoryFamily, initial=None, tol: float = 1e-8) -> float:
+def _flow_record_information(n0: np.ndarray, T: np.ndarray, n1: np.ndarray) -> np.ndarray:
+    """Record information of the two-time families (n0 at 0, n1 at t) from I/2, for PTMs T(t) (..., 4, 4).
+
+    Such a family is consistent whatever its axes: from I/2 the kernel's
+    first residual is 0, and the trace closes every cross term at the last
+    time.  So its weights are the joint distribution, and no verdict is
+    needed.
+    """
+    units = np.stack(np.broadcast_arrays(n0, n1), axis=-2)
+    p1, M, _ = chain_kernel(units, T[..., None, 1:, 1:], np.zeros(3))
+    return _record_information(p1, M[..., 0, :, :])
+
+
+def mutual_information_family(family: HistoryFamily, initial=None, tol: float = CONSISTENCY_TOL) -> float:
     """Classical mutual information between the two records of a two-time family.
 
-    Requires f = 2 and a consistent family; the weights then form a genuine
-    joint distribution over the four outcome pairs.
+    Requires f = 2 and a consistent family, whose weights then form a genuine
+    joint distribution over the four outcome pairs.  The chain and the
+    verdict come from markov_from_family: its residual bound, or the 4x4
+    functional where that bound fails.
     """
     if family.f != 2:
         raise ValueError("mutual information needs exactly two history times")
-    return float(_record_information(decoherence_functional(family, initial).entries, tol))
+    chain = markov_from_family(family, initial, tol)
+    return float(_record_information(chain.initial_distribution, chain.transitions[0]))
 
 
 @dataclass(frozen=True)
@@ -187,27 +192,26 @@ def verify_family_information_identity(
 ) -> InformationIdentityReport:
     """Check that a forward family's records carry exactly the Holevo information.
 
-    The second-time basis defaults to the forward flow image of the first;
+    The second-time axis defaults to the forward flow image of the first;
     a caller-supplied target is accepted only after passing the forward span
-    condition, otherwise ForwardConditionError is raised.  The residual is
-    |I(record_1 : record_2) - holevo_direct| and should sit at roundoff.
+    condition, otherwise ForwardConditionError is raised.  The records are
+    those of the two-time family from I/2, read from its chain.  The residual
+    is |I(record_1 : record_2) - holevo_direct| and should sit at roundoff.
     """
-    d0 = _coerce_decomposition(basis)
+    n0 = _axis(basis)
     if t <= 0:
         raise ValueError("need a positive time separation")
     if target is None:
-        moved = exact_direction(d0.bloch_direction, params, FORWARD, t)
-        d1 = Decomposition.from_direction(moved)
+        n1 = flow_unit_vectors(n0, params, FORWARD, t)
     else:
-        d1 = _coerce_decomposition(target)
-        cond = check_forward_condition([d0, d1], params, np.array([0.0, t]))
+        n1 = _axis(target)
+        cond = check_forward_condition([n0, n1], params, np.array([0.0, t]))
         if not cond.passed:
             raise ForwardConditionError(
                 f"target basis misses the forward flow image by {cond.max_residual:.3e}"
             )
-    family = HistoryFamily(params=params, times=np.array([0.0, t]), decompositions=(d0, d1))
-    mi = mutual_information_family(family)
-    hol = holevo_direct(d0, params, t)
+    mi = float(_flow_record_information(n0, propagator_closed_form(params, t), n1))
+    hol = holevo_direct(basis, params, t)
     residual = abs(mi - hol)
     return InformationIdentityReport(mutual_info=mi, holevo=hol, residual=residual, passed=residual < tol)
 
@@ -338,7 +342,5 @@ def build_info_report(params: ModelParams, times, family_basis=None) -> InfoRepo
     }
     if family_basis is not None:
         n0 = _axis(family_basis)
-        second = projector_pairs(flow_unit_vectors(n0, params, FORWARD, times))
-        entries = decoherence_entries([T], [projector_pairs(n0), second])
-        cols["mutual_info"] = _record_information(entries, CONSISTENCY_TOL)
+        cols["mutual_info"] = _flow_record_information(n0, T, flow_unit_vectors(n0, params, FORWARD, times))
     return InfoReport(params=params, times=times, curves=cols)

@@ -36,6 +36,12 @@ checks need, and only the tests import them:
   * leaked_information_mp is the leaked Holevo information at 60 digits
     with mpmath: the propagator from its 2x2 block exponential, the Choi
     matrix term by term, and its spectrum from mpmath's Hermitian solver.
+  * The functional-fitted Markov route: fitted_markov_chain takes the
+    marginals and pair conditionals of a family's normalized weights (with
+    0.5 in a column the chain cannot reach) and the defect of their product;
+    record_information_from_entries is the mutual information of a two-time
+    family read off its validated 4x4 decoherence functional.  They check histories.chain_kernel,
+    markov_from_family and the record information of info_flow.
   * classical_collision_average averages collision-count-conditioned
     transition matrices, which the tests hold against the telegraph flip
     probability.
@@ -51,7 +57,7 @@ from scipy.integrate import solve_ivp
 
 from tunnelmol.channels import _NONCP_THRESHOLD, NonCPError, ptm_to_choi
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, ConditionReport, _as_direction
-from tunnelmol.histories import Decomposition
+from tunnelmol.histories import Decomposition, checked_weights
 from tunnelmol.ptm import PAULIS, ModelParams, generator, operator_from_pauli, pauli_coefficients, propagator_closed_form
 
 # tangent values beyond this mean the closed form left its branch
@@ -547,3 +553,49 @@ def classical_collision_average(markov_by_count, count_dist) -> np.ndarray:
     for p, M in zip(pr, Ms):
         out += p * M
     return out
+
+
+# -- the functional-fitted Markov route ---------------------------------------
+
+
+def fitted_markov_chain(weights, f: int) -> tuple[np.ndarray, tuple, float]:
+    """(p1, transitions, factorization error) fitted to a family's normalized weights (2^f, little-endian).
+
+    p1 is the first-time marginal; each transition is the pair marginal of
+    neighboring times over the marginal of the earlier one, column-stochastic
+    [next, now], with 0.5 in a column whose state has no weight; the error is
+    the largest deviation of their product from the weights.
+    """
+    W = np.asarray(weights, dtype=float).reshape((2,) * f, order="F")
+    p1 = W.reshape(2, -1).sum(axis=1)
+    transitions = []
+    for m in range(f - 1):
+        pair = W.sum(axis=tuple(a for a in range(f) if a not in (m, m + 1)))  # [now, next]
+        now = pair.sum(axis=1)
+        M = np.full((2, 2), 0.5)
+        for j in range(2):
+            if now[j] > 1e-15:
+                M[:, j] = pair[j, :] / now[j]
+        transitions.append(M)
+    # p1[a_1] M_1[a_2, a_1] ... over every history, first time on the first axis
+    product = p1
+    for m, M in enumerate(transitions):
+        product = product[..., None] * M.T.reshape((1,) * m + (2, 2))
+    return p1, tuple(transitions), float(np.abs(product - W).max())
+
+
+def record_information_from_entries(entries: np.ndarray, tol: float) -> np.ndarray:
+    """Mutual information between the two records of consistent two-time families, from their functionals.
+
+    entries is one or a stack of (4, 4) decoherence matrices; any family of
+    the stack that fails the consistency check raises ValueError.
+    """
+    w, max_offdiag = checked_weights(entries)
+    if np.any(max_offdiag >= tol):
+        raise ValueError(f"family is not consistent (max off-diagonal {np.max(max_offdiag):.3e})")
+    # [second outcome, first outcome]; the information is symmetric in the two
+    joint = (np.clip(w, 0.0, None) / w.sum(axis=-1, keepdims=True)).reshape(w.shape[:-1] + (2, 2))
+    indep = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
+    seen = joint > 0.0
+    ratio = np.where(seen, joint, 1.0) / np.where(seen, indep, 1.0)
+    return (joint * np.log2(ratio)).sum(axis=(-2, -1))

@@ -307,3 +307,5 @@ def test_span_conditions_accept_true_sequences_and_reject_perturbed():
     broken = list(fwd)
     broken[2] = Decomposition.from_direction(BlochDirection(theta=1.3, phi=2.2))
     assert not check_forward_condition(broken, p, times).passed
+    with pytest.raises(ValueError, match="at least one time"):
+        check_forward_condition([], p, np.array([]))

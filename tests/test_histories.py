@@ -7,9 +7,20 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import classical_collision_average, state_from_bloch
-from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, exact_direction, flow_unit_vectors
+from oracles import classical_collision_average, fitted_markov_chain, state_from_bloch
+from tunnelmol import histories
+from tunnelmol.families import (
+    BACKWARD,
+    FORWARD,
+    X_DIRECTION,
+    Z_DIRECTION,
+    BlochDirection,
+    FamilyTrajectory,
+    exact_direction,
+    flow_unit_vectors,
+)
 from tunnelmol.histories import (
+    CONSISTENCY_TOL,
     DecoherenceMatrix,
     Decomposition,
     HistoryFamily,
@@ -20,6 +31,7 @@ from tunnelmol.histories import (
     _distinct,
     _format17g,
     _sandwiches,
+    chain_kernel,
     checked_weights,
     consistency_check,
     decoherence_entries,
@@ -684,24 +696,169 @@ def test_decoherence_functional_at_f10_allocates_little_beside_its_entries():
     assert peak <= 18e6
 
 
-def _factorization_error_by_loop(chain, w, f):
-    # reference: one left-to-right product p_1 * prod_m M_m per history
-    W = w.reshape((2,) * f, order="F")
-    rec = np.zeros(W.shape)
-    for idx in np.ndindex(*W.shape):
-        q = chain.initial_distribution[idx[0]]
+def _product_by_loop(p1, transitions, f):
+    # reference: one left-to-right product p_1 * prod_m M_m per history, little-endian
+    product = np.zeros(2**f)
+    for index in range(2**f):
+        bits = [(index >> m) & 1 for m in range(f)]
+        q = p1[bits[0]]
         for m in range(f - 1):
-            q *= chain.transitions[m][idx[m + 1], idx[m]]
-        rec[idx] = q
-    return float(np.abs(rec - W).max())
+            q *= transitions[m][bits[m + 1], bits[m]]
+        product[index] = q
+    return product
 
 
-def test_markov_product_form_matches_the_index_loop():
+def _family(params, times, units):
+    return HistoryFamily(params=params, times=times, decompositions=tuple(Decomposition.from_direction(n) for n in units))
+
+
+def _random_units(rng, shape):
+    v = rng.standard_normal(shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _kernel_of(family, r0):
+    units = 2.0 * pauli_coefficients(np.array([d.projectors[0] for d in family.decompositions]))[:, 1:].real
+    T3 = propagator_closed_form(family.params, np.diff(family.times))[:, 1:, 1:]
+    return chain_kernel(units, T3, r0)
+
+
+def test_markov_product_matches_the_functional_and_the_fitted_chain():
+    # z and forward flow families start diagonal in their first basis, random
+    # families anywhere in the Bloch ball: the product is the functional's
+    # diagonal either way, and a consistent family's chain is the fitted one
+    rng = np.random.default_rng(1701)
     p = ModelParams(omega=1.0, gamma=1.7)
-    flow = FamilyTrajectory.integrate(BlochDirection(0.7, 2.2), p, FORWARD, np.linspace(0.0, 4.5, 91))
     for f in range(1, 11):
-        times = 0.45 * np.arange(f)
-        for fam in (z_family(p, times), HistoryFamily.from_trajectory(flow, times)):
-            chain = markov_from_family(fam)
-            w = consistency_check(decoherence_functional(fam)).normalized_weights()
-            assert chain.factorization_error == _factorization_error_by_loop(chain, w, f)
+        times = np.cumsum(rng.uniform(0.2, 0.7, size=f))
+        flow = flow_unit_vectors(_random_units(rng, ()), p, FORWARD, times - times[0])
+        families = (
+            (z_family(p, times), rng.uniform(-1.0, 1.0) * np.array([0.0, 0.0, 1.0])),
+            (_family(p, times, flow), rng.uniform(-1.0, 1.0) * flow[0]),
+            (_family(p, times, _random_units(rng, (f,))), rng.uniform(0.0, 1.0) * _random_units(rng, ())),
+        )
+        for k, (fam, r0) in enumerate(families):
+            weights = np.real(np.diag(decoherence_functional(fam, r0).entries))
+            p1, transitions, residuals = _kernel_of(fam, r0)
+            assert np.abs(_product_by_loop(p1, transitions, f) - weights).max() <= 1e-15
+            if k == 2:
+                continue
+            assert residuals.max() < 1e-14
+            chain = markov_from_family(fam, r0)
+            fitted_p1, fitted, fitted_error = fitted_markov_chain(weights, f)
+            assert chain.factorization_error == 0.0 and fitted_error <= 1e-15
+            assert np.abs(chain.initial_distribution - fitted_p1).max() <= 1e-15
+            for M, N in zip(chain.transitions, fitted):
+                assert np.abs(M - N).max() <= 1e-15
+
+
+def test_offdiagonal_entries_are_bounded_by_half_the_largest_residual_before_the_last():
+    rng = np.random.default_rng(1702)
+    for draw in range(60):
+        p = ModelParams(omega=float(rng.uniform(0.3, 2.0)), gamma=float(rng.uniform(0.2, 4.0)))
+        f = int(rng.integers(2, 8))
+        times = np.cumsum(rng.uniform(0.1, 0.8, size=f))
+        if draw % 2:
+            # a forward flow family, each axis and the start pushed off by 1e-10 .. 1e-5
+            units = flow_unit_vectors(_random_units(rng, ()), p, FORWARD, times - times[0])
+            units = units + 10.0 ** rng.uniform(-10.0, -5.0, size=(f, 1)) * _random_units(rng, (f,))
+            units /= np.linalg.norm(units, axis=-1, keepdims=True)
+            r0 = rng.uniform(-1.0, 1.0) * units[0] + 10.0 ** rng.uniform(-10.0, -5.0) * _random_units(rng, ())
+        else:
+            units = _random_units(rng, (f,))
+            r0 = rng.uniform(0.0, 1.0) * _random_units(rng, ())
+        fam = _family(p, times, units)
+        # the last time's residual does not enter: the trace closes its cross terms
+        bound = _kernel_of(fam, r0)[2][:-1].max() / 2.0
+        if draw % 2:
+            assert 1e-11 < bound < 1e-5
+        assert decoherence_functional(fam, r0).max_offdiag <= bound + 1e-15
+
+
+def test_markov_verdict_matches_the_functional_across_the_tolerance():
+    # a forward flow family whose middle axis is tilted off the flow: the
+    # residual straddles 1e-8, and the functional's off-diagonals sit below it
+    p = ModelParams(omega=1.0, gamma=0.8)
+    times = np.array([0.0, 0.6, 1.1, 1.9])
+    flow = flow_unit_vectors(np.array([0.6, 0.0, 0.8]), p, FORWARD, times)
+    side = np.cross(flow[1], [0.0, 1.0, 0.0])
+    side /= np.linalg.norm(side)
+    routes = set()
+    for tilt in (3e-9, 1e-8, 2e-8, 4e-8, 1e-7, 1e-6):
+        units = flow.copy()
+        units[1] = flow[1] + tilt * side
+        units[1] /= np.linalg.norm(units[1])
+        fam = _family(p, times, units)
+        residual = _kernel_of(fam, np.zeros(3))[2][:-1].max()
+        passed = consistency_check(decoherence_functional(fam)).passed
+        routes.add((residual < CONSISTENCY_TOL, passed))
+        if passed:
+            assert markov_from_family(fam).factorization_error <= 1e-15
+        else:
+            with pytest.raises(NotConsistentError):
+                markov_from_family(fam)
+    # proven by the residual; residual failed, functional passed; both failed
+    assert routes == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("params", [ModelParams(omega=1.0, gamma=0.6), ModelParams(omega=176.0, gamma=9e9)])
+def test_flow_families_at_f10_build_no_functional(monkeypatch, params):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoherence_entries called")
+
+    monkeypatch.setattr(histories, "decoherence_entries", refuse)
+    times = np.linspace(0.0, 4.0 / params.gamma, 10)
+    for d0 in (X_DIRECTION, BlochDirection(1.1, 0.3)):
+        units = flow_unit_vectors(d0, params, FORWARD, times)
+        for initial in (None, 0.7 * units[0]):
+            chain = markov_from_family(_family(params, times, units), initial)
+            assert len(chain.transitions) == 9 and chain.factorization_error == 0.0
+
+
+def test_long_families_get_a_chain_or_an_undetermined_verdict():
+    times = 0.1 * np.arange(40)
+    chain = markov_from_family(z_family(P05, times))
+    q = telegraph_flip_probability(P05, 0.1)
+    assert len(chain.transitions) == 39
+    assert all(abs(M[1, 0] - q) < 1e-15 and abs(M[0, 1] - q) < 1e-15 for M in chain.transitions)
+    # x at every time from "up": inconsistent at f = 2 already, but past the
+    # functional's cap nothing proves it
+    fam = HistoryFamily(params=P05, times=0.7 * np.arange(12), decompositions=(Decomposition.x_basis(),) * 12)
+    with pytest.raises(ValueError, match="undetermined") as info:
+        markov_from_family(fam, np.array([0.0, 0.0, 1.0]))
+    assert not isinstance(info.value, NotConsistentError)
+
+
+def test_a_state_the_chain_cannot_reach_gets_the_physical_conditional():
+    # gamma = 0: the flow family from z carries "up" along with the state, so
+    # "down" has no weight after the start; its column is the conditional
+    # from P_down, the identity, where a fit to the weights has nothing to use
+    p = ModelParams(omega=1.0, gamma=0.0)
+    times = np.array([0.0, 0.4, 1.3])
+    fam = _family(p, times, flow_unit_vectors(Z_DIRECTION, p, FORWARD, times))
+    up = np.array([0.0, 0.0, 1.0])
+    chain = markov_from_family(fam, up)
+    assert np.abs(chain.initial_distribution - [1.0, 0.0]).max() < 1e-15
+    for M in chain.transitions:
+        assert np.abs(M - np.eye(2)).max() < 1e-15
+    _, fitted, _ = fitted_markov_chain(consistency_check(decoherence_functional(fam, up)).normalized_weights(), 3)
+    assert np.abs(fitted[0] - [[1.0, 0.5], [0.0, 0.5]]).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "params, times",
+    [
+        (ModelParams(omega=1.0, gamma=0.35), np.linspace(0.0, 6.0, 13)),  # underdamped
+        (ModelParams(omega=1.1, gamma=1.1), np.linspace(0.0, 5.0, 11)),  # critical
+        (ModelParams(omega=0.9, gamma=3.0), np.linspace(0.0, 4.0, 9)),  # overdamped
+        (ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-3])),  # D2S2
+    ],
+)
+def test_flip_probability_of_a_flow_family_is_the_telegraph_one(params, times):
+    # paper claim (a): over a gap, (1 - n_{k+1} . T3 n_k)/2 = (1 - exp(-2 dLambda))/2
+    traj = FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), params, FORWARD, times)
+    T3 = propagator_closed_form(params, np.diff(times))[:, 1:, 1:]
+    _, transitions, _ = chain_kernel(traj.unit_vectors_at(times), T3, np.zeros(3))
+    flip = 0.5 * (1.0 - np.exp(-2.0 * np.diff(traj.rate_integral_at(times))))
+    assert np.abs(transitions[:, 1, 0] - flip).max() <= 1e-15
+    assert np.abs(transitions[:, 0, 1] - flip).max() <= 1e-15

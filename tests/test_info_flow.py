@@ -15,13 +15,22 @@ from oracles import (
     entropy_exchange,
     holevo_chi,
     leaked_information_mp,
+    record_information_from_entries,
     state_from_bloch,
     stinespring_isometry,
     unital_holevo_closed_form,
     von_neumann_entropy,
 )
-from tunnelmol.families import BlochDirection, exact_direction, FORWARD
-from tunnelmol.histories import Decomposition, HistoryFamily
+from tunnelmol.families import BlochDirection, exact_direction, flow_unit_vectors, FORWARD
+from tunnelmol.histories import (
+    CONSISTENCY_TOL,
+    Decomposition,
+    HistoryFamily,
+    NotConsistentError,
+    decoherence_entries,
+    decoherence_functional,
+    projector_pairs,
+)
 from tunnelmol.info_flow import (
     ForwardConditionError,
     build_info_report,
@@ -150,6 +159,36 @@ def test_mutual_information_rejects_bad_input():
     )
     with pytest.raises(ValueError):
         mutual_information_family(bad, np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "params, times",
+    [
+        (ModelParams(omega=1.0, gamma=0.4), np.linspace(0.0, 6.0, 31)),
+        (ModelParams(omega=1.1, gamma=1.1), np.linspace(0.0, 5.0, 26)),
+        (ModelParams(omega=0.9, gamma=3.0), np.linspace(0.0, 4.0, 21)),
+        (ModelParams(omega=1.0, gamma=14.0), np.linspace(0.0, 5.0, 26)),
+        (ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e6 / 9e9])),
+    ],
+)
+def test_record_information_column_matches_the_functional_route(params, times):
+    T = propagator_closed_form(params, times)
+    for basis, n0 in (("x", np.array([1.0, 0.0, 0.0])), ("z", np.array([0.0, 0.0, 1.0]))):
+        second = projector_pairs(flow_unit_vectors(n0, params, FORWARD, times))
+        want = record_information_from_entries(decoherence_entries([T], [projector_pairs(n0), second]), CONSISTENCY_TOL)
+        got = build_info_report(params, times, family_basis=basis).curves["mutual_info"]
+        assert np.abs(got - want).max() <= 4e-15
+
+
+def test_mutual_information_of_a_family_off_the_flow_comes_from_the_functional_verdict():
+    # x then z is no flow pair: the residual fails, and the 4x4 functional
+    # decides (consistent from I/2, not from "up")
+    p = ModelParams(omega=1.0, gamma=0.7)
+    fam = HistoryFamily(params=p, times=np.array([0.0, 0.9]), decompositions=(Decomposition.x_basis(), Decomposition.z_basis()))
+    want = record_information_from_entries(decoherence_functional(fam).entries, CONSISTENCY_TOL)
+    assert mutual_information_family(fam) == pytest.approx(float(want), abs=1e-15)
+    with pytest.raises(NotConsistentError):
+        mutual_information_family(fam, np.array([0.0, 0.0, 1.0]))
 
 
 def test_record_identity_default_and_supplied_target():
