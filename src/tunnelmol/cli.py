@@ -8,8 +8,11 @@ the fully resolved configuration, so a result file is self-describing and a
 rerun with the same inputs is byte-identical.
 
 Options resolve in three layers: built-in defaults, then a config file of
-flat key=value lines (--config), then explicit flags.  The TUNNELMOL_OUTDIR
-environment variable supplies the default output directory and nothing else.
+flat key=value lines (--config), then explicit flags.  Each option is
+declared once, with its default, help and choices, in _COMMON_OPTIONS or
+_COMMANDS; the parser, the config-file keys and the echo all come from there.
+The TUNNELMOL_OUTDIR environment variable supplies the default output
+directory and nothing else.
 
 Exit status is 0 only if every validation of the invoked command passes;
 a failing validation prints its name on stdout and the command returns 1.
@@ -65,30 +68,16 @@ PRESETS = {
     "D2S2": {"gamma": 9.0e9, "omega": 176.0},
 }
 
-_COMMON_DEFAULTS = {
-    "gamma": 1.0,
-    "omega": 1.0,
-    "tau_c": 0.0,
-    "tmax": 5.0,
-    "points": 201,
-    "seed": 7,
-}
-
-_COMMAND_DEFAULTS = {
-    "evolve": {},
-    "families": {"gammas": "0.5,1.2,4", "theta0": 0.2, "phi0": 0.0, "direction": "forward"},
-    "histories": {"basis": "z", "steps": 3, "dt": 0.5, "moving": "static", "initial": "mixed"},
-    "sample": {
-        "ntraj": 2000,
-        "theta0": 0.0,
-        "phi0": 0.0,
-        "direction": "forward",
-        "initial": "mixed",
-        "save_trajectories": 3,
-    },
-    "info": {"basis": "z"},
-    "preset": {"name": "D2S2"},
-    "scan": {"ratio_min": 0.2, "ratio_max": 50.0},
+# name -> (default, help[, choices]) of the options every command takes; the
+# flag is --name with _ turned into -, and the default's type parses both the
+# flag and the config-file value
+_COMMON_OPTIONS = {
+    "gamma": (1.0, "collision rate"),
+    "omega": (1.0, "tunneling angular frequency"),
+    "tau_c": (0.0, "collision correlation time"),
+    "tmax": (5.0, "end of the time grid"),
+    "points": (201, "number of grid points"),
+    "seed": (7, "master random seed"),
 }
 
 
@@ -129,7 +118,12 @@ class RunConfig:
         return path
 
 
-def _parse_config_file(path: str, allowed: dict) -> dict:
+def _options(command: str) -> dict:
+    """name -> (default, help[, choices]) of every option of command."""
+    return {**_COMMON_OPTIONS, **_COMMANDS[command][2]}
+
+
+def _parse_config_file(path: str, defaults: dict) -> dict:
     """Flat key=value lines; '#' starts a comment; keys must be known."""
     try:
         text = Path(path).read_text()
@@ -144,30 +138,33 @@ def _parse_config_file(path: str, allowed: dict) -> dict:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in allowed:
+        if key not in defaults:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = type(allowed[key])
+        kind = type(defaults[key])
         try:
-            values[key] = kind(val) if kind is not bool else val.lower() in ("1", "true", "yes")
+            values[key] = kind(val)
         except ValueError:
             raise CliError(f"{path}:{lineno}: cannot parse {val!r} as {kind.__name__}") from None
     return values
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_COMMAND_DEFAULTS[args.command])
-    values = dict(defaults)
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config, defaults))
-    for key in defaults:
-        flag = getattr(args, key, None)
+    options = _options(args.command)
+    values = {key: spec[0] for key, spec in options.items()}
+    if args.config:
+        values.update(_parse_config_file(args.config, values))
+    for key in options:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    for key, val in values.items():
+    for key, (_, _, *choices) in options.items():
+        val = values[key]
         if isinstance(val, float) and not math.isfinite(val):
             raise CliError(f"{key} must be finite, got {val}")
-    values["out"] = getattr(args, "out", None)
+        # argparse checks the flags; this catches the config file and preset's positional name
+        if choices and val not in choices[0]:
+            raise CliError(f"{key} must be one of {', '.join(choices[0])}, got {val!r}")
+    values["out"] = args.out
     return RunConfig(command=args.command, values=values)
 
 
@@ -191,6 +188,13 @@ def _write_csv(cfg: RunConfig, filename: str, body) -> Path:
             body(fh)
     print(f"wrote {path}")
     return path
+
+
+def _table(header: list, columns) -> str:
+    """CSV text: the header, then row k of the stacked columns, each number as %.17g."""
+    rows = np.column_stack(columns)
+    template = ",".join(["%.17g"] * rows.shape[1])
+    return "\n".join([",".join(header)] + [template % tuple(row) for row in rows.tolist()]) + "\n"
 
 
 class _Checks:
@@ -250,13 +254,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
     header = ["t"]
     header += [f"T{i}{j}" for i in range(4) for j in range(4)]
     header += [f"{c}_from_{ax}" for ax in ("x", "y", "z") for c in ("x", "y", "z")]
-    rows = [",".join(header)]
-    for t, T in zip(times, transfer):
-        cells = [f"{t:.17g}"] + [f"{T[i, j]:.17g}" for i in range(4) for j in range(4)]
-        for col in (1, 2, 3):  # transported +x, +y, +z Bloch vectors
-            cells += [f"{T[r, col]:.17g}" for r in (1, 2, 3)]
-        rows.append(",".join(cells))
-    _write_csv(cfg, "evolve.csv", "\n".join(rows) + "\n")
+    # the transported +x, +y, +z Bloch vectors are columns 1..3 of the Bloch block
+    transported = transfer[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, 9)
+    _write_csv(cfg, "evolve.csv", _table(header, [times, transfer.reshape(-1, 16), transported]))
 
     checks = _Checks()
     worst_trace = float(np.abs(transfer[:, 0] - np.array([1.0, 0.0, 0.0, 0.0])).max())
@@ -318,8 +318,6 @@ def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, t
 
 def cmd_families(cfg: RunConfig) -> int:
     direction = cfg.direction
-    if direction not in (FORWARD, BACKWARD):
-        raise CliError("direction must be forward or backward")
     gammas = _parse_gamma_list(cfg.gammas)
     times = _grid(cfg)
     start = BlochDirection(theta=cfg.theta0, phi=cfg.phi0)
@@ -327,18 +325,11 @@ def cmd_families(cfg: RunConfig) -> int:
     for g in gammas:
         trajectories[g] = FamilyTrajectory.integrate(start, cfg.params(gamma=g), direction, times)
 
-    header = ["t"]
-    for g in gammas:
-        tag = f"{g:g}"
-        header += [f"theta_g{tag}", f"phi_g{tag}", f"kappa_g{tag}"]
-    rows = [",".join(header)]
-    for k, t in enumerate(times):
-        cells = [f"{t:.17g}"]
-        for g in gammas:
-            traj = trajectories[g]
-            cells += [f"{traj.theta[k]:.17g}", f"{traj.phi[k]:.17g}", f"{traj.kappa[k]:.17g}"]
-        rows.append(",".join(cells))
-    _write_csv(cfg, "families.csv", "\n".join(rows) + "\n")
+    header, columns = ["t"], [times]
+    for g, traj in trajectories.items():
+        header += [f"theta_g{g:g}", f"phi_g{g:g}", f"kappa_g{g:g}"]
+        columns += [traj.theta, traj.phi, traj.kappa]
+    _write_csv(cfg, "families.csv", _table(header, columns))
 
     stat_rows = ["gamma,label,condition,theta,phi,kappa"]
     stat_sets = {}
@@ -390,12 +381,6 @@ _INITIAL_STATES = {
 
 
 def cmd_histories(cfg: RunConfig) -> int:
-    if cfg.basis not in ("x", "y", "z"):
-        raise CliError("basis must be one of x, y, z")
-    if cfg.initial not in _INITIAL_STATES:
-        raise CliError(f"initial must be one of {', '.join(_INITIAL_STATES)}")
-    if cfg.moving not in ("static", FORWARD, BACKWARD):
-        raise CliError("moving must be static, forward or backward")
     if not 1 <= cfg.steps <= 10:
         raise CliError("steps must be between 1 and 10")
     if cfg.dt <= 0:
@@ -430,10 +415,6 @@ def cmd_histories(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
-    if cfg.direction not in (FORWARD, BACKWARD):
-        raise CliError("direction must be forward or backward")
-    if cfg.initial not in ("mixed", "0", "1"):
-        raise CliError("initial must be mixed, 0 or 1")
     if cfg.ntraj < 1:
         raise CliError("ntraj must be positive")
     if cfg.save_trajectories < 0:
@@ -459,17 +440,16 @@ def cmd_sample(cfg: RunConfig) -> int:
     p0_init = {None: 0.5, 0: 1.0, 1: 0.0}[initial]
     master = deterministic_occupation(family, times, p0_initial=p0_init)
 
-    rows = ["t,p0_sampled,p0_master,delta_p,bloch_x,bloch_y,bloch_z"]
-    for k, t in enumerate(times):
-        bx, by, bz = series.bloch[k]
-        rows.append(
-            f"{t:.17g},{series.p0[k]:.17g},{master[k]:.17g},"
-            f"{2.0 * series.p0[k] - 1.0:.17g},{bx:.17g},{by:.17g},{bz:.17g}"
-        )
-    _write_csv(cfg, "ensemble.csv", "\n".join(rows) + "\n")
-    # only the saved members' flips are turned into clock times
+    header = ["t", "p0_sampled", "p0_master", "delta_p", "bloch_x", "bloch_y", "bloch_z"]
+    columns = [times, series.p0, master, series.occupation_difference, series.bloch]
+    _write_csv(cfg, "ensemble.csv", _table(header, columns))
+    # only the saved members' flips are turned into clock times; row 0 is the
+    # start, and each later row a flip with the arm it leads into
     for k in range(min(cfg.save_trajectories, len(ensemble))):
-        _write_csv(cfg, f"trajectory_{k:03d}.csv", ensemble.member(k).to_csv())
+        traj = ensemble.member(k)
+        arms = (traj.initial_arm + np.arange(traj.n_flips + 1)) % 2
+        columns = [np.concatenate(([traj.t_start], traj.flip_times)), arms]
+        _write_csv(cfg, f"trajectory_{k:03d}.csv", _table(["time", "arm"], columns))
 
     checks = _Checks()
     sigma = np.sqrt(np.maximum(master * (1.0 - master), 0.01) / cfg.ntraj)
@@ -496,12 +476,10 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_info(cfg: RunConfig) -> int:
-    if cfg.basis not in ("x", "y", "z"):
-        raise CliError("basis must be one of x, y, z")
     params = cfg.params()
     times = _grid(cfg)
     report = build_info_report(params, times, family_basis=cfg.basis)
-    _write_csv(cfg, "info.csv", report.to_csv())
+    _write_csv(cfg, "info.csv", _table(["t", *report.curves], [times, *report.curves.values()]))
 
     checks = _Checks()
     residual = report.cross_equality_residual()
@@ -521,8 +499,6 @@ def cmd_info(cfg: RunConfig) -> int:
 
 def cmd_preset(cfg: RunConfig) -> int:
     name = cfg.name
-    if name not in PRESETS:
-        raise CliError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
     data = PRESETS[name]
     params = ModelParams(omega=data["omega"], gamma=data["gamma"])
     regime = classify_regime(params)
@@ -608,67 +584,63 @@ def cmd_scan(cfg: RunConfig) -> int:
     return checks.status
 
 
+_BASES = ("x", "y", "z")
+_SENSES = (FORWARD, BACKWARD)
+
+# command -> (handler, help line, its own options as _COMMON_OPTIONS)
 _COMMANDS = {
-    "evolve": cmd_evolve,
-    "families": cmd_families,
-    "histories": cmd_histories,
-    "sample": cmd_sample,
-    "info": cmd_info,
-    "preset": cmd_preset,
-    "scan": cmd_scan,
+    "evolve": (cmd_evolve, "tabulate the propagator and Bloch paths", {}),
+    "families": (cmd_families, "integrate family flows, list stationary sets", {
+        "gammas": ("0.5,1.2,4", "comma separated collision rates"),
+        "theta0": (0.2, "initial polar angle"),
+        "phi0": (0.0, "initial azimuth"),
+        "direction": (FORWARD, "sense of the flow", _SENSES),
+    }),
+    "histories": (cmd_histories, "decoherence matrix of a history family", {
+        "basis": ("z", "basis at the first history time", _BASES),
+        "steps": (3, "number of history times (1..10)"),
+        "dt": (0.5, "gap between history times"),
+        "moving": ("static", "how the basis evolves", ("static", *_SENSES)),
+        "initial": ("mixed", "initial state", tuple(_INITIAL_STATES)),
+    }),
+    "sample": (cmd_sample, "draw telegraph trajectories and compare ensembles", {
+        "ntraj": (2000, "ensemble size"),
+        "theta0": (0.0, "family initial polar angle"),
+        "phi0": (0.0, "family initial azimuth"),
+        "direction": (FORWARD, "sense of the family flow", _SENSES),
+        "initial": ("mixed", "starting arm", ("mixed", "0", "1")),
+        "save_trajectories": (3, "how many raw trajectories to write"),
+    }),
+    "info": (cmd_info, "information flow curves", {
+        "basis": ("z", "basis for the mutual information column", _BASES),
+    }),
+    "preset": (cmd_preset, "report a named physical parameter set", {
+        "name": ("D2S2", "preset name", tuple(PRESETS)),
+    }),
+    "scan": (cmd_scan, "sweep the damping ratio", {
+        "ratio_min": (0.2, "smallest gamma/omega"),
+        "ratio_max": (50.0, "largest gamma/omega"),
+    }),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gamma", type=float, help="collision rate")
-    common.add_argument("--omega", type=float, help="tunneling angular frequency")
-    common.add_argument("--tau-c", dest="tau_c", type=float, help="collision correlation time")
-    common.add_argument("--tmax", type=float, help="end of the time grid")
-    common.add_argument("--points", type=int, help="number of grid points")
-    common.add_argument("--seed", type=int, help="master random seed")
-    common.add_argument("--out", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
-    common.add_argument("--config", help="file of key=value defaults; flags take precedence")
-
     parser = argparse.ArgumentParser(
         prog="tunnelmol",
         description="Two-level tunneling molecule under collisional decoherence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("evolve", parents=[common], help="tabulate the propagator and Bloch paths")
-
-    p = sub.add_parser("families", parents=[common], help="integrate family flows, list stationary sets")
-    p.add_argument("--gammas", help="comma separated collision rates")
-    p.add_argument("--theta0", type=float, help="initial polar angle")
-    p.add_argument("--phi0", type=float, help="initial azimuth")
-    p.add_argument("--direction", choices=(FORWARD, BACKWARD))
-
-    p = sub.add_parser("histories", parents=[common], help="decoherence matrix of a history family")
-    p.add_argument("--basis", choices=("x", "y", "z"))
-    p.add_argument("--steps", type=int, help="number of history times (1..10)")
-    p.add_argument("--dt", type=float, help="gap between history times")
-    p.add_argument("--moving", choices=("static", FORWARD, BACKWARD), help="how the basis evolves")
-    p.add_argument("--initial", choices=tuple(_INITIAL_STATES), help="initial state")
-
-    p = sub.add_parser("sample", parents=[common], help="draw telegraph trajectories and compare ensembles")
-    p.add_argument("--ntraj", type=int, help="ensemble size")
-    p.add_argument("--theta0", type=float, help="family initial polar angle")
-    p.add_argument("--phi0", type=float, help="family initial azimuth")
-    p.add_argument("--direction", choices=(FORWARD, BACKWARD))
-    p.add_argument("--initial", choices=("mixed", "0", "1"), help="starting arm")
-    p.add_argument("--save-trajectories", dest="save_trajectories", type=int, help="how many raw trajectories to write")
-
-    p = sub.add_parser("info", parents=[common], help="information flow curves")
-    p.add_argument("--basis", choices=("x", "y", "z"), help="basis for the mutual information column")
-
-    p = sub.add_parser("preset", parents=[common], help="report a named physical parameter set")
-    p.add_argument("name", nargs="?", help="preset name (default D2S2)")
-
-    p = sub.add_parser("scan", parents=[common], help="sweep the damping ratio")
-    p.add_argument("--ratio-min", dest="ratio_min", type=float, help="smallest gamma/omega")
-    p.add_argument("--ratio-max", dest="ratio_max", type=float, help="largest gamma/omega")
-
+    for command, (_, help_line, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--out", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
+        p.add_argument("--config", help="file of key=value defaults; flags take precedence")
+        for name, (default, text, *choices) in _options(command).items():
+            text = f"{text} (default: {default})"
+            if name == "name":  # preset's positional; _resolve checks it, so a bad name returns 2
+                p.add_argument(name, nargs="?", help=text)
+            else:
+                flag = "--" + name.replace("_", "-")
+                p.add_argument(flag, dest=name, type=type(default), choices=choices[0] if choices else None, help=text)
     return parser
 
 
@@ -682,7 +654,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -256,12 +256,6 @@ class FamilyTrajectory:
     def rate_integral_at(self, t) -> np.ndarray | float:
         return self._at(t, angles=False)[3]
 
-    def to_csv(self) -> str:
-        lines = ["t,theta,phi,kappa"]
-        for t, th, ph, k in zip(self.times, self.theta, self.phi, self.kappa):
-            lines.append(f"{t:.17g},{th:.17g},{ph:.17g},{k:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class StationaryFamily:

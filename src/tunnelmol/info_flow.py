@@ -302,14 +302,6 @@ class InfoReport:
         """Largest gap between the two direct-plus-leaked pairings of x and z."""
         return float(np.abs(self.curves["sum_zx"] - self.curves["sum_xz"]).max())
 
-    def to_csv(self) -> str:
-        keys = list(self.curves)
-        lines = ["t," + ",".join(keys)]
-        for k, t in enumerate(self.times):
-            row = ",".join(f"{self.curves[key][k]:.17g}" for key in keys)
-            lines.append(f"{t:.17g},{row}")
-        return "\n".join(lines) + "\n"
-
 
 def build_info_report(params: ModelParams, times, family_basis=None) -> InfoReport:
     """Evaluate the standard information curves on a grid, all times at once.

@@ -108,12 +108,6 @@ class Trajectory:
         arms = (self.initial_arm + 1 + np.arange(self.n_flips)) % 2
         return list(zip(self.flip_times.tolist(), arms.tolist()))
 
-    def to_csv(self) -> str:
-        lines = ["time,arm", f"{self.t_start:.17g},{self.initial_arm}"]
-        for t, a in self.events():
-            lines.append(f"{t:.17g},{a}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -180,32 +174,10 @@ def _flip_rank(offsets: np.ndarray) -> np.ndarray:
     return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
 
 
-def _pack(trajectories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial arms, flat flip times and offsets of a sequence of Trajectory objects."""
-    trajs = list(trajectories)
-    flips = [t.flip_times for t in trajs]
-    offsets = np.concatenate(([0], np.cumsum([len(f) for f in flips], dtype=np.int64)))
-    arms = np.array([t.initial_arm for t in trajs], dtype=np.int64)
-    return arms, np.concatenate(flips) if flips else np.empty(0), offsets
-
-
 def _rate_integral_within(family: FamilyTrajectory, times: np.ndarray) -> np.ndarray:
     # Lambda only inside the family's span: outside it the closed form can
     # overflow (exp(-2 xi t) at t < 0); clipping keeps the order of the times
     return family.rate_integral_at(np.clip(times, family.times[0], family.times[-1]))
-
-
-def _as_ensemble(trajectories, family: FamilyTrajectory) -> Ensemble:
-    """An Ensemble as it is; any other sequence of Trajectory objects packed flat along family.
-
-    A packed ensemble keeps the flip times it is given; its sums are Lambda at those times.
-    """
-    if isinstance(trajectories, Ensemble):
-        return trajectories
-    arms, flips, offsets = _pack(trajectories)
-    ens = Ensemble(family, arms, _rate_integral_within(family, flips), offsets)
-    vars(ens)["flip_times"] = flips  # the cached_property's slot: nothing to invert
-    return ens
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,18 +385,8 @@ class EnsembleSeries:
         """Binomial standard error of p0 on each grid point."""
         return np.sqrt(np.clip(self.p0 * (1.0 - self.p0), 0.0, None) / self.n_trajectories)
 
-    def to_csv(self) -> str:
-        lines = ["t,p0,delta_p,bloch_x,bloch_y,bloch_z"]
-        for k, t in enumerate(self.times):
-            bx, by, bz = self.bloch[k]
-            lines.append(
-                f"{t:.17g},{self.p0[k]:.17g},{2.0 * self.p0[k] - 1.0:.17g},"
-                f"{bx:.17g},{by:.17g},{bz:.17g}"
-            )
-        return "\n".join(lines) + "\n"
 
-
-def ensemble_average(trajectories, family: FamilyTrajectory, times=None) -> EnsembleSeries:
+def ensemble_average(ens: Ensemble, family: FamilyTrajectory, times=None) -> EnsembleSeries:
     """Average arm occupation over an ensemble and rebuild the Bloch path.
 
     The ensemble Bloch vector is (2 p0(t) - 1) n(t): the trajectories only
@@ -434,7 +396,6 @@ def ensemble_average(trajectories, family: FamilyTrajectory, times=None) -> Ense
     if times is None:
         times = family.times
     times = np.asarray(times, dtype=float)
-    ens = _as_ensemble(trajectories, family)
     # a flip lands in arm (initial + rank + 1) % 2 and changes the arm-0
     # count at every query time from its own on (arm_at counts flips <= t)
     order = np.argsort(times, kind="stable")
@@ -508,7 +469,7 @@ class GapStatistics:
         return float(self.gaps.mean())
 
 
-def gap_statistics(trajectories, rate: float, max_gaps: int | None = None) -> GapStatistics:
+def gap_statistics(ens: Ensemble, rate: float, max_gaps: int | None = None) -> GapStatistics:
     """Pool inter-flip gaps and measure the KS distance to Exp(rate).
 
     Gaps fully inside a fixed observation window are biased short, because a
@@ -517,10 +478,7 @@ def gap_statistics(trajectories, rate: float, max_gaps: int | None = None) -> Ga
     horizon long enough that max_gaps + 1 flips almost surely occur; the
     leftover bias is then the tail probability of that event.
     """
-    if isinstance(trajectories, Ensemble):
-        flips, offsets = trajectories.flip_times, trajectories.offsets
-    else:
-        _, flips, offsets = _pack(trajectories)
+    flips, offsets = ens.flip_times, ens.offsets
     rank = _flip_rank(offsets)[1:]  # gap k ends at flip k + 1: inside one trajectory if that flip is not a first
     keep = rank >= 1 if max_gaps is None else (rank >= 1) & (rank <= max_gaps)
     gaps = np.sort(np.diff(flips)[keep])

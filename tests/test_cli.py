@@ -1,7 +1,9 @@
 """Command line behavior: subcommands, config layering, CSV output, exits."""
 
+import argparse
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,9 @@ def test_every_subcommand_succeeds(tmp_path):
     assert run(tmp_path / "i", "info", "--points", "21", "--tmax", "2") == 0
     assert run(tmp_path / "p", "preset") == 0
     assert run(tmp_path / "c", "scan", "--points", "11") == 0
+    _, body = read_csv_body(tmp_path / "f" / "families.csv")
+    assert body[0] == "t," + ",".join(f"theta_g{g},phi_g{g},kappa_g{g}" for g in ("0.5", "1.2", "4"))
+    assert len(body) == 82
 
 
 def test_evolve_csv_layout(tmp_path):
@@ -317,6 +322,10 @@ def test_sample_trajectory_files(tmp_path):
     assert not (tmp_path / "trajectory_002.csv").exists()
     _, body = read_csv_body(tmp_path / "trajectory_000.csv")
     assert body[0] == "time,arm"
+    assert body[1] in ("0,0", "0,1")  # the start, in the initial arm
+    _, body = read_csv_body(tmp_path / "ensemble.csv")
+    assert body[0] == "t,p0_sampled,p0_master,delta_p,bloch_x,bloch_y,bloch_z"
+    assert len(body) == 22
 
 
 @pytest.mark.parametrize(
@@ -336,10 +345,14 @@ def test_saved_trajectories_are_the_single_trajectory_draws(tmp_path, flags, par
     tmax, points, seed = float(values["tmax"]), int(values["points"]), int(values["seed"])
     fam = FamilyTrajectory.integrate(start, params, sense, np.linspace(0.0, tmax, max(points, 1001)))
     sampler = SamplerConfig(seed=seed, n_trajectories=300, initial=initial)
-    header = "".join(f"{line}\n" for line in echo)
     for k in range(4):
-        want = header + sample_trajectory(fam, sampler, index=k).to_csv()
-        assert (tmp_path / f"trajectory_{k:03d}.csv").read_text() == want
+        want = sample_trajectory(fam, sampler, index=k)
+        saved_echo, body = read_csv_body(tmp_path / f"trajectory_{k:03d}.csv")
+        assert saved_echo == echo and body[0] == "time,arm"
+        rows = np.array([[float(x) for x in line.split(",")] for line in body[1:]])
+        # the start in the initial arm, then each flip with the arm it leads into
+        assert np.array_equal(rows[:, 0], np.concatenate(([0.0], want.flip_times)))
+        assert np.array_equal(rows[:, 1], (want.initial_arm + np.arange(want.n_flips + 1)) % 2)
 
 
 @pytest.mark.parametrize(
@@ -484,3 +497,45 @@ def test_histories_weight_lines_match_the_label_loop(tmp_path, capsys, steps):
     for idx, w in enumerate(report.weights):
         lines.append(f"  history {''.join(str(b) for b in D.label(idx))}: weight {w:.6f}")
     assert out.endswith("\n".join(lines) + "\n")
+
+
+def _subparsers() -> dict:
+    parser = tunnelmol.cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _csv_bytes(out) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("command", list(tunnelmol.cli._COMMANDS))
+def test_option_table_is_the_parser_the_config_keys_and_the_echo(tmp_path, capsys, command):
+    options = tunnelmol.cli._options(command)
+    dests = {a.dest for a in _subparsers()[command]._actions} - {"help", "out", "config"}
+    assert run(tmp_path / "flags", command) == 0
+    echo, _ = read_csv_body(next((tmp_path / "flags").glob("*.csv")))
+    assert echo[0] == f"# command={command}"
+    echoed = dict(line[2:].split("=", 1) for line in echo[1:])
+    assert dests == set(options) == set(echoed)
+    # a config file holding every default gives the bytes of a run with no flags
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("".join(f"{key}={val}\n" for key, val in echoed.items()))
+    assert run(tmp_path / "config", command, "--config", str(cfg)) == 0
+    assert _csv_bytes(tmp_path / "config") == _csv_bytes(tmp_path / "flags")
+    # a choice outside its set is a usage error that names the option
+    capsys.readouterr()
+    for key, (_, _, *choices) in options.items():
+        if choices:
+            cfg.write_text(f"{key}=not_a_choice\n")
+            assert run(tmp_path / "bad", command, "--config", str(cfg)) == 2
+            assert f"error: {key} must be one of" in capsys.readouterr().err
+            assert not _csv_bytes(tmp_path / "bad")
+
+
+def test_readme_command_line_section_lists_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    for command, parser in _subparsers().items():
+        assert f"tunnelmol {command}" in section
+        flags = {flag for a in parser._actions for flag in a.option_strings} - {"-h", "--help"}
+        assert flags and not [flag for flag in flags if f"`{flag}`" not in section], command

@@ -197,9 +197,6 @@ def test_arm_at_parity_and_events():
     assert traj.n_flips == 3
     assert list(traj.arm_at([0.5, 1.5, 2.5, 3.5])) == [0, 1, 0, 1]
     assert traj.events() == [(1.0, 1), (2.0, 0), (3.0, 1)]
-    lines = traj.to_csv().splitlines()
-    assert lines[0] == "time,arm"
-    assert lines[1] == "0,0"
 
 
 def test_no_collisions_no_flips():
@@ -316,15 +313,16 @@ def test_deterministic_occupation_is_exact_off_the_grid():
         assert np.abs(got - 0.5 * (1.0 - radius)).max() < 1e-12
 
 
-def test_ensemble_series_csv_and_errors():
+def test_ensemble_series_stderr_and_errors():
     fam = z_traj_family(0.5, 5.0)
     ens = sample_ensemble(fam, SamplerConfig(seed=2, n_trajectories=10, initial=0))
     series = ensemble_average(ens, fam, np.linspace(0.0, 5.0, 6))
-    header = series.to_csv().splitlines()[0]
-    assert header == "t,p0,delta_p,bloch_x,bloch_y,bloch_z"
     assert series.stderr().shape == (6,)
+    # no collisions, no flips: an ensemble without a single gap
+    still = sample_ensemble(z_traj_family(0.0, 5.0), SamplerConfig(seed=2, n_trajectories=10))
+    assert still.offsets[-1] == 0
     with pytest.raises(ValueError):
-        gap_statistics([], rate=0.5)
+        gap_statistics(still, rate=0.5)
 
 
 def test_backward_family_sampling_runs():
@@ -350,8 +348,6 @@ def test_vectorized_ensemble_average_is_bitwise_the_per_trajectory_count():
             counts += traj.arm_at(query) == 0
         assert np.array_equal(series.p0, counts / len(ens))
         assert series.n_trajectories == 700
-        # a plain list of trajectories gives the same series
-        assert np.array_equal(ensemble_average(list(ens), fam, query).p0, series.p0)
 
 
 def test_vectorized_gap_statistics_pools_like_the_per_trajectory_loop():
@@ -364,7 +360,6 @@ def test_vectorized_gap_statistics_pools_like_the_per_trajectory_loop():
         want = np.sort(np.concatenate(pooled))
         stats = gap_statistics(ens, rate=0.9, max_gaps=cap)
         assert np.array_equal(stats.gaps, want)
-        assert stats.ks_statistic == gap_statistics(list(ens), rate=0.9, max_gaps=cap).ks_statistic
 
 
 def test_flip_times_are_inverted_once_on_first_access_and_sliced_into_views():
@@ -418,7 +413,6 @@ def test_rate_binned_average_is_bitwise_the_time_count(params, start, sense, t_e
         counts += traj.arm_at(query) == 0
     assert np.array_equal(series.p0, counts / len(ens))
     assert np.isfinite(series.bloch).all()
-    assert np.array_equal(ensemble_average(list(ens), fam, query).p0, series.p0)
 
 
 def test_inversion_stops_at_the_rounding_floor_of_lambda(monkeypatch):
