@@ -42,7 +42,7 @@ def main() -> None:
     print(f"  KS statistic {stats.ks_statistic:.4f} vs 1% critical {stats.ks_critical(0.01):.4f}")
 
     out = np.linspace(0.0, 5.0, 51)
-    series = ensemble_average(ensemble, family, out)
+    series = ensemble_average(ensemble, out)
     master = deterministic_occupation(family, out, p0_initial=1.0)
     gap = np.abs(series.p0 - master).max()
     print(f"\nensemble of {config.n_trajectories} vs deterministic occupation: "

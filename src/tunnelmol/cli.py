@@ -415,6 +415,14 @@ def cmd_histories(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
+    """Sample a telegraph ensemble, average it against the master curve and test its gaps.
+
+    Bounds: a run expected to draw more than MAX_EXPECTED_FLIPS flips
+    (Lambda(tmax) x ntraj) is refused before drawing, which bounds the flat
+    ensemble and, in expectation, the sampler's passes; the KS gap ensemble
+    has at most 500 trajectories over 30 mean gaps and inverts only their
+    first 11 flips each; only the saved members' flips are inverted.
+    """
     if cfg.ntraj < 1:
         raise CliError("ntraj must be positive")
     if cfg.save_trajectories < 0:
@@ -436,19 +444,22 @@ def cmd_sample(cfg: RunConfig) -> int:
             f"x {cfg.ntraj} trajectories), above the limit {MAX_EXPECTED_FLIPS:.0e}; shorten tmax or ntraj"
         )
     ensemble = sample_ensemble(family, sampler)
-    series = ensemble_average(ensemble, family, times)
+    series = ensemble_average(ensemble, times)
     p0_init = {None: 0.5, 0: 1.0, 1: 0.0}[initial]
     master = deterministic_occupation(family, times, p0_initial=p0_init)
 
     header = ["t", "p0_sampled", "p0_master", "delta_p", "bloch_x", "bloch_y", "bloch_z"]
     columns = [times, series.p0, master, series.occupation_difference, series.bloch]
     _write_csv(cfg, "ensemble.csv", _table(header, columns))
-    # only the saved members' flips are turned into clock times; row 0 is the
-    # start, and each later row a flip with the arm it leads into
-    for k in range(min(cfg.save_trajectories, len(ensemble))):
-        traj = ensemble.member(k)
-        arms = (traj.initial_arm + np.arange(traj.n_flips + 1)) % 2
-        columns = [np.concatenate(([traj.t_start], traj.flip_times)), arms]
+    # only the saved members' flips are turned into clock times, in one
+    # call; row 0 is the start, and each later row a flip with the arm it
+    # leads into
+    saved = min(cfg.save_trajectories, len(ensemble))
+    offsets = ensemble.offsets
+    flips = ensemble._flip_times_at(slice(0, offsets[saved]))
+    for k in range(saved):
+        arms = (ensemble.initial_arms[k] + np.arange(offsets[k + 1] - offsets[k] + 1)) % 2
+        columns = [np.concatenate(([ensemble.t_start], flips[offsets[k] : offsets[k + 1]])), arms]
         _write_csv(cfg, f"trajectory_{k:03d}.csv", _table(["time", "arm"], columns))
 
     checks = _Checks()

@@ -52,6 +52,7 @@ from .families import FamilyTrajectory
 _PASS_BLOCKS = 1 << 14  # Philox blocks drawn in one pass; bounds the sampler's scratch memory
 _BLOCK = 4096  # flip times inverted together; bounds the solver's scratch memory
 _MAX_ITER = 100
+_CELLS_PER_EDGE = 64  # lookup cells per query time when flips are binned in Lambda
 
 _MASK64 = (1 << 64) - 1
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -167,11 +168,7 @@ class Ensemble:
     @property
     def flip_rank(self) -> np.ndarray:
         """Position of each flip within its own trajectory, 0 for the first."""
-        return _flip_rank(self.offsets)
-
-
-def _flip_rank(offsets: np.ndarray) -> np.ndarray:
-    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
+        return np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], self.n_flips)
 
 
 def _rate_integral_within(family: FamilyTrajectory, times: np.ndarray) -> np.ndarray:
@@ -215,6 +212,7 @@ def _prefer_dense(span: int, live: int, run: int) -> bool:
 def _dense_words(key, index: np.ndarray, block: int, run: int) -> np.ndarray:
     """Words of blocks block .. block + run - 1 of the trajectories index, one C call per block.
 
+    Row 4 b + k holds word k of block block + b, one column per trajectory.
     Counters (lo, b, 0, 0) .. (hi, b, 0, 0) are one contiguous run, and
     numpy's Philox steps its counter before each block: it starts one below
     (lo, b, 0, 0), borrowing from the higher words at lo = 0, and is advanced
@@ -229,18 +227,30 @@ def _dense_words(key, index: np.ndarray, block: int, run: int) -> np.ndarray:
     )
     rows = (index - np.uint64(lo)).astype(np.intp)
     every = np.array_equal(rows, np.arange(span))
-    parts = []
-    for _ in range(run):
-        words = gen.random_raw(4 * span).reshape(span, 4)
-        parts.append(words if every else words[rows])
+    out = np.empty((run, 4, len(index)), dtype=np.uint64)
+    for b in range(run):
+        words = gen.random_raw(4 * span).reshape(span, 4).T
+        if every:
+            out[b] = words
+        else:  # rows are in range; mode "clip" lets take write into out unbuffered
+            np.take(np.ascontiguousarray(words), rows, axis=1, out=out[b], mode="clip")
         gen.advance((1 << 64) - span)
-    return parts[0] if run == 1 else np.concatenate(parts, axis=1)
+    return out.reshape(4 * run, len(index))
 
 
 def _sparse_words(key, index: np.ndarray, block: int, run: int) -> np.ndarray:
     """The same words as _dense_words, from the array kernel on the given trajectories only."""
     blocks = np.arange(block, block + run, dtype=np.uint64)
-    return np.stack(_philox4x64((index[:, None], blocks, 0, 0), key), axis=-1).reshape(len(index), -1)
+    return np.stack(_philox4x64((index, blocks[:, None], 0, 0), key), axis=1).reshape(4 * run, len(index))
+
+
+def _running_sums(x: np.ndarray) -> None:
+    """np.cumsum(x, axis=0) in place, bit for bit: a row at a time where rows are long."""
+    if x.shape[1] < 256:
+        np.cumsum(x, axis=0, out=x)
+        return
+    for w in range(1, len(x)):
+        np.add(x[w - 1], x[w], out=x[w])
 
 
 def _draw(family: FamilyTrajectory, config: SamplerConfig, indices: np.ndarray):
@@ -251,8 +261,17 @@ def _draw(family: FamilyTrajectory, config: SamplerConfig, indices: np.ndarray):
     from the carry in stream order, so they do not depend on the runs.  A
     pass takes its words from whichever producer is cheaper for its shape:
     numpy's C Philox over the span of live indices, or the array kernel on
-    the live indices alone; both give the same words, bit for bit.  Each
-    pass's sums are scattered straight to their place in the flat array.
+    the live indices alone; both give the same words, bit for bit.  A pass is
+    laid out as (words, live), so the running sums, counts and carries run
+    along rows; its sums below Lambda(t_end) are kept with their mask and
+    scattered straight to their place in the flat array.
+
+    Bounds: the first pass draws one block per trajectory, and every later
+    one at most max(live, _PASS_BLOCKS) blocks of four words, which bounds
+    the scratch memory of a pass.  The number of passes is not bounded in
+    advance: it grows with the largest flip count of the ensemble, so
+    callers bound the expected flips instead (the command line refuses runs
+    above cli.MAX_EXPECTED_FLIPS).
     """
     total = float(family.rate_integral[-1])
     if family.params.gamma == 0.0 or not total > 0.0:
@@ -268,31 +287,31 @@ def _draw(family: FamilyTrajectory, config: SamplerConfig, indices: np.ndarray):
         live_index = index[live]
         span = int(live_index.max()) - int(live_index.min()) + 1
         produce = _dense_words if _prefer_dense(span, live.size, run) else _sparse_words
-        u = (produce(key, live_index, block, run) >> np.uint64(11)) * 2.0**-53
+        words = produce(key, live_index, block, run)
+        u = np.right_shift(words, np.uint64(11), out=words) * 2.0**-53
         if block == 0:
-            arm_u = u[:, 0].copy()
+            arm_u = u[0].copy()
         # unit exponentials -log1p(-u) in place (contiguous, so the arm word too),
         # then their running sums from the carry
         sums = np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
         if block == 0:
-            sums = sums[:, 1:]
-        sums[:, 0] += carry[live]
-        np.cumsum(sums, axis=1, out=sums)
+            sums = sums[1:]
+        sums[0] += carry[live]
+        _running_sums(sums)
         below = sums < total
-        found = np.count_nonzero(below, axis=1)
-        passes.append((live, counts[live], found, sums[below]))
-        counts[live] += found
-        carry[live] = sums[:, -1]
-        live = live[below[:, -1]]
+        passes.append((live, counts[live], below, sums[below]))
+        counts[live] += np.count_nonzero(below, axis=0)
+        carry[live] = sums[-1]
+        live = live[below[-1]]
         block += run
         run = min(2 * run, max(1, _PASS_BLOCKS // max(live.size, 1)))
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     flat = np.empty(offsets[-1])
-    for rows, before, found, piece in passes:
-        # a row's sums follow its earlier ones: offset + count so far + rank in the row
-        first = offsets[rows] + before - (np.cumsum(found) - found)
-        flat[np.repeat(first, found) + np.arange(len(piece))] = piece
+    for rows, before, below, piece in passes:
+        # the sum in row w of a column follows that trajectory's earlier ones
+        first = offsets[rows] + before
+        flat[(first + np.arange(len(below))[:, None])[below]] = piece
     return arm_u, flat, offsets
 
 
@@ -305,7 +324,13 @@ def _initial_arms(config: SamplerConfig, u: np.ndarray) -> np.ndarray:
 
 
 def _invert(family: FamilyTrajectory, targets: np.ndarray) -> np.ndarray:
-    """Times t with Lambda(t) = target, solved elementwise in blocks."""
+    """Times t with Lambda(t) = target, solved elementwise in blocks.
+
+    Bounds: a block holds at most _BLOCK targets, which bounds the solver's
+    scratch memory, and runs at most _MAX_ITER safeguarded Newton steps, each
+    one closed-form evaluation of Lambda and kappa; a target still open after
+    the last step keeps its last bracketed iterate.
+    """
     out = np.empty_like(targets)
     for start in range(0, len(targets), _BLOCK):
         out[start : start + _BLOCK] = _invert_block(family, targets[start : start + _BLOCK])
@@ -386,25 +411,28 @@ class EnsembleSeries:
         return np.sqrt(np.clip(self.p0 * (1.0 - self.p0), 0.0, None) / self.n_trajectories)
 
 
-def ensemble_average(ens: Ensemble, family: FamilyTrajectory, times=None) -> EnsembleSeries:
+def ensemble_average(ens: Ensemble, times=None) -> EnsembleSeries:
     """Average arm occupation over an ensemble and rebuild the Bloch path.
 
-    The ensemble Bloch vector is (2 p0(t) - 1) n(t): the trajectories only
-    ever occupy the two arms of the moving decomposition, so the off-axis
-    components vanish identically.
+    The series is taken on times (default: the grid of the ensemble's
+    family).  The ensemble Bloch vector is (2 p0(t) - 1) n(t): the
+    trajectories only ever occupy the two arms of the moving decomposition,
+    so the off-axis components vanish identically.
     """
+    family = ens.family
     if times is None:
         times = family.times
     times = np.asarray(times, dtype=float)
     # a flip lands in arm (initial + rank + 1) % 2 and changes the arm-0
-    # count at every query time from its own on (arm_at counts flips <= t)
+    # count at every query time from its own on (arm_at counts flips <= t);
+    # rank = flat index - offset, so (initial + rank) & 1 = (initial ^ offset ^ index) & 1
     order = np.argsort(times, kind="stable")
     bins = _queries_before(ens, times[order])
-    into_0 = (np.repeat(ens.initial_arms, ens.n_flips) + ens.flip_rank) % 2 == 1
+    into_0 = (np.arange(len(bins)) ^ np.repeat(ens.initial_arms ^ ens.offsets[:-1], ens.n_flips)) & 1
     m = len(times)
-    steps = np.bincount(bins[into_0], minlength=m + 1) - np.bincount(bins[~into_0], minlength=m + 1)
+    moves = np.bincount(2 * bins + into_0, minlength=2 * m + 2).reshape(m + 1, 2)
     p0 = np.empty(m)
-    p0[order] = (np.count_nonzero(ens.initial_arms == 0) + np.cumsum(steps[:m])) / len(ens)
+    p0[order] = (np.count_nonzero(ens.initial_arms == 0) + np.cumsum(moves[:m, 1] - moves[:m, 0])) / len(ens)
     # before the family's start the ensemble sits in the arms at times[0]:
     # the flow run backwards from there can overflow (stiff overdamped families)
     bloch = (2.0 * p0 - 1.0)[:, None] * family.unit_vectors_at(np.maximum(times, family.times[0]))
@@ -421,7 +449,7 @@ def _queries_before(ens: Ensemble, sorted_times: np.ndarray) -> np.ndarray:
     """
     family, s = ens.family, ens.flip_sums
     lam = np.maximum.accumulate(_rate_integral_within(family, sorted_times))
-    bins = np.searchsorted(lam, s, side="left")
+    bins, below, above = _locate(lam, s)
     # the sum of a flip and the Lambda of its inverted time differ by the
     # Newton residual: a few ulps of max(1, Lambda), or kappa <= gamma times
     # a few ulps of t; Lambda itself is rounded to a few ulps of its
@@ -429,10 +457,41 @@ def _queries_before(ens: Ensemble, sorted_times: np.ndarray) -> np.ndarray:
     # tol leaves some seven orders of magnitude above both
     params = family.params
     tol = 1e-9 * (1.0 + (params.gamma + params.omega) * float(family.times[-1]))
-    padded = np.concatenate(([-np.inf], lam, [np.inf]))
-    near = np.flatnonzero((padded[bins + 1] - s <= tol) | (s - padded[bins] <= tol))
+    near = np.flatnonzero((above - s <= tol) | (s - below <= tol))
     bins[near] = np.searchsorted(sorted_times, ens._flip_times_at(near), side="left")
     return bins
+
+
+def _locate(edges: np.ndarray, x: np.ndarray):
+    """bins = np.searchsorted(edges, x, side="left"), bit for bit, and the edges on either side.
+
+    edges[bins - 1] < x <= edges[bins], read as -inf and inf past the ends.
+    A table over [edges[0], edges[-1]] in _CELLS_PER_EDGE * len(edges) cells
+    of equal width holds the bin of each cell's left end, which is the bin of
+    every x in a cell that holds no edge.  Each guess is checked against the
+    edges on both sides, and the few x outside their guessed bin (those in a
+    cell that holds an edge, or rounded across a cell end) go to
+    searchsorted.  A span without a normal, finite cell width (one edge, or
+    gamma = 0, where every Lambda is 0) goes to searchsorted whole.
+    """
+    padded = np.concatenate(([-np.inf], edges, [np.inf]))
+    cells = _CELLS_PER_EDGE * len(edges)
+    width = (edges[-1] - edges[0]) / cells
+    if np.finfo(float).tiny <= width < np.inf:
+        # a normal width rounds by under an ulp, so no cell index passes cells
+        table = np.searchsorted(edges, edges[0] + width * np.arange(cells + 1), side="left")
+        cell = np.clip(x, edges[0], edges[-1])
+        cell -= edges[0]
+        cell /= width
+        bins = np.take(table, cell.astype(np.intp))
+    else:
+        bins = np.searchsorted(edges, x, side="left")
+    below, above = np.take(padded, bins), np.take(padded[1:], bins)
+    miss = np.flatnonzero((x <= below) | (x > above))
+    if miss.size:
+        bins[miss] = np.searchsorted(edges, x[miss], side="left")
+        below[miss], above[miss] = padded[bins[miss]], padded[bins[miss] + 1]
+    return bins, below, above
 
 
 def deterministic_occupation(family: FamilyTrajectory, times=None, p0_initial: float = 1.0) -> np.ndarray:
@@ -478,10 +537,15 @@ def gap_statistics(ens: Ensemble, rate: float, max_gaps: int | None = None) -> G
     horizon long enough that max_gaps + 1 flips almost surely occur; the
     leftover bias is then the tail probability of that event.
     """
-    flips, offsets = ens.flip_times, ens.offsets
-    rank = _flip_rank(offsets)[1:]  # gap k ends at flip k + 1: inside one trajectory if that flip is not a first
-    keep = rank >= 1 if max_gaps is None else (rank >= 1) & (rank <= max_gaps)
-    gaps = np.sort(np.diff(flips)[keep])
+    # gap k ends at flip k + 1, inside one trajectory if that flip is not a
+    # first; a cap needs the clock times of flips of rank <= max_gaps only
+    rank = ens.flip_rank
+    if max_gaps is None:
+        flips = ens.flip_times
+    else:
+        pick = rank <= max_gaps
+        flips, rank = ens._flip_times_at(pick), rank[pick]
+    gaps = np.sort(np.diff(flips)[rank[1:] >= 1])
     if len(gaps) == 0:
         raise ValueError("no complete gaps in the ensemble")
     cdf = 1.0 - np.exp(-rate * gaps)

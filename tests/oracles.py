@@ -45,6 +45,11 @@ checks need, and only the tests import them:
   * classical_collision_average averages collision-count-conditioned
     transition matrices, which the tests hold against the telegraph flip
     probability.
+  * The row-major telegraph route: row_major_draw draws the sampler's
+    streams a trajectory per row, from the Philox array kernel alone, and
+    searchsorted_bins bins an ensemble's flips by np.searchsorted on the
+    query Lambdas.  They check the (words, live) pass layout of
+    trajectories._draw and its table-lookup binning bit for bit.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from tunnelmol.channels import _NONCP_THRESHOLD, NonCPError, ptm_to_choi
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, ConditionReport, _as_direction
 from tunnelmol.histories import Decomposition, checked_weights
 from tunnelmol.ptm import PAULIS, ModelParams, generator, operator_from_pauli, pauli_coefficients, propagator_closed_form
+from tunnelmol.trajectories import _philox4x64, _rate_integral_within
 
 # tangent values beyond this mean the closed form left its branch
 _TANGENT_LIMIT = 1e12
@@ -599,3 +605,69 @@ def record_information_from_entries(entries: np.ndarray, tol: float) -> np.ndarr
     seen = joint > 0.0
     ratio = np.where(seen, joint, 1.0) / np.where(seen, indep, 1.0)
     return (joint * np.log2(ratio)).sum(axis=(-2, -1))
+
+
+# -- the row-major telegraph route ----------------------------------------------
+
+
+def row_major_draw(family, config, indices):
+    """(initial-arm uniforms, flat running sums below Lambda(t_end), offsets), a trajectory per row.
+
+    The same streams as trajectories._draw: block b of trajectory i is
+    Philox4x64-10 at counter (i, b, 0, 0), word 0 of block 0 sets the arm and
+    every later word u gives the unit exponential -log1p(-u).  Each pass
+    lays the next run of blocks of every live trajectory out as a row, sums
+    along it and scatters the rows' pieces by repeat.
+    """
+    total = float(family.rate_integral[-1])
+    if family.params.gamma == 0.0 or not total > 0.0:
+        total = 0.0
+    key = (int(config.seed) % 2**64, int(config.seed) >> 64)
+    index = np.asarray(indices, dtype=np.uint64)
+    n = len(index)
+    live, carry = np.arange(n), np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    passes = []
+    block, run = 0, 1
+    while live.size:
+        blocks = np.arange(block, block + run, dtype=np.uint64)
+        words = np.stack(_philox4x64((index[live][:, None], blocks, 0, 0), key), axis=-1).reshape(live.size, -1)
+        u = (words >> np.uint64(11)) * 2.0**-53
+        if block == 0:
+            arm_u = u[:, 0].copy()
+            u = u[:, 1:]
+        sums = -np.log1p(-u)
+        sums[:, 0] += carry[live]
+        sums = np.cumsum(sums, axis=1)
+        below = sums < total
+        found = np.count_nonzero(below, axis=1)
+        passes.append((live, counts[live], found, sums[below]))
+        counts[live] += found
+        carry[live] = sums[:, -1]
+        live = live[below[:, -1]]
+        block += run
+        run *= 2
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    flat = np.empty(offsets[-1])
+    for rows, before, found, piece in passes:
+        first = offsets[rows] + before - (np.cumsum(found) - found)
+        flat[np.repeat(first, found) + np.arange(len(piece))] = piece
+    return arm_u, flat, offsets
+
+
+def searchsorted_bins(ens, sorted_times: np.ndarray) -> np.ndarray:
+    """For each flip of ens, how many of the sorted query times come strictly before it.
+
+    Flips at sums farther than tol from every query's Lambda are binned by
+    np.searchsorted on those Lambdas; the rest by their inverted clock times.
+    """
+    family, s = ens.family, ens.flip_sums
+    lam = np.maximum.accumulate(_rate_integral_within(family, sorted_times))
+    bins = np.searchsorted(lam, s, side="left")
+    params = family.params
+    tol = 1e-9 * (1.0 + (params.gamma + params.omega) * float(family.times[-1]))
+    padded = np.concatenate(([-np.inf], lam, [np.inf]))
+    near = np.flatnonzero((padded[bins + 1] - s <= tol) | (s - padded[bins] <= tol))
+    bins[near] = np.searchsorted(sorted_times, ens._flip_times_at(near), side="left")
+    return bins

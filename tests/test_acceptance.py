@@ -228,7 +228,7 @@ def test_06_telegraph_gap_law_and_ensemble_relaxation():
     short = FamilyTrajectory.integrate(Z_DIRECTION, params, FORWARD, np.linspace(0.0, 2.0, 201))
     big = sample_ensemble(short, SamplerConfig(seed=77, n_trajectories=50_000, initial=0))
     grid = np.linspace(0.0, 2.0, 41)
-    series = ensemble_average(big, short, grid)
+    series = ensemble_average(big, grid)
     deviation = np.abs(series.occupation_difference - np.exp(-2.0 * params.gamma * grid)).max()
     assert deviation < 0.02
     assert time.monotonic() - start < 10.0

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
-from oracles import bloch_block
+from oracles import bloch_block, row_major_draw, searchsorted_bins
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, X_DIRECTION, Z_DIRECTION
 from tunnelmol.ptm import ModelParams
 from tunnelmol import trajectories
@@ -17,7 +17,9 @@ from tunnelmol.trajectories import (
     Trajectory,
     _draw,
     _invert,
+    _locate,
     _philox4x64,
+    _queries_before,
     deterministic_occupation,
     ensemble_average,
     gap_statistics,
@@ -262,7 +264,7 @@ def test_ensemble_average_matches_master_equation_moving_family():
     n_traj = 3000
     ens = sample_ensemble(fam, SamplerConfig(seed=99, n_trajectories=n_traj, initial=0))
     query = np.linspace(0.0, 6.0, 25)
-    series = ensemble_average(ens, fam, query)
+    series = ensemble_average(ens, query)
     master = deterministic_occupation(fam, query, p0_initial=1.0)
     sigma = np.sqrt(np.maximum(master * (1.0 - master), 0.01) / n_traj)
     assert np.max(np.abs(series.p0 - master) / sigma) < 6.0
@@ -277,7 +279,7 @@ def test_ensemble_bloch_vector_tracks_linear_flow():
     fam = FamilyTrajectory.integrate(d0, p, FORWARD, grid)
     ens = sample_ensemble(fam, SamplerConfig(seed=99, n_trajectories=3000, initial=0))
     query = np.linspace(0.0, 6.0, 13)
-    series = ensemble_average(ens, fam, query)
+    series = ensemble_average(ens, query)
     S3 = bloch_block(p)
     for k, t in enumerate(query):
         want = expm(t * S3) @ d0.unit_vector
@@ -316,7 +318,7 @@ def test_deterministic_occupation_is_exact_off_the_grid():
 def test_ensemble_series_stderr_and_errors():
     fam = z_traj_family(0.5, 5.0)
     ens = sample_ensemble(fam, SamplerConfig(seed=2, n_trajectories=10, initial=0))
-    series = ensemble_average(ens, fam, np.linspace(0.0, 5.0, 6))
+    series = ensemble_average(ens, np.linspace(0.0, 5.0, 6))
     assert series.stderr().shape == (6,)
     # no collisions, no flips: an ensemble without a single gap
     still = sample_ensemble(z_traj_family(0.0, 5.0), SamplerConfig(seed=2, n_trajectories=10))
@@ -329,7 +331,7 @@ def test_backward_family_sampling_runs():
     p = ModelParams(omega=1.0, gamma=0.6)
     fam = FamilyTrajectory.integrate(BlochDirection(0.5, 0.2), p, BACKWARD, np.linspace(0.0, 4.0, 801))
     ens = sample_ensemble(fam, SamplerConfig(seed=13, n_trajectories=200, initial=0))
-    series = ensemble_average(ens, fam, np.linspace(0.0, 4.0, 9))
+    series = ensemble_average(ens, np.linspace(0.0, 4.0, 9))
     master = deterministic_occupation(fam, np.linspace(0.0, 4.0, 9), p0_initial=1.0)
     assert np.abs(series.p0 - master).max() < 0.12
 
@@ -342,12 +344,27 @@ def test_vectorized_ensemble_average_is_bitwise_the_per_trajectory_count():
         flips = ens.flip_times
         # on a flip, before every flip, past t_end, unsorted and repeated
         query = np.concatenate(([-1.0, 0.0, flips.min()], flips[::97], [3.0, 1.0, 3.0, 6.0, 7.5]))
-        series = ensemble_average(ens, fam, query)
+        series = ensemble_average(ens, query)
         counts = np.zeros(len(query))
         for traj in ens:
             counts += traj.arm_at(query) == 0
         assert np.array_equal(series.p0, counts / len(ens))
         assert series.n_trajectories == 700
+
+
+def test_capped_gap_statistics_invert_only_the_flips_they_read(monkeypatch):
+    fam = z_traj_family(0.9, 12.0)
+    ens = sample_ensemble(fam, SamplerConfig(seed=21, n_trajectories=300, initial=0))
+    inverted = []
+    invert = trajectories._invert
+    monkeypatch.setattr(trajectories, "_invert", lambda f, s: inverted.append(len(s)) or invert(f, s))
+    stats = gap_statistics(ens, rate=0.9, max_gaps=4)
+    assert "flip_times" not in vars(ens)
+    assert sum(inverted) == np.count_nonzero(ens.flip_rank <= 4) < ens.offsets[-1]
+    full = gap_statistics(ens, rate=0.9)  # inverts and keeps every flip
+    assert "flip_times" in vars(ens)
+    assert np.array_equal(gap_statistics(ens, rate=0.9, max_gaps=4).gaps, stats.gaps)
+    assert full.n > stats.n
 
 
 def test_vectorized_gap_statistics_pools_like_the_per_trajectory_loop():
@@ -368,7 +385,7 @@ def test_flip_times_are_inverted_once_on_first_access_and_sliced_into_views():
     ens = sample_ensemble(fam, SamplerConfig(seed=4, n_trajectories=300))
     # counts, ranks and averages do not need clock times
     assert ens.flip_rank.shape == (ens.offsets[-1],) and ens.n_flips.sum() == ens.offsets[-1]
-    ensemble_average(ens, fam, np.linspace(0.0, 40.0, 41))
+    ensemble_average(ens, np.linspace(0.0, 40.0, 41))
     assert "flip_times" not in vars(ens)
     some = np.arange(0, ens.offsets[-1], 7)
     partial = ens._flip_times_at(some)
@@ -406,7 +423,7 @@ def test_rate_binned_average_is_bitwise_the_time_count(params, start, sense, t_e
         on[::-1], [t_end / 3.0, t_end / 3.0, t_end, 2.0 * t_end],
     ))
     ens = sample_ensemble(fam, cfg)
-    series = ensemble_average(ens, fam, query)
+    series = ensemble_average(ens, query)
     assert "flip_times" not in vars(ens)  # binned in Lambda, without the full inversion
     counts = np.zeros(len(query))
     for traj in ens:
@@ -434,3 +451,92 @@ def test_inversion_stops_at_the_rounding_floor_of_lambda(monkeypatch):
             assert len(calls) <= 12
             residual = np.abs(at(fam, t, angles=False)[3] - s)
             assert np.all(residual <= 4.0 * np.spacing(np.maximum(1.0, s)))
+
+
+# the sampler's paths: constant rate, moving overdamped, backward
+# underdamped, the stiff D2S2 range and both degenerate rates
+DRAW_FAMILIES = {
+    "static-z": (ModelParams(omega=1.0, gamma=1.0), BlochDirection(0.0, 0.0), FORWARD, 5.0),
+    "moving-over": (ModelParams(omega=1.13, gamma=3.83), BlochDirection(0.69, 0.41), FORWARD, 1.3),
+    "backward-under": (ModelParams(omega=0.86, gamma=0.41), BlochDirection(1.17, 0.52), BACKWARD, 5.8),
+    "d2s2": (ModelParams(omega=176.0, gamma=9e9), BlochDirection(0.9, 0.2), FORWARD, 1e-6),
+    "gamma-0": (ModelParams(omega=1.0, gamma=0.0), BlochDirection(0.9, 0.3), FORWARD, 5.0),
+    "omega-0": (ModelParams(omega=0.0, gamma=1.2), BlochDirection(0.9, 0.3), FORWARD, 5.0),
+}
+# a dense run of indices; a dense bulk whose tail passes run on a few
+# indices scattered over a span no C call could cover; one index
+DRAW_INDICES = {
+    "dense": np.arange(2000),
+    "scattered-tail": np.concatenate((np.arange(1500), [4000, 9001, 123456, 2**40 + 5])),
+    "single": np.array([777]),
+}
+
+
+def draw_family(name, points=1001):
+    params, start, sense, t_end = DRAW_FAMILIES[name]
+    return FamilyTrajectory.integrate(start, params, sense, np.linspace(0.0, t_end, points))
+
+
+@pytest.mark.parametrize("indices", DRAW_INDICES.values(), ids=DRAW_INDICES.keys())
+@pytest.mark.parametrize("family", DRAW_FAMILIES)
+def test_pass_layout_draws_bitwise_the_row_major_draw(family, indices):
+    fam = draw_family(family)
+    cfg = SamplerConfig(seed=2**64 + 2101, n_trajectories=1)
+    got, want = _draw(fam, cfg, indices), row_major_draw(fam, cfg, indices)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    if len(indices) > 1:
+        assert (want[2][-1] > 0) == (DRAW_FAMILIES[family][0].gamma > 0.0)
+
+
+@pytest.mark.parametrize("family", DRAW_FAMILIES)
+def test_table_lookup_bins_bitwise_as_searchsorted(family):
+    fam = draw_family(family)
+    t_end = float(fam.times[-1])
+    ens = sample_ensemble(fam, SamplerConfig(seed=5, n_trajectories=2000))
+    on = np.sort(ens._flip_times_at(np.arange(0, ens.offsets[-1], 97)))
+    query = np.sort(np.concatenate((
+        [-t_end, 0.0], np.linspace(0.0, t_end, 41), on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+        [t_end, 2.0 * t_end],
+    )))
+    for times in (query, np.linspace(0.0, t_end, 41), np.linspace(0.0, t_end / 3.0, 7), [t_end / 2.0] * 3):
+        times = np.asarray(times)
+        assert np.array_equal(_queries_before(ens, times), searchsorted_bins(ens, times))
+    assert "flip_times" not in vars(ens)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        np.linspace(0.0, 5.0, 41),
+        np.array([0.0, 1e-9, 2e-9, 3e-9, 1.0, 1.0, 1.0, 2.0, 2.0 + 1e-12, 7.0]),  # clusters, repeats
+        np.array([2.5]),  # one edge
+        np.zeros(9),  # gamma = 0: no span
+        np.array([1.0, 1.0 + 2e-16, 1.0 + 4e-16]),  # cells narrower than an ulp of x
+        np.array([0.0, 3e-308, 1e-307]),  # a span with subnormal cells
+        np.array([0.0, 1e300, 1.7e308]),  # a span near the float limit
+    ],
+    ids=["uniform", "clustered", "one", "flat", "ulp-span", "subnormal-span", "huge-span"],
+)
+def test_locate_is_bitwise_searchsorted_with_its_neighbours(edges):
+    rng = np.random.default_rng(3)
+    lo, hi = edges[0], edges[-1]
+    x = np.concatenate((
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [lo - 1.0, 0.0, hi + 1.0],
+        lo + (hi - lo) * rng.random(5000), rng.choice(edges, 500),
+    ))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        bins, below, above = _locate(edges, x)
+    assert np.array_equal(bins, np.searchsorted(edges, x, side="left"))
+    padded = np.concatenate(([-np.inf], edges, [np.inf]))
+    assert np.array_equal(below, padded[bins]) and np.array_equal(above, padded[bins + 1])
+    assert np.all((below < x) & (x <= above))
+
+
+def test_ensemble_average_reads_the_family_of_its_ensemble():
+    fam = z_traj_family(0.6, 4.0, points=81)
+    ens = sample_ensemble(fam, SamplerConfig(seed=3, n_trajectories=200))
+    series = ensemble_average(ens)
+    assert np.array_equal(series.times, fam.times)
+    assert np.array_equal(series.p0, ensemble_average(ens, fam.times).p0)
+    assert np.array_equal(series.bloch, (2.0 * series.p0 - 1.0)[:, None] * fam.unit_vectors_at(fam.times))
