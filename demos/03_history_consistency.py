@@ -26,7 +26,7 @@ from tunnelmol import (
     chain_kernel,
     consistency_check,
     decoherence_functional,
-    exact_direction,
+    flow_unit_vectors,
     markov_from_family,
     propagator_closed_form,
     telegraph_flip_probability,
@@ -62,15 +62,13 @@ def main() -> None:
     verdict(family, UP, f"x basis at multiples of pi/eta = {math.pi / eta:.3f}")
 
     print("\ntransported bases (family flow images of a tilted start):")
-    start = Decomposition.x_basis().bloch_direction
+    start = Decomposition.x_basis().n
     for sense, initial, note in (
         (FORWARD, None, "forward transport, mixed start"),
         (BACKWARD, UP, "backward transport, pure start"),
     ):
-        decomps = tuple(
-            Decomposition.from_direction(exact_direction(start, params, sense, t)) for t in times
-        )
-        family = HistoryFamily(params=params, times=times, decompositions=decomps)
+        units = flow_unit_vectors(start, params, sense, times)
+        family = HistoryFamily(params=params, times=times, decompositions=tuple(Decomposition(n) for n in units))
         verdict(family, initial, note)
 
     print("\nclassical readout: the chain from one propagator stack, checked against the full matrix:")
@@ -78,12 +76,11 @@ def main() -> None:
     q = telegraph_flip_probability(params, 0.6)
     print(f"  flip probability per 0.6 step: {q:.6f} (telegraph value)")
     pointer = tuple(Decomposition.z_basis() for _ in z_times)
-    moving = tuple(Decomposition.from_direction(exact_direction(start, params, FORWARD, t)) for t in z_times)
+    moving = tuple(Decomposition(n) for n in flow_unit_vectors(start, params, FORWARD, z_times))
     for decomps, initial, note in ((pointer, UP, "pointer family, pure start"), (moving, None, "forward transport, mixed start")):
         family = HistoryFamily(params=params, times=z_times, decompositions=decomps)
-        units = np.array([d.bloch_direction.unit_vector for d in decomps])
         T3 = propagator_closed_form(params, np.diff(z_times))[:, 1:, 1:]
-        residual = chain_kernel(units, T3, np.zeros(3) if initial is None else initial)[2].max()
+        residual = chain_kernel(family.units, T3, np.zeros(3) if initial is None else initial)[2].max()
         chain = markov_from_family(family, initial)
         print(f"  {note}: residual {residual:.1e}, so every off-diagonal is at most {residual / 2:.1e}")
         print(f"    initial distribution: {np.array2string(chain.initial_distribution, precision=4)}")

@@ -28,6 +28,7 @@ from .families import (
     check_forward_condition,
     classify_regime,
     exact_direction,
+    flow_unit_vectors,
     stationary_families,
     transition_rate,
 )

@@ -39,9 +39,6 @@ from .families import (
     BlochDirection,
     FORWARD,
     FamilyTrajectory,
-    X_DIRECTION,
-    Y_DIRECTION,
-    Z_DIRECTION,
     classify_regime,
     flow_unit_vectors,
     stationary_families,
@@ -387,12 +384,9 @@ def cmd_histories(cfg: RunConfig) -> int:
         raise CliError("dt must be positive")
     params = cfg.params()
     times = np.arange(cfg.steps) * cfg.dt
-    base = {"x": X_DIRECTION, "y": Y_DIRECTION, "z": Z_DIRECTION}[cfg.basis]
-    if cfg.moving == "static":
-        decomps = tuple(Decomposition.from_direction(base) for _ in times)
-    else:
-        decomps = tuple(Decomposition.from_direction(n) for n in flow_unit_vectors(base, params, cfg.moving, times))
-    family = HistoryFamily(params=params, times=times, decompositions=decomps)
+    axis = np.eye(3)["xyz".index(cfg.basis)]
+    units = [axis] * len(times) if cfg.moving == "static" else flow_unit_vectors(axis, params, cfg.moving, times)
+    family = HistoryFamily(params=params, times=times, decompositions=tuple(Decomposition(n) for n in units))
     D = decoherence_functional(family, _INITIAL_STATES[cfg.initial])
     _write_csv(cfg, "dmatrix.csv", D.write_csv)
 

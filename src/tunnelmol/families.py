@@ -64,11 +64,6 @@ class BlochDirection:
         st = math.sin(self.theta)
         return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
 
-    @property
-    def phi_wrapped(self) -> float:
-        """phi reduced to [0, 2 pi)."""
-        return self.phi % (2.0 * math.pi)
-
     def canonical(self) -> "BlochDirection":
         """Antipodal representative with theta in [0, pi/2] and phi in [0, 2 pi).
 
@@ -85,8 +80,7 @@ class BlochDirection:
 
     @classmethod
     def from_vector(cls, n) -> "BlochDirection":
-        n = np.asarray(n, dtype=float)
-        n = n / np.linalg.norm(n)
+        n = _normalized(n)
         return cls(theta=math.acos(np.clip(n[2], -1.0, 1.0)), phi=math.atan2(n[1], n[0]))
 
 
@@ -95,12 +89,26 @@ Y_DIRECTION = BlochDirection(theta=math.pi / 2.0, phi=math.pi / 2.0)
 Z_DIRECTION = BlochDirection(theta=0.0, phi=0.0)
 
 
+def _normalized(n) -> np.ndarray:
+    """n / |n| for a Bloch 3-vector, ValueError for a zero or non-finite one.
+
+    A vector within 4 ulps of unit length (flow_unit_vectors rows are within
+    1) is kept bit for bit: a division would only move its last bits.
+    """
+    n = np.asarray(n, dtype=float)
+    norm = np.linalg.norm(n)
+    if n.shape != (3,) or not 0.0 < norm < math.inf:
+        raise ValueError("a Bloch direction needs a nonzero, finite 3-vector")
+    return n if abs(norm - 1.0) <= 4.0 * np.finfo(float).eps else n / norm
+
+
+def _as_unit_vector(obj) -> np.ndarray:
+    """Unit Bloch vector of a BlochDirection, a histories.Decomposition (its n) or a 3-vector."""
+    return obj.unit_vector if isinstance(obj, BlochDirection) else _normalized(getattr(obj, "n", obj))
+
+
 def _as_direction(obj) -> BlochDirection:
-    if isinstance(obj, BlochDirection):
-        return obj
-    if hasattr(obj, "bloch_direction"):
-        return obj.bloch_direction
-    return BlochDirection.from_vector(obj)
+    return obj if isinstance(obj, BlochDirection) else BlochDirection.from_vector(getattr(obj, "n", obj))
 
 
 def transition_rate(direction: BlochDirection, params: ModelParams) -> float:
@@ -109,9 +117,8 @@ def transition_rate(direction: BlochDirection, params: ModelParams) -> float:
     Evaluated as gamma (n_y^2 + n_z^2), which does not cancel to zero near the
     pointer axis, where a family at large gamma/omega spends its time.
     """
-    d = _as_direction(direction)
-    ny, nz = math.sin(d.theta) * math.sin(d.phi), math.cos(d.theta)
-    return params.gamma * (ny * ny + nz * nz)
+    _, ny, nz = _as_unit_vector(direction)
+    return float(params.gamma * (ny * ny + nz * nz))
 
 
 def __getattr__(name: str):
@@ -387,7 +394,7 @@ def check_forward_condition(decomp_sequence, params: ModelParams, times, tol: fl
     # histories imports this module, so its kernel is imported on use
     from .histories import chain_kernel
 
-    units = np.array([_as_direction(d).unit_vector for d in decomp_sequence]).reshape(-1, 3)
+    units = np.array([_as_unit_vector(d) for d in decomp_sequence]).reshape(-1, 3)
     times = np.asarray(times, dtype=float)
     if len(units) != len(times) or not len(times):
         raise ValueError("need at least one time, and one decomposition per time")

@@ -1,8 +1,9 @@
 """Decoherence functional and consistency of multi-time histories.
 
 A history assigns one projector from a decomposition {P^0_m, P^1_m} to each of
-the times t_1 < ... < t_f.  With the collisional channel T carrying operators
-between neighboring times, the decoherence functional is
+the times t_1 < ... < t_f; a decomposition is held as its Bloch unit vector
+n_m, P^a_m = (I + s_a n_m.sigma)/2.  With the collisional channel T carrying
+operators between neighboring times, the decoherence functional is
 
     D(alpha, beta) = Tr[ P^{a_f}_f T( ... P^{a_2}_2 T( P^{a_1}_1 rho_0 P^{b_1}_1 ) P^{b_2}_2 ... ) P^{b_f}_f ].
 
@@ -53,11 +54,11 @@ import io
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .families import BlochDirection, FamilyTrajectory
+from .families import BlochDirection, FamilyTrajectory, _as_unit_vector, _normalized
 from .ptm import ModelParams, PAULIS, operator_from_pauli, pauli_coefficients, propagator_closed_form
 
 CONSISTENCY_TOL = 1e-8
@@ -86,48 +87,44 @@ class NotConsistentError(ValueError):
     """Operation requires a consistent family but the off-diagonals are too large."""
 
 
-def projector_pairs(units) -> np.ndarray:
-    """(P0, P1) = ((I + n.sigma)/2, (I - n.sigma)/2) for unit vectors n (..., 3), as (..., 2, 2, 2)."""
+def _pair_coefficients(units) -> np.ndarray:
+    """Pauli coefficients (1, +n)/2 and (1, -n)/2 of (P0, P1), (..., 2, 4), for unit vectors n (..., 3)."""
     units = np.asarray(units, dtype=float)
     half = np.concatenate([np.ones(units.shape[:-1] + (1,)), units], axis=-1) / 2.0
-    return operator_from_pauli(np.stack([half, half * [1.0, -1.0, -1.0, -1.0]], axis=-2))
+    return np.stack([half, half * [1.0, -1.0, -1.0, -1.0]], axis=-2)
+
+
+def projector_pairs(units) -> np.ndarray:
+    """(P0, P1) = ((I + n.sigma)/2, (I - n.sigma)/2) for unit vectors n (..., 3), as (..., 2, 2, 2)."""
+    return operator_from_pauli(_pair_coefficients(units))
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A two-outcome projective decomposition of the qubit identity.
+    """A two-outcome projective decomposition of the qubit identity: a diameter of the Bloch ball.
 
-    projectors   (P0, P1) with P0 = (I + n.sigma)/2;  outcome bit 0 is the
-                 projector along +n, bit 1 the one along -n.
+    n   its unit vector (3,), normalised once here; outcome bit 0 is the
+        projector P0 = (I + n.sigma)/2 along +n, bit 1 the one along -n.
+        A zero or non-finite vector raises ValueError.
     """
 
-    projectors: tuple
+    n: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        # one isclose over the stack P0 + P1, P0, P1, P0 P0, P1 P1 against
-        # I, P0^H, P1^H, P0, P1: each matrix is np.allclose(atol=1e-10) of its pair
-        P = np.asarray(self.projectors)
-        close = np.isclose(
-            np.concatenate(((P[0] + P[1])[None], P, P @ P)),
-            np.concatenate((np.eye(2)[None], np.swapaxes(P, -1, -2).conj(), P)),
-            atol=1e-10,
-        ).all(axis=(-2, -1))
-        if not close[0]:
-            raise ValueError("projectors must sum to the identity")
-        if not close.all():
-            raise ValueError("decomposition entries must be Hermitian projectors")
+        object.__setattr__(self, "n", _normalized(self.n))
+
+    @property
+    def projectors(self) -> np.ndarray:
+        return projector_pairs(self.n)
 
     @property
     def bloch_direction(self) -> BlochDirection:
-        n = 2.0 * pauli_coefficients(self.projectors[0])[1:].real
-        return BlochDirection.from_vector(n)
+        return BlochDirection.from_vector(self.n)
 
     @classmethod
     def from_direction(cls, direction, label: str = "") -> "Decomposition":
-        if not isinstance(direction, BlochDirection):
-            direction = BlochDirection.from_vector(direction)
-        return cls(projectors=tuple(projector_pairs(direction.unit_vector)), label=label)
+        return cls(_as_unit_vector(direction), label=label)
 
     @classmethod
     def x_basis(cls) -> "Decomposition":
@@ -144,7 +141,7 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class HistoryFamily:
-    """Times plus one decomposition per time (f >= 1).
+    """Times plus one decomposition per time (f >= 1), their unit vectors stacked once as units (f, 3).
 
     Warns, but proceeds, when a gap is shorter than the collision correlation
     time tau_c: the Markovian channel between those instants is then of
@@ -154,6 +151,7 @@ class HistoryFamily:
     params: ModelParams
     times: np.ndarray
     decompositions: tuple
+    units: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -164,6 +162,7 @@ class HistoryFamily:
             raise ValueError("history times must be strictly increasing")
         if len(self.decompositions) != len(times):
             raise ValueError("need exactly one decomposition per time")
+        object.__setattr__(self, "units", np.array([d.n for d in self.decompositions]))
         if self.params.tau_c > 0 and len(times) > 1:
             gap = float(np.min(np.diff(times)))
             if gap < self.params.tau_c:
@@ -181,7 +180,7 @@ class HistoryFamily:
     def from_trajectory(cls, traj: FamilyTrajectory, times) -> "HistoryFamily":
         """Sample a moving-basis family at the given instants."""
         times = np.asarray(times, dtype=float)
-        decomps = tuple(Decomposition.from_direction(n) for n in traj.unit_vectors_at(times))
+        decomps = tuple(Decomposition(n) for n in traj.unit_vectors_at(times))
         return cls(params=traj.params, times=times, decompositions=decomps)
 
 
@@ -391,9 +390,9 @@ _LEFT_TABLE = np.ascontiguousarray(_PRODUCT.transpose(1, 0, 2)).reshape(4, 16)
 _RIGHT_TABLE = np.ascontiguousarray(_PRODUCT.transpose(2, 0, 1)).reshape(4, 16)
 
 
-def _sandwiches(projectors: np.ndarray) -> np.ndarray:
-    """Coefficient-space matrices of M -> P_a M P_b, (..., 2, 2, 4, 4), from (..., 2, 2, 2) pairs (P_0, P_1)."""
-    p = pauli_coefficients(projectors)
+def _sandwiches(units) -> np.ndarray:
+    """Coefficient-space matrices of M -> P_a M P_b, (..., 2, 2, 4, 4), for unit vectors n (..., 3)."""
+    p = _pair_coefficients(units)
     left = (p @ _LEFT_TABLE).reshape(p.shape[:-1] + (4, 4))
     right = (p @ _RIGHT_TABLE).reshape(p.shape[:-1] + (4, 4))
     return left[..., :, None, :, :] @ right[..., None, :, :, :]
@@ -429,11 +428,11 @@ def _grow(V, S, newest_high: bool) -> np.ndarray:
     return grown
 
 
-def decoherence_entries(transfers, projectors, initial=None) -> np.ndarray:
+def decoherence_entries(transfers, units, initial=None) -> np.ndarray:
     """D(alpha, beta) of one family, or of a stack of families evaluated together.
 
     transfers    f - 1 PTMs (..., 4, 4): the channel across each gap
-    projectors   f arrays (..., 2, 2, 2): the decomposition (P0, P1) at each time
+    units        f unit vectors (..., 3): the decomposition at each time, as in HistoryFamily.units
     initial      as for decoherence_functional, shared by the whole stack
 
     Returns the (..., 2^f, 2^f) entries.  The branching tree meets in the
@@ -444,19 +443,19 @@ def decoherence_entries(transfers, projectors, initial=None) -> np.ndarray:
     to its trace.  Each entry D[(p, i), (q, j)] = R[p, q] . A[i, j] is written
     once, straight into the output.
     """
-    f = len(projectors)
+    f = len(units)
     h = f // 2
     A = pauli_coefficients(_coerce_initial(initial)).reshape(1, 1, 4)
     for m in range(h):
-        A = _grow(A, np.swapaxes(_sandwiches(projectors[m]), -1, -2), newest_high=True)
+        A = _grow(A, np.swapaxes(_sandwiches(units[m]), -1, -2), newest_high=True)
         A = A @ np.swapaxes(transfers[m], -1, -2)[..., None, :, :]
     # the trace of P_a M P_b is twice its coefficient 0.  Read off the sandwich
     # matrices like every other factor, it keeps the roundoff of entries that
     # the products make equal bitwise equal, and write_csv formats each
     # distinct float once
-    R = 2.0 * _sandwiches(projectors[f - 1])[..., 0, :]
+    R = 2.0 * _sandwiches(units[f - 1])[..., 0, :]
     for m in range(f - 2, h - 1, -1):
-        R = _grow(R @ transfers[m][..., None, :, :], _sandwiches(projectors[m]), newest_high=False)
+        R = _grow(R @ transfers[m][..., None, :, :], _sandwiches(units[m]), newest_high=False)
     P, I = R.shape[-2], A.shape[-2]
     stack = np.broadcast_shapes(A.shape[:-3], R.shape[:-3])
     out = np.empty(stack + (P * I, P * I), dtype=complex)
@@ -477,8 +476,7 @@ def decoherence_functional(family: HistoryFamily, initial=None) -> DecoherenceMa
     if family.f > 10:
         raise ValueError("history families are capped at f = 10 times")
     transfers = propagator_closed_form(family.params, np.diff(family.times))
-    projectors = [np.array(d.projectors) for d in family.decompositions]
-    return DecoherenceMatrix(family=family, entries=decoherence_entries(transfers, projectors, initial))
+    return DecoherenceMatrix(family=family, entries=decoherence_entries(transfers, family.units, initial))
 
 
 def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -627,8 +625,8 @@ def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSIST
     Transition matrices are column-stochastic, M[k, j] = P(next = k | now = j),
     each column the physical conditional of chain_kernel, also for a state
     the chain cannot reach (at gamma = 0, from "up", a flow family's steps
-    are the identity).  The unit vectors are read from the family's own
-    projectors, as the functional reads them.  When chain_kernel's bound
+    are the identity).  The chain reads family.units, as the functional
+    does.  When chain_kernel's bound
     proves the family consistent, no functional is built and
     factorization_error is 0.0.  Otherwise, for f <= 10, the 4^f functional
     gives the verdict: NotConsistentError when it fails, and when it passes,
@@ -639,10 +637,8 @@ def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSIST
     trace = 2.0 * coefficients[0].real
     if np.abs(coefficients.imag).max() > 1e-10 or not trace > 0.0:
         raise ValueError("initial state must be a Hermitian operator with positive trace")
-    projectors = np.array([d.projectors[0] for d in family.decompositions])
-    units = 2.0 * pauli_coefficients(projectors)[:, 1:].real
     T3 = propagator_closed_form(family.params, np.diff(family.times))[:, 1:, 1:]
-    p1, transitions, residuals = chain_kernel(units, T3, 2.0 * coefficients[1:].real / trace)
+    p1, transitions, residuals = chain_kernel(family.units, T3, 2.0 * coefficients[1:].real / trace)
     if p1.min() < -1e-10 / trace:
         raise ValueError("negative history weight beyond roundoff")
     chain = MarkovChain(initial_distribution=p1, transitions=tuple(transitions), factorization_error=0.0)

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import choi_eigenvalues, ptm_to_choi
-from .families import FORWARD, _as_direction, check_forward_condition, flow_unit_vectors
+from .families import FORWARD, _as_unit_vector, check_forward_condition, flow_unit_vectors
 from .histories import CONSISTENCY_TOL, HistoryFamily, chain_kernel, markov_from_family
 from .ptm import PAULIS, ModelParams, propagator_closed_form
 
@@ -118,7 +118,7 @@ def _axis(basis) -> np.ndarray:
             return np.array(_AXES[basis])
         except KeyError:
             raise ValueError(f"unknown basis name {basis!r}") from None
-    return _as_direction(basis).unit_vector
+    return _as_unit_vector(basis)
 
 
 def holevo_direct(basis, params: ModelParams, t: float) -> float:

@@ -13,6 +13,7 @@ from tunnelmol.families import (
     BACKWARD,
     FORWARD,
     X_DIRECTION,
+    Y_DIRECTION,
     Z_DIRECTION,
     BlochDirection,
     FamilyTrajectory,
@@ -30,7 +31,6 @@ from tunnelmol.histories import (
     _HASH_MULTIPLIER,
     _distinct,
     _format17g,
-    _sandwiches,
     chain_kernel,
     checked_weights,
     consistency_check,
@@ -40,7 +40,7 @@ from tunnelmol.histories import (
     projector_pairs,
     telegraph_flip_probability,
 )
-from tunnelmol.ptm import ModelParams, apply_ptm, pauli_coefficients, propagator_closed_form
+from tunnelmol.ptm import PAULIS, ModelParams, apply_ptm, pauli_coefficients, propagator_closed_form
 
 P05 = ModelParams(omega=1.0, gamma=0.5)
 
@@ -64,23 +64,35 @@ def test_decomposition_validation_and_roundtrip():
     assert np.abs(P0 @ P1).max() < 1e-14
     back = d.bloch_direction
     assert abs(back.theta - 0.8) < 1e-12
+    # the vector is normalised once, on construction
+    assert np.array_equal(Decomposition(np.array([0.0, 3.0, 4.0])).n, [0.0, 0.6, 0.8])
     with pytest.raises(ValueError):
-        Decomposition(projectors=(np.eye(2), np.eye(2)))
+        Decomposition(np.zeros(3))
 
 
-def test_each_decomposition_fault_raises_its_own_message():
-    P0, P1 = projector_pairs(np.array([0.6, 0.0, 0.8]))
-    Decomposition(projectors=(P0 + 4e-11, P1 - 4e-11))  # within atol
-    skew = np.array([[1.0, 1.0], [0.0, 0.0]])  # idempotent, not Hermitian
-    faults = [
-        ("must sum to the identity", (P0, P0)),
-        ("must sum to the identity", (P0 + 1e-9, P1)),
-        ("Hermitian projectors", (skew, np.eye(2) - skew)),
-        ("Hermitian projectors", (np.eye(2) / 2, np.eye(2) / 2)),  # Hermitian, not idempotent
-    ]
-    for message, projectors in faults:
-        with pytest.raises(ValueError, match=message):
-            Decomposition(projectors=projectors)
+def test_from_direction_projectors_are_hermitian_idempotent_and_complete():
+    # what a decomposition's projector pair must be, for the vectors it is built from
+    rng = np.random.default_rng(2012)
+    directions = [X_DIRECTION, Y_DIRECTION, Z_DIRECTION, *rng.standard_normal((20, 3))]
+    for direction in directions:
+        P = Decomposition.from_direction(direction).projectors
+        assert np.abs(P - np.swapaxes(P, -1, -2).conj()).max() <= 1e-15
+        assert np.abs(P @ P - P).max() <= 1e-15
+        assert np.abs(P[0] + P[1] - np.eye(2)).max() <= 1e-15
+        assert np.abs(P[0] @ P[1]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("vector", [np.zeros(3), np.array([0.0, np.nan, 1.0]), np.array([np.inf, 0.0, 0.0])])
+def test_a_zero_or_non_finite_direction_is_rejected(vector):
+    # a zero vector was the trivial decomposition (I, 0): the chain read it
+    # as (0.5, 0.5) while the functional put all weight on arm 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (Decomposition, Decomposition.from_direction, BlochDirection.from_vector):
+            with pytest.raises(ValueError, match="nonzero, finite"):
+                build(vector)
+    with pytest.raises(ValueError):
+        Decomposition((np.eye(2), np.zeros((2, 2))))
 
 
 def test_family_validation():
@@ -292,9 +304,8 @@ def test_family_from_trajectory_matches_pointwise_directions():
     times = np.array([0.0, 1.0, 2.5])
     fam = HistoryFamily.from_trajectory(traj, times)
     assert fam.f == 3
-    for t, d in zip(times, fam.decompositions):
+    for t, got in zip(times, fam.units):
         want = traj.direction_at(float(t)).unit_vector
-        got = d.bloch_direction.unit_vector
         assert np.abs(got - want).max() < 1e-9
     # sampled finely enough, the trajectory family is consistent up to the
     # grid interpolation error of the basis directions
@@ -341,12 +352,12 @@ def test_chain_operator_route_matches_brute_force():
         gaps = rng.uniform(0.1, 1.5, (5, f - 1))
         bases = [[_random_decomposition(rng) for _ in range(f)] for _ in range(5)]
         transfers = [propagator_closed_form(p, gaps[:, m]) for m in range(f - 1)]
-        projectors = [np.array([b[m].projectors for b in bases]) for m in range(f)]
+        units = [np.array([b[m].n for b in bases]) for m in range(f)]
         rho0 = state_from_bloch(np.array([0.3, 0.1, -0.4]))
-        stacked = decoherence_entries(transfers, projectors, rho0)
+        stacked = decoherence_entries(transfers, units, rho0)
         assert stacked.shape == (5, 2**f, 2**f)
         for k in range(5):
-            want = _entries_by_brute_force([T[k] for T in transfers], [P[k] for P in projectors], rho0)
+            want = _entries_by_brute_force([T[k] for T in transfers], [projector_pairs(n[k]) for n in units], rho0)
             assert np.abs(stacked[k] - want).max() < 1e-12
 
 
@@ -358,7 +369,7 @@ def test_stacked_functional_matches_one_family_at_a_time():
     lasts = [Decomposition.from_direction(BlochDirection(0.5 + g, 2.0 * g)) for g in gaps]
     stacked = decoherence_entries(
         [propagator_closed_form(p, 0.4), propagator_closed_form(p, gaps)],
-        [np.array(d0.projectors), np.array(d1.projectors), np.array([d.projectors for d in lasts])],
+        [d0.n, d1.n, np.array([d.n for d in lasts])],
         np.array([0.2, -0.1, 0.5]),
     )
     assert stacked.shape == (len(gaps), 8, 8)
@@ -492,12 +503,14 @@ def test_histories_command_writes_the_echo_then_the_entrywise_csv(tmp_path):
 
 def _entries_level_loop(transfers, projectors, initial=None, last_components=4):
     # reference: each level is one unblocked tensor; the last one keeps all four
-    # coefficient components, or only the trace with last_components=1
+    # coefficient components, or only the trace with last_components=1.  The
+    # sandwich M -> P_a M P_b is read off the 2x2 projector pairs (..., 2, 2, 2):
+    # Tr(sigma_k P_a sigma_j P_b) / 2 at [a, b, j, k], as it acts on row vectors
     A = pauli_coefficients(_coerce_initial(initial)).reshape(1, 1, 4)
     for m, P in enumerate(projectors):
         if m > 0:
             A = A @ np.swapaxes(transfers[m - 1], -1, -2)[..., None, :, :]
-        S = np.swapaxes(_sandwiches(P), -1, -2)[..., None, :, :]
+        S = np.einsum("kxy,...ayz,jzw,...bwx->...abjk", PAULIS, P, PAULIS, P)[..., None, :, :] / 2.0
         if m == len(projectors) - 1:
             S = S[..., :last_components]
         K = A.shape[-2]
@@ -511,7 +524,7 @@ def _entries_level_loop(transfers, projectors, initial=None, last_components=4):
 
 def _family_inputs(fam):
     transfers = [propagator_closed_form(fam.params, float(dt)) for dt in np.diff(fam.times)]
-    return transfers, [np.array(d.projectors) for d in fam.decompositions]
+    return transfers, fam.units
 
 
 def test_last_level_trace_matches_the_full_tensor_loop():
@@ -524,22 +537,21 @@ def test_last_level_trace_matches_the_full_tensor_loop():
     for f in range(1, 11):
         times = 0.35 * np.arange(f)
         for initial in (None, rho0):
-            transfers, projectors = _family_inputs(z_family(p, times))
-            got = decoherence_entries(transfers, projectors, initial)
-            assert np.abs(got - _entries_level_loop(transfers, projectors, initial)).max() <= 1e-15
+            transfers, units = _family_inputs(z_family(p, times))
+            got = decoherence_entries(transfers, units, initial)
+            assert np.abs(got - _entries_level_loop(transfers, projector_pairs(units), initial)).max() <= 1e-15
             for flow in flows:
-                transfers, projectors = _family_inputs(HistoryFamily.from_trajectory(flow, times))
-                got = decoherence_entries(transfers, projectors, initial)
-                assert np.abs(got - _entries_level_loop(transfers, projectors, initial)).max() <= 1e-15
+                transfers, units = _family_inputs(HistoryFamily.from_trajectory(flow, times))
+                got = decoherence_entries(transfers, units, initial)
+                assert np.abs(got - _entries_level_loop(transfers, projector_pairs(units), initial)).max() <= 1e-15
     # the two-time stack of build_info_report's mutual_info column
     times = np.linspace(0.0, 3.0, 31)
     first = Decomposition.x_basis()
     T = propagator_closed_form(p, times)
-    second = projector_pairs(flow_unit_vectors(first.bloch_direction, p, FORWARD, times))
-    projectors = [np.array(first.projectors), second]
-    got = decoherence_entries([T], projectors)
+    units = [first.n, flow_unit_vectors(first.n, p, FORWARD, times)]
+    got = decoherence_entries([T], units)
     assert got.shape == (len(times), 4, 4)
-    assert np.abs(got - _entries_level_loop([T], projectors)).max() <= 1e-15
+    assert np.abs(got - _entries_level_loop([T], [projector_pairs(n) for n in units])).max() <= 1e-15
 
 
 def test_split_trees_match_the_trace_only_level_loop():
@@ -550,14 +562,14 @@ def test_split_trees_match_the_trace_only_level_loop():
     for f in (8, 9):
         times = 0.35 * np.arange(f)
         for fam in (z_family(p, times), HistoryFamily.from_trajectory(flow, times)):
-            transfers, projectors = _family_inputs(fam)
+            transfers, units = _family_inputs(fam)
             for initial in (None, np.array([0.1, -0.2, 0.3])):
-                got = decoherence_entries(transfers, projectors, initial)
-                want = _entries_level_loop(transfers, projectors, initial, last_components=1)
+                got = decoherence_entries(transfers, units, initial)
+                want = _entries_level_loop(transfers, projector_pairs(units), initial, last_components=1)
                 assert np.abs(got - want).max() <= 1e-15
         # z projectors and a z-diagonal start keep every coherence an exact zero
-        transfers, projectors = _family_inputs(z_family(p, times))
-        got = decoherence_entries(transfers, projectors, np.array([0.0, 0.0, 0.3]))
+        transfers, units = _family_inputs(z_family(p, times))
+        got = decoherence_entries(transfers, units, np.array([0.0, 0.0, 0.3]))
         assert np.all(got[~np.eye(2**f, dtype=bool)] == 0.0)
 
 
@@ -718,9 +730,8 @@ def _random_units(rng, shape):
 
 
 def _kernel_of(family, r0):
-    units = 2.0 * pauli_coefficients(np.array([d.projectors[0] for d in family.decompositions]))[:, 1:].real
     T3 = propagator_closed_form(family.params, np.diff(family.times))[:, 1:, 1:]
-    return chain_kernel(units, T3, r0)
+    return chain_kernel(family.units, T3, r0)
 
 
 def test_markov_product_matches_the_functional_and_the_fitted_chain():

@@ -29,7 +29,6 @@ from tunnelmol.histories import (
     NotConsistentError,
     decoherence_entries,
     decoherence_functional,
-    projector_pairs,
 )
 from tunnelmol.info_flow import (
     ForwardConditionError,
@@ -174,8 +173,9 @@ def test_mutual_information_rejects_bad_input():
 def test_record_information_column_matches_the_functional_route(params, times):
     T = propagator_closed_form(params, times)
     for basis, n0 in (("x", np.array([1.0, 0.0, 0.0])), ("z", np.array([0.0, 0.0, 1.0]))):
-        second = projector_pairs(flow_unit_vectors(n0, params, FORWARD, times))
-        want = record_information_from_entries(decoherence_entries([T], [projector_pairs(n0), second]), CONSISTENCY_TOL)
+        want = record_information_from_entries(
+            decoherence_entries([T], [n0, flow_unit_vectors(n0, params, FORWARD, times)]), CONSISTENCY_TOL
+        )
         got = build_info_report(params, times, family_basis=basis).curves["mutual_info"]
         assert np.abs(got - want).max() <= 4e-15
 
@@ -372,16 +372,17 @@ def test_one_time_quantities_agree_with_the_report_and_the_dilation_for_any_dire
     p = ModelParams(omega=0.9, gamma=1.7)
     times = np.array([0.0, 0.2, 1.1, 3.0])
     rep = build_info_report(p, times)
-    P0, P1 = Decomposition.from_direction(BlochDirection(theta=0.7, phi=2.1)).projectors
+    d = Decomposition.from_direction(BlochDirection(theta=0.7, phi=2.1))
+    P0, P1 = d.projectors
     for k, t in enumerate(times):
         assert holevo_direct("x", p, t) == pytest.approx(rep.curves["chi_x_direct"][k], abs=1e-14)
         assert holevo_complementary("z", p, t) == pytest.approx(rep.curves["chi_z_comp"][k], abs=1e-14)
         kraus = choi_to_kraus(ptm_to_choi(propagator_closed_form(p, float(t))), significance=0.0)
         comp = ComplementaryChannel(isometry=stinespring_isometry(kraus), kraus=kraus)
         leaked = holevo_chi((0.5, 0.5), (complementary_apply(comp, P0), complementary_apply(comp, P1)))
-        assert holevo_complementary(Decomposition((P0, P1)), p, t) == pytest.approx(leaked, abs=1e-12)
+        assert holevo_complementary(d, p, t) == pytest.approx(leaked, abs=1e-12)
         sigma = complementary_apply(comp, P0 - P1)
-        value, _ = quadratic_information(Decomposition((P0, P1)), p, t, "complementary")
+        value, _ = quadratic_information(d, p, t, "complementary")
         assert value == pytest.approx(0.5 * float(np.trace(sigma @ sigma).real), abs=1e-12)
 
 
