@@ -12,22 +12,24 @@ from scipy.linalg import expm
 
 from tunnelmol import (
     ModelParams,
-    classify_regime,
+    UNDERDAMPED,
     eigen_system,
     generator,
     propagator_closed_form,
+    stationary_roots,
 )
 
 
 def describe(params: ModelParams) -> None:
-    report = classify_regime(params)
-    print(f"\ngamma = {params.gamma}, omega = {params.omega}  ->  {report.regime}")
-    if report.rotation_frequency is not None:
-        print(f"  beat frequency eta = {report.rotation_frequency:.6f}")
-        print(f"  stroboscopic period pi/eta = {report.stroboscopic_period:.6f}")
-    if report.decay_rates is not None:
-        slow, fast = report.decay_rates
-        print(f"  decay rates: slow {slow:.6f}, fast {fast:.6f}")
+    print(f"\ngamma = {params.gamma}, omega = {params.omega}  ->  {params.regime}")
+    if params.regime == UNDERDAMPED:
+        eta = params.discriminant
+        print(f"  beat frequency eta = {eta:.6f}")
+        print(f"  stroboscopic period pi/eta = {np.pi / eta:.6f}")
+    else:
+        # the equatorial decay rates are twice the stationary flip rates
+        _, _, kappa_x, kappa_y = stationary_roots(params.gamma, params.omega)
+        print(f"  decay rates: slow {2.0 * kappa_x:.6f}, fast {2.0 * kappa_y:.6f}")
 
     worst = 0.0
     for t in (0.1, 0.7, 2.5):

@@ -9,7 +9,7 @@ than the pointer bit, which is why one can speak of a frozen handedness.
 
 import numpy as np
 
-from tunnelmol import ModelParams, stationary_families
+from tunnelmol import ModelParams, stationary_families, stationary_roots
 
 D2S2 = ModelParams(omega=176.0, gamma=9.0e9)
 
@@ -18,21 +18,18 @@ def main() -> None:
     print("ratio scan at omega = 1:")
     print(f"{'gamma/omega':>12} {'regime':>12} {'roots':>6} {'phi_x':>9} "
           f"{'kappa_x':>10} {'kappa_y':>10}")
-    for ratio in (0.3, 0.7, 1.0, 1.5, 3.0, 10.0, 100.0):
-        params = ModelParams(omega=1.0, gamma=ratio)
-        stat = stationary_families(params)
-        n = len(stat.equatorial)
-        if n:
-            phi = next(f.direction.phi for f in stat.equatorial if f.condition == "forward")
-            print(f"{ratio:>12.1f} {params.regime:>12} {n:>6} {phi:>9.4f} "
-                  f"{stat.kappa_x:>10.2e} {stat.kappa_y:>10.2e}")
+    ratios = np.array([0.3, 0.7, 1.0, 1.5, 3.0, 10.0, 100.0])
+    for ratio, phi_x, phi_y, kx, ky in zip(ratios, *stationary_roots(ratios, 1.0)):
+        regime = ModelParams(omega=1.0, gamma=ratio).regime
+        if np.isnan(kx):
+            print(f"{ratio:>12.1f} {regime:>12} {0:>6} {'-':>9} {'-':>10} {'-':>10}")
         else:
-            print(f"{ratio:>12.1f} {params.regime:>12} {n:>6} {'-':>9} {'-':>10} {'-':>10}")
+            n = 2 if phi_x == phi_y else 4  # the x and y roots merge at the critical ratio
+            print(f"{ratio:>12.1f} {regime:>12} {n:>6} {phi_x:>9.4f} {kx:>10.2e} {ky:>10.2e}")
 
     print("\nthe asymptotic rate law above the transition:")
-    for ratio in (2.0, 10.0, 100.0):
-        params = ModelParams(omega=1.0, gamma=ratio)
-        kx = stationary_families(params).kappa_x
+    ratios = np.array([2.0, 10.0, 100.0])
+    for ratio, kx in zip(ratios, stationary_roots(ratios, 1.0)[2]):
         print(f"  gamma = {ratio:>5.1f}: kappa_x = {kx:.6e}, "
               f"omega^2/4gamma = {1.0 / (4.0 * ratio):.6e}")
 
@@ -58,11 +55,7 @@ def main() -> None:
         return
 
     ratios = np.geomspace(1.001, 200.0, 400)
-    kx, ky = [], []
-    for r in ratios:
-        stat = stationary_families(ModelParams(omega=1.0, gamma=r))
-        kx.append(stat.kappa_x)
-        ky.append(stat.kappa_y)
+    _, _, kx, ky = stationary_roots(ratios, 1.0)
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.loglog(ratios, kx, label="kappa_x")
     ax.loglog(ratios, ky, label="kappa_y")

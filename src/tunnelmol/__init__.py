@@ -19,17 +19,15 @@ from .families import (
     BlochDirection,
     FORWARD,
     FamilyTrajectory,
-    RegimeReport,
     StationaryFamily,
     StationarySet,
     X_DIRECTION,
     Y_DIRECTION,
     Z_DIRECTION,
     check_forward_condition,
-    classify_regime,
-    exact_direction,
     flow_unit_vectors,
     stationary_families,
+    stationary_roots,
     transition_rate,
 )
 from .histories import (
@@ -63,7 +61,6 @@ from .ptm import (
     OVERDAMPED,
     CRITICAL,
     UNDERDAMPED,
-    apply_ptm,
     eigen_system,
     generator,
     operator_from_pauli,

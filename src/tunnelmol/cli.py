@@ -39,13 +39,13 @@ from .families import (
     BlochDirection,
     FORWARD,
     FamilyTrajectory,
-    classify_regime,
     flow_unit_vectors,
     stationary_families,
+    stationary_roots,
 )
 from .histories import Decomposition, HistoryFamily, consistency_check, decoherence_functional
 from .info_flow import build_info_report, verify_family_information_identity
-from .ptm import ModelParams, generator, propagator_closed_form
+from .ptm import CRITICAL, OVERDAMPED, UNDERDAMPED, ModelParams, generator, propagator_closed_form
 from .trajectories import (
     SamplerConfig,
     deterministic_occupation,
@@ -188,10 +188,14 @@ def _write_csv(cfg: RunConfig, filename: str, body) -> Path:
 
 
 def _table(header: list, columns) -> str:
-    """CSV text: the header, then row k of the stacked columns, each number as %.17g."""
-    rows = np.column_stack(columns)
-    template = ",".join(["%.17g"] * rows.shape[1])
-    return "\n".join([",".join(header)] + [template % tuple(row) for row in rows.tolist()]) + "\n"
+    """CSV text: the header, then row k of the stacked columns, each number as %.17g and each string as it is.
+
+    A 2-D column contributes one CSV column per column of its own.
+    """
+    blocks = [np.asarray(c)[None] if np.ndim(c) == 1 else np.asarray(c).T for c in columns]
+    template = ",".join("%s" if b.dtype.kind == "U" else "%.17g" for b in blocks for _ in b)
+    rows = zip(*(col for b in blocks for col in b.tolist()))
+    return "\n".join([",".join(header)] + [template % row for row in rows]) + "\n"
 
 
 class _Checks:
@@ -286,6 +290,13 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _check_roots(checks: _Checks, phi, want):
+    """The stationary_roots validation: sin 2 phi of each equatorial root against its +-omega/gamma."""
+    # np.max keeps a NaN, which max() would drop
+    worst = float(np.max(np.abs(np.sin(2.0 * phi) - want), initial=0.0))
+    checks.check("stationary_roots", worst < 1e-12, f"max residual {worst:.3e}")
+
+
 def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, times: np.ndarray) -> np.ndarray:
     """Integrals of the flip rate gamma (n_y^2 + n_z^2) over [0, t] along the family through start.
 
@@ -329,26 +340,20 @@ def cmd_families(cfg: RunConfig) -> int:
     _write_csv(cfg, "families.csv", _table(header, columns))
 
     stat_rows = ["gamma,label,condition,theta,phi,kappa"]
-    stat_sets = {}
+    roots = []  # (phi, +-omega/gamma) of each equatorial root
     for g in gammas:
         stat = stationary_families(cfg.params(gamma=g))
-        stat_sets[g] = stat
         for fam in (stat.z_family, *stat.equatorial):
             d = fam.direction
             stat_rows.append(
                 f"{g:g},{fam.label},{fam.condition},{d.theta:.17g},{d.phi:.17g},{fam.kappa:.17g}"
             )
+        roots += [(fam.direction.phi, (1.0 if fam.condition == FORWARD else -1.0) * cfg.omega / g)
+                  for fam in stat.equatorial]
     _write_csv(cfg, "stationary.csv", "\n".join(stat_rows) + "\n")
 
     checks = _Checks()
-    # worst cases are reduced with np.max, which keeps a NaN (max() drops it)
-    roots = []
-    for g, stat in stat_sets.items():
-        for fam in stat.equatorial:
-            want = cfg.omega / g if fam.condition in (FORWARD, "both") else -cfg.omega / g
-            roots.append(abs(math.sin(2.0 * fam.direction.phi) - want))
-    worst_root = float(np.max(roots, initial=0.0))
-    checks.check("stationary_roots", worst_root < 1e-12, f"max residual {worst_root:.3e}")
+    _check_roots(checks, *np.reshape(roots, (-1, 2)).T)
 
     excess = [np.max([-traj.kappa.min(), (traj.kappa - g).max()]) for g, traj in trajectories.items()]
     worst_kappa = float(np.max(excess))
@@ -506,22 +511,19 @@ def cmd_preset(cfg: RunConfig) -> int:
     name = cfg.name
     data = PRESETS[name]
     params = ModelParams(omega=data["omega"], gamma=data["gamma"])
-    regime = classify_regime(params)
-    stat = stationary_families(params)
+    kx, ky = (float(k) for k in stationary_roots(params.gamma, params.omega)[2:])
     ratio = params.gamma / params.omega
-    if stat.kappa_x is None:
-        raise CliError(f"preset {name!r} has no equatorial stationary families")
-    kappa_ratio = stat.kappa_x / stat.kappa_z
+    kappa_ratio = kx / params.gamma
 
     pairs = [
         ("preset", name),
         ("gamma", f"{params.gamma:.17g}"),
         ("omega", f"{params.omega:.17g}"),
         ("gamma_over_omega", f"{ratio:.17g}"),
-        ("regime", regime.regime),
-        ("kappa_z", f"{stat.kappa_z:.17g}"),
-        ("kappa_x", f"{stat.kappa_x:.17g}"),
-        ("kappa_y", f"{stat.kappa_y:.17g}"),
+        ("regime", params.regime),
+        ("kappa_z", f"{params.gamma:.17g}"),
+        ("kappa_x", f"{kx:.17g}"),
+        ("kappa_y", f"{ky:.17g}"),
         ("kappa_x_over_kappa_z", f"{kappa_ratio:.17g}"),
     ]
     body = "key,value\n" + "\n".join(f"{k},{v}" for k, v in pairs) + "\n"
@@ -530,7 +532,7 @@ def cmd_preset(cfg: RunConfig) -> int:
         print(f"{k} = {v}")
 
     checks = _Checks()
-    checks.check("deep_overdamped_regime", regime.regime == "overdamped", regime.regime)
+    checks.check("deep_overdamped_regime", params.regime == OVERDAMPED, params.regime)
     checks.check(
         "frozen_tunneling_separation",
         kappa_ratio < 1e-15,
@@ -548,44 +550,22 @@ def cmd_scan(cfg: RunConfig) -> int:
     if cfg.points < 2:
         raise CliError("points must be at least 2")
     ratios = np.geomspace(cfg.ratio_min, cfg.ratio_max, cfg.points)
-    rows = ["ratio,gamma,regime,n_equatorial,phi_x,phi_y,kappa_x,kappa_y,kappa_z"]
+    gammas = ratios * cfg.omega
+    cfg.params(gamma=float(gammas[-1]))  # the largest rate must make valid parameters
+    phi_x, phi_y, kx, ky = stationary_roots(gammas, cfg.omega)
+    # the four roots of the forward and backward senses, two merged ones, or none
+    n_eq = np.where(np.isnan(kx), 0, np.where(phi_x == phi_y, 2, 4))
+    regime = np.select([gammas > cfg.omega, gammas < cfg.omega], [OVERDAMPED, UNDERDAMPED], CRITICAL)
+    header = ["ratio", "gamma", "regime", "n_equatorial", "phi_x", "phi_y", "kappa_x", "kappa_y", "kappa_z"]
+    _write_csv(cfg, "scan.csv", _table(header, [ratios, gammas, regime, n_eq, phi_x, phi_y, kx, ky, gammas]))
+
     checks = _Checks()
-    roots = []
-    ordering_ok = True
-    count_ok = True
-    for ratio in ratios:
-        params = cfg.params(gamma=ratio * cfg.omega)
-        stat = stationary_families(params)
-        n_eq = len(stat.equatorial)
-        if ratio > 1.0 + 1e-12:
-            count_ok &= n_eq == 4
-        elif ratio < 1.0 - 1e-12:
-            count_ok &= n_eq == 0
-        if n_eq:
-            # at an exactly critical ratio the labels collapse to "merged";
-            # report the forward root as phi_x and the backward one as phi_y
-            phi_x = next(
-                (f.direction.phi for f in stat.equatorial if f.label == "dressed_x"),
-                next(f.direction.phi for f in stat.equatorial if f.condition == FORWARD),
-            )
-            phi_y = next(
-                (f.direction.phi for f in stat.equatorial if f.label == "dressed_y"),
-                next(f.direction.phi for f in stat.equatorial if f.condition == BACKWARD),
-            )
-            kx, ky = stat.kappa_x, stat.kappa_y
-            roots.append(abs(math.sin(2.0 * phi_x) - 1.0 / ratio))
-            ordering_ok &= kx <= ky + 1e-12 <= params.gamma + 1e-9
-            cells = [f"{phi_x:.17g}", f"{phi_y:.17g}", f"{kx:.17g}", f"{ky:.17g}"]
-        else:
-            cells = ["nan", "nan", "nan", "nan"]
-        rows.append(
-            f"{ratio:.17g},{params.gamma:.17g},{params.regime},{n_eq}," + ",".join(cells) + f",{stat.kappa_z:.17g}"
-        )
-    _write_csv(cfg, "scan.csv", "\n".join(rows) + "\n")
-    worst_root = float(np.max(roots, initial=0.0))
-    checks.check("stationary_roots", worst_root < 1e-12, f"max residual {worst_root:.3e}")
-    checks.check("rate_ordering", ordering_ok, "expected kappa_x <= kappa_y <= gamma")
-    checks.check("family_count", count_ok, "expected 4 above the critical ratio, 0 below")
+    found = n_eq > 0
+    _check_roots(checks, np.stack([phi_x, phi_y])[:, found], 1.0 / ratios[found])
+    ordering = (kx <= ky + 1e-12) & (ky + 1e-12 <= gammas + 1e-9)
+    checks.check("rate_ordering", bool(np.all(ordering[found])), "expected kappa_x <= kappa_y <= gamma")
+    count_ok = np.all(n_eq[ratios > 1.0 + 1e-12] == 4) and np.all(n_eq[ratios < 1.0 - 1e-12] == 0)
+    checks.check("family_count", bool(count_ok), "expected 4 above the critical ratio, 0 below")
     return checks.status
 
 

@@ -18,9 +18,8 @@ equivalent to flipping the sign of gamma.
 The production route is that closed form: _flow evaluates the linear flow
 with ptm.scaled_block on a whole time grid, finite and cancellation-free at
 any gamma t, so a family at gamma/omega = 5e7 costs the same as one at
-gamma = omega.  FamilyTrajectory, flow_unit_vectors and exact_direction (the
-0-d case of a grid) all go through it and report the same continuous angles.
-Importing this module loads no scipy.
+gamma = omega.  FamilyTrajectory and flow_unit_vectors both go through it
+and report the same continuous angles.  Importing this module loads no scipy.
 
 Along a family the local basis-flip rate is
 
@@ -34,19 +33,22 @@ gamma >= omega:
     kappa_x = (gamma - xi)/2 = omega^2 / (2 (gamma + xi)),
     kappa_y = (gamma + xi)/2.
 
-The four equatorial roots merge in pairs at gamma = omega and disappear below
-it; in the weak-decoherence regime every family rotates, advancing phi by pi
-each stroboscopic period pi/eta.
+stationary_roots evaluates these on whole arrays of rates, so a phase
+diagram over gamma/omega is one call; stationary_families is its 0-d case,
+listed family by family.  The four equatorial roots merge in pairs at
+gamma = omega and disappear below it; in the weak-decoherence regime every
+family rotates, advancing phi by pi each stroboscopic period pi/eta, with
+eta = ModelParams.discriminant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ptm import CRITICAL, ModelParams, UNDERDAMPED, propagator_closed_form, scaled_block
+from .ptm import CRITICAL, ModelParams, UNDERDAMPED, _damping, propagator_closed_form, scaled_block
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -63,20 +65,6 @@ class BlochDirection:
     def unit_vector(self) -> np.ndarray:
         st = math.sin(self.theta)
         return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
-
-    def canonical(self) -> "BlochDirection":
-        """Antipodal representative with theta in [0, pi/2] and phi in [0, 2 pi).
-
-        theta is first reduced to [0, pi] (the polar angle of the actual unit
-        vector); if it still exceeds pi/2 the antipodal point is returned.
-        Diameters are unordered pairs {n, -n}, so this is a relabeling only.
-        """
-        n = self.unit_vector
-        if n[2] < 0 or (n[2] == 0 and (n[1] < 0 or (n[1] == 0 and n[0] < 0))):
-            n = -n
-        theta = math.acos(np.clip(n[2], -1.0, 1.0))
-        phi = math.atan2(n[1], n[0]) % (2.0 * math.pi)
-        return BlochDirection(theta=theta, phi=phi)
 
     @classmethod
     def from_vector(cls, n) -> "BlochDirection":
@@ -140,20 +128,6 @@ def _signed_gamma(params: ModelParams, direction: str) -> float:
     return params.gamma if direction == FORWARD else -params.gamma
 
 
-def exact_direction(initial: BlochDirection, params: ModelParams, direction: str, t: float) -> BlochDirection:
-    """Family direction at one time t: the 0-d case of the closed-form flow.
-
-    forward:  n(t) prop exp(t S3) n(0);  backward:  n(t) prop exp(-t S3^T) n(0).
-    Identical to integrating the angle ODEs (the ODEs are the projective form
-    of the linear flow), but exact to machine precision and finite for any
-    gamma t.  The angles are the continuous ones the ODEs integrate to, as in
-    FamilyTrajectory.direction_at: phi unwrapped from the initial azimuth,
-    theta on the branch of the initial polar angle.
-    """
-    theta, phi, _, _ = _flow(_as_direction(initial), params, direction, np.asarray(t, dtype=float))
-    return BlochDirection(theta=float(theta), phi=float(phi))
-
-
 def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.ndarray, angles: bool = True):
     """Closed-form family at elapsed times tau >= 0: (theta, phi, kappa, rate_integral).
 
@@ -214,13 +188,12 @@ def flow_unit_vectors(initial, params: ModelParams, direction: str, times) -> np
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyTrajectory:
     """A family on a time grid, evaluated in closed form from the initial direction.
 
     theta/phi are the continuous angles the flow ODEs integrate to (phi
-    unwrapped, theta on the branch of the initial polar angle); canonical
-    representatives are available per sample via direction_at().
+    unwrapped, theta on the branch of the initial polar angle).
     rate_integral is the integrated flip rate Lambda(t), the integral of
     kappa from times[0] to t.  The *_at methods evaluate the same closed form
     at any time, not by interpolation.
@@ -268,7 +241,7 @@ class FamilyTrajectory:
 class StationaryFamily:
     """One stationary diameter with its constant flip rate."""
 
-    label: str  # 'z', 'dressed_x' or 'dressed_y'
+    label: str  # 'z', 'dressed_x', 'dressed_y' or 'merged'
     condition: str  # 'forward', 'backward' or 'both'
     direction: BlochDirection
     kappa: float
@@ -278,13 +251,15 @@ class StationaryFamily:
 class StationarySet:
     """All stationary families at the given parameters.
 
-    equatorial holds 4 entries for gamma > omega (two dressed-x, two
-    dressed-y), the 2 merged ones at gamma = omega, and none below.
+    equatorial holds 4 entries for gamma > omega (forward dressed-x and
+    dressed-y, then backward dressed-y and dressed-x), the 2 merged ones at
+    gamma = omega, and none below; its first two entries carry kappa_x and
+    kappa_y.
     """
 
     params: ModelParams
     z_family: StationaryFamily
-    equatorial: tuple = field(default_factory=tuple)
+    equatorial: tuple = ()
 
     @property
     def kappa_z(self) -> float:
@@ -292,85 +267,66 @@ class StationarySet:
 
     @property
     def kappa_x(self) -> float | None:
-        # at the critical point the merged roots carry kx == ky == gamma/2
-        for fam in self.equatorial:
-            if fam.label in ("dressed_x", "merged"):
-                return fam.kappa
-        return None
+        return self.equatorial[0].kappa if self.equatorial else None
 
     @property
     def kappa_y(self) -> float | None:
-        for fam in self.equatorial:
-            if fam.label in ("dressed_y", "merged"):
-                return fam.kappa
-        return None
+        return self.equatorial[1].kappa if self.equatorial else None
+
+
+# math.asin elementwise: np.arcsin differs from it by an ulp on about one
+# input in twelve, and is then almost always the farther from the exact value
+_asin = np.vectorize(math.asin, otypes=[float])
+
+
+def stationary_roots(gamma, omega):
+    """Forward equatorial stationary roots and their flip rates, elementwise: (phi_x, phi_y, kappa_x, kappa_y).
+
+    gamma and omega broadcast against each other.  At theta = pi/2 the
+    forward flow stands still where sin 2 phi = omega/gamma: the dressed-x
+    root phi_x = asin(omega/gamma)/2 and the dressed-y root
+    phi_y = pi/2 - phi_x.  The backward roots are their mirror images
+    pi - phi_x and pi/2 + phi_x.  The flip rates along them are half the
+    generator's equatorial decay rates, with kappa_x in its cancellation-free
+    form:
+
+        kappa_x = omega^2 / (2 (gamma + xi)),   kappa_y = (gamma + xi) / 2.
+
+    The roots exist for gamma >= omega, gamma > 0; below, all four outputs
+    are NaN.  At gamma = omega the x and y roots merge at phi = pi/4.
+    """
+    gamma, omega = np.broadcast_arrays(np.asarray(gamma, dtype=float), np.asarray(omega, dtype=float))
+    _, _, slow, fast = _damping(gamma, omega)
+    found = (gamma >= omega) & (gamma > 0.0)
+    phi_x = _asin(np.divide(omega, gamma, out=np.full(gamma.shape, np.nan), where=found)) / 2.0
+    return phi_x, math.pi / 2.0 - phi_x, np.where(found, slow / 2.0, np.nan), np.where(found, fast / 2.0, np.nan)
 
 
 def stationary_families(params: ModelParams) -> StationarySet:
-    """Fixed points of the family flows.
+    """Fixed points of the family flows at one parameter point.
 
     The z diameter (theta = 0) is stationary for every parameter choice, with
-    kappa_z = gamma.  Equatorial fixed points solve sin 2 phi = +omega/gamma
-    (forward) or -omega/gamma (backward) at theta = pi/2 and exist only for
-    gamma >= omega.  kappa_x uses the cancellation-free form
-    omega^2/(2 (gamma + xi)).
+    kappa_z = gamma.  The equatorial ones are the 0-d case of
+    stationary_roots, listed with their backward mirror images.
     """
-    g, om = params.gamma, params.omega
-    z = StationaryFamily(label="z", condition="both", direction=Z_DIRECTION, kappa=g)
-    if g < om or g == 0.0:
-        return StationarySet(params=params, z_family=z)
-    xi = params.discriminant
-    alpha = math.asin(om / g) if om < g else math.pi / 2.0
-    kx = om * om / (2.0 * (g + xi))
-    ky = (g + xi) / 2.0
+    phi_x, phi_y, kx, ky = (float(v) for v in stationary_roots(params.gamma, params.omega))
+    z = StationaryFamily("z", "both", Z_DIRECTION, params.gamma)
     half = math.pi / 2.0
-    entries = [
-        StationaryFamily("dressed_x", FORWARD, BlochDirection(half, alpha / 2.0), kx),
-        StationaryFamily("dressed_y", FORWARD, BlochDirection(half, half - alpha / 2.0), ky),
-        StationaryFamily("dressed_y", BACKWARD, BlochDirection(half, half + alpha / 2.0), ky),
-        StationaryFamily("dressed_x", BACKWARD, BlochDirection(half, math.pi - alpha / 2.0), kx),
-    ]
+    if math.isnan(kx):
+        return StationarySet(params, z)
     if params.regime == CRITICAL:
         # saddle-node point: the two forward roots coalesce at phi = pi/4 and
         # the two backward roots at 3 pi/4; each merged root keeps its sense
-        entries = [
-            StationaryFamily("merged", FORWARD, BlochDirection(half, math.pi / 4.0), kx),
-            StationaryFamily("merged", BACKWARD, BlochDirection(half, 3.0 * math.pi / 4.0), ky),
-        ]
-    return StationarySet(params=params, z_family=z, equatorial=tuple(entries))
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Qualitative character of the family flow at given parameters."""
-
-    params: ModelParams
-    regime: str
-    gamma_over_omega: float
-    rotation_frequency: float | None = None  # eta, underdamped only
-    stroboscopic_period: float | None = None  # pi / eta
-    decay_rates: tuple | None = None  # (gamma - xi, gamma + xi), overdamped only
-
-
-def classify_regime(params: ModelParams) -> RegimeReport:
-    ratio = params.gamma / params.omega if params.omega > 0 else math.inf
-    if params.regime == UNDERDAMPED:
-        eta = params.discriminant
-        return RegimeReport(
-            params=params,
-            regime=params.regime,
-            gamma_over_omega=ratio,
-            rotation_frequency=eta,
-            stroboscopic_period=math.pi / eta,
-        )
-    xi = params.discriminant
-    slow = params.omega**2 / (params.gamma + xi) if (params.gamma + xi) > 0 else 0.0
-    return RegimeReport(
-        params=params,
-        regime=params.regime,
-        gamma_over_omega=ratio,
-        decay_rates=(slow, params.gamma + xi),
-    )
+        return StationarySet(params, z, (
+            StationaryFamily("merged", FORWARD, BlochDirection(half, phi_x), kx),
+            StationaryFamily("merged", BACKWARD, BlochDirection(half, half + phi_x), ky),
+        ))
+    return StationarySet(params, z, (
+        StationaryFamily("dressed_x", FORWARD, BlochDirection(half, phi_x), kx),
+        StationaryFamily("dressed_y", FORWARD, BlochDirection(half, phi_y), ky),
+        StationaryFamily("dressed_y", BACKWARD, BlochDirection(half, half + phi_x), ky),
+        StationaryFamily("dressed_x", BACKWARD, BlochDirection(half, math.pi - phi_x), kx),
+    ))
 
 
 @dataclass(frozen=True)

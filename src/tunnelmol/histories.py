@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .families import BlochDirection, FamilyTrajectory, _as_unit_vector, _normalized
+from .families import FamilyTrajectory, _as_unit_vector, _normalized
 from .ptm import ModelParams, PAULIS, operator_from_pauli, pauli_coefficients, propagator_closed_form
 
 CONSISTENCY_TOL = 1e-8
@@ -99,7 +99,7 @@ def projector_pairs(units) -> np.ndarray:
     return operator_from_pauli(_pair_coefficients(units))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """A two-outcome projective decomposition of the qubit identity: a diameter of the Bloch ball.
 
@@ -118,10 +118,6 @@ class Decomposition:
     def projectors(self) -> np.ndarray:
         return projector_pairs(self.n)
 
-    @property
-    def bloch_direction(self) -> BlochDirection:
-        return BlochDirection.from_vector(self.n)
-
     @classmethod
     def from_direction(cls, direction, label: str = "") -> "Decomposition":
         return cls(_as_unit_vector(direction), label=label)
@@ -131,15 +127,11 @@ class Decomposition:
         return cls.from_direction(np.array([1.0, 0.0, 0.0]), label="x")
 
     @classmethod
-    def y_basis(cls) -> "Decomposition":
-        return cls.from_direction(np.array([0.0, 1.0, 0.0]), label="y")
-
-    @classmethod
     def z_basis(cls) -> "Decomposition":
         return cls.from_direction(np.array([0.0, 0.0, 1.0]), label="z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryFamily:
     """Times plus one decomposition per time (f >= 1), their unit vectors stacked once as units (f, 3).
 
@@ -184,7 +176,7 @@ class HistoryFamily:
         return cls(params=traj.params, times=times, decompositions=decomps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoherenceMatrix:
     """The full 2^f x 2^f decoherence functional of a family."""
 
@@ -534,7 +526,7 @@ def _max_offdiag(E: np.ndarray) -> np.ndarray:
     return off
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     """Outcome of a consistency check on a decoherence matrix."""
 
@@ -564,7 +556,7 @@ def consistency_check(D: DecoherenceMatrix, tol: float = CONSISTENCY_TOL) -> Con
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovChain:
     """Initial distribution and per-step column-stochastic transition matrices.
 

@@ -290,7 +290,7 @@ def short_time_leak_model(params: ModelParams, t: float) -> float:
     return (x * math.log(1.0 / x) + x) / _LN2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfoReport:
     """Named information curves on a common time grid."""
 

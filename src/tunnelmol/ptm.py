@@ -96,10 +96,34 @@ class ModelParams:
     @property
     def discriminant(self) -> float:
         """xi = sqrt(gamma^2 - omega^2) when overdamped, eta = sqrt(omega^2 - gamma^2) otherwise."""
-        return math.sqrt(abs(self.gamma**2 - self.omega**2))
+        return _damping(self.gamma, self.omega)[1]
 
 
-@dataclass(frozen=True)
+def _damping(gamma, omega):
+    """The regime numbers (d2, root, slow, fast) of the rates, elementwise.
+
+    d2 = gamma^2 - omega^2, evaluated as (|gamma| - omega)(|gamma| + omega);
+    root = sqrt|d2| is xi where |gamma| >= omega and eta below.  There the
+    equatorial decay rates are fast = |gamma| + xi and slow = omega^2/fast,
+    which equals |gamma| - xi without its cancellation at gamma >> omega
+    (slow = 0 at gamma = omega = 0); both are NaN where |gamma| < omega, also
+    where d2 underflows to 0.  Floats stay on math, so the propagator pays no
+    array overhead per call; arrays broadcast.
+    """
+    if not isinstance(gamma, np.ndarray) and not isinstance(omega, np.ndarray):
+        G = abs(gamma)
+        d2 = (G - omega) * (G + omega)
+        root = math.sqrt(abs(d2))
+        fast = math.nan if G < omega else G + root
+        return d2, root, omega * omega / fast if fast != 0.0 else 0.0, fast
+    G = np.abs(gamma)
+    d2 = (G - omega) * (G + omega)
+    root = np.sqrt(np.abs(d2))
+    fast = np.where(G < omega, np.nan, G + root)
+    return d2, root, np.divide(omega * omega, fast, out=np.zeros_like(fast), where=fast != 0.0), fast
+
+
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Spectral data of the generator S.
 
@@ -152,17 +176,13 @@ def scaled_block(gamma: float, omega: float, t):
     """
     g, om = gamma, omega
     t = np.asarray(t, dtype=float)
-    G = abs(g)
-    d2 = (G - om) * (G + om)
+    d2, root, k1, k2 = _damping(g, om)
     if d2 < 0.0:
-        eta = math.sqrt(-d2)
-        C = np.cos(eta * t)
-        Sh = np.sin(eta * t) / eta
+        C = np.cos(root * t)
+        Sh = np.sin(root * t) / root
         L, a, b, c = -g * t, C + g * Sh, om * Sh, C - g * Sh
     elif d2 > 0.0:
-        xi = math.sqrt(d2)
-        k1 = om * om / (G + xi)
-        k2 = G + xi
+        xi = root
         h = -np.expm1(-2.0 * xi * t) / (2.0 * xi)
         D = np.exp(-2.0 * xi * t)
         p = 1.0 + k1 * h
@@ -214,16 +234,13 @@ def eigen_system(params: ModelParams) -> EigenSystem:
     in floating point.
     """
     om, g = params.omega, params.gamma
+    _, root, slow, fast = _damping(g, om)
     if params.regime == UNDERDAMPED:
-        eta = params.discriminant
-        disc = 1j * eta
-        lam2 = -g + 1j * eta
-        lam3 = -g - 1j * eta
+        disc = 1j * root
+        lam2, lam3 = -g + disc, -g - disc
     else:
-        xi = params.discriminant
-        disc = complex(xi)
-        lam2 = -(om * om) / (g + xi) if (g + xi) > 0 else 0.0
-        lam3 = -g - xi
+        disc = complex(root)
+        lam2, lam3 = -slow, -fast
     lams = np.array([0.0, lam2, lam3, -2.0 * g], dtype=complex)
     # middle pair: for lambda = -gamma +/- xi the left row vector is
     # (0, -(gamma +/- xi), omega, 0) and the right one (0, gamma +/- xi, omega, 0)
@@ -249,16 +266,3 @@ def pauli_coefficients(op: np.ndarray) -> np.ndarray:
 def operator_from_pauli(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of pauli_coefficients: (..., 4) coefficients to (..., 2, 2) operators."""
     return np.einsum("...k,kij->...ij", np.asarray(coeffs), PAULIS)
-
-
-def apply_ptm(ptm: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Apply a PTM to an arbitrary 2x2 complex operator.
-
-    Decomposes op over the Pauli basis, multiplies the (complex) coefficient
-    vector by the real 4x4 matrix, and reassembles.  Linear in op, so it acts
-    correctly on the non-Hermitian chain operators that show up inside the
-    decoherence functional.  PTM stacks (..., 4, 4) and operator stacks
-    (..., 2, 2) broadcast against each other.
-    """
-    coeffs = pauli_coefficients(op)[..., None]
-    return operator_from_pauli((np.asarray(ptm) @ coeffs)[..., 0])

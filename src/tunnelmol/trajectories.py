@@ -85,7 +85,7 @@ class SamplerConfig:
             raise ValueError("initial must be None, an arm index, or a probability")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One telegraph realization: a starting arm and its flip instants."""
 
@@ -104,13 +104,8 @@ class Trajectory:
         flips_before = np.searchsorted(self.flip_times, times, side="right")
         return (self.initial_arm + flips_before) % 2
 
-    def events(self):
-        """(time, new arm) pairs, one per flip."""
-        arms = (self.initial_arm + 1 + np.arange(self.n_flips)) % 2
-        return list(zip(self.flip_times.tolist(), arms.tolist()))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Telegraph trajectories along a family, stored flat.
 
@@ -393,7 +388,7 @@ def sample_ensemble(family: FamilyTrajectory, config: SamplerConfig) -> Ensemble
     return _sample(family, config, np.arange(config.n_trajectories))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleSeries:
     """Empirical arm-0 occupation on a grid, with the Bloch reconstruction."""
 
@@ -506,7 +501,7 @@ def deterministic_occupation(family: FamilyTrajectory, times=None, p0_initial: f
     return 0.5 * (1.0 + delta0 * np.exp(-2.0 * family.rate_integral_at(np.asarray(times, dtype=float))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapStatistics:
     """Pooled waiting-gap summary for comparison with the exponential law."""
 

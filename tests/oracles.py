@@ -8,10 +8,14 @@ checks need, and only the tests import them:
     DOP853; it cross-checks ptm.propagator_closed_form.
   * state_from_bloch and bloch_from_state turn Bloch vectors into density
     operators and back, the test fixtures for every state-based check.
-  * family_ode_step integrates the family angle ODEs adaptively, and
+  * apply_ptm acts with a PTM on any 2x2 operator through its Pauli
+    coefficients, the transfer-matrix route that Kraus sums and chain
+    operators are held against.
+  * exact_direction is the closed-form family flow at one time, the 0-d case
+    of FamilyTrajectory.direction_at, for placing single bases on a family.
+    family_ode_step integrates the family angle ODEs adaptively, and
     family_closed_form evaluates them in the tangent variables
-    mu = tan phi, nu = tan theta; both cross-check the closed-form flow
-    behind families.exact_direction and FamilyTrajectory.
+    mu = tan phi, nu = tan theta; both cross-check that closed-form flow.
   * check_backward_condition applies T3^T to each later diameter; it checks
     that the backward flow satisfies the adjoint span condition, and that
     the forward flow does not.
@@ -61,7 +65,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from tunnelmol.channels import _NONCP_THRESHOLD, NonCPError, ptm_to_choi
-from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, ConditionReport, _as_direction
+from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, ConditionReport, _as_direction, _flow
 from tunnelmol.histories import Decomposition, checked_weights
 from tunnelmol.ptm import PAULIS, ModelParams, generator, operator_from_pauli, pauli_coefficients, propagator_closed_form
 from tunnelmol.trajectories import _philox4x64, _rate_integral_within
@@ -127,9 +131,33 @@ def bloch_from_state(rho: np.ndarray) -> np.ndarray:
 # -- family flows -------------------------------------------------------------
 
 
+def apply_ptm(ptm: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Apply a PTM to an arbitrary 2x2 complex operator.
+
+    Decomposes op over the Pauli basis, multiplies the (complex) coefficient
+    vector by the real 4x4 matrix, and reassembles.  Linear in op, so it acts
+    correctly on the non-Hermitian chain operators that show up inside the
+    decoherence functional.  PTM stacks (..., 4, 4) and operator stacks
+    (..., 2, 2) broadcast against each other.
+    """
+    coeffs = pauli_coefficients(op)[..., None]
+    return operator_from_pauli((np.asarray(ptm) @ coeffs)[..., 0])
+
+
 def bloch_block(params: ModelParams) -> np.ndarray:
     """Lower-right 3x3 block S3 of the generator (the traceless-sector flow)."""
     return generator(params)[1:, 1:]
+
+
+def exact_direction(initial, params: ModelParams, direction: str, t: float) -> BlochDirection:
+    """Family direction at one time t >= 0, by the closed-form flow of the families module.
+
+    forward:  n(t) prop exp(t S3) n(0);  backward:  n(t) prop exp(-t S3^T) n(0).
+    The angles are the continuous ones the ODEs integrate to: phi unwrapped
+    from the initial azimuth, theta on the branch of the initial polar angle.
+    """
+    theta, phi, _, _ = _flow(_as_direction(initial), params, direction, np.asarray(t, dtype=float))
+    return BlochDirection(theta=float(theta), phi=float(phi))
 
 
 def _ode_rhs(direction: str):

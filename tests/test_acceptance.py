@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import propagator_numeric, unital_holevo_closed_form
+from oracles import exact_direction, propagator_numeric, unital_holevo_closed_form
 from tunnelmol import (
     BACKWARD,
     BlochDirection,
@@ -26,7 +26,6 @@ from tunnelmol import (
     decoherence_functional,
     eigen_system,
     ensemble_average,
-    exact_direction,
     gap_statistics,
     generator,
     holevo_complementary,

@@ -8,6 +8,7 @@ from scipy.linalg import sqrtm
 
 from oracles import (
     KrausSet,
+    apply_ptm,
     bit_flip_kraus,
     choi_to_kraus,
     choi_to_ptm,
@@ -19,7 +20,7 @@ from oracles import (
     stinespring_isometry,
 )
 from tunnelmol.channels import NonCPError, choi_eigenvalues, ptm_to_choi
-from tunnelmol.ptm import ModelParams, apply_ptm, propagator_closed_form
+from tunnelmol.ptm import ModelParams, propagator_closed_form
 
 
 def random_channel(rng):

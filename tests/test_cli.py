@@ -11,10 +11,11 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import tunnelmol.cli
+from oracles import exact_direction
 from tunnelmol import trajectories
 from tunnelmol.channels import NonCPError
 from tunnelmol.cli import _Checks, _rate_integral, main
-from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, exact_direction, transition_rate
+from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, transition_rate
 from tunnelmol.ptm import ModelParams, generator, propagator_closed_form
 from tunnelmol.trajectories import SamplerConfig, _draw, sample_trajectory
 
@@ -302,6 +303,15 @@ def test_scan_csv_has_nan_below_critical(tmp_path):
     assert below and above
     assert all(r["n_equatorial"] == "0" and r["phi_x"] == "nan" for r in below)
     assert all(r["n_equatorial"] == "4" and np.isfinite(float(r["kappa_x"])) for r in above)
+
+
+def test_scan_writes_the_forward_merged_root_at_the_critical_ratio(tmp_path):
+    # geomspace gives the middle ratio as exactly 1.0; phi_y is the forward
+    # dressed-y root at every ratio, so there it meets phi_x at pi/4
+    assert run(tmp_path, "scan", "--ratio-min", "0.5", "--ratio-max", "2", "--points", "3") == 0
+    _, body = read_csv_body(tmp_path / "scan.csv")
+    assert body[2] == "1,1,critical,2,0.78539816339744828,0.78539816339744828,0.5,0.5,1"
+    assert float(body[2].split(",")[5]) == math.pi / 4.0
 
 
 def test_checks_collector(capsys):

@@ -4,7 +4,9 @@ No module of the package imports scipy, except the PEP 562 hook that
 resolves families.solve_ivp to scipy's solver on access; nothing in the
 package calls it, and it stays for the benchmark tracer that patches that
 name.  The families and evolve commands load none of scipy.  The test-only
-routes live in tests/oracles.py, and the package no longer carries them.
+routes live in tests/oracles.py, and the package no longer carries them,
+neither as module names nor as methods of its classes.  Records that hold
+arrays compare by identity, so == on them gives a bool.
 """
 
 import ast
@@ -12,22 +14,43 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.integrate
 
 import tunnelmol
 import tunnelmol.families
+from tunnelmol import (
+    Decomposition,
+    FORWARD,
+    FamilyTrajectory,
+    HistoryFamily,
+    ModelParams,
+    SamplerConfig,
+    Trajectory,
+    Z_DIRECTION,
+    build_info_report,
+    consistency_check,
+    decoherence_functional,
+    eigen_system,
+    ensemble_average,
+    gap_statistics,
+    markov_from_family,
+    sample_ensemble,
+)
 
 SRC = str(Path(tunnelmol.__file__).resolve().parents[1])
 
-# names the package must not carry: the routes of tests/oracles.py and three deleted PTM helpers
+# names the package must not carry, as module attributes or class members: the
+# routes of tests/oracles.py, and deleted helpers that only tests called
 GONE = (
     "propagator_numeric IntegrationError state_from_bloch bloch_from_state "
     "family_ode_step family_closed_form TangentBranchError check_backward_condition bloch_block "
     "KrausSet ComplementaryChannel choi_to_kraus stinespring_isometry complementary_channel complementary_apply "
     "choi_to_ptm kraus_to_ptm bit_flip_kraus entropy_exchange unital_holevo_closed_form classical_collision_average "
     "ptm_to_csv ptm_from_csv is_trace_preserving "
-    "complementary_outputs SIGNIFICANT_EIGENVALUE binary_entropy von_neumann_entropy holevo_chi InputEnsemble"
+    "complementary_outputs SIGNIFICANT_EIGENVALUE binary_entropy von_neumann_entropy holevo_chi InputEnsemble "
+    "exact_direction apply_ptm canonical y_basis bloch_direction events classify_regime RegimeReport"
 ).split()
 
 
@@ -90,8 +113,45 @@ def test_no_module_imports_scipy_and_the_test_only_routes_are_gone():
             if any(n == "scipy" or n.startswith("scipy.") for n in names) and id(node) not in allowed:
                 scipy_imports.append(f"{path.name}:{node.lineno}")
     assert scipy_imports == []
-    modules = (tunnelmol, tunnelmol.ptm, tunnelmol.families, tunnelmol.channels, tunnelmol.histories, tunnelmol.info_flow)
-    assert [f"{m.__name__}.{name}" for m in modules for name in GONE if hasattr(m, name)] == []
+    modules = (tunnelmol, tunnelmol.ptm, tunnelmol.families, tunnelmol.channels, tunnelmol.histories,
+               tunnelmol.info_flow, tunnelmol.trajectories)
+    classes = {obj for m in modules for obj in vars(m).values() if isinstance(obj, type) and obj.__module__ == m.__name__}
+    owners = [*modules, *sorted(classes, key=lambda c: c.__qualname__)]
+    assert [f"{o.__name__}.{name}" for o in owners for name in GONE if hasattr(o, name)] == []
+
+
+def _records():
+    """One instance of each package record with an array field, built twice over."""
+    params = ModelParams(omega=1.0, gamma=0.5)
+    times = np.linspace(0.0, 1.0, 5)
+    family = FamilyTrajectory.integrate(Z_DIRECTION, params, FORWARD, times)
+    history = HistoryFamily(params=params, times=times[:3], decompositions=(Decomposition.z_basis(),) * 3)
+    ensemble = sample_ensemble(family, SamplerConfig(seed=1, n_trajectories=20))
+    return {
+        "Decomposition": Decomposition.x_basis(),
+        "FamilyTrajectory": family,
+        "HistoryFamily": history,
+        "DecoherenceMatrix": decoherence_functional(history),
+        "ConsistencyReport": consistency_check(decoherence_functional(history)),
+        "MarkovChain": markov_from_family(history),
+        "EigenSystem": eigen_system(params),
+        "InfoReport": build_info_report(params, times),
+        "Trajectory": Trajectory(t_start=0.0, t_end=1.0, initial_arm=0, flip_times=np.array([0.5])),
+        "Ensemble": ensemble,
+        "EnsembleSeries": ensemble_average(ensemble, times),
+        "GapStatistics": gap_statistics(ensemble, rate=params.gamma),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "ConsistencyReport", "DecoherenceMatrix", "Decomposition", "EigenSystem", "Ensemble", "EnsembleSeries",
+    "FamilyTrajectory", "GapStatistics", "HistoryFamily", "InfoReport", "MarkovChain", "Trajectory",
+])
+def test_records_holding_arrays_compare_as_a_bool(name):
+    first, second = _records()[name], _records()[name]
+    assert type(first).__name__ == name
+    assert (first == second) is False
+    assert (first == first) is True
 
 
 def test_unknown_module_attributes_still_raise():

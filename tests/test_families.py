@@ -1,13 +1,21 @@
 """Moving decompositions: flows, stationary sets, rates, span conditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.linalg import expm
 
-from oracles import TangentBranchError, bloch_block, check_backward_condition, family_closed_form, family_ode_step
+from oracles import (
+    TangentBranchError,
+    bloch_block,
+    check_backward_condition,
+    exact_direction,
+    family_closed_form,
+    family_ode_step,
+)
 from tunnelmol.families import (
     BACKWARD,
     BlochDirection,
@@ -16,13 +24,17 @@ from tunnelmol.families import (
     X_DIRECTION,
     Z_DIRECTION,
     check_forward_condition,
-    classify_regime,
-    exact_direction,
     stationary_families,
+    stationary_roots,
     transition_rate,
 )
 from tunnelmol.histories import Decomposition
-from tunnelmol.ptm import ModelParams, eigen_system
+from tunnelmol.ptm import OVERDAMPED, UNDERDAMPED, ModelParams, eigen_system
+
+
+# gamma/omega over the paper's range, holding the critical ratio exactly and
+# three ratios just above it, where gamma^2 - omega^2 cancels
+RATIOS = np.sort(np.append(np.geomspace(0.1, 5e7, 200), [1.0, 1.0 + 1e-9, 1.0 + 1e-6, 1.0 + 1e-3]))
 
 
 def random_direction(rng):
@@ -40,12 +52,6 @@ def test_direction_basics():
     assert np.linalg.norm(n) == pytest.approx(1.0)
     back = BlochDirection.from_vector(n)
     assert angle_between(back, BlochDirection(0.7, -0.3)) < 1e-12
-    # antipodal fold: a diameter has one canonical representative
-    d = BlochDirection(theta=2.5, phi=1.0)
-    anti = BlochDirection(theta=math.pi - 2.5, phi=1.0 + math.pi)
-    ca, cb = d.canonical(), anti.canonical()
-    assert abs(ca.theta - cb.theta) < 1e-12
-    assert abs(math.cos(ca.phi) - math.cos(cb.phi)) < 1e-12
 
 
 def test_ode_step_agrees_with_linear_flow():
@@ -168,6 +174,25 @@ def test_stationary_counts_per_regime():
     assert len(under.equatorial) == 0
     none = stationary_families(ModelParams(omega=1.0, gamma=0.0))
     assert len(none.equatorial) == 0
+    # the stacked kernel and its 0-d view on the ratio grid, against the sign
+    # of gamma^2 - omega^2 at 50 digits: four roots, two merged ones, or none
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for omega in (1.0, 176.0):
+        gammas = RATIOS * omega
+        phi_x, phi_y, kx, _ = stationary_roots(gammas, omega)
+        counts = []
+        for g, px, py, k in zip(gammas, phi_x, phi_y, kx):
+            want = {1: 4, 0: 2, -1: 0}[int(mpmath.sign(mpmath.mpf(g) ** 2 - mpmath.mpf(omega) ** 2))]
+            counts.append(0 if math.isnan(k) else 2 if px == py else 4)
+            assert counts[-1] == want == len(stationary_families(ModelParams(omega=omega, gamma=float(g))).equatorial)
+        assert sorted(set(counts)) == [0, 2, 4]
+    # no RuntimeWarning at gamma = 0, at omega = 0, or below the critical ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = np.array(stationary_roots([0.0, 0.0, 0.5, 2.0], [0.0, 1.0, 1.0, 0.0]))
+    assert np.isnan(roots[:, :3]).all()
+    assert roots[:, 3].tolist() == [0.0, math.pi / 2.0, 0.0, 2.0]
 
 
 def test_stationary_directions_are_flow_fixed_points():
@@ -177,7 +202,7 @@ def test_stationary_directions_are_flow_fixed_points():
         senses = [fam.condition] if fam.condition in (FORWARD, BACKWARD) else [FORWARD, BACKWARD]
         for sense in senses:
             moved = exact_direction(fam.direction, p, sense, 0.8)
-            assert angle_between(moved.canonical(), fam.direction.canonical()) < 1e-10
+            assert angle_between(moved, fam.direction) < 1e-10
 
 
 def test_stationary_rates_match_spectrum():
@@ -190,6 +215,17 @@ def test_stationary_rates_match_spectrum():
         assert stat.kappa_x == pytest.approx(-lam[1].real / 2.0, abs=1e-12)
         assert stat.kappa_y == pytest.approx(-lam[2].real / 2.0, abs=1e-12)
         assert stat.kappa_z == pytest.approx(g)
+    # the stacked kernel on the ratio grid against the rates at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for omega in (1.0, 176.0):
+        gammas = RATIOS[RATIOS >= 1.0] * omega
+        _, _, kx, ky = stationary_roots(gammas, omega)
+        for g, got_x, got_y in zip(gammas, kx, ky):
+            G, W = mpmath.mpf(g), mpmath.mpf(omega)
+            xi = mpmath.sqrt(G * G - W * W)
+            assert abs(got_x / (W * W / (2 * (G + xi))) - 1) < 1e-15
+            assert abs(got_y / ((G + xi) / 2) - 1) < 1e-15
 
 
 def test_stationary_azimuths_solve_the_root_equation():
@@ -200,19 +236,38 @@ def test_stationary_azimuths_solve_the_root_equation():
     for fam in stat.equatorial:
         sign = 1.0 if fam.condition == FORWARD else -1.0
         assert math.sin(2.0 * fam.direction.phi) == pytest.approx(sign * 0.4, abs=1e-14)
+    # both forward roots of the stacked kernel on the ratio grid, at 50 digits;
+    # at the critical ratio they are the one merged root pi/4
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for omega in (1.0, 176.0):
+        gammas = RATIOS[RATIOS >= 1.0] * omega
+        phi_x, phi_y, _, _ = stationary_roots(gammas, omega)
+        assert phi_x[0] == phi_y[0] == math.pi / 4.0
+        for g, px, py in zip(gammas, phi_x, phi_y):
+            want = mpmath.mpf(omega) / mpmath.mpf(g)
+            assert abs(mpmath.sin(2 * mpmath.mpf(px)) - want) < 1e-15
+            assert abs(mpmath.sin(2 * mpmath.mpf(py)) - want) < 1e-15
 
 
-def test_regime_report_fields():
-    under = classify_regime(ModelParams(omega=20.0, gamma=1.0))
+def test_regime_numbers():
+    # underdamped: families rotate at eta, advancing phi by pi per
+    # stroboscopic period pi/eta, and no stationary rates exist
+    under = ModelParams(omega=20.0, gamma=1.0)
     eta = math.sqrt(400.0 - 1.0)
-    assert under.rotation_frequency == pytest.approx(eta)
-    assert under.stroboscopic_period == pytest.approx(math.pi / eta)
-    assert under.decay_rates is None
-    over = classify_regime(ModelParams(omega=1.0, gamma=3.0))
+    assert under.regime == UNDERDAMPED
+    assert under.discriminant == pytest.approx(eta)
+    assert exact_direction(X_DIRECTION, under, FORWARD, math.pi / eta).phi == pytest.approx(math.pi, abs=1e-12)
+    assert np.isnan(stationary_roots(under.gamma, under.omega)).all()
+    # overdamped: the equatorial decay rates 2 kappa_x = omega^2/(gamma + xi)
+    # and 2 kappa_y = gamma + xi
+    over = ModelParams(omega=1.0, gamma=3.0)
     xi = math.sqrt(8.0)
-    assert over.decay_rates[0] == pytest.approx(1.0 / (3.0 + xi))
-    assert over.decay_rates[1] == pytest.approx(3.0 + xi)
-    assert over.rotation_frequency is None
+    assert over.regime == OVERDAMPED
+    assert over.discriminant == pytest.approx(xi)
+    _, _, kx, ky = stationary_roots(over.gamma, over.omega)
+    assert 2.0 * kx == pytest.approx(1.0 / (3.0 + xi))
+    assert 2.0 * ky == pytest.approx(3.0 + xi)
 
 
 def test_family_trajectory_grid_and_interpolation():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import classical_collision_average, fitted_markov_chain, state_from_bloch
+from oracles import apply_ptm, classical_collision_average, exact_direction, fitted_markov_chain, state_from_bloch
 from tunnelmol import histories
 from tunnelmol.families import (
     BACKWARD,
@@ -17,7 +17,6 @@ from tunnelmol.families import (
     Z_DIRECTION,
     BlochDirection,
     FamilyTrajectory,
-    exact_direction,
     flow_unit_vectors,
 )
 from tunnelmol.histories import (
@@ -40,7 +39,7 @@ from tunnelmol.histories import (
     projector_pairs,
     telegraph_flip_probability,
 )
-from tunnelmol.ptm import PAULIS, ModelParams, apply_ptm, pauli_coefficients, propagator_closed_form
+from tunnelmol.ptm import PAULIS, ModelParams, pauli_coefficients, propagator_closed_form
 
 P05 = ModelParams(omega=1.0, gamma=0.5)
 
@@ -62,7 +61,7 @@ def test_decomposition_validation_and_roundtrip():
     P0, P1 = d.projectors
     assert np.abs(P0 + P1 - np.eye(2)).max() < 1e-14
     assert np.abs(P0 @ P1).max() < 1e-14
-    back = d.bloch_direction
+    back = BlochDirection.from_vector(d.n)
     assert abs(back.theta - 0.8) < 1e-12
     # the vector is normalised once, on construction
     assert np.array_equal(Decomposition(np.array([0.0, 3.0, 4.0])).n, [0.0, 0.6, 0.8])

@@ -13,6 +13,7 @@ from oracles import (
     choi_to_kraus,
     complementary_apply,
     entropy_exchange,
+    exact_direction,
     holevo_chi,
     leaked_information_mp,
     record_information_from_entries,
@@ -21,7 +22,7 @@ from oracles import (
     unital_holevo_closed_form,
     von_neumann_entropy,
 )
-from tunnelmol.families import BlochDirection, exact_direction, flow_unit_vectors, FORWARD
+from tunnelmol.families import BlochDirection, flow_unit_vectors, FORWARD
 from tunnelmol.histories import (
     CONSISTENCY_TOL,
     Decomposition,

@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from oracles import bloch_from_state, propagator_numeric, state_from_bloch
-from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, exact_direction, flow_unit_vectors
+from oracles import apply_ptm, bloch_from_state, exact_direction, propagator_numeric, state_from_bloch
+from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, flow_unit_vectors
 from tunnelmol.ptm import (
     CRITICAL,
     ModelParams,
@@ -17,7 +17,6 @@ from tunnelmol.ptm import (
     SIGMA_X,
     SIGMA_Z,
     UNDERDAMPED,
-    apply_ptm,
     eigen_system,
     generator,
     operator_from_pauli,

@@ -198,7 +198,8 @@ def test_arm_at_parity_and_events():
     traj = Trajectory(t_start=0.0, t_end=4.0, initial_arm=0, flip_times=np.array([1.0, 2.0, 3.0]))
     assert traj.n_flips == 3
     assert list(traj.arm_at([0.5, 1.5, 2.5, 3.5])) == [0, 1, 0, 1]
-    assert traj.events() == [(1.0, 1), (2.0, 0), (3.0, 1)]
+    # each flip instant already shows the new arm
+    assert list(traj.arm_at(traj.flip_times)) == [1, 0, 1]
 
 
 def test_no_collisions_no_flips():
