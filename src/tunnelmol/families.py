@@ -254,7 +254,7 @@ class StationarySet:
     equatorial holds 4 entries for gamma > omega (forward dressed-x and
     dressed-y, then backward dressed-y and dressed-x), the 2 merged ones at
     gamma = omega, and none below; its first two entries carry kappa_x and
-    kappa_y.
+    kappa_y, which are NaN below, as in stationary_roots.
     """
 
     params: ModelParams
@@ -266,12 +266,12 @@ class StationarySet:
         return self.z_family.kappa
 
     @property
-    def kappa_x(self) -> float | None:
-        return self.equatorial[0].kappa if self.equatorial else None
+    def kappa_x(self) -> float:
+        return self.equatorial[0].kappa if self.equatorial else math.nan
 
     @property
-    def kappa_y(self) -> float | None:
-        return self.equatorial[1].kappa if self.equatorial else None
+    def kappa_y(self) -> float:
+        return self.equatorial[1].kappa if self.equatorial else math.nan
 
 
 # math.asin elementwise: np.arcsin differs from it by an ulp on about one

@@ -13,21 +13,23 @@ which point the weights obey classical probability sum rules and, for the
 families produced by the forward/backward flows, form a Markov chain whose
 per-step flip probabilities come from the local rate kappa.
 
-Everything is evaluated in Pauli-coefficient space: sandwiching by projectors
-and transport by the PTM are both linear maps on the complex coefficient
-4-vector.  The branching tree is split in the middle: a forward tree of
-coefficient vectors over the first half of the times, and a backward tree of
-covectors that carry the second half down to the trace.  Each entry is one
-dot product of the two, so nothing as large as the 2^f x 2^f matrix is built
-beside it.  Multi-indices are packed little-endian: the outcome at t_1 is the
-least significant bit of the row/column index.
+Every projector is rank one, P_a = |a><a| with |0> along +n and |1> along
+-n, so P_a X P_b = <a|X|b> |a><b| and D is a product along the pair of
+histories, a chain on pairs of outcomes read in Pauli-coefficient space
+(Griffiths, Consistent Quantum Theory, CUP 2002, ch. 10-11; Gell-Mann &
+Hartle, PRD 47, 3345 (1993)):
 
-The diagonal needs none of that.  For rank-one projectors P_a = (I + s_a
-n.sigma)/2, with s_0 = +1 and s_1 = -1, P_a X P_a = Tr(P_a X) P_a: after each
-projection the branch is its weight times P_a again.  So the weights of any
-family, from any initial state, are a Markov chain (Griffiths, Consistent
-Quantum Theory, CUP 2002, ch. 11; Gell-Mann & Hartle, PRD 47, 3345 (1993)).
-chain_kernel computes it in O(f) from one propagator stack:
+    D(alpha, beta) = w(a_1 b_1) prod_k G_k(a_{k+1} b_{k+1} | a_k b_k) delta(a_f, b_f),
+    w(a b) = <a|rho_0|b>,   G_k(a' b' | a b) = <a'| T_k(|a><b|) |b'>,
+
+where the trace closes the last time, Tr(P_a Y P_b) = delta_ab <a|Y|a>.
+Multi-indices are packed little-endian: the outcome at t_1 is the least
+significant bit of the row/column index.
+
+The weights read only the chain's real diagonal block, a = b and a' = b',
+so those of any family, from any initial state, are a Markov chain.  With
+s_0 = +1 and s_1 = -1, chain_kernel computes it in O(f) from one
+propagator stack:
 
     p1(a)     = (1 + s_a n_1 . r0)/2,
     M_k(b|a)  = (1 + s_a s_b n_{k+1} . T3_k n_k)/2,
@@ -36,10 +38,11 @@ with r0 the initial Bloch vector and T3_k the Bloch block of the channel
 across gap k (the model is unital, T[1:, 0] = 0, so no shift term).  It also
 returns one residual per time: |r0_perp| off n_1, then
 |T3_k n_k - (n_{k+1} . T3_k n_k) n_{k+1}| for each gap, the miss of the
-forward condition.  A pair of histories that first differ at time k carries
-a term of trace norm (prefix weight) x residual_k / 2 there, and the later
-projections and CPTP steps cannot enlarge it; at the last time the trace
-closes the term, Tr(P_a Y P_b) = 0.  So every off-diagonal entry obeys
+forward condition; it is twice |G_k(a' != b' | a = b)|, and the first is
+twice |w(0 1)| for a unit trace.  A pair of histories that first differ at
+time k carries a term of trace norm (prefix weight) x residual_k / 2 there,
+and the later projections and CPTP steps cannot enlarge it; at the last time
+the trace closes the term.  So every off-diagonal entry obeys
 |D(alpha, beta)| <= trace(rho_0) x (largest residual before the last) / 2.
 markov_from_family returns the chain without the functional whenever that
 bound is below the tolerance; otherwise it builds the 4^f functional for the
@@ -50,7 +53,6 @@ guessed.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import sys
 import warnings
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .families import FamilyTrajectory, _as_unit_vector, _normalized
-from .ptm import ModelParams, PAULIS, operator_from_pauli, pauli_coefficients, propagator_closed_form
+from .ptm import ModelParams, operator_from_pauli, pauli_coefficients, propagator_closed_form
 
 CONSISTENCY_TOL = 1e-8
 
@@ -87,16 +89,33 @@ class NotConsistentError(ValueError):
     """Operation requires a consistent family but the off-diagonals are too large."""
 
 
-def _pair_coefficients(units) -> np.ndarray:
-    """Pauli coefficients (1, +n)/2 and (1, -n)/2 of (P0, P1), (..., 2, 4), for unit vectors n (..., 3)."""
-    units = np.asarray(units, dtype=float)
-    half = np.concatenate([np.ones(units.shape[:-1] + (1,)), units], axis=-1) / 2.0
-    return np.stack([half, half * [1.0, -1.0, -1.0, -1.0]], axis=-2)
+def _outer_coefficients(units) -> np.ndarray:
+    """Pauli coefficients of |a><b|, (..., 2, 2, 4), for unit vectors n (..., 3), |0> along +n and |1> along -n.
+
+    (1, +n)/2 and (1, -n)/2 on the diagonal, (0, e1 + i e2)/2 at (0, 1) and
+    its conjugate at (1, 0), for the branch-free right-handed orthonormal
+    frame (e1, e2, n) of Duff et al., JCGT 6(1) (2017).  The phase of |0><1|
+    that the frame fixes cancels between neighbouring factors of D.
+    """
+    n = np.asarray(units, dtype=float)
+    x, y, z = n[..., 0], n[..., 1], n[..., 2]
+    sign = np.where(z >= 0.0, 1.0, -1.0)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    e1 = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=-1)
+    e2 = np.stack([b, sign + y * y * a, -y], axis=-1)
+    C = np.zeros(n.shape[:-1] + (2, 2, 4), dtype=complex)
+    C[..., 0, 0, 0] = C[..., 1, 1, 0] = 0.5
+    C[..., 0, 0, 1:] = n / 2.0
+    C[..., 1, 1, 1:] = -n / 2.0
+    C[..., 0, 1, 1:] = (e1 + 1j * e2) / 2.0
+    C[..., 1, 0, 1:] = (e1 - 1j * e2) / 2.0
+    return C
 
 
 def projector_pairs(units) -> np.ndarray:
     """(P0, P1) = ((I + n.sigma)/2, (I - n.sigma)/2) for unit vectors n (..., 3), as (..., 2, 2, 2)."""
-    return operator_from_pauli(_pair_coefficients(units))
+    return operator_from_pauli(_outer_coefficients(units)[..., [0, 1], [0, 1], :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,12 +256,6 @@ class DecoherenceMatrix:
             chars = block.view(np.uint8)
             fh.write(chars[chars != 0].tobytes().decode("ascii"))
 
-    def to_csv(self) -> str:
-        """The CSV of write_csv as one string."""
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys and the int32 index of each key among them: distinct[inverse] == keys.
@@ -374,22 +387,6 @@ def _format17g(values: np.ndarray) -> np.ndarray:
     return text
 
 
-# G[k, m, j] = Tr(sigma_k sigma_m sigma_j) / 2: in coefficient space, M -> P M
-# is the matrix sum_m p_m G[:, m, :] and M -> M P is sum_m p_m G[:, :, m];
-# the tables lay G out so that p @ table gives those matrices, flattened
-_PRODUCT = np.einsum("kab,mbc,jca->kmj", PAULIS, PAULIS, PAULIS) / 2.0
-_LEFT_TABLE = np.ascontiguousarray(_PRODUCT.transpose(1, 0, 2)).reshape(4, 16)
-_RIGHT_TABLE = np.ascontiguousarray(_PRODUCT.transpose(2, 0, 1)).reshape(4, 16)
-
-
-def _sandwiches(units) -> np.ndarray:
-    """Coefficient-space matrices of M -> P_a M P_b, (..., 2, 2, 4, 4), for unit vectors n (..., 3)."""
-    p = _pair_coefficients(units)
-    left = (p @ _LEFT_TABLE).reshape(p.shape[:-1] + (4, 4))
-    right = (p @ _RIGHT_TABLE).reshape(p.shape[:-1] + (4, 4))
-    return left[..., :, None, :, :] @ right[..., None, :, :, :]
-
-
 def _coerce_initial(initial) -> np.ndarray:
     """Accept None (maximally mixed), a Bloch 3-vector, or a 2x2 density operator."""
     if initial is None:
@@ -402,22 +399,36 @@ def _coerce_initial(initial) -> np.ndarray:
     raise ValueError("initial state must be None, a Bloch vector, or a 2x2 operator")
 
 
-def _grow(V, S, newest_high: bool) -> np.ndarray:
-    """Branch a tree of coefficient (co)vectors V (..., K, K, 4) on one more time.
+def _pair_factors(transfers, units, initial) -> tuple[np.ndarray, list]:
+    """The factors of D on pairs of outcomes: w (..., 2, 2), then one G (..., 4, 4) per gap.
 
-    S holds the (..., 2, 2, 4, 4) matrices that act on V from the right, one
-    per outcome pair (a, b).  The new outcome is the most significant bit of
-    the grown (..., 2K, 2K, 4) index with newest_high, the least without.
+    w[a, b] = <a|rho_0|b> at t_1 and G_k[(a', a), (b', b)] = <a'|T_k(|a><b|)|b'>,
+    the later outcome the high bit, both read in Pauli coefficients as
+    <a|X|b> = 2 conj(C[a, b]) . c(X).
     """
-    K = V.shape[-2]
-    stack = np.broadcast_shapes(V.shape[:-3], S.shape[:-4])
-    grown = np.empty(stack + (2 * K, 2 * K, 4), dtype=complex)
-    blocks = grown.reshape(stack + ((2, K, 2, K, 4) if newest_high else (K, 2, K, 2, 4)))
-    for a in range(2):
-        for b in range(2):
-            block = blocks[..., a, :, b, :, :] if newest_high else blocks[..., :, a, :, b, :]
-            np.matmul(V, S[..., a, b, None, :, :], out=block)
-    return grown
+    C = _outer_coefficients(np.stack(np.broadcast_arrays(*units)))
+    w = 2.0 * C[0].conj() @ pauli_coefficients(_coerce_initial(initial))
+    G = [2.0 * np.einsum("...pqj,...jl,...abl->...paqb", C[k + 1].conj(), T, C[k]) for k, T in enumerate(transfers)]
+    return w, [g.reshape(g.shape[:-4] + (4, 4)) for g in G]
+
+
+def _join(Y, X) -> np.ndarray:
+    """Y[(l, s), (l', s')] X[(s, k), (s', k')] for every (l, s, k, l', s', k'), as (..., 2LK, 2LK), l high.
+
+    Y (..., 2L, 2L) covers later times than X (..., 2K, 2K); the low bit s
+    of Y's indices is the high bit of X's, the time both share.  Each entry
+    is one product, written once, along whole output rows: X's rows repeated
+    along l' and Y's along k' make that twice as fast in numpy as runs of K.
+    """
+    L, K = Y.shape[-1] // 2, X.shape[-1] // 2
+    stack = np.broadcast_shapes(Y.shape[:-2], X.shape[:-2])
+    out = np.empty(stack + (2 * L * K,) * 2, dtype=complex)
+    rows = out.reshape(stack + (L, 2, K, 2 * L * K))
+    spread = np.concatenate([X] * L, axis=-1).reshape(X.shape[:-2] + (2, K, 2 * L * K))
+    for l in range(L):
+        pair = np.repeat(Y[..., 2 * l : 2 * l + 2, :], K, axis=-1)
+        np.multiply(pair[..., :, None, :], spread, out=rows[..., l, :, :, :])
+    return out
 
 
 def decoherence_entries(transfers, units, initial=None) -> np.ndarray:
@@ -427,43 +438,29 @@ def decoherence_entries(transfers, units, initial=None) -> np.ndarray:
     units        f unit vectors (..., 3): the decomposition at each time, as in HistoryFamily.units
     initial      as for decoherence_functional, shared by the whole stack
 
-    Returns the (..., 2^f, 2^f) entries.  The branching tree meets in the
-    middle, after h = floor(f/2) times.  The forward tree holds the coefficient
-    vectors A[i, j] of the branch operators over t_1..t_h, carried on to
-    t_{h+1}; the backward tree holds the covectors
-    R[p, q] = 2 e_0^T S_f T_{f-1} ... T_{h+1} S_{h+1} that take such a vector
-    to its trace.  Each entry D[(p, i), (q, j)] = R[p, q] . A[i, j] is written
-    once, straight into the output.
+    Returns the (..., 2^f, 2^f) entries, each the product of _pair_factors
+    along its pair of histories.  A prefix over the first h = ceil(f/2)
+    times and a suffix from t_h on are grown apart and joined once, straight
+    into the output.
     """
-    f = len(units)
-    h = f // 2
-    A = pauli_coefficients(_coerce_initial(initial)).reshape(1, 1, 4)
-    for m in range(h):
-        A = _grow(A, np.swapaxes(_sandwiches(units[m]), -1, -2), newest_high=True)
-        A = A @ np.swapaxes(transfers[m], -1, -2)[..., None, :, :]
-    # the trace of P_a M P_b is twice its coefficient 0.  Read off the sandwich
-    # matrices like every other factor, it keeps the roundoff of entries that
-    # the products make equal bitwise equal, and write_csv formats each
-    # distinct float once
-    R = 2.0 * _sandwiches(units[f - 1])[..., 0, :]
-    for m in range(f - 2, h - 1, -1):
-        R = _grow(R @ transfers[m][..., None, :, :], _sandwiches(units[m]), newest_high=False)
-    P, I = R.shape[-2], A.shape[-2]
-    stack = np.broadcast_shapes(A.shape[:-3], R.shape[:-3])
-    out = np.empty(stack + (P * I, P * I), dtype=complex)
-    # out[p, i, q, j] = sum_k R[p, q, k] A[i, j, k]
-    np.matmul(R[..., :, None, :, :], np.swapaxes(A, -1, -2)[..., None, :, :, :],
-              out=out.reshape(stack + (P, I, P, I)))
-    return out
+    w, G = _pair_factors(transfers, units, initial)
+    h = (len(units) + 1) // 2
+    # the trace closes the last time: the suffix starts as delta(a_f, b_f)
+    prefix, suffix = w, np.eye(2)
+    for g in G[: h - 1]:
+        prefix = _join(g, prefix)
+    for g in reversed(G[h - 1 :]):
+        suffix = _join(suffix, g)
+    return _join(suffix, prefix)
 
 
 def decoherence_functional(family: HistoryFamily, initial=None) -> DecoherenceMatrix:
     """Evaluate D(alpha, beta) for every pair of histories of the family.
 
     Cost grows as 4^f, and f is capped at 10 because the CSV of every entry
-    grows with it.  At f = 10 (2^20 entries, 16.8 MB) one call takes 5-7 ms
-    with a traced peak of 17 MB, the entries plus 0.2 MB, on a 2-vCPU VM; past
-    the cap, f = 11 measured 31-35 ms and 67 MB, again the entries alone.
+    grows with it.  At f = 10 (2^20 entries, 16.8 MB) one call takes 2-3 ms
+    with a traced peak of 17.6 MB on a 2-vCPU VM; past the cap, f = 11
+    measured 19-24 ms and 70 MB, of which the entries take 67 MB.
     """
     if family.f > 10:
         raise ValueError("history families are capped at f = 10 times")

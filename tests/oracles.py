@@ -40,6 +40,10 @@ checks need, and only the tests import them:
   * leaked_information_mp is the leaked Holevo information at 60 digits
     with mpmath: the propagator from its 2x2 block exponential, the Choi
     matrix term by term, and its spectrum from mpmath's Hermitian solver.
+  * decoherence_entries_mp is the decoherence functional by brute force at
+    40 digits with mpmath: every branch operator as a 2x2 matrix, the PTM
+    applied to its Pauli coefficients.  It checks the pair chain of
+    histories.decoherence_entries.
   * The functional-fitted Markov route: fitted_markov_chain takes the
     marginals and pair conditionals of a family's normalized weights (with
     0.5 in a column the chain cannot reach) and the defect of their product;
@@ -564,6 +568,50 @@ def leaked_information_mp(omega: float, gamma: float, t: float, n) -> float:
             r = mp.sqrt(sum(x * x for x in b))
             arms += shannon([(1 + r) / 2, (1 - r) / 2]) / 2
         return float(exchange - arms)
+
+
+def decoherence_entries_mp(transfers, units, initial) -> np.ndarray:
+    """D(alpha, beta) by brute force at 40 digits, as decoherence_entries lays it out.
+
+    transfers (f - 1, 4, 4), units (f, 3) and the initial Bloch vector are
+    taken at their exact binary values, and each n is normalised at 40
+    digits.  Every branch operator P_{a_k} T(...) P_{b_k} is a 2x2 mpmath
+    matrix; each PTM acts on its Pauli coefficients Tr(sigma_j X)/2, and
+    D is the trace of the last branch.  The result is rounded to complex128.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        paulis = [mp.matrix(P.tolist()) for P in PAULIS]
+
+        def transfer(T, X):
+            c = [sum(P[j, i] * X[i, j] for i in range(2) for j in range(2)) / 2 for P in paulis]
+            out = mp.zeros(2, 2)
+            for k in range(4):
+                out += sum(mp.mpf(T[k, l]) * c[l] for l in range(4)) * paulis[k]
+            return out
+
+        def bloch_operator(r):
+            return (paulis[0] + sum(mp.mpf(x) * P for x, P in zip(r, paulis[1:]))) / 2
+
+        branches = {((), ()): bloch_operator(initial)}
+        for m, n in enumerate(units):
+            if m:
+                branches = {key: transfer(transfers[m - 1], X) for key, X in branches.items()}
+            v = [mp.mpf(x) for x in n]
+            norm = mp.sqrt(sum(x * x for x in v))
+            P = (bloch_operator([x / norm for x in v]), bloch_operator([-x / norm for x in v]))
+            branches = {
+                (alpha + (a,), beta + (b,)): P[a] * X * P[b]
+                for (alpha, beta), X in branches.items()
+                for a in range(2)
+                for b in range(2)
+            }
+        D = np.empty((2 ** len(units),) * 2, dtype=complex)
+        for (alpha, beta), X in branches.items():
+            i, j = (sum(a << k for k, a in enumerate(bits)) for bits in (alpha, beta))
+            D[i, j] = complex(X[0, 0] + X[1, 1])
+        return D
 
 
 def classical_collision_average(markov_by_count, count_dist) -> np.ndarray:

@@ -42,7 +42,8 @@ from tunnelmol import (
 SRC = str(Path(tunnelmol.__file__).resolve().parents[1])
 
 # names the package must not carry, as module attributes or class members: the
-# routes of tests/oracles.py, and deleted helpers that only tests called
+# routes of tests/oracles.py, deleted helpers that only tests called, and the
+# coefficient trees the pair chain of the decoherence functional replaced
 GONE = (
     "propagator_numeric IntegrationError state_from_bloch bloch_from_state "
     "family_ode_step family_closed_form TangentBranchError check_backward_condition bloch_block "
@@ -50,7 +51,8 @@ GONE = (
     "choi_to_ptm kraus_to_ptm bit_flip_kraus entropy_exchange unital_holevo_closed_form classical_collision_average "
     "ptm_to_csv ptm_from_csv is_trace_preserving "
     "complementary_outputs SIGNIFICANT_EIGENVALUE binary_entropy von_neumann_entropy holevo_chi InputEnsemble "
-    "exact_direction apply_ptm canonical y_basis bloch_direction events classify_regime RegimeReport"
+    "exact_direction apply_ptm canonical y_basis bloch_direction events classify_regime RegimeReport "
+    "to_csv _grow _sandwiches _pair_coefficients _PRODUCT _LEFT_TABLE _RIGHT_TABLE"
 ).split()
 
 

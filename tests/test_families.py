@@ -195,6 +195,15 @@ def test_stationary_counts_per_regime():
     assert roots[:, 3].tolist() == [0.0, math.pi / 2.0, 0.0, 2.0]
 
 
+def test_stationary_rates_are_nan_without_equatorial_roots_and_the_kernel_with_them():
+    # one convention for "no equatorial root", the NaN of stationary_roots and scan.csv
+    under = stationary_families(ModelParams(omega=2.0, gamma=1.0))
+    assert math.isnan(under.kappa_x) and math.isnan(under.kappa_y)
+    d2s2 = stationary_families(ModelParams(omega=176.0, gamma=9e9))
+    _, _, kx, ky = stationary_roots(9e9, 176.0)
+    assert d2s2.kappa_x == kx and d2s2.kappa_y == ky
+
+
 def test_stationary_directions_are_flow_fixed_points():
     p = ModelParams(omega=1.0, gamma=2.5)
     stat = stationary_families(p)

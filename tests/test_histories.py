@@ -1,5 +1,6 @@
 """Decoherence functional, consistency, Markov extraction, collision averaging."""
 
+import io
 import math
 import tracemalloc
 import warnings
@@ -7,7 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import apply_ptm, classical_collision_average, exact_direction, fitted_markov_chain, state_from_bloch
+from oracles import (
+    apply_ptm,
+    classical_collision_average,
+    decoherence_entries_mp,
+    exact_direction,
+    fitted_markov_chain,
+    state_from_bloch,
+)
 from tunnelmol import histories
 from tunnelmol.families import (
     BACKWARD,
@@ -332,7 +340,7 @@ def _random_decomposition(rng):
 
 
 def test_chain_operator_route_matches_brute_force():
-    # f = 1..6 puts the split between the forward and backward trees at every
+    # f = 1..6 puts the split between the prefix and the suffix at every
     # point, after an odd and after an even number of times
     p = ModelParams(omega=0.9, gamma=1.1)
     rng = np.random.default_rng(47)
@@ -409,6 +417,12 @@ def _assert_same_text(got, want):
         raise AssertionError(f"texts differ first at line {k} (lengths {len(got)}, {len(want)})")
 
 
+def _csv_text(D):
+    buf = io.StringIO()
+    D.write_csv(buf)
+    return buf.getvalue()
+
+
 def test_decoherence_csv_is_byte_identical_to_the_entrywise_loop():
     # up to f = 9 the CSV spans several blocks of written rows
     p = ModelParams(omega=1.0, gamma=0.9)
@@ -417,7 +431,7 @@ def test_decoherence_csv_is_byte_identical_to_the_entrywise_loop():
         times = 0.35 * np.arange(f)
         for fam in (z_family(p, times), HistoryFamily.from_trajectory(flow, times)):
             D = decoherence_functional(fam, np.array([0.1, -0.2, 0.3]))
-            _assert_same_text(D.to_csv(), _csv_by_loop(D.entries))
+            _assert_same_text(_csv_text(D), _csv_by_loop(D.entries))
     # signed zeros compare equal but print apart; extremes keep all 17 digits;
     # the rest sit on the fixed/scientific switch, just below a new decade, on
     # exact halves, and among the values formatted by Python
@@ -431,7 +445,7 @@ def test_decoherence_csv_is_byte_identical_to_the_entrywise_loop():
     entries[0, 0] = complex(-0.0, 0.0)
     entries[0, 1] = complex(0.0, -0.0)
     D = DecoherenceMatrix(family=z_family(p, [0.0, 0.3, 0.6]), entries=entries)
-    text = D.to_csv()
+    text = _csv_text(D)
     assert text == _csv_by_loop(entries)
     assert text.splitlines()[1:3] == ["0,0,-0,0", "0,1,0,-0"]
 
@@ -453,14 +467,13 @@ def test_format17g_is_byte_identical_to_percent_formatting():
     # on the entries of a moving x family only exact zeros, outside the
     # kernel's range, are formatted by Python
     p = ModelParams(omega=1.1, gamma=0.9)
-    times = 0.4 * np.arange(9)
+    times = 0.4 * np.arange(10)
     units = flow_unit_vectors(np.array([1.0, 0.0, 0.0]), p, FORWARD, times)
     fam = HistoryFamily(params=p, times=times, decompositions=tuple(Decomposition.from_direction(n) for n in units))
-    for initial in (None, np.array([1.0, 0.0, 0.0])):
-        entries = decoherence_functional(fam, initial).entries
-        distinct = _distinct(entries.view(np.uint64).ravel())[0].view(np.float64)
-        assert len(distinct) > 100_000
-        assert np.array_equal(distinct[~_digits17(distinct)[2]], distinct[distinct == 0.0])
+    entries = decoherence_functional(fam, np.array([0.1, -0.2, 0.3])).entries
+    distinct = _distinct(entries.view(np.uint64).ravel())[0].view(np.float64)
+    assert len(distinct) > 100_000
+    assert np.array_equal(distinct[~_digits17(distinct)[2]], distinct[distinct == 0.0])
 
 
 def test_distinct_is_exact_under_forced_hash_collisions():
@@ -554,8 +567,8 @@ def test_last_level_trace_matches_the_full_tensor_loop():
 
 
 def test_split_trees_match_the_trace_only_level_loop():
-    # f = 8 and 9 split the times 4 + 4 and 4 + 5 between the forward and
-    # backward trees
+    # f = 8 and 9 join a prefix over 4 and 5 times to a suffix over 5 times,
+    # which starts at the prefix's last time
     p = ModelParams(omega=1.0, gamma=0.9)
     flow = FamilyTrajectory.integrate(BlochDirection(1.2, 0.4), p, FORWARD, np.linspace(0.0, 3.0, 61))
     for f in (8, 9):
@@ -570,6 +583,48 @@ def test_split_trees_match_the_trace_only_level_loop():
         transfers, units = _family_inputs(z_family(p, times))
         got = decoherence_entries(transfers, units, np.array([0.0, 0.0, 0.3]))
         assert np.all(got[~np.eye(2**f, dtype=bool)] == 0.0)
+
+
+def test_decoherence_entries_match_a_40_digit_brute_force():
+    # random bases and gaps, from a mixed and from a pure state off every axis
+    p = ModelParams(omega=1.0, gamma=0.7)
+    rng = np.random.default_rng(2206)
+    for f in range(1, 6):
+        transfers = propagator_closed_form(p, rng.uniform(0.1, 1.2, f - 1))
+        units = _random_units(rng, (f,))
+        direction = _random_units(rng, ())
+        for initial in (0.6 * direction, direction):
+            got = decoherence_entries(transfers, units, initial)
+            assert np.abs(got - decoherence_entries_mp(transfers, units, initial)).max() <= 1e-15
+
+
+def test_pair_factors_hold_the_chain_and_its_residuals():
+    # the real diagonal block of G_k is chain_kernel's transition matrix, and
+    # twice |G_k(a' != b' | a = b)| is the residual of gap k, as twice
+    # |<0|rho_0|1>| is the first one
+    p = ModelParams(omega=1.0, gamma=1.3)
+    rng = np.random.default_rng(2205)
+    times = np.cumsum(rng.uniform(0.2, 0.7, size=6))
+    transfers = propagator_closed_form(p, np.diff(times))
+    cases = [
+        (transfers, flow_unit_vectors(_random_units(rng, ()), p, sense, times - times[0]), 0.7 * _random_units(rng, ()))
+        for sense in (FORWARD, BACKWARD)
+    ]
+    # a stack of 7 four-time families, time first as decoherence_entries takes it
+    cases.append((propagator_closed_form(p, rng.uniform(0.1, 1.5, (3, 7))), _random_units(rng, (4, 7)),
+                  0.8 * _random_units(rng, ())))
+    for transfers, units, r0 in cases:
+        w, G = histories._pair_factors(transfers, units, r0)
+        G = np.stack(G, axis=-3)
+        G = G.reshape(G.shape[:-2] + (2, 2, 2, 2))  # [a', a, b', b]
+        _, transitions, residuals = chain_kernel(
+            np.moveaxis(units, 0, -2), np.moveaxis(transfers, 0, -3)[..., 1:, 1:], r0
+        )
+        diagonal = np.einsum("...iaia->...ia", G)
+        assert np.abs(diagonal - transitions).max() <= 1e-15
+        off = np.diagonal(G[..., 0, :, 1, :], axis1=-2, axis2=-1)
+        assert np.abs(2.0 * np.abs(off) - residuals[..., 1:, None]).max() <= 1e-15
+        assert np.abs(2.0 * np.abs(w[..., 0, 1]) - residuals[..., 0]).max() <= 1e-15
 
 
 def _checked_weights_verdict(entries):
