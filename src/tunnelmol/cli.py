@@ -14,12 +14,15 @@ _COMMANDS; the parser, the config-file keys and the echo all come from there.
 The TUNNELMOL_OUTDIR environment variable supplies the default output
 directory and nothing else.
 
-Exit status is 0 only if every validation of the invoked command passes;
-a failing validation prints its name on stdout and the command returns 1.
-A command that breaks down numerically (an exception other than a usage
-error) counts as the failed validation <command>_completed and also returns 1,
-without a traceback.  Only usage and configuration errors, including model
-parameters out of range, return 2.
+Each command then validates its own output.  A numeric validation passes
+when the largest value it measured is below its bound (NaN fails), and its
+line shows both: 'validation passed: <name> (worst w, bound b)' or
+'VALIDATION FAILED: <name> (...)'.  Only hermiticity, deep_overdamped_regime
+and <command>_completed have no number.  Exit status is 0 only if every
+validation passes, else 1; a numerical breakdown (an exception other than a
+usage error) is the failed validation <command>_completed, without a
+traceback.  Usage and configuration errors, including model parameters out
+of range and runs too costly to start, return 2.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ OUTDIR_ENV = "TUNNELMOL_OUTDIR"
 
 # sample keeps every flip in memory: refuse ensembles expected to draw more
 MAX_EXPECTED_FLIPS = 1e7
+# families' radius check costs 48 flow evaluations a panel, and a panel spans
+# at most pi/omega: refuse a rate that needs more (1e7 panels take minutes)
+MAX_RADIUS_PANELS = 1e7
 
 PRESETS = {
     # deuterated disulfane in a dilute background gas: collisions outpace
@@ -199,17 +205,21 @@ def _table(header: list, columns) -> str:
 
 
 class _Checks:
-    """Collects named validations and turns them into the exit status."""
+    """Collects named validations, prints each verdict and turns them into the exit status."""
 
     def __init__(self):
         self.failed = []
 
+    def below(self, name: str, values, bound: float):
+        """Pass when the largest of values is below bound; np.max keeps a NaN, which then fails."""
+        worst = float(np.max(values, initial=-math.inf))
+        self.check(name, worst < bound, f"worst {worst:.3g}, bound {bound:.3g}")
+
     def check(self, name: str, ok: bool, detail: str = ""):
-        if ok:
-            print(f"validation passed: {name}")
-        else:
-            suffix = f" ({detail})" if detail else ""
-            print(f"VALIDATION FAILED: {name}{suffix}")
+        """Print the verdict, with detail in parentheses if given; below() is the rule for a number."""
+        suffix = f" ({detail})" if detail else ""
+        print(f"{'validation passed' if ok else 'VALIDATION FAILED'}: {name}{suffix}")
+        if not ok:
             self.failed.append(name)
 
     @property
@@ -260,12 +270,10 @@ def cmd_evolve(cfg: RunConfig) -> int:
     _write_csv(cfg, "evolve.csv", _table(header, [times, transfer.reshape(-1, 16), transported]))
 
     checks = _Checks()
-    worst_trace = float(np.abs(transfer[:, 0] - np.array([1.0, 0.0, 0.0, 0.0])).max())
-    checks.check("trace_preservation", worst_trace < 1e-12, f"max deviation {worst_trace:.3e}")
+    checks.below("trace_preservation", np.abs(transfer[:, 0] - np.array([1.0, 0.0, 0.0, 0.0])), 1e-12)
     S = generator(params)
     checked = range(0, len(times), max(1, len(times) // 5))[1:]
-    worst_gap = float(np.max([np.abs(transfer[k] - _expm(float(times[k]) * S)).max() for k in checked]))
-    checks.check("closed_form_vs_expm", worst_gap < 1e-9, f"max deviation {worst_gap:.3e}")
+    checks.below("closed_form_vs_expm", [np.abs(transfer[k] - _expm(float(times[k]) * S)).max() for k in checked], 1e-9)
     return checks.status
 
 
@@ -278,6 +286,8 @@ def _parse_gamma_list(spec: str) -> list:
         raise CliError("empty gamma list")
     if not all(math.isfinite(g) for g in gammas):
         raise CliError(f"gamma list {spec!r} holds a non-finite rate")
+    if len(set(gammas)) < len(gammas):
+        raise CliError(f"gamma list {spec!r} repeats a rate")
     return gammas
 
 
@@ -290,11 +300,11 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _check_roots(checks: _Checks, phi, want):
-    """The stationary_roots validation: sin 2 phi of each equatorial root against its +-omega/gamma."""
-    # np.max keeps a NaN, which max() would drop
-    worst = float(np.max(np.abs(np.sin(2.0 * phi) - want), initial=0.0))
-    checks.check("stationary_roots", worst < 1e-12, f"max residual {worst:.3e}")
+def _panels(params: ModelParams, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_rate_integral's break points, and into how many panels it splits each gap (a float, inf at a huge omega)."""
+    g = params.gamma
+    edges = np.union1d([0.0, *(m / g for m in (1.0, 4.0, 16.0, 64.0, 256.0) if g > 0 and m / g < times[-1])], times)
+    return edges, np.maximum(np.ceil(np.diff(edges) * params.omega / math.pi), 1)
 
 
 def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, times: np.ndarray) -> np.ndarray:
@@ -309,18 +319,16 @@ def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, t
     underdamped, so no panel is longer than pi/omega; past 256/gamma the
     overdamped flow is slower than that.
     """
-    g = params.gamma
-    edges = np.union1d([0.0, *(m / g for m in (1.0, 4.0, 16.0, 64.0, 256.0) if g > 0 and m / g < times[-1])], times)
-    pieces = np.maximum(np.ceil(np.diff(edges) * params.omega / math.pi), 1).astype(int)
+    edges, pieces = _panels(params, times)
     edges = np.concatenate(
-        [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(edges, edges[1:], pieces)] + [times[-1:]])
+        [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(edges, edges[1:], pieces.astype(int))] + [times[-1:]])
     nodes, weights = _gauss_legendre(48)
     sums = [0.0]
     for lo in range(0, len(edges) - 1, 4096):
         panel = edges[lo:lo + 4097]
         half = np.diff(panel)[:, None] / 2.0
         n = flow_unit_vectors(start, params, direction, panel[:-1, None] + half * (nodes + 1.0))
-        sums.extend(np.sum(half * weights * g * (n[..., 1] ** 2 + n[..., 2] ** 2), axis=1))
+        sums.extend(np.sum(half * weights * params.gamma * (n[..., 1] ** 2 + n[..., 2] ** 2), axis=1))
     return np.cumsum(sums)[np.searchsorted(edges, times)]
 
 
@@ -329,47 +337,42 @@ def cmd_families(cfg: RunConfig) -> int:
     gammas = _parse_gamma_list(cfg.gammas)
     times = _grid(cfg)
     start = BlochDirection(theta=cfg.theta0, phi=cfg.phi0)
+    checked = np.arange(0, len(times), max(1, len(times) // 4))[1:]
     trajectories = {}
     for g in gammas:
-        trajectories[g] = FamilyTrajectory.integrate(start, cfg.params(gamma=g), direction, times)
+        params = cfg.params(gamma=g)
+        panels = float(_panels(params, times[checked])[1].sum())
+        if panels > MAX_RADIUS_PANELS:
+            raise CliError(f"the radius check needs about {panels:.3g} quadrature panels at gamma {g:g}, "
+                           f"above the limit {MAX_RADIUS_PANELS:.0e}; shorten tmax or lower omega")
+        trajectories[g] = FamilyTrajectory.integrate(start, params, direction, times)
 
     header, columns = ["t"], [times]
     for g, traj in trajectories.items():
-        header += [f"theta_g{g:g}", f"phi_g{g:g}", f"kappa_g{g:g}"]
+        header += [f"theta_g{g:.17g}", f"phi_g{g:.17g}", f"kappa_g{g:.17g}"]
         columns += [traj.theta, traj.phi, traj.kappa]
     _write_csv(cfg, "families.csv", _table(header, columns))
 
-    stat_rows = ["gamma,label,condition,theta,phi,kappa"]
+    rows = []  # (gamma, label, condition, theta, phi, kappa) of each stationary family
     roots = []  # (phi, +-omega/gamma) of each equatorial root
     for g in gammas:
         stat = stationary_families(cfg.params(gamma=g))
-        for fam in (stat.z_family, *stat.equatorial):
-            d = fam.direction
-            stat_rows.append(
-                f"{g:g},{fam.label},{fam.condition},{d.theta:.17g},{d.phi:.17g},{fam.kappa:.17g}"
-            )
+        rows += [(g, fam.label, fam.condition, fam.direction.theta, fam.direction.phi, fam.kappa)
+                 for fam in (stat.z_family, *stat.equatorial)]
         roots += [(fam.direction.phi, (1.0 if fam.condition == FORWARD else -1.0) * cfg.omega / g)
                   for fam in stat.equatorial]
-    _write_csv(cfg, "stationary.csv", "\n".join(stat_rows) + "\n")
+    _write_csv(cfg, "stationary.csv", _table(["gamma", "label", "condition", "theta", "phi", "kappa"], zip(*rows)))
 
     checks = _Checks()
-    _check_roots(checks, *np.reshape(roots, (-1, 2)).T)
+    phi, want = np.reshape(roots, (-1, 2)).T
+    checks.below("stationary_roots", np.abs(np.sin(2.0 * phi) - want), 1e-12)
+    checks.below("flip_rate_bounds", [np.max([-traj.kappa, traj.kappa - g]) for g, traj in trajectories.items()], 1e-10)
 
-    excess = [np.max([-traj.kappa.min(), (traj.kappa - g).max()]) for g, traj in trajectories.items()]
-    worst_kappa = float(np.max(excess))
-    checks.check("flip_rate_bounds", worst_kappa < 1e-10, f"excess {worst_kappa:.3e}")
-
-    # radius identity: the closed-form radius exp(-2 Lambda) against
-    # Gauss-Legendre quadrature of the rate on unit vectors of the flow, with
-    # panel breaks at 1, 4, 16, 64 and 256 times 1/gamma and no panel longer
-    # than pi/omega (_rate_integral)
-    checked = np.arange(0, len(times), max(1, len(times) // 4))[1:]
-    deviations = []
-    for traj in trajectories.values():
-        integral = _rate_integral(start, traj.params, direction, times[checked])
-        deviations.append(np.abs(np.exp(-2.0 * traj.rate_integral[checked]) - np.exp(-2.0 * integral)))
-    worst_radius = float(np.max(deviations))
-    checks.check("radius_vs_rate_integral", worst_radius < 1e-6, f"max deviation {worst_radius:.3e}")
+    # radius identity: the closed-form radius exp(-2 Lambda) against quadrature of the rate (_rate_integral)
+    deviations = [np.exp(-2.0 * traj.rate_integral[checked])
+                  - np.exp(-2.0 * _rate_integral(start, traj.params, direction, times[checked]))
+                  for traj in trajectories.values()]
+    checks.below("radius_vs_rate_integral", np.abs(deviations), 1e-6)
     return checks.status
 
 
@@ -402,8 +405,7 @@ def cmd_histories(cfg: RunConfig) -> int:
         checks.check("hermiticity", False, str(exc))
         return checks.status
     checks.check("hermiticity", True)
-    weight_gap = abs(report.total_weight - 1.0)
-    checks.check("weight_normalization", weight_gap < 1e-10, f"|sum - 1| = {weight_gap:.3e}")
+    checks.below("weight_normalization", abs(report.total_weight - 1.0), 1e-10)
     verdict = "consistent" if report.passed else "NOT consistent"
     print(f"family is {verdict}: max off-diagonal {report.max_offdiag:.3e} (tolerance {report.tol:.0e})")
     # the outcome bits of D.label, first time first
@@ -463,8 +465,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
     checks = _Checks()
     sigma = np.sqrt(np.maximum(master * (1.0 - master), 0.01) / cfg.ntraj)
-    worst = float(np.max(np.abs(series.p0 - master) / (6.0 * sigma)))
-    checks.check("ensemble_vs_master", worst <= 1.0, f"worst deviation {worst:.2f} of the 6 sigma budget")
+    checks.below("ensemble_vs_master", np.abs(series.p0 - master) / (6.0 * sigma), 1.0)
 
     kap = family.kappa
     if kap.max() - kap.min() < 1e-9 * max(params.gamma, 1.0) and params.gamma > 0:
@@ -476,12 +477,7 @@ def cmd_sample(cfg: RunConfig) -> int:
         gap_family = FamilyTrajectory.integrate(start, params, cfg.direction, horizon)
         gap_sampler = SamplerConfig(seed=cfg.seed, n_trajectories=min(cfg.ntraj, 500), initial=0)
         stats = gap_statistics(sample_ensemble(gap_family, gap_sampler), rate=rate, max_gaps=10)
-        bound = stats.ks_critical(0.01)
-        checks.check(
-            "gap_distribution",
-            stats.ks_statistic < bound,
-            f"KS {stats.ks_statistic:.4f} vs 1% bound {bound:.4f} (n = {stats.n})",
-        )
+        checks.below("gap_distribution", stats.ks_statistic, stats.ks_critical(0.01))
     return checks.status
 
 
@@ -492,18 +488,13 @@ def cmd_info(cfg: RunConfig) -> int:
     _write_csv(cfg, "info.csv", _table(["t", *report.curves], [times, *report.curves.values()]))
 
     checks = _Checks()
-    residual = report.cross_equality_residual()
-    checks.check("cross_basis_equality", residual < 1e-8, f"residual {residual:.3e}")
-    slack = min(
-        float((1.0 - report.curves["sum_zx"]).min()),
-        float((1.0 - report.curves["sum_xz"]).min()),
-    )
-    checks.check("mub_information_bound", slack > -1e-9, f"min slack {slack:.3e}")
-    lo = min(float(report.curves[k].min()) for k in ("chi_x_direct", "chi_z_direct", "chi_x_comp", "chi_z_comp"))
-    hi = max(float(report.curves[k].max()) for k in ("chi_x_direct", "chi_z_direct", "chi_x_comp", "chi_z_comp"))
-    checks.check("information_range", lo > -1e-12 and hi < 1.0 + 1e-12, f"range [{lo:.3e}, {hi:.3f}]")
+    curves = report.curves
+    checks.below("cross_basis_equality", report.cross_equality_residual(), 1e-8)
+    checks.below("mub_information_bound", [curves["sum_zx"] - 1.0, curves["sum_xz"] - 1.0], 1e-9)
+    chi = np.array([curves[k] for k in ("chi_x_direct", "chi_z_direct", "chi_x_comp", "chi_z_comp")])
+    checks.below("information_range", [-chi, chi - 1.0], 1e-12)
     ident = verify_family_information_identity(cfg.basis, params, float(times[-1]) / 2.0)
-    checks.check("record_information_identity", ident.passed, f"residual {ident.residual:.3e}")
+    checks.below("record_information_identity", ident.residual, 1e-8)
     return checks.status
 
 
@@ -533,11 +524,7 @@ def cmd_preset(cfg: RunConfig) -> int:
 
     checks = _Checks()
     checks.check("deep_overdamped_regime", params.regime == OVERDAMPED, params.regime)
-    checks.check(
-        "frozen_tunneling_separation",
-        kappa_ratio < 1e-15,
-        f"kappa_x/kappa_z = {kappa_ratio:.3e}",
-    )
+    checks.below("frozen_tunneling_separation", kappa_ratio, 1e-15)
     return checks.status
 
 
@@ -561,11 +548,12 @@ def cmd_scan(cfg: RunConfig) -> int:
 
     checks = _Checks()
     found = n_eq > 0
-    _check_roots(checks, np.stack([phi_x, phi_y])[:, found], 1.0 / ratios[found])
-    ordering = (kx <= ky + 1e-12) & (ky + 1e-12 <= gammas + 1e-9)
-    checks.check("rate_ordering", bool(np.all(ordering[found])), "expected kappa_x <= kappa_y <= gamma")
-    count_ok = np.all(n_eq[ratios > 1.0 + 1e-12] == 4) and np.all(n_eq[ratios < 1.0 - 1e-12] == 0)
-    checks.check("family_count", bool(count_ok), "expected 4 above the critical ratio, 0 below")
+    checks.below("stationary_roots", np.abs(np.sin(2.0 * np.stack([phi_x, phi_y])) - 1.0 / ratios)[:, found], 1e-12)
+    # kappa_x <= kappa_y <= gamma
+    checks.below("rate_ordering", np.stack([kx - ky, ky - gammas])[:, found], 1e-12)
+    # 4 equatorial roots above the critical ratio, 0 below
+    away = np.abs(ratios - 1.0) > 1e-12
+    checks.below("family_count", np.abs(n_eq - np.where(ratios > 1.0, 4.0, 0.0))[away], 1.0)
     return checks.status
 
 
@@ -644,7 +632,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a numerical breakdown is a failed validation, not a crash
-        print(f"VALIDATION FAILED: {args.command}_completed ({type(exc).__name__}: {exc})")
+        _Checks().check(f"{args.command}_completed", False, f"{type(exc).__name__}: {exc}")
         return 1
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import re
 import time
 from pathlib import Path
 
@@ -171,8 +172,8 @@ def test_a_nan_deviation_fails_its_validation(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tunnelmol.cli, "propagator_closed_form", one_nan)
     assert run(tmp_path, "evolve", "--points", "11") == 1
     out = capsys.readouterr().out
-    assert "validation passed: trace_preservation" in out
-    assert "VALIDATION FAILED: closed_form_vs_expm (max deviation nan)" in out
+    assert "validation passed: trace_preservation (worst 0, bound 1e-12)" in out
+    assert "VALIDATION FAILED: closed_form_vs_expm (worst nan, bound 1e-09)" in out
 
 
 @pytest.mark.parametrize("sense", [FORWARD, BACKWARD])
@@ -195,6 +196,39 @@ def test_gauss_legendre_rate_integral_matches_adaptive_quadrature(sense):
             assert err <= 1e-12 * max(1.0, want)
             assert abs(math.exp(-2.0 * got_t) - math.exp(-2.0 * want)) <= 1e-12
             assert abs(got_t - want) <= 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize("omega, tmax", [("1e300", "5"), ("1e8", "1")])
+def test_families_refuses_a_radius_check_beyond_its_panel_budget(tmp_path, capsys, omega, tmax):
+    # no panel is longer than pi/omega: omega tmax / pi panels, above 1e7 here
+    start = time.perf_counter()
+    assert run(tmp_path, "families", "--omega", omega, "--tmax", tmax) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "quadrature panels" in captured.err and "above the limit 1e+07" in captured.err
+    assert "VALIDATION FAILED" not in captured.out
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_families_labels_each_rate_with_every_digit(tmp_path):
+    assert run(tmp_path, "families", "--gammas", "1.2,0.1234567,0.1234568", "--points", "11") == 0
+    _, body = read_csv_body(tmp_path / "families.csv")
+    header = body[0].split(",")
+    assert len(set(header)) == len(header) == 10
+    assert header[4:7] == ["theta_g0.1234567", "phi_g0.1234567", "kappa_g0.1234567"]
+    _, body = read_csv_body(tmp_path / "stationary.csv")
+    assert body[0] == "gamma,label,condition,theta,phi,kappa"
+    rows = [line.split(",") for line in body[1:]]
+    assert [row[0] for row in rows if row[1] == "z"] == ["1.2", "0.1234567", "0.12345680000000001"]
+    # the z family's rate is gamma itself, written the same way
+    assert all(row[0] == row[5] for row in rows if row[1] == "z")
+
+
+@pytest.mark.parametrize("gammas", ["1,1", "0.5,1.2,5e-1", "4,0.5,4.0"])
+def test_families_rejects_a_repeated_rate(tmp_path, capsys, gammas):
+    assert run(tmp_path, "families", "--gammas", gammas) == 2
+    assert "repeats a rate" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_scan_without_tunneling_is_a_usage_error(tmp_path, capsys):
@@ -316,13 +350,47 @@ def test_scan_writes_the_forward_merged_root_at_the_critical_ratio(tmp_path):
 
 def test_checks_collector(capsys):
     checks = _Checks()
-    checks.check("alpha_ok", True)
-    checks.check("beta_bad", False, "details here")
-    out = capsys.readouterr().out
-    assert "validation passed: alpha_ok" in out
-    assert "VALIDATION FAILED: beta_bad (details here)" in out
+    checks.below("alpha_ok", [np.array([1e-13, -1.0]), np.array([2e-13, 0.0])], 1e-12)
+    checks.below("beta_bad", 1e-12, 1e-12)  # the bound itself fails
+    checks.below("gamma_nan", [0.0, math.nan, -1.0], 1e-12)
+    checks.below("delta_empty", [], 0.0)
+    checks.check("epsilon_ok", True)
+    checks.check("zeta_bad", False, "details here")
+    assert capsys.readouterr().out.splitlines() == [
+        "validation passed: alpha_ok (worst 2e-13, bound 1e-12)",
+        "VALIDATION FAILED: beta_bad (worst 1e-12, bound 1e-12)",
+        "VALIDATION FAILED: gamma_nan (worst nan, bound 1e-12)",
+        "validation passed: delta_empty (worst -inf, bound 0)",
+        "validation passed: epsilon_ok",
+        "VALIDATION FAILED: zeta_bad (details here)",
+    ]
+    assert checks.failed == ["beta_bad", "gamma_nan", "zeta_bad"]
     assert checks.status == 1
     assert _Checks().status == 0
+
+
+# the validations of each command at its defaults, in order; perfbench and its
+# known_defects.json match failures by these names
+VALIDATIONS = {
+    "evolve": ["trace_preservation", "closed_form_vs_expm"],
+    "families": ["stationary_roots", "flip_rate_bounds", "radius_vs_rate_integral"],
+    "histories": ["hermiticity", "weight_normalization"],
+    "sample": ["ensemble_vs_master", "gap_distribution"],
+    "info": ["cross_basis_equality", "mub_information_bound", "information_range", "record_information_identity"],
+    "preset": ["deep_overdamped_regime", "frozen_tunneling_separation"],
+    "scan": ["stationary_roots", "rate_ordering", "family_count"],
+}
+WITHOUT_A_NUMBER = {"hermiticity", "deep_overdamped_regime"}
+
+
+@pytest.mark.parametrize("command", list(tunnelmol.cli._COMMANDS))
+def test_default_runs_list_their_validations_with_worst_value_and_bound(tmp_path, capsys, command):
+    assert run(tmp_path, command) == 0
+    lines = re.findall(r"^validation passed: (\S+)(.*)$", capsys.readouterr().out, re.M)
+    assert [name for name, _ in lines] == VALIDATIONS[command]
+    for name, suffix in lines:
+        if name not in WITHOUT_A_NUMBER:
+            assert re.fullmatch(r" \(worst \S+, bound \S+\)", suffix), (name, suffix)
 
 
 def test_sample_trajectory_files(tmp_path):
