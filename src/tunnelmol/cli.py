@@ -7,12 +7,14 @@ damping ratio.  Every command writes CSV files whose leading '#' lines echo
 the fully resolved configuration, so a result file is self-describing and a
 rerun with the same inputs is byte-identical.
 
-Options resolve in three layers: built-in defaults, then a config file of
-flat key=value lines (--config), then explicit flags.  Each option is
-declared once, with its default, help and choices, in _COMMON_OPTIONS or
-_COMMANDS; the parser, the config-file keys and the echo all come from there.
-The TUNNELMOL_OUTDIR environment variable supplies the default output
-directory and nothing else.
+Each command takes only the options that can change what it writes, prints
+or returns, declared once with a default, help and domain in _COMMANDS; its
+parser, its config-file keys and its echo all come from there, so a flag or
+key the command does not take is a usage error.  Options resolve in three
+layers: built-in defaults, then a config file of flat key=value lines
+(--config), then explicit flags; the result must lie in each option's domain,
+its choices or a closed interval.  The TUNNELMOL_OUTDIR environment variable
+supplies the default output directory and nothing else.
 
 Each command then validates its own output.  A numeric validation passes
 when the largest value it measured is below its bound (NaN fails), and its
@@ -21,8 +23,8 @@ line shows both: 'validation passed: <name> (worst w, bound b)' or
 and <command>_completed have no number.  Exit status is 0 only if every
 validation passes, else 1; a numerical breakdown (an exception other than a
 usage error) is the failed validation <command>_completed, without a
-traceback.  Usage and configuration errors, including model parameters out
-of range and runs too costly to start, return 2.
+traceback.  Usage and configuration errors, including an option outside its
+domain and runs too costly to start, return 2.
 """
 
 from __future__ import annotations
@@ -71,16 +73,22 @@ PRESETS = {
     "D2S2": {"gamma": 9.0e9, "omega": 176.0},
 }
 
-# name -> (default, help[, choices]) of the options every command takes; the
-# flag is --name with _ turned into -, and the default's type parses both the
-# flag and the config-file value
-_COMMON_OPTIONS = {
-    "gamma": (1.0, "collision rate"),
-    "omega": (1.0, "tunneling angular frequency"),
-    "tau_c": (0.0, "collision correlation time"),
-    "tmax": (5.0, "end of the time grid"),
-    "points": (201, "number of grid points"),
-    "seed": (7, "master random seed"),
+# An option is name -> (default, help, domain): the flag is --name with _
+# turned into -, and the default's type parses both the flag and the
+# config-file value.  The domain is the tuple of its choices or a closed
+# interval (lo, hi); a float interval ends at the largest finite float, so NaN
+# and the infinities fall outside it.  gammas has none: cmd_families parses it.
+_MAX = sys.float_info.max
+_AT_LEAST_0 = (0.0, _MAX)
+_ABOVE_0 = (math.ulp(0.0), _MAX)  # math.ulp(0.0) is the smallest positive float
+_FINITE = (-_MAX, _MAX)
+
+# the options that more than one command takes
+_SHARED = {
+    "gamma": (1.0, "collision rate", _AT_LEAST_0),
+    "omega": (1.0, "tunneling angular frequency", _AT_LEAST_0),
+    "tmax": (5.0, "end of the time grid", _ABOVE_0),
+    "points": (201, "number of grid points", (2, math.inf)),
 }
 
 
@@ -105,7 +113,7 @@ class RunConfig:
         """Model parameters from the options; gamma overrides the configured rate."""
         gamma = self.values["gamma"] if gamma is None else gamma
         try:
-            return ModelParams(omega=self.values["omega"], gamma=gamma, tau_c=self.values["tau_c"])
+            return ModelParams(omega=self.values["omega"], gamma=gamma, tau_c=self.values.get("tau_c", 0.0))
         except ValueError as exc:
             raise CliError(str(exc)) from None
 
@@ -119,11 +127,6 @@ class RunConfig:
         except OSError as exc:
             raise CliError(f"cannot create output directory {path}: {exc}") from None
         return path
-
-
-def _options(command: str) -> dict:
-    """name -> (default, help[, choices]) of every option of command."""
-    return {**_COMMON_OPTIONS, **_COMMANDS[command][2]}
 
 
 def _parse_config_file(path: str, defaults: dict) -> dict:
@@ -151,8 +154,13 @@ def _parse_config_file(path: str, defaults: dict) -> dict:
     return values
 
 
+def _domain_text(domain: tuple) -> str:
+    return "one of " + ", ".join(domain) if isinstance(domain[0], str) else f"in [{domain[0]!r}, {domain[1]!r}]"
+
+
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    options = _options(args.command)
+    """Defaults, then the config file, then the flags; the one place that checks each option's domain."""
+    options = _COMMANDS[args.command][2]
     values = {key: spec[0] for key, spec in options.items()}
     if args.config:
         values.update(_parse_config_file(args.config, values))
@@ -160,13 +168,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    for key, (_, _, *choices) in options.items():
+    for key, (_, _, domain) in options.items():
         val = values[key]
-        if isinstance(val, float) and not math.isfinite(val):
-            raise CliError(f"{key} must be finite, got {val}")
-        # argparse checks the flags; this catches the config file and preset's positional name
-        if choices and val not in choices[0]:
-            raise CliError(f"{key} must be one of {', '.join(choices[0])}, got {val!r}")
+        if domain and not (val in domain if isinstance(val, str) else domain[0] <= val <= domain[1]):
+            raise CliError(f"{key} must be {_domain_text(domain)}, got {val!r}")
     values["out"] = args.out
     return RunConfig(command=args.command, values=values)
 
@@ -227,14 +232,6 @@ class _Checks:
         return 1 if self.failed else 0
 
 
-def _grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.points < 2:
-        raise CliError("points must be at least 2")
-    if cfg.tmax <= 0:
-        raise CliError("tmax must be positive")
-    return np.linspace(0.0, cfg.tmax, cfg.points)
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) by scaling and squaring a degree-18 Taylor polynomial.
 
@@ -260,7 +257,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def cmd_evolve(cfg: RunConfig) -> int:
     params = cfg.params()
-    times = _grid(cfg)
+    times = np.linspace(0.0, cfg.tmax, cfg.points)
     transfer = propagator_closed_form(params, times)
     header = ["t"]
     header += [f"T{i}{j}" for i in range(4) for j in range(4)]
@@ -335,7 +332,7 @@ def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, t
 def cmd_families(cfg: RunConfig) -> int:
     direction = cfg.direction
     gammas = _parse_gamma_list(cfg.gammas)
-    times = _grid(cfg)
+    times = np.linspace(0.0, cfg.tmax, cfg.points)
     start = BlochDirection(theta=cfg.theta0, phi=cfg.phi0)
     checked = np.arange(0, len(times), max(1, len(times) // 4))[1:]
     trajectories = {}
@@ -386,10 +383,6 @@ _INITIAL_STATES = {
 
 
 def cmd_histories(cfg: RunConfig) -> int:
-    if not 1 <= cfg.steps <= 10:
-        raise CliError("steps must be between 1 and 10")
-    if cfg.dt <= 0:
-        raise CliError("dt must be positive")
     params = cfg.params()
     times = np.arange(cfg.steps) * cfg.dt
     axis = np.eye(3)["xyz".index(cfg.basis)]
@@ -424,17 +417,10 @@ def cmd_sample(cfg: RunConfig) -> int:
     has at most 500 trajectories over 30 mean gaps and inverts only their
     first 11 flips each; only the saved members' flips are inverted.
     """
-    if cfg.ntraj < 1:
-        raise CliError("ntraj must be positive")
-    if cfg.save_trajectories < 0:
-        raise CliError("save_trajectories must be non-negative")
     initial = None if cfg.initial == "mixed" else int(cfg.initial)
-    try:
-        sampler = SamplerConfig(seed=cfg.seed, n_trajectories=cfg.ntraj, initial=initial)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    sampler = SamplerConfig(seed=cfg.seed, n_trajectories=cfg.ntraj, initial=initial)
     params = cfg.params()
-    times = _grid(cfg)
+    times = np.linspace(0.0, cfg.tmax, cfg.points)
     dense = np.linspace(0.0, cfg.tmax, max(cfg.points, 1001))
     start = BlochDirection(theta=cfg.theta0, phi=cfg.phi0)
     family = FamilyTrajectory.integrate(start, params, cfg.direction, dense)
@@ -483,7 +469,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def cmd_info(cfg: RunConfig) -> int:
     params = cfg.params()
-    times = _grid(cfg)
+    times = np.linspace(0.0, cfg.tmax, cfg.points)
     report = build_info_report(params, times, family_basis=cfg.basis)
     _write_csv(cfg, "info.csv", _table(["t", *report.curves], [times, *report.curves.values()]))
 
@@ -529,16 +515,12 @@ def cmd_preset(cfg: RunConfig) -> int:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.ratio_min <= 0 or cfg.ratio_max <= cfg.ratio_min:
-        raise CliError("need 0 < ratio_min < ratio_max")
-    if cfg.omega == 0:
-        # every ratio would map to gamma = 0; a negative omega fails in ModelParams
-        raise CliError("scan needs omega > 0")
-    if cfg.points < 2:
-        raise CliError("points must be at least 2")
+    if cfg.ratio_max <= cfg.ratio_min:
+        raise CliError(f"ratio_max must exceed ratio_min, got {cfg.ratio_max!r} <= {cfg.ratio_min!r}")
+    if math.isinf(cfg.ratio_max * cfg.omega):
+        raise CliError(f"the largest rate ratio_max * omega = {cfg.ratio_max!r} * {cfg.omega!r} overflows")
     ratios = np.geomspace(cfg.ratio_min, cfg.ratio_max, cfg.points)
     gammas = ratios * cfg.omega
-    cfg.params(gamma=float(gammas[-1]))  # the largest rate must make valid parameters
     phi_x, phi_y, kx, ky = stationary_roots(gammas, cfg.omega)
     # the four roots of the forward and backward senses, two merged ones, or none
     n_eq = np.where(np.isnan(kx), 0, np.where(phi_x == phi_y, 2, 4))
@@ -560,39 +542,52 @@ def cmd_scan(cfg: RunConfig) -> int:
 _BASES = ("x", "y", "z")
 _SENSES = (FORWARD, BACKWARD)
 
-# command -> (handler, help line, its own options as _COMMON_OPTIONS)
+
+def _shared(*names: str) -> dict:
+    return {name: _SHARED[name] for name in names}
+
+
+# command -> (handler, help line, every option it takes)
 _COMMANDS = {
-    "evolve": (cmd_evolve, "tabulate the propagator and Bloch paths", {}),
+    "evolve": (cmd_evolve, "tabulate the propagator and Bloch paths", _shared("gamma", "omega", "tmax", "points")),
     "families": (cmd_families, "integrate family flows, list stationary sets", {
-        "gammas": ("0.5,1.2,4", "comma separated collision rates"),
-        "theta0": (0.2, "initial polar angle"),
-        "phi0": (0.0, "initial azimuth"),
+        **_shared("omega", "tmax", "points"),
+        "gammas": ("0.5,1.2,4", "comma separated collision rates", None),
+        "theta0": (0.2, "initial polar angle", _FINITE),
+        "phi0": (0.0, "initial azimuth", _FINITE),
         "direction": (FORWARD, "sense of the flow", _SENSES),
     }),
     "histories": (cmd_histories, "decoherence matrix of a history family", {
+        **_shared("gamma", "omega"),
+        "tau_c": (0.0, "collision correlation time; a shorter gap warns", _AT_LEAST_0),
         "basis": ("z", "basis at the first history time", _BASES),
-        "steps": (3, "number of history times (1..10)"),
-        "dt": (0.5, "gap between history times"),
+        "steps": (3, "number of history times", (1, 10)),
+        "dt": (0.5, "gap between history times", _ABOVE_0),
         "moving": ("static", "how the basis evolves", ("static", *_SENSES)),
         "initial": ("mixed", "initial state", tuple(_INITIAL_STATES)),
     }),
     "sample": (cmd_sample, "draw telegraph trajectories and compare ensembles", {
-        "ntraj": (2000, "ensemble size"),
-        "theta0": (0.0, "family initial polar angle"),
-        "phi0": (0.0, "family initial azimuth"),
+        **_shared("gamma", "omega", "tmax", "points"),
+        "seed": (7, "master random seed, the sampler's 128-bit Philox key", (0, 2**128 - 1)),
+        "ntraj": (2000, "ensemble size", (1, math.inf)),
+        "theta0": (0.0, "family initial polar angle", _FINITE),
+        "phi0": (0.0, "family initial azimuth", _FINITE),
         "direction": (FORWARD, "sense of the family flow", _SENSES),
         "initial": ("mixed", "starting arm", ("mixed", "0", "1")),
-        "save_trajectories": (3, "how many raw trajectories to write"),
+        "save_trajectories": (3, "how many raw trajectories to write", (0, math.inf)),
     }),
     "info": (cmd_info, "information flow curves", {
+        **_shared("gamma", "omega", "tmax", "points"),
         "basis": ("z", "basis for the mutual information column", _BASES),
     }),
     "preset": (cmd_preset, "report a named physical parameter set", {
         "name": ("D2S2", "preset name", tuple(PRESETS)),
     }),
     "scan": (cmd_scan, "sweep the damping ratio", {
-        "ratio_min": (0.2, "smallest gamma/omega"),
-        "ratio_max": (50.0, "largest gamma/omega"),
+        "omega": (1.0, "tunneling angular frequency", _ABOVE_0),
+        **_shared("points"),
+        "ratio_min": (0.2, "smallest gamma/omega", _ABOVE_0),
+        "ratio_max": (50.0, "largest gamma/omega", _ABOVE_0),
     }),
 }
 
@@ -603,17 +598,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-level tunneling molecule under collisional decoherence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_line, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
+    for command, (_, help_line, options) in _COMMANDS.items():
+        # no abbreviations: families would read --gamma as its --gammas
+        p = sub.add_parser(command, help=help_line, allow_abbrev=False)
         p.add_argument("--out", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
         p.add_argument("--config", help="file of key=value defaults; flags take precedence")
-        for name, (default, text, *choices) in _options(command).items():
-            text = f"{text} (default: {default})"
-            if name == "name":  # preset's positional; _resolve checks it, so a bad name returns 2
+        for name, (default, text, domain) in options.items():
+            text = f"{text} (default: {default}" + (f"; {_domain_text(domain)})" if domain else ")")
+            if name == "name":  # preset's positional
                 p.add_argument(name, nargs="?", help=text)
             else:
-                flag = "--" + name.replace("_", "-")
-                p.add_argument(flag, dest=name, type=type(default), choices=choices[0] if choices else None, help=text)
+                p.add_argument("--" + name.replace("_", "-"), dest=name, type=type(default), help=text)
     return parser
 
 

@@ -3,7 +3,9 @@
 import argparse
 import math
 import re
+import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from tunnelmol.trajectories import SamplerConfig, _draw, sample_trajectory
 
 # deuterated disulfane: collisions outpace tunneling by 5e7
 D2S2 = ("--gamma", "9e9", "--omega", "176")
+MAX = sys.float_info.max
 
 
 def run(tmp_path, *args):
@@ -130,7 +133,7 @@ def test_model_parameters_out_of_range_are_usage_errors(tmp_path, capsys):
         ("evolve", "--gamma", "nan", "--points", "3"),
         ("evolve", "--gamma", "inf"),
         ("evolve", "--omega=-inf"),
-        ("evolve", "--tau-c", "nan"),
+        ("histories", "--tau-c", "nan"),
         ("evolve", "--tmax", "inf"),
         ("scan", "--omega", "nan"),
         ("scan", "--ratio-max", "inf"),
@@ -157,7 +160,8 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
     cfg.write_text("gamma = nan\n")
     assert run(tmp_path, "info", "--config", str(cfg)) == 2
     captured = capsys.readouterr()
-    assert "tmax must be finite" in captured.err and "gamma must be finite" in captured.err
+    assert f"tmax must be in [5e-324, {MAX!r}], got inf" in captured.err
+    assert f"gamma must be in [0.0, {MAX!r}], got nan" in captured.err
 
 
 def test_a_nan_deviation_fails_its_validation(tmp_path, capsys, monkeypatch):
@@ -235,7 +239,7 @@ def test_scan_without_tunneling_is_a_usage_error(tmp_path, capsys):
     # a ratio sweep needs omega > 0: otherwise every point has gamma = 0
     assert run(tmp_path, "scan", "--omega", "0") == 2
     captured = capsys.readouterr()
-    assert "scan needs omega > 0" in captured.err
+    assert f"error: omega must be in [5e-324, {MAX!r}], got 0.0" in captured.err
     assert "VALIDATION FAILED" not in captured.out
 
 
@@ -244,7 +248,7 @@ def test_seed_outside_the_philox_key_is_a_usage_error(tmp_path, capsys):
     assert run(tmp_path, "sample", "--ntraj", "20", "--points", "11", "--seed", "-1") == 2
     assert run(tmp_path, "sample", "--ntraj", "20", "--points", "11", "--seed", str(2**128)) == 2
     captured = capsys.readouterr()
-    assert "2**128" in captured.err
+    assert f"seed must be in [0, {2**128 - 1}], got -1" in captured.err
     assert "VALIDATION FAILED" not in captured.out
     assert run(tmp_path, "sample", "--ntraj", "20", "--points", "11", "--seed", str(2**128 - 1)) == 0
 
@@ -263,7 +267,7 @@ def test_numerical_breakdown_is_a_named_failed_validation(tmp_path, capsys, monk
         raise exc
 
     monkeypatch.setattr(tunnelmol.cli, target, broken)
-    assert run(tmp_path, command, "--points", "5") == 1
+    assert run(tmp_path, command, *(() if command == "histories" else ("--points", "5"))) == 1
     captured = capsys.readouterr()
     assert f"VALIDATION FAILED: {command}_completed ({type(exc).__name__}: {exc})" in captured.out
     assert "Traceback" not in captured.out + captured.err
@@ -548,7 +552,7 @@ def test_successive_commands_reuse_one_parser(tmp_path):
     for k, name in enumerate(("scan", "histories", "usage", "preset", "histories", "scan")):
         # an argparse error leaves the shared parser as it was
         with pytest.raises(SystemExit) as exc:
-            main(["histories", "--basis", "w"])
+            main(["histories", "--tmax", "3"])
         assert exc.value.code == 2
         out = tmp_path / "again" / str(k)
         code = run(out, *commands[name])
@@ -586,28 +590,147 @@ def _csv_bytes(out) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
+# the options each command takes: exactly those that can change its files,
+# its stdout, its stderr or its exit status
+TAKES = {
+    "evolve": {"gamma", "omega", "tmax", "points"},
+    "families": {"omega", "tmax", "points", "gammas", "theta0", "phi0", "direction"},
+    "histories": {"gamma", "omega", "tau_c", "basis", "steps", "dt", "moving", "initial"},
+    "sample": {"gamma", "omega", "tmax", "points", "seed", "ntraj", "theta0", "phi0", "direction", "initial",
+               "save_trajectories"},
+    "info": {"gamma", "omega", "tmax", "points", "basis"},
+    "preset": {"name"},
+    "scan": {"omega", "points", "ratio_min", "ratio_max"},
+}
+
+# each interval, closed: a float one ends at the largest finite float, and
+# starts at the smallest positive one where the value must be above 0
+POSITIVE = (5e-324, MAX)
+INTERVALS = {
+    "gamma": (0.0, MAX), "omega": (0.0, MAX), "tau_c": (0.0, MAX), "theta0": (-MAX, MAX), "phi0": (-MAX, MAX),
+    "tmax": POSITIVE, "dt": POSITIVE, "ratio_min": POSITIVE, "ratio_max": POSITIVE, "scan omega": POSITIVE,
+    "points": (2, math.inf), "steps": (1, 10), "seed": (0, 2**128 - 1), "ntraj": (1, math.inf),
+    "save_trajectories": (0, math.inf),
+}
+
+
+def _flag(key, value):
+    # --key=value also passes a value that starts with '-'
+    return f"--{key.replace('_', '-')}={value}"
+
+
+def _just_outside(domain) -> list:
+    """The values next to a closed interval (lo, hi) on either side, where there is one."""
+    lo, hi = domain
+    if isinstance(lo, float):
+        return [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    return [lo - 1] + ([hi + 1] if hi < math.inf else [])
+
+
+@pytest.mark.filterwarnings("ignore:history gap")  # histories at tau_c = the largest float
 @pytest.mark.parametrize("command", list(tunnelmol.cli._COMMANDS))
 def test_option_table_is_the_parser_the_config_keys_and_the_echo(tmp_path, capsys, command):
-    options = tunnelmol.cli._options(command)
+    options = tunnelmol.cli._COMMANDS[command][2]
     dests = {a.dest for a in _subparsers()[command]._actions} - {"help", "out", "config"}
     assert run(tmp_path / "flags", command) == 0
     echo, _ = read_csv_body(next((tmp_path / "flags").glob("*.csv")))
     assert echo[0] == f"# command={command}"
     echoed = dict(line[2:].split("=", 1) for line in echo[1:])
-    assert dests == set(options) == set(echoed)
+    assert dests == set(options) == set(echoed) == TAKES[command]
     # a config file holding every default gives the bytes of a run with no flags
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text("".join(f"{key}={val}\n" for key, val in echoed.items()))
     assert run(tmp_path / "config", command, "--config", str(cfg)) == 0
     assert _csv_bytes(tmp_path / "config") == _csv_bytes(tmp_path / "flags")
-    # a choice outside its set is a usage error that names the option
     capsys.readouterr()
-    for key, (_, _, *choices) in options.items():
-        if choices:
+    for key, (default, _, domain) in options.items():
+        if domain is None:  # the gamma list, which its command parses
+            continue
+        if isinstance(domain[0], str):
+            # a choice outside its set is a usage error that names the option
+            assert default in domain
             cfg.write_text(f"{key}=not_a_choice\n")
             assert run(tmp_path / "bad", command, "--config", str(cfg)) == 2
             assert f"error: {key} must be one of" in capsys.readouterr().err
             assert not _csv_bytes(tmp_path / "bad")
+            continue
+        # a value just outside the interval, as a flag or a config value, is
+        # one error line naming the option, the value and the interval
+        lo, hi = domain
+        assert domain == INTERVALS.get(f"{command} {key}", INTERVALS[key]) and lo <= default <= hi
+        for value in _just_outside(domain):
+            cfg.write_text(f"{key}={value!r}\n")
+            for argv in ((_flag(key, value),), ("--config", str(cfg))):
+                assert run(tmp_path / "bad", command, *argv) == 2
+                captured = capsys.readouterr()
+                assert captured.err == f"error: {key} must be in [{lo!r}, {hi!r}], got {value!r}\n"
+                assert "VALIDATION FAILED" not in captured.out
+                assert not _csv_bytes(tmp_path / "bad")
+        # each end passes the domain check and runs the command; at the
+        # largest float the model itself may break down (exit 1) or a
+        # cross-option or cost limit refuse it (exit 2 with its own message)
+        for end in (lo, hi) if hi < math.inf else (lo,):
+            code = run(tmp_path / "end", command, _flag(key, end))
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and f"{key} must be" not in err, (key, end, err)
+            assert code != 2 or err.startswith("error: ") and err.count("\n") == 1
+
+
+def _outcome(tmp_path, capsys, command, *argv):
+    """Exit status, stdout, stderr (warnings included) and the CSV bodies of one run in a fresh directory.
+
+    The bodies leave out the '#' echo, which names every option it is given.
+    """
+    out = tmp_path / str(len(list(tmp_path.iterdir())))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        code = run(out, command, *argv)
+    captured = capsys.readouterr()
+    stdout = captured.out.replace(str(out), "<out>")
+    bodies = {path.name: read_csv_body(path)[1] for path in sorted(out.glob("*.csv"))}
+    return code, stdout, captured.err + "".join(str(w.message) for w in caught), bodies
+
+
+# a cheap base run of each command, and for each option it takes another
+# valid value; the base moves off the defaults only where an option would
+# otherwise not act (phi0 and the sense at theta0 = 0, moving on the z axis)
+ANOTHER_VALUE = {
+    "evolve": (("--points", "5"), {"gamma": 2.0, "omega": 2.0, "tmax": 3.0, "points": 6}),
+    "families": (("--points", "5", "--gammas", "0.5,4"),
+                 {"omega": 2.0, "tmax": 3.0, "points": 6, "gammas": "0.5,3", "theta0": 0.3, "phi0": 0.1,
+                  "direction": "backward"}),
+    "histories": (("--steps", "2", "--basis", "x"),
+                  {"gamma": 2.0, "omega": 2.0, "tau_c": 1.0, "basis": "z", "steps": 3, "dt": 0.3,
+                   "moving": "forward", "initial": "up"}),
+    "sample": (("--points", "5", "--ntraj", "20", "--theta0", "0.5", "--save-trajectories", "1"),
+               {"gamma": 2.0, "omega": 2.0, "tmax": 3.0, "points": 6, "seed": 8, "ntraj": 21, "theta0": 0.6,
+                "phi0": 0.1, "direction": "backward", "initial": "0", "save_trajectories": 2}),
+    "info": (("--points", "5"), {"gamma": 2.0, "omega": 2.0, "tmax": 3.0, "points": 6, "basis": "x"}),
+    "preset": ((), {}),  # its one option, the preset name, has no other value
+    "scan": (("--points", "3"), {"omega": 2.0, "points": 4, "ratio_min": 0.3, "ratio_max": 40.0}),
+}
+
+
+@pytest.mark.parametrize("command", list(tunnelmol.cli._COMMANDS))
+def test_each_option_a_command_takes_changes_its_outcome_and_no_other_is_taken(tmp_path, capsys, command):
+    base, moved = ANOTHER_VALUE[command]
+    assert set(moved) == TAKES[command] - {"name"} and tunnelmol.cli.PRESETS.keys() == {"D2S2"}
+    assert sum(map(len, TAKES.values())) == 40
+    at_base = _outcome(tmp_path, capsys, command, *base)
+    assert at_base[0] == 0
+    for key, value in moved.items():
+        outcome = _outcome(tmp_path, capsys, command, *base, _flag(key, value))
+        assert outcome[0] == 0 and outcome != at_base, key
+    # an option of another command, as a flag or as a config key, is a usage error
+    cfg = tmp_path / "other.cfg"
+    for key in set().union(*TAKES.values()) - TAKES[command]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, _flag(key, 1), "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        cfg.write_text(f"{key}=1\n")
+        assert run(tmp_path / "bad", command, "--config", str(cfg)) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not _csv_bytes(tmp_path / "bad")
 
 
 def test_readme_command_line_section_lists_every_flag():
