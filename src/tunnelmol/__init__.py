@@ -9,11 +9,7 @@ classical telegraph processes living on those families, and the bookkeeping
 of where the information about each observable goes.
 """
 
-from .channels import (
-    NonCPError,
-    choi_eigenvalues,
-    ptm_to_choi,
-)
+from .channels import NonCPError, choi_spectrum
 from .families import (
     BACKWARD,
     BlochDirection,

@@ -1,32 +1,33 @@
-"""Channel representations: the Choi matrix of a PTM and its spectrum.
+"""Complete positivity and the Choi spectrum of the model's channels, in closed form.
 
-A 4x4 Pauli transfer matrix fixes a linear map on 2x2 operators.  Its Choi
-matrix M = sum_{ij} |i><j| (x) T(|i><j|) is Hermitian, has trace 2 for a
-trace-preserving map, and is positive semidefinite exactly when the map is
-completely positive.  Its spectrum fixes everything the environment of a
-minimal dilation can learn: the eigenvalues lambda_k are the weights of the
-Kraus operators K_k of the map, and the complementary channel
+The Choi matrix sum_{ij} |i><j| (x) T(|i><j|) of a PTM T has trace 2 for a
+trace-preserving map and is positive semidefinite exactly when the map is
+completely positive.  Its eigenvalues lambda_k weigh the Kraus operators
+K_k, and the complementary channel T^c(rho)[k, l] = Tr(K_k rho K_l^dag)
+sends I/2 to the spectrum lambda/2: the collisions take H(lambda/2) from I/2.
 
-    T^c(rho)[k, l] = Tr(K_k rho K_l^dag)
+Every map of the model is trace preserving and unital, with Bloch block
+T3 = diag(B, e), B = [[a, b], [c, d]] the x-y block.  Rotations about z are
+unitary conjugations, which keep the spectrum, and two of them bring B to
+diag(s1, s2), its signed singular values:
 
-sends the maximally mixed state to a state with spectrum lambda/2, so
-H(lambda/2) is the entropy the collisions take from I/2.  For a pure input
-the environment's output has the spectrum of the molecule's (the dilated
-state is pure).  info_flow builds every information quantity from these two
-facts; the explicit Kraus, Stinespring and environment-output route lives in
-the tests as the independent check.
+    p = hypot(a + d, c - b)/2,  q = hypot(a - d, b + c)/2,  s1 = p + q,  s2 = p - q.
 
-For the tunneling model at omega = 0 the exact channel is the bit-flip channel
-with Kraus set {sqrt(1-p) I, sqrt(p) X}, p = (1 - e^{-2 gamma t})/2, so the
-spectrum is (2(1-p), 2p, 0, 0); for small t the full channel is still
-described by two Kraus operators up to O(t^2) corrections.
+The Pauli-diagonal map diag(1, s1, s2, e) has the Kraus operators
+sqrt(lambda_k/2) sigma_k, with
+
+    lambda = (1 + s1 + s2 + e, 1 + s1 - s2 - e, 1 - s1 + s2 - e, 1 - s1 - s2 + e)/2,
+
+and complete positivity is exactly lambda >= 0 (Fujiwara & Algoet, PRA 59,
+3290 (1999); King & Ruskai, IEEE Trans. Inf. Theory 47, 192 (2001)).  At
+omega = 0 this is the bit flip {sqrt(1-p) I, sqrt(p) X}, p = (1 - e)/2, with
+spectrum (2(1-p), 2p, 0, 0).  The Choi matrix and its eigvalsh spectrum live
+in the tests as the independent route.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .ptm import PAULIS
 
 # eigenvalues below this are a genuine complete-positivity violation
 _NONCP_THRESHOLD = -1e-6
@@ -36,29 +37,18 @@ class NonCPError(ValueError):
     """The map is not completely positive (Choi eigenvalue below -1e-6)."""
 
 
-# Choi matrix of the map with PTM e_k e_l^T: block (i, j) is sigma_k c_l(|i><j|),
-# c_l(|i><j|) = (sigma_l)_{ji} / 2; rows are (i, a), columns (j, b)
-_CHOI_BASIS = (np.einsum("kab,lji->kliajb", PAULIS, PAULIS) / 2.0).reshape(4, 4, 4, 4)
+def choi_spectrum(ptm: np.ndarray) -> np.ndarray:
+    """Choi eigenvalues (..., 4) of PTMs (..., 4, 4) of the model's form, unsorted.
 
-
-def ptm_to_choi(ptm: np.ndarray) -> np.ndarray:
-    """Choi matrix of a PTM, or of a stack (..., 4, 4); trace = 2 * ptm[0,0].
-
-    The Choi matrix is a fixed linear image of the PTM, so this is one
-    contraction with a constant tensor.  Every term of that tensor is
-    Hermitian, so a real PTM gives an exactly Hermitian Choi matrix.
+    lambda above, as (u + p, v + q, v - q, u - p) with u, v = (1 +- e)/2,
+    from B and e alone.  Roundoff below zero is clipped to 0, no positive
+    value is dropped, and one below -1e-6 anywhere raises NonCPError.
     """
-    return np.einsum("...kl,klrc->...rc", np.asarray(ptm, dtype=float), _CHOI_BASIS)
-
-
-def choi_eigenvalues(choi: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Choi stack (..., 4, 4), ascending, from one stacked eigvalsh.
-
-    Roundoff below zero is clipped to 0; no positive eigenvalue is dropped,
-    however small.  Raises NonCPError if any eigenvalue in the stack lies
-    below -1e-6.
-    """
-    w = np.linalg.eigvalsh(choi)
-    if w.size and w.min() < _NONCP_THRESHOLD:
-        raise NonCPError(f"Choi matrix has eigenvalue {w.min():.3e}; map is not completely positive")
-    return np.clip(w, 0.0, None)
+    T = np.asarray(ptm, dtype=float)
+    a, b, c, d, e = T[..., 1, 1], T[..., 1, 2], T[..., 2, 1], T[..., 2, 2], T[..., 3, 3]
+    p, q = np.hypot(a + d, c - b) / 2.0, np.hypot(a - d, b + c) / 2.0
+    u, v = (1.0 + e) / 2.0, (1.0 - e) / 2.0
+    lam = np.stack([u + p, v + q, v - q, u - p], axis=-1)
+    if lam.size and lam.min() < _NONCP_THRESHOLD:
+        raise NonCPError(f"Choi matrix has eigenvalue {lam.min():.3e}; map is not completely positive")
+    return np.clip(lam, 0.0, None)

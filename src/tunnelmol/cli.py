@@ -33,6 +33,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,8 +81,8 @@ PRESETS = {
 # and the infinities fall outside it.  gammas has none: cmd_families parses it.
 _MAX = sys.float_info.max
 _AT_LEAST_0 = (0.0, _MAX)
-_ABOVE_0 = (math.ulp(0.0), _MAX)  # math.ulp(0.0) is the smallest positive float
-_FINITE = (-_MAX, _MAX)
+_ABOVE_0 = (sys.float_info.min, _MAX)  # a subnormal has too few bits for a time grid or a rate scan
+_ANGLE = (-1e8, 1e8)  # radians; one ulp of 1e8 is already 1.5e-8
 
 # the options that more than one command takes
 _SHARED = {
@@ -553,8 +554,8 @@ _COMMANDS = {
     "families": (cmd_families, "integrate family flows, list stationary sets", {
         **_shared("omega", "tmax", "points"),
         "gammas": ("0.5,1.2,4", "comma separated collision rates", None),
-        "theta0": (0.2, "initial polar angle", _FINITE),
-        "phi0": (0.0, "initial azimuth", _FINITE),
+        "theta0": (0.2, "initial polar angle", _ANGLE),
+        "phi0": (0.0, "initial azimuth", _ANGLE),
         "direction": (FORWARD, "sense of the flow", _SENSES),
     }),
     "histories": (cmd_histories, "decoherence matrix of a history family", {
@@ -570,8 +571,8 @@ _COMMANDS = {
         **_shared("gamma", "omega", "tmax", "points"),
         "seed": (7, "master random seed, the sampler's 128-bit Philox key", (0, 2**128 - 1)),
         "ntraj": (2000, "ensemble size", (1, math.inf)),
-        "theta0": (0.0, "family initial polar angle", _FINITE),
-        "phi0": (0.0, "family initial azimuth", _FINITE),
+        "theta0": (0.0, "family initial polar angle", _ANGLE),
+        "phi0": (0.0, "family initial azimuth", _ANGLE),
         "direction": (FORWARD, "sense of the family flow", _SENSES),
         "initial": ("mixed", "starting arm", ("mixed", "0", "1")),
         "save_trajectories": (3, "how many raw trajectories to write", (0, math.inf)),
@@ -618,8 +619,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _attach_negative_values(argv: list) -> list:
+    """'--flag -2.5e-3' as '--flag=-2.5e-3': argparse takes a value that starts with '-' only as a plain decimal."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         cfg = _resolve(args)
         return _COMMANDS[cfg.command][0](cfg)

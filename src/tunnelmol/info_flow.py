@@ -4,8 +4,8 @@ All quantities are in bits.  The central object is the Holevo information of
 a two-state ensemble fed through a channel: prepare the molecule in one arm
 of a decomposition (equal priors), transmit with the collisional channel T
 or leak through its complementary channel, and ask how distinguishable the
-outputs remain.  Every such quantity here is a closed form in the PTM T and
-its Choi matrix C; no output state is ever built or diagonalized.
+outputs remain.  Every such quantity here is a closed form in the PTM T; no
+output state, Choi matrix or Kraus operator is ever built or diagonalized.
 
   * The arms (I +- n.sigma)/2 of the basis along a unit vector n leave the
     channel with Bloch vectors t +- T3 n, where t = T[1:, 0] and T3 =
@@ -16,18 +16,15 @@ its Choi matrix C; no output state is ever built or diagonalized.
 
   * A pure input leaves the environment with the spectrum it leaves the
     molecule (the dilated state is pure), so the leaked arms have the same
-    entropies; and T^c(I/2) has the spectrum of C/2, the entropy exchange
-    (Schumacher, PRA 54, 2614 (1996)):
+    entropies; and T^c(I/2) has the spectrum lambda/2 of the Choi matrix,
+    the entropy exchange (Schumacher, PRA 54, 2614 (1996)):
 
         chi_comp(n) = H(lambda/2) - (1/2) sum_+- S(t +- T3 n),
 
-    lambda the Choi eigenvalues, none of them dropped.
-  * The quadratic proxies are (1/2) Tr[T(n.sigma)^2] = |T3 n|^2 and
-    (1/2) Tr[T^c(n.sigma)^2] = (1/2) Tr[(((n.sigma)^T (x) I) C)^2], the
-    Choi matrix contracted with itself.
+    lambda from channels.choi_spectrum, a closed form in T, none dropped.
 
-The definition route (Kraus operators, dilation, environment outputs and
-their eigenvalues) lives in the tests as the independent check.
+The definition route (Choi matrix, Kraus operators, dilation, environment
+outputs and their eigenvalues) lives in the tests as the independent check.
 
 Three structural facts get dedicated verifiers:
 
@@ -45,11 +42,11 @@ Three structural facts get dedicated verifiers:
   * complementarity: for mutually unbiased bases the direct information
     about one basis plus the leaked information about the other cannot
     exceed one bit;
-  * purity proxy: the quadratic measures share the qualitative flow pattern
-    and have simple initial slopes, handy as a cheap cross-check.
+  * purity proxy: the quadratic measures, quadratic forms in T, share the
+    qualitative flow pattern and have initial slopes exact in the generator.
 
-Reports are evaluated on the whole time grid at once: one PTM stack, one
-stacked Choi eigvalsh, Bloch lengths for every arm, one chain per time.
+Reports are evaluated on the whole time grid at once: one PTM stack, the
+closed-form Choi spectrum, Bloch lengths for every arm, one chain per time.
 """
 
 from __future__ import annotations
@@ -59,10 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import choi_eigenvalues, ptm_to_choi
+from .channels import choi_spectrum
 from .families import FORWARD, _as_unit_vector, check_forward_condition, flow_unit_vectors
 from .histories import CONSISTENCY_TOL, HistoryFamily, chain_kernel, markov_from_family
-from .ptm import PAULIS, ModelParams, propagator_closed_form
+from .ptm import ModelParams, generator, propagator_closed_form
 
 _LN2 = math.log(2.0)
 # a Bloch length beyond this is a state with an eigenvalue below -1e-8, not roundoff
@@ -94,21 +91,20 @@ def _qubit_entropy(bloch: np.ndarray) -> np.ndarray:
     return _shannon(np.stack([0.5 + 0.5 * r, 0.5 - 0.5 * r], axis=-1))
 
 
-def _arm_entropy(T: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """(1/2) sum_+- S(t +- T3 n) for PTMs (..., 4, 4) and unit vectors n (m, 3) -> (..., m)."""
-    t = T[..., None, None, 1:, 0]
-    moved = np.einsum("...ij,mj->...mi", T[..., 1:, 1:], axes)[..., None, :]
-    return 0.5 * _qubit_entropy(t + np.array([[1.0], [-1.0]]) * moved).sum(axis=-1)
+def _output_and_arm_entropies(T: np.ndarray, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(t), t = T[1:, 0] the output of I/2, and (1/2) sum_+- S(t +- T3 n) in one entropy pass.
+
+    For PTMs (..., 4, 4) and unit vectors n (m, 3); the results are (...) and (..., m).
+    """
+    t = T[..., None, 1:, 0]
+    moved = np.einsum("...ij,mj->...mi", T[..., 1:, 1:], axes)
+    S = _qubit_entropy(np.concatenate([t, t + moved, t - moved], axis=-2))
+    return S[..., 0], 0.5 * (S[..., 1:len(axes) + 1] + S[..., len(axes) + 1:])
 
 
-def _output_entropy(T: np.ndarray) -> np.ndarray:
-    """S(T(I/2)) for PTMs (..., 4, 4): the entropy of the averaged arms' output."""
-    return _qubit_entropy(T[..., 1:, 0])
-
-
-def _exchange_entropy(choi: np.ndarray) -> np.ndarray:
-    """S(T^c(I/2)) = H(lambda/2) for Choi matrices (..., 4, 4), every eigenvalue kept."""
-    return _shannon(choi_eigenvalues(choi) / 2.0)
+def _exchange_entropy(T: np.ndarray) -> np.ndarray:
+    """S(T^c(I/2)) = H(lambda/2) for PTMs (..., 4, 4), every Choi eigenvalue kept."""
+    return _shannon(choi_spectrum(T) / 2.0)
 
 
 def _axis(basis) -> np.ndarray:
@@ -123,14 +119,14 @@ def _axis(basis) -> np.ndarray:
 
 def holevo_direct(basis, params: ModelParams, t: float) -> float:
     """Information about the basis record still held by the molecule after t."""
-    T = propagator_closed_form(params, t)
-    return float(_output_entropy(T) - _arm_entropy(T, _axis(basis)[None])[0])
+    out, arms = _output_and_arm_entropies(propagator_closed_form(params, t), _axis(basis)[None])
+    return float(out - arms[0])
 
 
 def holevo_complementary(basis, params: ModelParams, t: float) -> float:
     """Information about the basis record carried off by the collisions up to t."""
     T = propagator_closed_form(params, t)
-    return float(_exchange_entropy(ptm_to_choi(T)) - _arm_entropy(T, _axis(basis)[None])[0])
+    return float(_exchange_entropy(T) - _output_and_arm_entropies(T, _axis(basis)[None])[1][0])
 
 
 def _record_information(p1: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -251,31 +247,36 @@ def _kept_square(T: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.square(T[..., 1:, 1:] @ n).sum(axis=-1)
 
 
-def _leaked_square(choi: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """(1/2) Tr[T^c(n.sigma)^2] for a Choi stack (..., 4, 4).
+def _leaked_square(T: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(1/2) Tr[T^c(n.sigma)^2] = (1/2) [(T^T T)_00 + 2 n.G n - tr G], G = (T^T T)[1:, 1:], for PTMs (..., 4, 4).
 
-    With rows of C indexed (i, a), T^c(A) has the Gram entries Tr(K_k A K_l^dag)
-    of any Kraus set, and sum_kl |Tr(K_k A K_l^dag)|^2 = Tr[((A^T (x) I) C)^2].
+    For n.sigma = P_0 - P_1 the pure arms give Tr[T^c(P_a)^2] = Tr[T(P_a)^2],
+    and the cross term is Tr[T^c(P_0) T^c(P_1)] = ||T(|0><1|)||_F^2; in Pauli
+    components this is the form above for any trace-preserving qubit PTM.
     """
-    M = np.kron(np.einsum("i,iab->ba", n, PAULIS[1:]), np.eye(2)) @ choi
-    return 0.5 * np.einsum("...ij,...ji->...", M, M).real
+    cols = T[..., :, 1:]  # (T^T T)_00 = |T[:, 0]|^2, n.G n = |cols n|^2, tr G = ||cols||_F^2
+    return 0.5 * (np.square(T[..., :, 0]).sum(-1) + 2.0 * np.square(cols @ n).sum(-1) - np.square(cols).sum((-2, -1)))
 
 
 def quadratic_information(basis, params: ModelParams, t: float, which: str = "direct"):
-    """Purity-based proxy (1/2) Tr[ channel(sigma_W)^2 ] and its initial slope.
+    """Purity-based proxy (1/2) Tr[ channel(sigma_W)^2 ] at t, and its exact slope at t = 0.
 
-    sigma_W = n . sigma = P0 - P1 for the basis direction n.  Returns (value
-    at t, slope at t = 0); the slope uses a second order one-sided
-    difference so no negative times are ever required.  All four times go
-    through the channel in one stack.
+    sigma_W = n . sigma for the basis direction n.  T(0) = I and T'(0) = S,
+    so d(T^T T)/dt = S^T + S at t = 0, and with S3 = S[1:, 1:] the slopes are
+    2 n.S3 n = -4 gamma (n_y^2 + n_z^2) (direct) and S_00 + 2 n.S3 n - tr S3
+    = 4 gamma n_x^2 (complementary).  For the unbiased pair (x, z) that is
+    claim (d) as an identity of rates: x leaks to the environment at
+    4 gamma, exactly as fast as z decays in the molecule.
     """
     n = _axis(basis)
     if which not in ("direct", "complementary"):
         raise ValueError("which must be 'direct' or 'complementary'")
-    h = 1e-6
-    T = propagator_closed_form(params, np.array([float(t), 0.0, h, 2.0 * h]))
-    q = _kept_square(T, n) if which == "direct" else _leaked_square(ptm_to_choi(T), n)
-    return float(q[0]), float((-3.0 * q[1] + 4.0 * q[2] - q[3]) / (2.0 * h))
+    T = propagator_closed_form(params, float(t))
+    S = generator(params)
+    flow = 2.0 * float(n @ S[1:, 1:] @ n)
+    if which == "direct":
+        return float(_kept_square(T, n)), flow
+    return float(_leaked_square(T, n)), float(S[0, 0] + flow - np.trace(S[1:, 1:]))
 
 
 def short_time_leak_model(params: ModelParams, t: float) -> float:
@@ -314,13 +315,10 @@ def build_info_report(params: ModelParams, times, family_basis=None) -> InfoRepo
     flow image T3 n0 / |T3 n0| at each time.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be non-negative")
-    T = propagator_closed_form(params, times)
-    choi = ptm_to_choi(T)
-    arms = _arm_entropy(T, _XZ)  # [time, basis]
-    direct = _output_entropy(T)[..., None] - arms
-    leaked = _exchange_entropy(choi)[..., None] - arms
+    T = propagator_closed_form(params, times)  # raises ValueError on a negative time
+    out, arms = _output_and_arm_entropies(T, _XZ)  # arms: [time, basis]
+    direct = out[..., None] - arms
+    leaked = _exchange_entropy(T)[..., None] - arms
     xd, zd, xc, zc = direct[..., 0], direct[..., 1], leaked[..., 0], leaked[..., 1]
     cols = {
         "chi_x_direct": xd,
@@ -330,7 +328,7 @@ def build_info_report(params: ModelParams, times, family_basis=None) -> InfoRepo
         "sum_zx": zd + xc,
         "sum_xz": xd + zc,
         "quad_z_direct": _kept_square(T, _XZ[1]),
-        "quad_x_comp": _leaked_square(choi, _XZ[0]),
+        "quad_x_comp": _leaked_square(T, _XZ[0]),
     }
     if family_basis is not None:
         n0 = _axis(family_basis)

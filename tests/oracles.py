@@ -21,6 +21,13 @@ checks need, and only the tests import them:
     the forward flow does not.
   * bloch_block is the 3x3 block S3 of the generator, for expm references of
     the family flows.
+  * The Choi route: ptm_to_choi builds the Choi matrix of a PTM stack by
+    one contraction with a constant tensor, choi_eigenvalues takes its
+    spectrum from one stacked eigvalsh, and leaked_square_choi and
+    quadratic_slopes_choi contract it with (n.sigma)^T (x) I.  Over the
+    rate pairs of RATE_GRID they check the closed forms of
+    channels.choi_spectrum and of the quadratic proxies and their initial
+    slopes in info_flow.
   * The one-map channel route, choi_to_kraus, stinespring_isometry,
     complementary_channel and complementary_apply, builds the literal
     Stinespring dilation of one PTM and traces the system out of it.
@@ -40,6 +47,9 @@ checks need, and only the tests import them:
   * leaked_information_mp is the leaked Holevo information at 60 digits
     with mpmath: the propagator from its 2x2 block exponential, the Choi
     matrix term by term, and its spectrum from mpmath's Hermitian solver.
+    quadratic_slopes_mp takes the initial slopes of the quadratic proxies
+    as a 50-digit one-sided difference of the same propagator and Choi
+    matrix.
   * decoherence_entries_mp is the decoherence functional by brute force at
     40 digits with mpmath: every branch operator as a 2x2 matrix, the PTM
     applied to its Pauli coefficients.  It checks the pair chain of
@@ -68,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from tunnelmol.channels import _NONCP_THRESHOLD, NonCPError, ptm_to_choi
+from tunnelmol.channels import _NONCP_THRESHOLD, NonCPError
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, ConditionReport, _as_direction, _flow
 from tunnelmol.histories import Decomposition, checked_weights
 from tunnelmol.ptm import PAULIS, ModelParams, generator, operator_from_pauli, pauli_coefficients, propagator_closed_form
@@ -274,6 +284,69 @@ def check_backward_condition(decomp_sequence, params: ModelParams, times, tol: f
     resids = np.linalg.norm(w - np.sum(w * target, axis=-1, keepdims=True) * target, axis=-1)
     mx = float(np.max(resids, initial=0.0))
     return ConditionReport(passed=mx < tol, max_residual=mx, residuals=tuple(resids.tolist()), direction=BACKWARD)
+
+
+# -- the Choi route -------------------------------------------------------------
+
+# rate pairs (omega, gamma) across the model: gamma/omega from 0.1 to 5e7 at
+# omega = 1 with the critical point and just above it, D2S2 itself, and the
+# two pure limits gamma = 0 and omega = 0
+RATE_GRID = (
+    *((1.0, r) for r in (0.1, 0.5, 1.0, 1.0 + 1e-9, 1.0 + 1e-6, 2.0, 10.0, 1e3, 1e5, 9e9 / 176.0, 5e7)),
+    (176.0, 9e9),
+    (1.0, 0.0),
+    (0.0, 1.0),
+)
+
+# Choi matrix of the map with PTM e_k e_l^T: block (i, j) is sigma_k c_l(|i><j|),
+# c_l(|i><j|) = (sigma_l)_{ji} / 2; rows are (i, a), columns (j, b)
+_CHOI_BASIS = (np.einsum("kab,lji->kliajb", PAULIS, PAULIS) / 2.0).reshape(4, 4, 4, 4)
+
+
+def ptm_to_choi(ptm: np.ndarray) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) T(|i><j|) of a PTM, or of a stack (..., 4, 4); trace = 2 * ptm[0,0]."""
+    return np.einsum("...kl,klrc->...rc", np.asarray(ptm, dtype=float), _CHOI_BASIS)
+
+
+def choi_eigenvalues(choi: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Choi stack (..., 4, 4), ascending, from one stacked eigvalsh.
+
+    Roundoff below zero is clipped to 0; an eigenvalue below -1e-6 anywhere
+    in the stack raises NonCPError.
+    """
+    w = np.linalg.eigvalsh(choi)
+    if w.size and w.min() < _NONCP_THRESHOLD:
+        raise NonCPError(f"Choi matrix has eigenvalue {w.min():.3e}; map is not completely positive")
+    return np.clip(w, 0.0, None)
+
+
+def _parity_operator(n) -> np.ndarray:
+    """M = (n.sigma)^T (x) I, which acts on the input factor of a Choi matrix."""
+    return np.kron(np.einsum("i,iab->ba", np.asarray(n, dtype=float), PAULIS[1:]), np.eye(2))
+
+
+def leaked_square_choi(choi: np.ndarray, n) -> np.ndarray:
+    """(1/2) Tr[T^c(n.sigma)^2] = (1/2) Tr[(M C)^2] for a Choi stack (..., 4, 4).
+
+    With rows of C indexed (i, a), T^c(A) has the Gram entries Tr(K_k A K_l^dag)
+    of any Kraus set, and sum_kl |Tr(K_k A K_l^dag)|^2 = Tr[((A^T (x) I) C)^2].
+    """
+    MC = _parity_operator(n) @ choi
+    return 0.5 * np.einsum("...ij,...ji->...", MC, MC).real
+
+
+def quadratic_slopes_choi(S: np.ndarray, n) -> tuple[float, float]:
+    """Initial slopes (direct, complementary) of the quadratic proxies, from the Choi matrix C(S) of the generator.
+
+    T(0) = I, T'(0) = S and the Choi map is linear, so with A = n.sigma and
+    M = A^T (x) I: d/dt (1/2) Tr[T(A)^2] = Tr[A S(A)] with S(A) =
+    Tr_in[C(S) M], and d/dt (1/2) Tr[(M C(T))^2] = Tr[M C(I) M C(S)].
+    """
+    M = _parity_operator(n)
+    CS = ptm_to_choi(S)
+    A = np.einsum("i,iab->ab", np.asarray(n, dtype=float), PAULIS[1:])
+    SA = np.einsum("iaib->ab", (CS @ M).reshape(2, 2, 2, 2))
+    return float(np.trace(A @ SA).real), float(np.trace(M @ ptm_to_choi(np.eye(4)) @ M @ CS).real)
 
 
 # -- one-map channel route ----------------------------------------------------
@@ -530,33 +603,47 @@ def unital_holevo_closed_form(transported_length: float) -> float:
     return 1.0 - binary_entropy(0.5 * (1.0 + r))
 
 
+def _propagator_mp(mp, omega, gamma, t):
+    """T(t) as a 4x4 mpmath matrix at the working precision, from the 2x2 block exponential.
+
+    The x-y block of the propagator is e^{-gamma t} [cosh(xi t) I +
+    sinh(xi t)/xi N] with N = [[gamma, -omega], [omega, -gamma]], N^2 = xi^2 I.
+    """
+    om, g, t = mp.mpf(omega), mp.mpf(gamma), mp.mpf(t)
+    xi = mp.sqrt(mp.mpc(g * g - om * om))
+    damp = mp.exp(-g * t)
+    c = damp * mp.cosh(xi * t)
+    s = damp * (mp.sinh(xi * t) / xi if xi != 0 else t)
+    T = mp.zeros(4, 4)
+    T[0, 0] = 1
+    for (i, j), v in {(0, 0): c + s * g, (0, 1): -s * om, (1, 0): s * om, (1, 1): c - s * g}.items():
+        T[1 + i, 1 + j] = mp.re(v)
+    T[3, 3] = mp.exp(-2 * g * t)
+    return T
+
+
+def _choi_mp(mp, T):
+    """The Choi matrix of an mpmath PTM, term by term, laid out as in ptm_to_choi."""
+    paulis = [mp.matrix(P.tolist()) for P in PAULIS]
+    # rows (i, a), columns (j, b): C = (1/2) sum_kl T_kl (sigma_l)_ji (sigma_k)_ab
+    C = mp.zeros(4, 4)
+    for k in range(4):
+        for l in range(4):
+            for i, j, a, b in np.ndindex(2, 2, 2, 2):
+                C[2 * i + a, 2 * j + b] += T[k, l] * paulis[l][j, i] * paulis[k][a, b] / 2
+    return C
+
+
 def leaked_information_mp(omega: float, gamma: float, t: float, n) -> float:
     """H(lambda/2) - (1/2) sum_+- S(t +- T3 n) in bits, evaluated with mpmath at 60 digits.
 
-    The arguments are taken at their exact binary values.  The x-y block of
-    the propagator is e^{-gamma t} [cosh(xi t) I + sinh(xi t)/xi N] with
-    N = [[gamma, -omega], [omega, -gamma]], N^2 = xi^2 I.
+    The arguments are taken at their exact binary values.
     """
     import mpmath as mp
 
     with mp.workdps(60):
-        om, g, t = mp.mpf(omega), mp.mpf(gamma), mp.mpf(t)
-        xi = mp.sqrt(mp.mpc(g * g - om * om))
-        damp = mp.exp(-g * t)
-        c = damp * mp.cosh(xi * t)
-        s = damp * (mp.sinh(xi * t) / xi if xi != 0 else t)
-        T = mp.zeros(4, 4)
-        T[0, 0] = 1
-        for (i, j), v in {(0, 0): c + s * g, (0, 1): -s * om, (1, 0): s * om, (1, 1): c - s * g}.items():
-            T[1 + i, 1 + j] = mp.re(v)
-        T[3, 3] = mp.exp(-2 * g * t)
-        paulis = [mp.matrix(P.tolist()) for P in PAULIS]
-        # rows (i, a), columns (j, b): C = (1/2) sum_kl T_kl (sigma_l)_ji (sigma_k)_ab, as in ptm_to_choi
-        C = mp.zeros(4, 4)
-        for k in range(4):
-            for l in range(4):
-                for i, j, a, b in np.ndindex(2, 2, 2, 2):
-                    C[2 * i + a, 2 * j + b] += T[k, l] * paulis[l][j, i] * paulis[k][a, b] / 2
+        T = _propagator_mp(mp, omega, gamma, t)
+        C = _choi_mp(mp, T)
 
         def shannon(ps):
             return -sum(p * mp.log(p, 2) for p in ps if p > 0)
@@ -568,6 +655,32 @@ def leaked_information_mp(omega: float, gamma: float, t: float, n) -> float:
             r = mp.sqrt(sum(x * x for x in b))
             arms += shannon([(1 + r) / 2, (1 - r) / 2]) / 2
         return float(exchange - arms)
+
+
+def quadratic_slopes_mp(omega: float, gamma: float, n) -> tuple[float, float]:
+    """Initial slopes (direct, complementary) of the quadratic proxies as a 50-digit difference.
+
+    The proxies |T3 n|^2 and (1/2) Tr[(M C)^2], M = (n.sigma)^T (x) I, are
+    evaluated with mpmath at t = 0, h and 2h, h = 1e-15 / max(1, omega,
+    gamma), and differenced to second order, (-3 q0 + 4 q1 - q2)/(2h): the
+    truncation error is about (gamma h)^2, far below double precision.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        h = mp.mpf(1e-15) / max(1.0, omega, gamma)
+        v = [mp.mpf(x) for x in n]
+        A = sum(x * mp.matrix(P.tolist()) for x, P in zip(v, PAULIS[1:]))
+        M = mp.zeros(4, 4)
+        for i, j, a in np.ndindex(2, 2, 2):
+            M[2 * i + a, 2 * j + a] = A[j, i]
+        direct, comp = [], []
+        for t in (0, h, 2 * h):
+            T = _propagator_mp(mp, omega, gamma, t)
+            direct.append(sum(sum(T[1 + i, 1 + j] * v[j] for j in range(3)) ** 2 for i in range(3)))
+            MC = M * _choi_mp(mp, T)
+            comp.append(mp.re(sum((MC * MC)[k, k] for k in range(4))) / 2)
+        return tuple(float((-3 * q[0] + 4 * q[1] - q[2]) / (2 * h)) for q in (direct, comp))
 
 
 def decoherence_entries_mp(transfers, units, initial) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Channel dilations: Choi, Kraus, Stinespring, complementary output."""
+"""Channel dilations: Choi, Kraus, Stinespring, complementary output, and the closed-form Choi spectrum."""
 
 import math
 
@@ -7,19 +7,22 @@ import pytest
 from scipy.linalg import sqrtm
 
 from oracles import (
+    RATE_GRID,
     KrausSet,
     apply_ptm,
     bit_flip_kraus,
+    choi_eigenvalues,
     choi_to_kraus,
     choi_to_ptm,
     complementary_apply,
     complementary_channel,
     complementary_outputs,
     kraus_to_ptm,
+    ptm_to_choi,
     state_from_bloch,
     stinespring_isometry,
 )
-from tunnelmol.channels import NonCPError, choi_eigenvalues, ptm_to_choi
+from tunnelmol.channels import NonCPError, choi_spectrum
 from tunnelmol.ptm import ModelParams, propagator_closed_form
 
 
@@ -193,15 +196,41 @@ def test_non_cp_map_anywhere_in_a_stack_is_rejected():
 
 def test_choi_spectrum_keeps_every_positive_eigenvalue_and_rejects_non_cp_maps():
     stack = propagator_closed_form(ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-6]))
-    lam = choi_eigenvalues(ptm_to_choi(stack))
+    lam = np.sort(choi_spectrum(stack), axis=-1)
     assert lam.shape == (2, 4) and lam.min() >= 0.0
     assert lam.sum(axis=-1) == pytest.approx([2.0, 2.0], abs=1e-12)
     # kappa_x t: far below the old 1e-10 significance cut, and physical
     assert lam[1, :2] == pytest.approx([8.60349e-13, 8.60349e-13], rel=1e-5)
     transpose = np.diag([1.0, 1.0, -1.0, 1.0])  # the textbook non-CP positive map
     with pytest.raises(NonCPError):
-        choi_eigenvalues(ptm_to_choi(transpose))
+        choi_spectrum(transpose)
     stack = propagator_closed_form(ModelParams(omega=0.8, gamma=2.0), np.linspace(0.0, 2.0, 5))
     stack[3] = transpose
     with pytest.raises(NonCPError):
-        choi_eigenvalues(ptm_to_choi(stack))
+        choi_spectrum(stack)
+
+
+def test_a_transpose_along_z_is_not_completely_positive():
+    # T3 = diag(1, 1, -1): B is the identity and e = -1, so u - p = -1
+    with pytest.raises(NonCPError, match="eigenvalue -1.000e"):
+        choi_spectrum(np.diag([1.0, 1.0, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("omega, gamma", RATE_GRID)
+def test_closed_form_choi_spectrum_matches_the_eigvalsh_route(omega, gamma):
+    p = ModelParams(omega=omega, gamma=gamma)
+    scale = max(omega, gamma)
+    times = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 46) / scale, [1e-6, 0.5, 3.0]])
+    T = propagator_closed_form(p, times)
+    got = choi_spectrum(T)
+    assert got.min() >= 0.0
+    assert np.abs(np.sort(got, axis=-1) - choi_eigenvalues(ptm_to_choi(T))).max() < 1e-14
+
+
+def test_closed_form_choi_spectrum_of_the_bit_flip_channel():
+    g = 1.4
+    times = np.linspace(0.0, 3.0, 13)
+    e = np.exp(-2.0 * g * times)
+    lam = choi_spectrum(propagator_closed_form(ModelParams(omega=0.0, gamma=g), times))
+    # (2(1 - p), 2p, 0, 0) with p = (1 - e)/2
+    assert np.abs(lam - np.stack([1.0 + e, 1.0 - e, 0.0 * e, 0.0 * e], axis=-1)).max() < 1e-15

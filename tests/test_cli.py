@@ -25,6 +25,7 @@ from tunnelmol.trajectories import SamplerConfig, _draw, sample_trajectory
 # deuterated disulfane: collisions outpace tunneling by 5e7
 D2S2 = ("--gamma", "9e9", "--omega", "176")
 MAX = sys.float_info.max
+TINY = sys.float_info.min  # the smallest normal float
 
 
 def run(tmp_path, *args):
@@ -160,7 +161,7 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
     cfg.write_text("gamma = nan\n")
     assert run(tmp_path, "info", "--config", str(cfg)) == 2
     captured = capsys.readouterr()
-    assert f"tmax must be in [5e-324, {MAX!r}], got inf" in captured.err
+    assert f"tmax must be in [{TINY!r}, {MAX!r}], got inf" in captured.err
     assert f"gamma must be in [0.0, {MAX!r}], got nan" in captured.err
 
 
@@ -239,8 +240,67 @@ def test_scan_without_tunneling_is_a_usage_error(tmp_path, capsys):
     # a ratio sweep needs omega > 0: otherwise every point has gamma = 0
     assert run(tmp_path, "scan", "--omega", "0") == 2
     captured = capsys.readouterr()
-    assert f"error: omega must be in [5e-324, {MAX!r}], got 0.0" in captured.err
+    assert f"error: omega must be in [{TINY!r}, {MAX!r}], got 0.0" in captured.err
     assert "VALIDATION FAILED" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("scan", "--omega", "5e-324"), "omega"),
+        (("info", "--tmax", "5e-324"), "tmax"),
+        (("families", "--tmax", "5e-324"), "tmax"),
+        (("sample", "--tmax", "5e-324"), "tmax"),
+        (("evolve", "--tmax", "5e-324"), "tmax"),
+        (("histories", "--dt", "5e-324"), "dt"),
+        (("families", "--theta0", "1e15"), "theta0"),
+        (("sample", "--phi0", "-1.0000000000000001e8", "--ntraj", "20"), "phi0"),
+    ],
+)
+def test_values_past_the_domain_ends_are_usage_errors(tmp_path, capsys, argv, option):
+    # a subnormal time grid or scan rate, or an angle past 1e8 rad, breaks the commands' own checks
+    assert run(tmp_path, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {option} must be in [")
+    assert "VALIDATION FAILED" not in captured.out
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--omega", repr(TINY), "--points", "11"),
+        ("info", "--tmax", repr(TINY), "--points", "11"),
+        ("families", "--tmax", repr(TINY), "--points", "11"),
+        ("sample", "--tmax", repr(TINY), "--points", "11", "--ntraj", "50"),
+        ("families", "--theta0", "1e8", "--points", "11"),
+        ("sample", "--theta0", "-1e8", "--phi0", "1e8", "--points", "11", "--ntraj", "50"),
+    ],
+)
+def test_the_domain_ends_run_and_pass(tmp_path, argv):
+    assert run(tmp_path, *argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (("sample", "--phi0", "-2.5e-3", "--ntraj", "50", "--points", "11"), "phi0", -2.5e-3),
+        (("families", "--theta0", "-1e8", "--points", "11"), "theta0", -1e8),
+        (("families", "--phi0", "-1E-3", "--points", "11"), "phi0", -1e-3),
+        (("sample", "--theta0", "-0.0025", "--ntraj", "50", "--points", "11"), "theta0", -0.0025),
+    ],
+)
+def test_negative_values_in_exponent_notation_parse(tmp_path, argv, key, value):
+    # argparse alone reads -2.5e-3 as an option and exits 2 with 'expected one argument'
+    assert run(tmp_path, *argv) == 0
+    echo, _ = read_csv_body(next(tmp_path.glob("*.csv")))
+    assert f"# {key}={value!r}" in echo
+
+
+def test_a_flag_before_a_non_numeric_dash_token_is_still_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "sample", "--phi0", "-x")
+    assert exc.value.code == 2
 
 
 def test_seed_outside_the_philox_key_is_a_usage_error(tmp_path, capsys):
@@ -604,10 +664,11 @@ TAKES = {
 }
 
 # each interval, closed: a float one ends at the largest finite float, and
-# starts at the smallest positive one where the value must be above 0
-POSITIVE = (5e-324, MAX)
+# starts at the smallest normal one where the value must be above 0; an angle
+# lies in [-1e8, 1e8]
+POSITIVE = (TINY, MAX)
 INTERVALS = {
-    "gamma": (0.0, MAX), "omega": (0.0, MAX), "tau_c": (0.0, MAX), "theta0": (-MAX, MAX), "phi0": (-MAX, MAX),
+    "gamma": (0.0, MAX), "omega": (0.0, MAX), "tau_c": (0.0, MAX), "theta0": (-1e8, 1e8), "phi0": (-1e8, 1e8),
     "tmax": POSITIVE, "dt": POSITIVE, "ratio_min": POSITIVE, "ratio_max": POSITIVE, "scan omega": POSITIVE,
     "points": (2, math.inf), "steps": (1, 10), "seed": (0, 2**128 - 1), "ntraj": (1, math.inf),
     "save_trajectories": (0, math.inf),

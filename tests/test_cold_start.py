@@ -42,8 +42,9 @@ from tunnelmol import (
 SRC = str(Path(tunnelmol.__file__).resolve().parents[1])
 
 # names the package must not carry, as module attributes or class members: the
-# routes of tests/oracles.py, deleted helpers that only tests called, and the
-# coefficient trees the pair chain of the decoherence functional replaced
+# routes of tests/oracles.py, deleted helpers that only tests called, the
+# coefficient trees the pair chain of the decoherence functional replaced, and
+# the Choi matrix route the closed-form Choi spectrum replaced
 GONE = (
     "propagator_numeric IntegrationError state_from_bloch bloch_from_state "
     "family_ode_step family_closed_form TangentBranchError check_backward_condition bloch_block "
@@ -52,7 +53,8 @@ GONE = (
     "ptm_to_csv ptm_from_csv is_trace_preserving "
     "complementary_outputs SIGNIFICANT_EIGENVALUE binary_entropy von_neumann_entropy holevo_chi InputEnsemble "
     "exact_direction apply_ptm canonical y_basis bloch_direction events classify_regime RegimeReport "
-    "to_csv _grow _sandwiches _pair_coefficients _PRODUCT _LEFT_TABLE _RIGHT_TABLE"
+    "to_csv _grow _sandwiches _pair_coefficients _PRODUCT _LEFT_TABLE _RIGHT_TABLE "
+    "ptm_to_choi choi_eigenvalues _CHOI_BASIS"
 ).split()
 
 
@@ -120,6 +122,12 @@ def test_no_module_imports_scipy_and_the_test_only_routes_are_gone():
     classes = {obj for m in modules for obj in vars(m).values() if isinstance(obj, type) and obj.__module__ == m.__name__}
     owners = [*modules, *sorted(classes, key=lambda c: c.__qualname__)]
     assert [f"{o.__name__}.{name}" for o in owners for name in GONE if hasattr(o, name)] == []
+
+
+def test_the_package_calls_no_eigensolver():
+    # the Choi spectrum is a closed form in the PTM; eigvalsh lives in tests/oracles.py
+    sources = sorted(Path(tunnelmol.__file__).parent.glob("*.py"))
+    assert [path.name for path in sources if "linalg.eig" in path.read_text()] == []
 
 
 def _records():

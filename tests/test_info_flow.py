@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    RATE_GRID,
     ComplementaryChannel,
     InputEnsemble,
     binary_entropy,
@@ -16,6 +17,10 @@ from oracles import (
     exact_direction,
     holevo_chi,
     leaked_information_mp,
+    leaked_square_choi,
+    ptm_to_choi,
+    quadratic_slopes_choi,
+    quadratic_slopes_mp,
     record_information_from_entries,
     state_from_bloch,
     stinespring_isometry,
@@ -42,9 +47,8 @@ from tunnelmol.info_flow import (
     short_time_leak_model,
     verify_family_information_identity,
 )
-from tunnelmol.channels import ptm_to_choi
-from tunnelmol.info_flow import _qubit_entropy
-from tunnelmol.ptm import ModelParams, propagator_closed_form
+from tunnelmol.info_flow import _leaked_square, _qubit_entropy
+from tunnelmol.ptm import PAULIS, ModelParams, generator, propagator_closed_form
 
 # frozen: one bit minus the binary entropy at (1 + 1/e)/2
 CHI_Z_AT_UNIT_EXPONENT = 0.09995440847646475
@@ -228,16 +232,69 @@ def test_quadratic_information_values_and_slopes():
     T = propagator_closed_form(p, t)
     val, slope = quadratic_information(d, p, t, "direct")
     assert val == pytest.approx(float(np.linalg.norm(T[1:, 1:] @ d.unit_vector) ** 2), abs=1e-12)
-    assert slope == pytest.approx(-4.0 * g * (1.0 - nx * nx), rel=1e-3)
+    assert slope == pytest.approx(-4.0 * g * (1.0 - nx * nx), rel=1e-14)
     _, slope_c = quadratic_information(d, p, t, "complementary")
-    assert slope_c == pytest.approx(4.0 * g * nx * nx, rel=1e-3)
+    assert slope_c == pytest.approx(4.0 * g * nx * nx, rel=1e-14)
     # the x direction leaks at the full rate, z not at all, and vice versa
-    _, sx = quadratic_information("x", p, 0.1, "complementary")
-    assert sx == pytest.approx(4.0 * g, rel=1e-3)
-    _, sz = quadratic_information("z", p, 0.1, "direct")
-    assert sz == pytest.approx(-4.0 * g, rel=1e-3)
+    assert quadratic_information("x", p, 0.1, "complementary")[1] == 4.0 * g
+    assert quadratic_information("z", p, 0.1, "complementary")[1] == 0.0
+    assert quadratic_information("z", p, 0.1, "direct")[1] == -4.0 * g
+    assert quadratic_information("x", p, 0.1, "direct")[1] == 0.0
     with pytest.raises(ValueError):
         quadratic_information("z", p, 0.1, "sideways")
+
+
+def test_x_information_leaks_exactly_as_fast_as_z_information_decays():
+    # claim (d) as an identity of rates: for the unbiased pair (x, z) the
+    # environment gains x at 4 gamma, the rate at which the molecule loses z,
+    # at every damping ratio and with no omega in it
+    for omega, gamma in RATE_GRID:
+        p = ModelParams(omega=omega, gamma=gamma)
+        _, x_leak = quadratic_information("x", p, 0.0, "complementary")
+        _, z_decay = quadratic_information("z", p, 0.0, "direct")
+        assert x_leak == -z_decay == 4.0 * gamma
+
+
+_DIRECTIONS = (
+    ("x", np.array([1.0, 0.0, 0.0])),
+    ("z", np.array([0.0, 0.0, 1.0])),
+    (BlochDirection(theta=1.0, phi=0.4), BlochDirection(theta=1.0, phi=0.4).unit_vector),
+    (BlochDirection(theta=2.3, phi=-1.9), BlochDirection(theta=2.3, phi=-1.9).unit_vector),
+)
+
+
+@pytest.mark.parametrize("omega, gamma", RATE_GRID)
+def test_initial_slopes_match_the_choi_contraction_and_a_50_digit_difference(omega, gamma):
+    pytest.importorskip("mpmath")
+    p = ModelParams(omega=omega, gamma=gamma)
+    scale = 4.0 * max(gamma, 1.0)  # the slopes are 4 gamma times squares of n
+    for basis, n in _DIRECTIONS:
+        got = [quadratic_information(basis, p, 0.0, which)[1] for which in ("direct", "complementary")]
+        for want in (quadratic_slopes_choi(generator(p), n), quadratic_slopes_mp(omega, gamma, n)):
+            assert np.abs(np.subtract(got, want)).max() < 1e-12 * scale, (basis, got, want)
+
+
+@pytest.mark.parametrize("omega, gamma", RATE_GRID)
+def test_closed_form_leaked_square_matches_the_choi_contraction(omega, gamma):
+    p = ModelParams(omega=omega, gamma=gamma)
+    times = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 46) / max(omega, gamma), [1e-6, 0.5, 3.0]])
+    T = propagator_closed_form(p, times)
+    C = ptm_to_choi(T)
+    for _, n in _DIRECTIONS:
+        assert np.abs(_leaked_square(T, n) - leaked_square_choi(C, n)).max() < 1e-14
+
+
+def test_leaked_square_holds_for_a_generic_channel():
+    # random four-Kraus channels, neither unital nor of the model's form
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        Q, _ = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+        kraus = Q.reshape(4, 2, 2)
+        T = np.array([[np.trace(Pk @ sum(K @ Pl @ K.conj().T for K in kraus)).real / 2.0 for Pl in PAULIS]
+                      for Pk in PAULIS])
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        assert abs(_leaked_square(T, n) - leaked_square_choi(ptm_to_choi(T), n)) < 1e-14
 
 
 def test_info_report_curves_and_errors():
