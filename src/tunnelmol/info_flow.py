@@ -38,7 +38,7 @@ Three structural facts get dedicated verifiers:
     time and the trace closes every one at the last), so the report's column
     and the identity need no verdict; mutual_information_family, which takes
     any initial state, gets its verdict from histories.markov_from_family,
-    by the kernel's residual bound or, where that fails, the 4x4 functional;
+    the exact largest off-diagonal entry of its 4x4 functional;
   * complementarity: for mutually unbiased bases the direct information
     about one basis plus the leaked information about the other cannot
     exceed one bit;
@@ -160,8 +160,7 @@ def mutual_information_family(family: HistoryFamily, initial=None, tol: float = 
 
     Requires f = 2 and a consistent family, whose weights then form a genuine
     joint distribution over the four outcome pairs.  The chain and the
-    verdict come from markov_from_family: its residual bound, or the 4x4
-    functional where that bound fails.
+    verdict come from markov_from_family.
     """
     if family.f != 2:
         raise ValueError("mutual information needs exactly two history times")

@@ -186,8 +186,8 @@ def test_record_information_column_matches_the_functional_route(params, times):
 
 
 def test_mutual_information_of_a_family_off_the_flow_comes_from_the_functional_verdict():
-    # x then z is no flow pair: the residual fails, and the 4x4 functional
-    # decides (consistent from I/2, not from "up")
+    # x then z is no flow pair: the residual bound fails, and the exact
+    # largest off-diagonal decides (consistent from I/2, not from "up")
     p = ModelParams(omega=1.0, gamma=0.7)
     fam = HistoryFamily(params=p, times=np.array([0.0, 0.9]), decompositions=(Decomposition.x_basis(), Decomposition.z_basis()))
     want = record_information_from_entries(decoherence_functional(fam).entries, CONSISTENCY_TOL)
