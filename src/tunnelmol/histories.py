@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -73,10 +72,6 @@ _LOW32 = 0xFFFFFFFF
 # lines per block of write_csv: its grid of lines and the grid's NUL mask
 # stay near 1 MB each
 _CSV_BLOCK_LINES = 16384
-# odd, so the high word of key * multiplier mod 2^64 mixes every bit of the key
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-# the low 32-bit word of a native uint64 viewed as two uint32
-_LOW_WORD = 0 if sys.byteorder == "little" else 1
 
 
 class NotConsistentError(ValueError):
@@ -191,10 +186,11 @@ class HistoryFamily:
 
 @dataclass(frozen=True, eq=False)
 class DecoherenceMatrix:
-    """The full 2^f x 2^f decoherence functional of a family."""
+    """The full 2^f x 2^f decoherence functional of a family; factors: the _halves its entries join, if known."""
 
     family: HistoryFamily
     entries: np.ndarray
+    factors: tuple | None = field(default=None, repr=False)
 
     @property
     def f(self) -> int:
@@ -214,68 +210,69 @@ class DecoherenceMatrix:
         """Outcome bits (a_1, ..., a_f), little-endian in the index."""
         return tuple((index >> m) & 1 for m in range(self.f))
 
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(classes, rep): the entries of a class share their bits, and entries.flat[rep[c]] is in class c.
+
+        An entry of _join(suffix, prefix) is one product of a suffix and a prefix entry that agree
+        on the outcomes (s, t) at the time both cover, so entries built from the same two bit
+        patterns at the same (s, t) are equal.  At each (s, t) every pair of patterns occurs: the
+        codes iY |uX| + iX, offset per (s, t), are dense.  Without factors each entry is a class.
+        """
+        n = self.entries.shape[0]
+        if self.factors is None:
+            return np.arange(n * n).reshape(n, n), np.arange(n * n)
+        Y, X = self.factors
+        L, K = len(Y) // 2, len(X) // 2
+        codesY, codesX = np.empty(Y.shape, dtype=np.int32), np.empty(X.shape, dtype=np.int32)
+        rep, offset = [], 0
+        for s, t in np.ndindex(2, 2):
+            # (s, t) are the low bits of Y's indices and the high bits of X's
+            ys, xs = np.s_[s::2, t::2], np.s_[s * K : s * K + K, t * K : t * K + K]
+            (uY, firstY, iY), (uX, firstX, iX) = (
+                np.unique(np.ascontiguousarray(a, complex).view("V16"), return_index=True, return_inverse=True)
+                for a in (Y[ys], X[xs])
+            )
+            codesY[ys], codesX[xs] = offset + iY.reshape(L, L) * len(uX), iX.reshape(K, K)
+            offset += len(uY) * len(uX)
+            # the first entry of each pair of patterns: row (2l + s) K + k, column (2l' + t) K + k'
+            (l, l2), (k, k2) = divmod(firstY, L), divmod(firstX, K)
+            rep.append(((((2 * l + s) * n + 2 * l2 + t) * K)[:, None] + k * n + k2).ravel())
+        return _join(codesY, codesX, combine=np.add, dtype=np.int32), np.concatenate(rep)
+
     def write_csv(self, fh) -> None:
         """Write the entries as CSV rows (row, col, real, imag), row-major, to a text file.
 
-        A block of lines is laid out as a grid of fixed-width fields: the
-        NUL-padded labels, the separators, and the S24 texts of _format17g
-        gathered through the inverse of _distinct.  The block's text is its
-        grid with the NULs dropped.
+        One entry per class of _classes is read, not recomputed, as numpy's SIMD lanes and scalar tail may round a
+        product apart; each distinct float among them is formatted once by _format17g, keyed by its bits (-0.0 == 0.0
+        but prints as -0).  A block of lines is a grid of fixed-width fields, the NUL-padded labels, separators and
+        "real,imag" text of each line's class, each part as wide as its longest text, written with the NULs dropped.
         """
         n = self.entries.shape[0]
-        parts = np.ascontiguousarray(self.entries, dtype=np.complex128).view(np.float64)
-        # each distinct float is formatted once, keyed by its bits: -0.0 == 0.0
-        # but prints as -0
-        bits, inverse = _distinct(parts.view(np.uint64).ravel())
-        text = _format17g(bits.view(np.float64))
-        inverse = inverse.reshape(n, n, 2)
-        labels = np.arange(n).astype(bytes)
-        line = np.dtype(
-            [("row", labels.dtype), ("comma1", "u1"), ("col", labels.dtype), ("comma2", "u1"),
-             ("real", "S24"), ("comma3", "u1"), ("imag", "S24"), ("newline", "u1")]
-        )
+        classes, rep = self._classes()
+        bits, index = np.unique(np.asarray(self.entries, complex).reshape(-1)[rep].view(np.uint64), return_inverse=True)
+        text = _format17g(bits.view(np.float64))[index.reshape(-1, 2).T]
+        widths = np.char.str_len(text).max(axis=1)
+        values = np.empty(len(rep), dtype=[("real", f"S{widths[0]}"), ("comma", "u1"), ("imag", f"S{widths[1]}")])
+        values["real"], values["comma"], values["imag"] = text[0], ord(","), text[1]
+        # as plain bytes, take copies each value whole rather than field by field
+        values = values.view(f"V{values.itemsize}")
+        labels = np.arange(n).astype(f"S{len(str(n - 1))}")
+        line = np.dtype([("row", labels.dtype), ("comma1", "u1"), ("col", labels.dtype), ("comma2", "u1"),
+                         ("value", values.dtype), ("newline", "u1")])
         rows = max(1, _CSV_BLOCK_LINES // n)
         grid = np.empty((min(rows, n), n), dtype=line)
         grid["col"] = labels
-        grid["comma1"] = grid["comma2"] = grid["comma3"] = ord(",")
+        grid["comma1"] = grid["comma2"] = ord(",")
         grid["newline"] = ord("\n")
         fh.write("row,col,real,imag\n")
         for start in range(0, n, rows):
             block = grid[: min(rows, n - start)]
             block["row"] = labels[start : start + rows, None]
-            # the inverse is in range by construction; mode="clip" lets take
+            # the classes are in range by construction; mode="clip" lets take
             # write straight into the strided field
-            np.take(text, inverse[start : start + rows, :, 0], out=block["real"], mode="clip")
-            np.take(text, inverse[start : start + rows, :, 1], out=block["imag"], mode="clip")
+            np.take(values, classes[start : start + rows], out=block["value"], mode="clip")
             chars = block.view(np.uint8)
             fh.write(chars[chars != 0].tobytes().decode("ascii"))
-
-
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys and the int32 index of each key among them: distinct[inverse] == keys.
-
-    One np.sort orders (hash32(key) << 32) | position; equal keys then sit
-    together, in order of position.  A hash collision can interleave two
-    keys and list one of them twice in distinct, which costs one extra
-    format and keeps distinct[inverse] exact.  distinct is not sorted.
-    Positions take 32 bits: write_csv passes at most 2^21 keys (f = 10).
-    """
-    packed = keys * _HASH_MULTIPLIER
-    packed &= np.uint64(_LOW32 << 32)
-    packed.view(np.uint32)[_LOW_WORD::2] = np.arange(len(keys), dtype=np.uint32)
-    packed.sort()
-    order = packed.view(np.uint32)[_LOW_WORD::2]
-    ordered = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    del ordered
-    rank = np.cumsum(first, dtype=np.int32)
-    rank -= 1
-    inverse = np.empty(len(keys), dtype=np.int32)
-    inverse[order] = rank
-    return distinct, inverse
 
 
 @functools.cache
@@ -414,8 +411,8 @@ def _stacked(arrays) -> np.ndarray:
     return arrays if isinstance(arrays, np.ndarray) else np.stack(np.broadcast_arrays(*arrays))
 
 
-def _join(Y, X) -> np.ndarray:
-    """Y[(l, s), (l', s')] X[(s, k), (s', k')] for every (l, s, k, l', s', k'), as (..., 2LK, 2LK), l high.
+def _join(Y, X, combine=np.multiply, dtype=complex) -> np.ndarray:
+    """combine(Y[(l, s), (l', s')], X[(s, k), (s', k')]) for every (l, s, k, l', s', k'), as (..., 2LK, 2LK), l high.
 
     Y (..., 2L, 2L) covers later times than X (..., 2K, 2K); the low bit s
     of Y's indices is the high bit of X's, the time both share.  Each entry
@@ -424,13 +421,26 @@ def _join(Y, X) -> np.ndarray:
     """
     L, K = Y.shape[-1] // 2, X.shape[-1] // 2
     stack = np.broadcast_shapes(Y.shape[:-2], X.shape[:-2])
-    out = np.empty(stack + (2 * L * K,) * 2, dtype=complex)
+    out = np.empty(stack + (2 * L * K,) * 2, dtype=dtype)
     rows = out.reshape(stack + (L, 2, K, 2 * L * K))
     spread = np.concatenate([X] * L, axis=-1).reshape(X.shape[:-2] + (2, K, 2 * L * K))
     for l in range(L):
         pair = np.repeat(Y[..., 2 * l : 2 * l + 2, :], K, axis=-1)
-        np.multiply(pair[..., :, None, :], spread, out=rows[..., l, :, :, :])
+        combine(pair[..., :, None, :], spread, out=rows[..., l, :, :, :])
     return out
+
+
+def _halves(transfers, units, initial) -> tuple[np.ndarray, np.ndarray]:
+    """(suffix, prefix): the factors of D that _join joins, from t_h on and up to t_h, h = ceil(f/2)."""
+    w, G = _pair_factors(transfers, units, initial)
+    h = (len(units) + 1) // 2
+    # the trace closes the last time: the suffix starts as delta(a_f, b_f)
+    prefix, suffix = w, np.eye(2)
+    for g in G[: h - 1]:
+        prefix = _join(g, prefix)
+    for g in reversed(G[h - 1 :]):
+        suffix = _join(suffix, g)
+    return suffix, prefix
 
 
 def decoherence_entries(transfers, units, initial=None) -> np.ndarray:
@@ -440,20 +450,9 @@ def decoherence_entries(transfers, units, initial=None) -> np.ndarray:
     units        f unit vectors (..., 3): the decomposition at each time, as in HistoryFamily.units
     initial      as for decoherence_functional, shared by the whole stack
 
-    Returns the (..., 2^f, 2^f) entries, each the product of _pair_factors
-    along its pair of histories.  A prefix over the first h = ceil(f/2)
-    times and a suffix from t_h on are grown apart and joined once, straight
-    into the output.
+    Returns the (..., 2^f, 2^f) entries, the two _halves joined: each the product of _pair_factors along its pair.
     """
-    w, G = _pair_factors(transfers, units, initial)
-    h = (len(units) + 1) // 2
-    # the trace closes the last time: the suffix starts as delta(a_f, b_f)
-    prefix, suffix = w, np.eye(2)
-    for g in G[: h - 1]:
-        prefix = _join(g, prefix)
-    for g in reversed(G[h - 1 :]):
-        suffix = _join(suffix, g)
-    return _join(suffix, prefix)
+    return _join(*_halves(transfers, units, initial))
 
 
 def decoherence_functional(family: HistoryFamily, initial=None) -> DecoherenceMatrix:
@@ -467,7 +466,8 @@ def decoherence_functional(family: HistoryFamily, initial=None) -> DecoherenceMa
     if family.f > 10:
         raise ValueError("history families are capped at f = 10 times")
     transfers = propagator_closed_form(family.params, np.diff(family.times))
-    return DecoherenceMatrix(family=family, entries=decoherence_entries(transfers, family.units, initial))
+    factors = _halves(transfers, family.units, initial)
+    return DecoherenceMatrix(family=family, entries=_join(*factors), factors=factors)
 
 
 def checked_weights(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -43,8 +43,9 @@ SRC = str(Path(tunnelmol.__file__).resolve().parents[1])
 
 # names the package must not carry, as module attributes or class members: the
 # routes of tests/oracles.py, deleted helpers that only tests called, the
-# coefficient trees the pair chain of the decoherence functional replaced, and
-# the Choi matrix route the closed-form Choi spectrum replaced
+# coefficient trees the pair chain of the decoherence functional replaced, the
+# Choi matrix route the closed-form Choi spectrum replaced, and the hash sort
+# of every float that the CSV writer's factor classes replaced
 GONE = (
     "propagator_numeric IntegrationError state_from_bloch bloch_from_state "
     "family_ode_step family_closed_form TangentBranchError check_backward_condition bloch_block "
@@ -54,7 +55,7 @@ GONE = (
     "complementary_outputs SIGNIFICANT_EIGENVALUE binary_entropy von_neumann_entropy holevo_chi InputEnsemble "
     "exact_direction apply_ptm canonical y_basis bloch_direction events classify_regime RegimeReport "
     "to_csv _grow _sandwiches _pair_coefficients _PRODUCT _LEFT_TABLE _RIGHT_TABLE "
-    "ptm_to_choi choi_eigenvalues _CHOI_BASIS"
+    "ptm_to_choi choi_eigenvalues _CHOI_BASIS _distinct _HASH_MULTIPLIER _LOW_WORD"
 ).split()
 
 
