@@ -64,9 +64,8 @@ OUTDIR_ENV = "TUNNELMOL_OUTDIR"
 
 # sample keeps every flip in memory: refuse ensembles expected to draw more
 MAX_EXPECTED_FLIPS = 1e7
-# families' radius check costs 48 flow evaluations a panel, and a panel spans
-# at most pi/omega: refuse a rate that needs more (1e7 panels take minutes)
-MAX_RADIUS_PANELS = 1e7
+# cmd_families' radius check windows, in half periods pi/omega; not whole, so rounding never gives 16 panels a 17th
+RADIUS_WINDOW = 15.5
 
 PRESETS = {
     # deuterated disulfane in a dilute background gas: collisions outpace
@@ -257,6 +256,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    """Tabulate the propagator.  Bounds: at most 8 _expm checks, each log2 ||t S||_1 + 1 <= 1025 squarings of 4x4."""
     params = cfg.params()
     times = np.linspace(0.0, cfg.tmax, cfg.points)
     transfer = propagator_closed_form(params, times)
@@ -298,52 +298,42 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panels(params: ModelParams, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_rate_integral's break points, and into how many panels it splits each gap (a float, inf at a huge omega)."""
-    g = params.gamma
-    edges = np.union1d([0.0, *(m / g for m in (1.0, 4.0, 16.0, 64.0, 256.0) if g > 0 and m / g < times[-1])], times)
-    return edges, np.maximum(np.ceil(np.diff(edges) * params.omega / math.pi), 1)
+def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, lo: np.ndarray, hi: np.ndarray):
+    """Integrals of the flip rate gamma (n_y^2 + n_z^2) over the windows [lo_k, hi_k] along the family through start.
 
-
-def _rate_integral(start: BlochDirection, params: ModelParams, direction: str, times: np.ndarray) -> np.ndarray:
-    """Integrals of the flip rate gamma (n_y^2 + n_z^2) over [0, t] along the family through start.
-
-    One value per t of the increasing times, read off one cumulative sum.  A
-    48-node Gauss-Legendre rule on each panel (Golub & Welsch, Math. Comp.
-    23, 221 (1969)), the nodes on flow_unit_vectors stacks of at most 4096
-    panels.  kappa relaxes on the scale 1/(2 gamma), so the panels break at
-    several multiples of 1/gamma; a single break misses that transient at
-    gamma = 1e4.  The rate oscillates with period pi/eta >= pi/omega when
-    underdamped, so no panel is longer than pi/omega; past 256/gamma the
-    overdamped flow is slower than that.
+    48-node Gauss-Legendre panels (Golub & Welsch, Math. Comp. 23, 221 (1969)) tile the union of the windows, broken
+    at their ends and, as kappa relaxes on the scale 1/(2 gamma), at several multiples of 1/gamma (one break misses
+    that transient at gamma = 1e4).  No panel is longer than pi/omega, the shortest period pi/eta of the underdamped
+    rate; the overdamped flow past 256/gamma is slower than that.
     """
-    edges, pieces = _panels(params, times)
-    edges = np.concatenate(
-        [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(edges, edges[1:], pieces.astype(int))] + [times[-1:]])
+    g = params.gamma
+    edges = np.union1d(np.concatenate([lo, hi]), [m / g for m in (1.0, 4.0, 16.0, 64.0, 256.0) if g > 0])
+    inside = np.any((edges[:-1, None] >= lo) & (edges[1:, None] <= hi), axis=1)  # the gaps a window covers
+    pieces = np.zeros(len(inside), dtype=int)
+    pieces[inside] = np.maximum(np.ceil(np.diff(edges)[inside] * params.omega / math.pi), 1)
+    cuts = [np.linspace(a, b, n + 1) for a, b, n in zip(edges, edges[1:], pieces) if n]
+    left, half = np.concatenate([[c[:-1], np.diff(c) / 2.0] for c in cuts] + [np.empty((2, 0))], axis=1)[..., None]
     nodes, weights = _gauss_legendre(48)
-    sums = [0.0]
-    for lo in range(0, len(edges) - 1, 4096):
-        panel = edges[lo:lo + 4097]
-        half = np.diff(panel)[:, None] / 2.0
-        n = flow_unit_vectors(start, params, direction, panel[:-1, None] + half * (nodes + 1.0))
-        sums.extend(np.sum(half * weights * params.gamma * (n[..., 1] ** 2 + n[..., 2] ** 2), axis=1))
-    return np.cumsum(sums)[np.searchsorted(edges, times)]
+    n = flow_unit_vectors(start, params, direction, left + half * (nodes + 1.0))
+    total = np.cumsum([0.0, *np.sum(half * weights * g * (n[..., 1] ** 2 + n[..., 2] ** 2), axis=1)])
+    at = np.cumsum([0, *pieces])[np.searchsorted(edges, [lo, hi])]  # the panels before each window end
+    return total[at[1]] - total[at[0]]
 
 
 def cmd_families(cfg: RunConfig) -> int:
-    direction = cfg.direction
+    """Tabulate each rate's family and stationary set, and check the radius identity along the family.
+
+    The check compares the closed-form increment of Lambda = -ln(radius) / 2 with the integral of the rate
+    (_rate_integral) over a window ending at each checked time t: [0, t] while t spans at most RADIUS_WINDOW half
+    periods pi/omega, else the last RADIUS_WINDOW of them, cut at the checked time before.  The error is relative to
+    the integral, or to the floor 2^-26 (1 + Lambda(t)) if larger, as the closed form is exact to a few ulps of
+    1 + Lambda; a window whose integral is below the floor while Lambda(t) is above it cannot see a relative error
+    and fails.  Bounds: at most 6 checked times, so 6 RADIUS_WINDOW + 16 = 109 panels of 48 rate evaluations a rate.
+    """
     gammas = _parse_gamma_list(cfg.gammas)
     times = np.linspace(0.0, cfg.tmax, cfg.points)
     start = BlochDirection(theta=cfg.theta0, phi=cfg.phi0)
-    checked = np.arange(0, len(times), max(1, len(times) // 4))[1:]
-    trajectories = {}
-    for g in gammas:
-        params = cfg.params(gamma=g)
-        panels = float(_panels(params, times[checked])[1].sum())
-        if panels > MAX_RADIUS_PANELS:
-            raise CliError(f"the radius check needs about {panels:.3g} quadrature panels at gamma {g:g}, "
-                           f"above the limit {MAX_RADIUS_PANELS:.0e}; shorten tmax or lower omega")
-        trajectories[g] = FamilyTrajectory.integrate(start, params, direction, times)
+    trajectories = {g: FamilyTrajectory.integrate(start, cfg.params(gamma=g), cfg.direction, times) for g in gammas}
 
     header, columns = ["t"], [times]
     for g, traj in trajectories.items():
@@ -366,11 +356,18 @@ def cmd_families(cfg: RunConfig) -> int:
     checks.below("stationary_roots", np.abs(np.sin(2.0 * phi) - want), 1e-12)
     checks.below("flip_rate_bounds", [np.max([-traj.kappa, traj.kappa - g]) for g, traj in trajectories.items()], 1e-10)
 
-    # radius identity: the closed-form radius exp(-2 Lambda) against quadrature of the rate (_rate_integral)
-    deviations = [np.exp(-2.0 * traj.rate_integral[checked])
-                  - np.exp(-2.0 * _rate_integral(start, traj.params, direction, times[checked]))
-                  for traj in trajectories.values()]
-    checks.below("radius_vs_rate_integral", np.abs(deviations), 1e-6)
+    ends = times[:: max(1, len(times) // 4)]  # times[0] = 0, then the checked times
+    prev, t = ends[:-1], ends[1:]
+    reach = RADIUS_WINDOW * math.pi / cfg.omega if cfg.omega else math.inf
+    lo = np.where(t > reach, np.maximum(prev, t - reach), 0.0)
+    deviations = []
+    for traj in trajectories.values():
+        lam_lo, lam = traj.rate_integral_at(np.stack([lo, t]))
+        quad = _rate_integral(start, traj.params, cfg.direction, lo, t)
+        floor = 2.0**-26 * (1.0 + lam)
+        error = np.abs(lam - lam_lo - quad) / np.maximum(quad, floor)
+        deviations.append(np.where((lo > 0.0) & (quad < floor) & (floor <= lam), math.inf, error))
+    checks.below("radius_vs_rate_integral", deviations, 1e-6)
     return checks.status
 
 
@@ -384,6 +381,7 @@ _INITIAL_STATES = {
 
 
 def cmd_histories(cfg: RunConfig) -> int:
+    """Decoherence matrix of a history family.  Bounds: f = steps <= 10 times, so D has 4^f <= 4^10 complex entries."""
     params = cfg.params()
     times = np.arange(cfg.steps) * cfg.dt
     axis = np.eye(3)["xyz".index(cfg.basis)]
@@ -412,11 +410,11 @@ def cmd_histories(cfg: RunConfig) -> int:
 def cmd_sample(cfg: RunConfig) -> int:
     """Sample a telegraph ensemble, average it against the master curve and test its gaps.
 
-    Bounds: a run expected to draw more than MAX_EXPECTED_FLIPS flips
-    (Lambda(tmax) x ntraj) is refused before drawing, which bounds the flat
-    ensemble and, in expectation, the sampler's passes; the KS gap ensemble
-    has at most 500 trajectories over 30 mean gaps and inverts only their
-    first 11 flips each; only the saved members' flips are inverted.
+    Bounds: a run expected to draw more than MAX_EXPECTED_FLIPS flips (Lambda(tmax) x ntraj) is refused before
+    drawing.  That bounds the draw's memory, not just the 8-byte-per-flip flat ensemble: every pass's sums and masks
+    live until the final scatter, about 52 B a flip at the peak (0.26 GB for 5e6 flips, so about 0.5 GB at the cap).
+    The KS gap ensemble has at most 500 trajectories over 30 mean gaps and inverts only their first 11 flips each;
+    only the saved members' flips are inverted.
     """
     initial = None if cfg.initial == "mixed" else int(cfg.initial)
     sampler = SamplerConfig(seed=cfg.seed, n_trajectories=cfg.ntraj, initial=initial)
@@ -516,6 +514,7 @@ def cmd_preset(cfg: RunConfig) -> int:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
+    """Stationary roots across the damping ratio.  Bounds: one kernel call and one table, linear in points."""
     if cfg.ratio_max <= cfg.ratio_min:
         raise CliError(f"ratio_max must exceed ratio_min, got {cfg.ratio_max!r} <= {cfg.ratio_min!r}")
     if math.isinf(cfg.ratio_max * cfg.omega):

@@ -183,36 +183,107 @@ def test_a_nan_deviation_fails_its_validation(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("sense", [FORWARD, BACKWARD])
 def test_gauss_legendre_rate_integral_matches_adaptive_quadrature(sense):
-    # scipy's quad stays the oracle for the radius_vs_rate_integral check: the
-    # paper's range at omega = 1, then underdamped runs over tens of periods
+    # scipy's quad stays the oracle for the radius_vs_rate_integral check:
+    # whole spans [0, t] in the paper's range at omega = 1 and underdamped
+    # over tens of periods, then windows of RADIUS_WINDOW half periods far
+    # past them, and at omega = 10 two whole spans beside two windows that overlap
     start = BlochDirection(theta=0.25, phi=0.1)
-    cases = [(1.0, gamma, (0.5, 1.0, 5.0)) for gamma in (0.3, 1.0, 3.0, 1e2, 1e4, 5e7)]
-    cases += [(10.0, 0.05, (20.0,)), (10.0, 0.3, (20.0,)), (40.0, 1.0, (5.0,))]
-    for omega, gamma, ts in cases:
+    spans = [(0.0, t) for t in (0.5, 1.0, 5.0)]
+    cases = [(1.0, gamma, spans) for gamma in (0.3, 1.0, 3.0, 1e2, 1e4, 5e7)]
+    cases += [(10.0, 0.05, [(0.0, 20.0)]), (10.0, 0.3, [(0.0, 20.0)]), (40.0, 1.0, [(0.0, 5.0)])]
+    windowed = [(1e4, 0.05, 100.0), (1e4, 3.0, 1.0), (1e5, 0.05, 100.0), (1e5, 1.2, 1.0), (1e4, 3e4, 1.0),
+                (10.0, 1.0, 8.0)]
+    for omega, gamma, tmax in windowed:
+        reach = tunnelmol.cli.RADIUS_WINDOW * math.pi / omega
+        ends = tmax * np.array([0.25, 0.5, 0.75, 1.0])
+        cases.append((omega, gamma, [(0.0 if t <= reach else t - reach, t) for t in ends]))
+    for omega, gamma, windows in cases:
         params = ModelParams(omega=omega, gamma=gamma)
 
         def rate(s):
             return transition_rate(exact_direction(start, params, sense, s), params)
 
-        got = _rate_integral(start, params, sense, np.array(ts))
-        for t, got_t in zip(ts, got):
-            edges = [m / gamma for m in (1.0, 4.0, 16.0, 64.0, 256.0) if m / gamma < t]
-            want, err = quad(rate, 0.0, t, points=edges or None, limit=1000, epsabs=1e-13, epsrel=1e-12)
-            assert err <= 1e-12 * max(1.0, want)
-            assert abs(math.exp(-2.0 * got_t) - math.exp(-2.0 * want)) <= 1e-12
-            assert abs(got_t - want) <= 1e-12 * max(1.0, want)
+        lo, hi = np.array(windows).T
+        got = _rate_integral(start, params, sense, lo, hi)
+        for a, b, got_ab in zip(lo, hi, got):
+            edges = [m / gamma for m in (1.0, 4.0, 16.0, 64.0, 256.0) if a < m / gamma < b]
+            if a == 0.0:
+                want, err = quad(rate, a, b, points=edges or None, limit=1000, epsabs=1e-13, epsrel=1e-12)
+                assert err <= 1e-12 * max(1.0, want)
+                assert abs(math.exp(-2.0 * got_ab) - math.exp(-2.0 * want)) <= 1e-12
+                assert abs(got_ab - want) <= 1e-12 * max(1.0, want)
+                continue
+            # far from 0 both rules sample the rate at nodes rounded to ulps of b, where it can move by gamma
+            # omega per unit time
+            floor = 16.0 * gamma * np.spacing(b)
+            want, err = quad(rate, a, b, points=edges or None, limit=1000, epsabs=floor, epsrel=1e-12)
+            assert err <= 1e-12 * want + floor
+            assert abs(got_ab - want) <= 1e-12 * want + floor
 
 
-@pytest.mark.parametrize("omega, tmax", [("1e300", "5"), ("1e8", "1")])
-def test_families_refuses_a_radius_check_beyond_its_panel_budget(tmp_path, capsys, omega, tmax):
-    # no panel is longer than pi/omega: omega tmax / pi panels, above 1e7 here
+def _radius_worst(out: str) -> float:
+    return float(re.search(r"radius_vs_rate_integral \(worst (\S+), bound 1e-06\)", out).group(1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),  # the whole span [0, t]
+        ("--omega", "1e5", "--gammas", "0.05", "--tmax", "100"),  # windows of 15.5 half periods at omega t = 1e7
+        ("--gammas", "10", "--theta0", "0"),  # Lambda up to 50, where the radius exp(-2 Lambda) is 4e-44
+    ],
+)
+def test_the_radius_check_sees_a_relative_error_of_2e6_in_lambda(tmp_path, capsys, monkeypatch, argv):
+    assert run(tmp_path, "families", *argv) == 0
+    assert _radius_worst(capsys.readouterr().out) <= 1e-9
+    closed_form = FamilyTrajectory.rate_integral_at
+    monkeypatch.setattr(FamilyTrajectory, "rate_integral_at", lambda self, t: (1.0 + 2e-6) * closed_form(self, t))
+    assert run(tmp_path, "families", *argv) == 1
+    assert _radius_worst(capsys.readouterr().out) >= 1e-6
+
+
+def test_the_radius_check_evaluates_the_rate_as_often_at_any_omega(tmp_path, monkeypatch):
+    # no refusal and no cost growing with omega tmax: the check's windows hold 16 panels of 48 nodes each
+    counts = []
+    flow = tunnelmol.cli.flow_unit_vectors
+
+    def counting(initial, params, direction, times):
+        counts[-1] += np.size(times)
+        return flow(initial, params, direction, times)
+
+    monkeypatch.setattr(tunnelmol.cli, "flow_unit_vectors", counting)
+    codes = []
+    for omega in ("1e3", "1e5", "1e8"):
+        counts.append(0)
+        codes.append(run(tmp_path, "families", "--omega", omega, "--gammas", "0.05", "--tmax", "100"))
+    assert counts == [4 * 16 * 48] * 3
+    assert codes == [0, 0, 1]  # at omega t = 1e10 a window holds less Lambda than floats can compare: it fails
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--omega", "1e8", "--tmax", "1"),  # a whole-span quadrature would take 3e7 panels here
+        # at gamma 0 and 1e-12 Lambda(t) itself stays below the floor: no window, not even [0, t], could see more
+        ("--gammas", "0,1e-12", "--omega", "100", "--tmax", "100"),
+    ],
+)
+def test_families_checks_the_radius_on_bounded_windows(tmp_path, capsys, argv):
     start = time.perf_counter()
-    assert run(tmp_path, "families", "--omega", omega, "--tmax", tmax) == 2
-    assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert "quadrature panels" in captured.err and "above the limit 1e+07" in captured.err
-    assert "VALIDATION FAILED" not in captured.out
-    assert not any(tmp_path.glob("*.csv"))
+    assert run(tmp_path, "families", *argv) == 0
+    assert time.perf_counter() - start < 5.0
+    assert _radius_worst(capsys.readouterr().out) < 1e-6
+
+
+@pytest.mark.parametrize("omega", ["1e11", "1e15", "1e20"])
+def test_a_window_too_short_to_compare_in_floats_fails_the_radius_check(tmp_path, capsys, omega):
+    # the last 15.5 half periods before t = 1 hold about 1e-10 of Lambda at omega = 1e11, below the floor
+    # 2^-26 (1 + Lambda) that a relative error must clear; they span about 220 ulps of t at 1e15, and none at 1e20,
+    # where both routes read 0
+    assert run(tmp_path, "families", "--omega", omega, "--tmax", "1") == 1
+    out = capsys.readouterr().out
+    assert "validation passed: flip_rate_bounds" in out
+    assert "VALIDATION FAILED: radius_vs_rate_integral (worst inf, bound 1e-06)" in out
 
 
 def test_families_labels_each_rate_with_every_digit(tmp_path):

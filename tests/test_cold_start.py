@@ -55,7 +55,7 @@ GONE = (
     "complementary_outputs SIGNIFICANT_EIGENVALUE binary_entropy von_neumann_entropy holevo_chi InputEnsemble "
     "exact_direction apply_ptm canonical y_basis bloch_direction events classify_regime RegimeReport "
     "to_csv _grow _sandwiches _pair_coefficients _PRODUCT _LEFT_TABLE _RIGHT_TABLE "
-    "ptm_to_choi choi_eigenvalues _CHOI_BASIS _distinct _HASH_MULTIPLIER _LOW_WORD"
+    "ptm_to_choi choi_eigenvalues _CHOI_BASIS _distinct _HASH_MULTIPLIER _LOW_WORD MAX_RADIUS_PANELS _panels"
 ).split()
 
 
@@ -119,7 +119,7 @@ def test_no_module_imports_scipy_and_the_test_only_routes_are_gone():
                 scipy_imports.append(f"{path.name}:{node.lineno}")
     assert scipy_imports == []
     modules = (tunnelmol, tunnelmol.ptm, tunnelmol.families, tunnelmol.channels, tunnelmol.histories,
-               tunnelmol.info_flow, tunnelmol.trajectories)
+               tunnelmol.info_flow, tunnelmol.trajectories, tunnelmol.cli)
     classes = {obj for m in modules for obj in vars(m).values() if isinstance(obj, type) and obj.__module__ == m.__name__}
     owners = [*modules, *sorted(classes, key=lambda c: c.__qualname__)]
     assert [f"{o.__name__}.{name}" for o in owners for name in GONE if hasattr(o, name)] == []
