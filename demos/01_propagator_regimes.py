@@ -13,7 +13,6 @@ from scipy.linalg import expm
 from tunnelmol import (
     ModelParams,
     UNDERDAMPED,
-    eigen_system,
     generator,
     propagator_closed_form,
     stationary_roots,
@@ -26,10 +25,12 @@ def describe(params: ModelParams) -> None:
         eta = params.discriminant
         print(f"  beat frequency eta = {eta:.6f}")
         print(f"  stroboscopic period pi/eta = {np.pi / eta:.6f}")
+        middle = (-params.gamma + 1j * eta, -params.gamma - 1j * eta)
     else:
         # the equatorial decay rates are twice the stationary flip rates
         _, _, kappa_x, kappa_y = stationary_roots(params.gamma, params.omega)
         print(f"  decay rates: slow {2.0 * kappa_x:.6f}, fast {2.0 * kappa_y:.6f}")
+        middle = (-2.0 * kappa_x, -2.0 * kappa_y)
 
     worst = 0.0
     for t in (0.1, 0.7, 2.5):
@@ -38,7 +39,8 @@ def describe(params: ModelParams) -> None:
     print(f"  closed form vs matrix exponential, worst entry gap: {worst:.2e}")
 
     if params.regime != "critical":
-        ev = eigen_system(params).eigenvalues
+        # the spectrum of the generator: 0, the middle pair, -2 gamma
+        ev = np.array([0.0, *middle, -2.0 * params.gamma], dtype=complex)
         print(f"  eigenvalues: {np.array2string(ev, precision=6)}")
         print(f"  checks: sum of middle pair = {-(ev[1] + ev[2]).real:.6f} (2 gamma)"
               f", product = {(ev[1] * ev[2]).real:.6f} (omega^2)")
@@ -52,7 +54,7 @@ def main() -> None:
 
     # the slow pole survives even when the rates differ by 7+ orders
     stiff = ModelParams(omega=176.0, gamma=9.0e9)
-    lam = eigen_system(stiff).eigenvalues[1].real
+    lam = -2.0 * float(stationary_roots(stiff.gamma, stiff.omega)[2])
     print(f"\nstiff case gamma/omega = {stiff.gamma / stiff.omega:.3e}")
     print(f"  slow eigenvalue {lam:.6e} vs asymptote -omega^2/2gamma = "
           f"{-stiff.omega**2 / (2 * stiff.gamma):.6e}")

@@ -20,7 +20,6 @@ from .families import (
     X_DIRECTION,
     Y_DIRECTION,
     Z_DIRECTION,
-    check_forward_condition,
     flow_unit_vectors,
     stationary_families,
     stationary_roots,
@@ -40,24 +39,15 @@ from .histories import (
     telegraph_flip_probability,
 )
 from .info_flow import (
-    ForwardConditionError,
     InfoReport,
     build_info_report,
-    holevo_complementary,
-    holevo_direct,
-    mub_bound_check,
-    mutual_information_family,
     quadratic_information,
-    short_time_leak_model,
-    verify_family_information_identity,
 )
 from .ptm import (
-    EigenSystem,
     ModelParams,
     OVERDAMPED,
     CRITICAL,
     UNDERDAMPED,
-    eigen_system,
     generator,
     operator_from_pauli,
     pauli_coefficients,

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ptm import CRITICAL, ModelParams, UNDERDAMPED, _damping, propagator_closed_form, scaled_block
+from .ptm import CRITICAL, ModelParams, UNDERDAMPED, _damping, scaled_block
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -327,34 +327,3 @@ def stationary_families(params: ModelParams) -> StationarySet:
         StationaryFamily("dressed_y", BACKWARD, BlochDirection(half, half + phi_x), ky),
         StationaryFamily("dressed_x", BACKWARD, BlochDirection(half, math.pi - phi_x), kx),
     ))
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Result of a span-condition check along a decomposition sequence."""
-
-    passed: bool
-    max_residual: float
-    residuals: tuple
-    direction: str
-
-
-def check_forward_condition(decomp_sequence, params: ModelParams, times, tol: float = 1e-8) -> ConditionReport:
-    """Does T map each basis span into the next one?
-
-    For consecutive instants the image of the earlier diameter under the
-    3x3 Bloch block must be parallel to the later diameter; the residual is
-    the Euclidean norm of the orthogonal component of that image, the gap
-    residual of histories.chain_kernel.  One propagator stack covers all gaps.
-    """
-    # histories imports this module, so its kernel is imported on use
-    from .histories import chain_kernel
-
-    units = np.array([_as_unit_vector(d) for d in decomp_sequence]).reshape(-1, 3)
-    times = np.asarray(times, dtype=float)
-    if len(units) != len(times) or not len(times):
-        raise ValueError("need at least one time, and one decomposition per time")
-    T3 = propagator_closed_form(params, np.diff(times))[:, 1:, 1:]
-    resids = chain_kernel(units, T3, np.zeros(3))[2][1:]
-    mx = float(np.max(resids, initial=0.0))
-    return ConditionReport(passed=mx < tol, max_residual=mx, residuals=tuple(resids.tolist()), direction=FORWARD)

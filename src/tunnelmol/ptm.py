@@ -46,7 +46,7 @@ case of the same route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,27 +121,6 @@ def _damping(gamma, omega):
     root = np.sqrt(np.abs(d2))
     fast = np.where(G < omega, np.nan, G + root)
     return d2, root, np.divide(omega * omega, fast, out=np.zeros_like(fast), where=fast != 0.0), fast
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Spectral data of the generator S.
-
-    eigenvalues   (lambda_1, lambda_2, lambda_3, lambda_4) =
-                  (0, -gamma + xi, -gamma - xi, -2 gamma), with xi -> i eta
-                  in the underdamped regime.
-    left, right   unnormalized row/column eigenvectors, one row per eigenvalue,
-                  ordered like the eigenvalues.  They are biorthogonal except
-                  exactly at criticality, where the middle pair coalesces
-                  (the generator becomes a Jordan block and loses a proper
-                  eigenbasis).
-    """
-
-    params: ModelParams
-    eigenvalues: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    regime: str = field(default="")
 
 
 def generator(params: ModelParams) -> np.ndarray:
@@ -222,37 +201,6 @@ def propagator_closed_form(params: ModelParams, t) -> np.ndarray:
     T[..., 2, 2] = s * c
     T[..., 3, 3] = np.exp(-2.0 * params.gamma * t)
     return T
-
-
-def eigen_system(params: ModelParams) -> EigenSystem:
-    """Eigenvalues and left/right eigenvectors of the generator S.
-
-    lambda_2 is evaluated as -omega^2/(gamma + xi), algebraically identical to
-    -gamma + xi but free of cancellation when gamma >> omega (the slow rate
-    can be fifteen orders of magnitude below gamma for realistic molecules).
-    Consequently -lambda_2/2 reproduces the slow equatorial decay rate exactly
-    in floating point.
-    """
-    om, g = params.omega, params.gamma
-    _, root, slow, fast = _damping(g, om)
-    if params.regime == UNDERDAMPED:
-        disc = 1j * root
-        lam2, lam3 = -g + disc, -g - disc
-    else:
-        disc = complex(root)
-        lam2, lam3 = -slow, -fast
-    lams = np.array([0.0, lam2, lam3, -2.0 * g], dtype=complex)
-    # middle pair: for lambda = -gamma +/- xi the left row vector is
-    # (0, -(gamma +/- xi), omega, 0) and the right one (0, gamma +/- xi, omega, 0)
-    left = np.zeros((4, 4), dtype=complex)
-    right = np.zeros((4, 4), dtype=complex)
-    left[0] = right[0] = np.array([1, 0, 0, 0])
-    left[3] = right[3] = np.array([0, 0, 0, 1])
-    left[1] = np.array([0, -(g + disc), om, 0])
-    right[1] = np.array([0, g + disc, om, 0])
-    left[2] = np.array([0, disc - g, om, 0])
-    right[2] = np.array([0, g - disc, om, 0])
-    return EigenSystem(params=params, eigenvalues=lams, left=left, right=right, regime=params.regime)
 
 
 def pauli_coefficients(op: np.ndarray) -> np.ndarray:

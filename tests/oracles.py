@@ -5,7 +5,9 @@ here compute the same quantities another way, or build the fixtures those
 checks need, and only the tests import them:
 
   * propagator_numeric integrates dT/dt = S T from the identity with scipy's
-    DOP853; it cross-checks ptm.propagator_closed_form.
+    DOP853; it cross-checks ptm.propagator_closed_form.  eigen_system gives
+    the generator's eigenvalues and left/right eigenvectors in closed form,
+    for the spectral relations and the spectral rebuild of the propagator.
   * state_from_bloch and bloch_from_state turn Bloch vectors into density
     operators and back, the test fixtures for every state-based check.
   * apply_ptm acts with a PTM on any 2x2 operator through its Pauli
@@ -16,9 +18,9 @@ checks need, and only the tests import them:
     family_ode_step integrates the family angle ODEs adaptively, and
     family_closed_form evaluates them in the tangent variables
     mu = tan phi, nu = tan theta; both cross-check that closed-form flow.
-  * check_backward_condition applies T3^T to each later diameter; it checks
-    that the backward flow satisfies the adjoint span condition, and that
-    the forward flow does not.
+  * check_forward_condition applies T3 to each earlier diameter, and
+    check_backward_condition applies T3^T to each later one; they check that
+    each flow satisfies its own span condition and not the other one.
   * bloch_block is the 3x3 block S3 of the generator, for expm references of
     the family flows.
   * The Choi route: ptm_to_choi builds the Choi matrix of a PTM stack by
@@ -43,7 +45,9 @@ checks need, and only the tests import them:
   * entropy_exchange is the entropy of the complementary output, checked
     against explicit Kraus overlaps.
   * unital_holevo_closed_form is 1 - h2((1 + r)/2), the closed form that
-    info_flow.holevo_direct and the record mutual information must reach.
+    the direct information of info_flow and the record mutual information
+    must reach.  short_time_leak_model is the leading small-time law of the
+    leaked x information.
   * leaked_information_mp is the leaked Holevo information at 60 digits
     with mpmath: the propagator from its 2x2 block exponential, the Choi
     matrix term by term, and its spectrum from mpmath's Hermitian solver.
@@ -79,9 +83,18 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from tunnelmol.channels import _NONCP_THRESHOLD, NonCPError
-from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, ConditionReport, _as_direction, _flow
-from tunnelmol.histories import Decomposition, checked_weights
-from tunnelmol.ptm import PAULIS, ModelParams, generator, operator_from_pauli, pauli_coefficients, propagator_closed_form
+from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, _as_direction, _as_unit_vector, _flow
+from tunnelmol.histories import Decomposition, chain_kernel, checked_weights
+from tunnelmol.ptm import (
+    PAULIS,
+    UNDERDAMPED,
+    ModelParams,
+    _damping,
+    generator,
+    operator_from_pauli,
+    pauli_coefficients,
+    propagator_closed_form,
+)
 from tunnelmol.trajectories import _philox4x64, _rate_integral_within
 
 # tangent values beyond this mean the closed form left its branch
@@ -124,6 +137,58 @@ def propagator_numeric(params: ModelParams, t: float, rtol: float = 1e-12, atol:
     if not sol.success:
         raise IntegrationError(f"propagator integration failed: {sol.message}")
     return sol.y[:, -1].reshape(4, 4)
+
+
+@dataclass(frozen=True, eq=False)
+class EigenSystem:
+    """Spectral data of the generator S.
+
+    eigenvalues   (lambda_1, lambda_2, lambda_3, lambda_4) =
+                  (0, -gamma + xi, -gamma - xi, -2 gamma), with xi -> i eta
+                  in the underdamped regime.
+    left, right   unnormalized row/column eigenvectors, one row per eigenvalue,
+                  ordered like the eigenvalues.  They are biorthogonal except
+                  exactly at criticality, where the middle pair coalesces
+                  (the generator becomes a Jordan block and loses a proper
+                  eigenbasis).
+    """
+
+    params: ModelParams
+    eigenvalues: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    regime: str = ""
+
+
+def eigen_system(params: ModelParams) -> EigenSystem:
+    """Eigenvalues and left/right eigenvectors of the generator S.
+
+    lambda_2 is evaluated as -omega^2/(gamma + xi), algebraically identical to
+    -gamma + xi but free of cancellation when gamma >> omega (the slow rate
+    can be fifteen orders of magnitude below gamma for realistic molecules).
+    Consequently -lambda_2/2 reproduces the slow equatorial decay rate exactly
+    in floating point.
+    """
+    om, g = params.omega, params.gamma
+    _, root, slow, fast = _damping(g, om)
+    if params.regime == UNDERDAMPED:
+        disc = 1j * root
+        lam2, lam3 = -g + disc, -g - disc
+    else:
+        disc = complex(root)
+        lam2, lam3 = -slow, -fast
+    lams = np.array([0.0, lam2, lam3, -2.0 * g], dtype=complex)
+    # middle pair: for lambda = -gamma +/- xi the left row vector is
+    # (0, -(gamma +/- xi), omega, 0) and the right one (0, gamma +/- xi, omega, 0)
+    left = np.zeros((4, 4), dtype=complex)
+    right = np.zeros((4, 4), dtype=complex)
+    left[0] = right[0] = np.array([1, 0, 0, 0])
+    left[3] = right[3] = np.array([0, 0, 0, 1])
+    left[1] = np.array([0, -(g + disc), om, 0])
+    right[1] = np.array([0, g + disc, om, 0])
+    left[2] = np.array([0, disc - g, om, 0])
+    right[2] = np.array([0, g - disc, om, 0])
+    return EigenSystem(params=params, eigenvalues=lams, left=left, right=right, regime=params.regime)
 
 
 def state_from_bloch(r: np.ndarray) -> np.ndarray:
@@ -267,6 +332,34 @@ def family_closed_form(initial: BlochDirection, params: ModelParams, direction: 
     phi = math.atan(mu) + math.pi * round((ph0 - math.atan(mu0)) / math.pi)
     theta = math.atan(nu) + math.pi * round((th0 - math.atan(nu0)) / math.pi)
     return BlochDirection(theta=theta, phi=phi)
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Result of a span-condition check along a decomposition sequence."""
+
+    passed: bool
+    max_residual: float
+    residuals: tuple
+    direction: str
+
+
+def check_forward_condition(decomp_sequence, params: ModelParams, times, tol: float = 1e-8) -> ConditionReport:
+    """Does T map each basis span into the next one?
+
+    For consecutive instants the image of the earlier diameter under the
+    3x3 Bloch block must be parallel to the later diameter; the residual is
+    the Euclidean norm of the orthogonal component of that image, the gap
+    residual of histories.chain_kernel.  One propagator stack covers all gaps.
+    """
+    units = np.array([_as_unit_vector(d) for d in decomp_sequence]).reshape(-1, 3)
+    times = np.asarray(times, dtype=float)
+    if len(units) != len(times) or not len(times):
+        raise ValueError("need at least one time, and one decomposition per time")
+    T3 = propagator_closed_form(params, np.diff(times))[:, 1:, 1:]
+    resids = chain_kernel(units, T3, np.zeros(3))[2][1:]
+    mx = float(np.max(resids, initial=0.0))
+    return ConditionReport(passed=mx < tol, max_residual=mx, residuals=tuple(resids.tolist()), direction=FORWARD)
 
 
 def check_backward_condition(decomp_sequence, params: ModelParams, times, tol: float = 1e-8) -> ConditionReport:
@@ -601,6 +694,18 @@ def unital_holevo_closed_form(transported_length: float) -> float:
     """1 - h2((1 + r)/2) for a unital qubit channel with output radius r."""
     r = min(transported_length, 1.0)
     return 1.0 - binary_entropy(0.5 * (1.0 + r))
+
+
+def short_time_leak_model(params: ModelParams, t: float) -> float:
+    """Leading small-time behavior of the leaked x information, in bits.
+
+    The environment picks up g t ln(1/(g t)) + g t nats (g the collision
+    rate) before oscillation corrections kick in.
+    """
+    x = params.gamma * t
+    if x <= 0:
+        return 0.0
+    return (x * math.log(1.0 / x) + x) / math.log(2.0)
 
 
 def _propagator_mp(mp, omega, gamma, t):

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import exact_direction, propagator_numeric, unital_holevo_closed_form
+from oracles import (
+    eigen_system,
+    exact_direction,
+    propagator_numeric,
+    record_information_from_entries,
+    unital_holevo_closed_form,
+)
 from tunnelmol import (
     BACKWARD,
     BlochDirection,
@@ -22,21 +28,19 @@ from tunnelmol import (
     HistoryFamily,
     ModelParams,
     SamplerConfig,
+    X_DIRECTION,
     Z_DIRECTION,
+    build_info_report,
     decoherence_functional,
-    eigen_system,
     ensemble_average,
     gap_statistics,
     generator,
-    holevo_complementary,
-    holevo_direct,
-    mutual_information_family,
     propagator_closed_form,
     quadratic_information,
     sample_ensemble,
     stationary_families,
-    verify_family_information_identity,
 )
+from tunnelmol.histories import CONSISTENCY_TOL
 
 PANEL_A = ModelParams(omega=0.8, gamma=2.0)
 PANEL_B = ModelParams(omega=20.0, gamma=1.0)
@@ -234,82 +238,82 @@ def test_06_telegraph_gap_law_and_ensemble_relaxation():
 
 
 def test_07_history_information_equals_holevo_information():
-    # pointer family: history mutual information against the closed form
+    # pointer family: the report's record column against the closed form
     for g, t in ((0.7, 0.9), (2.0, 0.4), (1.3, 2.2)):
         params = ModelParams(omega=1.1, gamma=g)
-        family = HistoryFamily(
-            params=params,
-            times=np.array([0.0, t]),
-            decompositions=(Decomposition.z_basis(), Decomposition.z_basis()),
-        )
-        mi = mutual_information_family(family)
+        curves = build_info_report(params, np.array([0.0, t]), family_basis="z").curves
+        mi = curves["mutual_info"][1]
         assert abs(mi - unital_holevo_closed_form(math.exp(-2.0 * g * t))) < 1e-9
-        assert abs(mi - holevo_direct("z", params, t)) < 1e-9
+        assert abs(mi - curves["chi_z_direct"][1]) < 1e-9
 
     rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(50):
+    for k in range(50):
         g = rng.uniform(0.2, 3.0)
         om = rng.uniform(0.2, 3.0)
         params = ModelParams(omega=om, gamma=g)
         d0 = BlochDirection(theta=math.acos(rng.uniform(-1, 1)), phi=rng.uniform(0, 2 * math.pi))
-        report = verify_family_information_identity(d0, params, rng.uniform(0.1, 2.5))
-        assert report.passed
-        worst = max(worst, report.residual)
+        t = rng.uniform(0.1, 2.5)
+        # any direction: the forward family's functional against the transported length
+        d1 = exact_direction(d0, params, FORWARD, t)
+        family = HistoryFamily(
+            params=params,
+            times=np.array([0.0, t]),
+            decompositions=(Decomposition.from_direction(d0), Decomposition.from_direction(d1)),
+        )
+        mi = float(record_information_from_entries(decoherence_functional(family).entries, CONSISTENCY_TOL))
+        r = float(np.linalg.norm(propagator_closed_form(params, t)[1:, 1:] @ d0.unit_vector))
+        worst = max(worst, abs(mi - unital_holevo_closed_form(r)))
+        # the named bases: the report's identity on its whole grid
+        basis = "xyz"[k % 3]
+        curves = build_info_report(params, np.linspace(0.0, t, 11), family_basis=basis).curves
+        worst = max(worst, float(np.abs(curves["mutual_info"] - curves[f"chi_{basis}_direct"]).max()))
     assert worst < 1e-9
 
 
 def test_08_information_bounds_and_initial_rates():
     for params, tmax in ((PANEL_A, 3.0), (PANEL_B, 3.0 * 2.0 * math.pi / PANEL_B.discriminant)):
-        for t in np.linspace(0.0, tmax, 121):
-            slack_zx = 1.0 - holevo_direct("z", params, t) - holevo_complementary("x", params, t)
-            slack_xz = 1.0 - holevo_direct("x", params, t) - holevo_complementary("z", params, t)
-            assert slack_zx >= -1e-9
-            assert slack_xz >= -1e-9
-            assert abs(slack_zx - slack_xz) < 1e-8  # cross pairing equality
+        curves = build_info_report(params, np.linspace(0.0, tmax, 121)).curves
+        slack_zx = 1.0 - curves["sum_zx"]
+        slack_xz = 1.0 - curves["sum_xz"]
+        assert slack_zx.min() >= -1e-9
+        assert slack_xz.min() >= -1e-9
+        assert np.abs(slack_zx - slack_xz).max() < 1e-8  # cross pairing equality
 
     g = PANEL_A.gamma
-    _, comp_slope = quadratic_information("x", PANEL_A, 0.5, which="complementary")
+    _, comp_slope = quadratic_information(PANEL_A, X_DIRECTION)
     assert abs(comp_slope - 8.0) / 8.0 < 1e-3
-    _, direct_slope = quadratic_information("z", PANEL_A, 0.5, which="direct")
+    direct_slope, _ = quadratic_information(PANEL_A, Z_DIRECTION)
     assert abs(direct_slope - (-4.0 * g)) / (4.0 * g) < 1e-3
     tilted = BlochDirection(theta=math.pi / 2.0, phi=0.7)
     nx2 = math.cos(0.7) ** 2
-    _, comp_slope = quadratic_information(tilted, PANEL_A, 0.5, which="complementary")
+    direct_slope, comp_slope = quadratic_information(PANEL_A, tilted)
     assert abs(comp_slope - 4.0 * g * nx2) / (4.0 * g * nx2) < 1e-3
-    _, direct_slope = quadratic_information(tilted, PANEL_A, 0.5, which="direct")
     assert abs(direct_slope + 4.0 * g * (1.0 - nx2)) / (4.0 * g * (1.0 - nx2)) < 1e-3
 
 
 def test_09_information_curve_shapes():
     # strong-damping panel: endpoints, launch slopes, monotone tails
-    curves = {
-        "x_direct": lambda t: holevo_direct("x", PANEL_A, t),
-        "z_direct": lambda t: holevo_direct("z", PANEL_A, t),
-        "x_comp": lambda t: holevo_complementary("x", PANEL_A, t),
-        "z_comp": lambda t: holevo_complementary("z", PANEL_A, t),
-    }
-    values0 = {name: f(0.0) for name, f in curves.items()}
-    assert abs(values0["x_direct"] - 1.0) < 1e-9
-    assert abs(values0["z_direct"] - 1.0) < 1e-9
-    assert abs(values0["x_comp"]) < 1e-9
-    assert abs(values0["z_comp"]) < 1e-9
     h = 1e-4
-    slopes = {name: (f(h) - values0[name]) / h for name, f in curves.items()}
-    assert abs(slopes["x_direct"]) < 1.0  # flat launch
-    assert abs(slopes["z_comp"]) < 1.0
-    assert slopes["z_direct"] < -20.0  # steep launch, loss side
-    assert slopes["x_comp"] > 20.0  # steep launch, gain side
-    ts = np.linspace(0.0, 3.0, 301)
-    sampled = {name: np.array([f(t) for t in ts]) for name, f in curves.items()}
-    for name, sign in (("x_direct", -1), ("z_direct", -1), ("x_comp", +1), ("z_comp", +1)):
+    launch = build_info_report(PANEL_A, np.array([0.0, h])).curves
+    assert abs(launch["chi_x_direct"][0] - 1.0) < 1e-9
+    assert abs(launch["chi_z_direct"][0] - 1.0) < 1e-9
+    assert abs(launch["chi_x_comp"][0]) < 1e-9
+    assert abs(launch["chi_z_comp"][0]) < 1e-9
+    slopes = {name: (col[1] - col[0]) / h for name, col in launch.items()}
+    assert abs(slopes["chi_x_direct"]) < 1.0  # flat launch
+    assert abs(slopes["chi_z_comp"]) < 1.0
+    assert slopes["chi_z_direct"] < -20.0  # steep launch, loss side
+    assert slopes["chi_x_comp"] > 20.0  # steep launch, gain side
+    sampled = build_info_report(PANEL_A, np.linspace(0.0, 3.0, 301)).curves
+    for name, sign in (("chi_x_direct", -1), ("chi_z_direct", -1), ("chi_x_comp", +1), ("chi_z_comp", +1)):
         tail = np.diff(sampled[name][5:]) * sign
         assert tail.min() > -1e-10
 
     # fast-tunneling panel: staircase of plateaus and rises
     period = 2.0 * math.pi / PANEL_B.discriminant
     tb = np.linspace(1e-6, 3.0 * period, 1200)
-    curve = np.array([holevo_direct("x", PANEL_B, t) for t in tb])
+    curve = build_info_report(PANEL_B, tb).curves["chi_x_direct"]
     slope = np.gradient(curve, tb)
     plateau = np.abs(slope) < 0.2 * np.median(np.abs(slope))
     runs = int(np.sum(plateau[1:] & ~plateau[:-1]) + plateau[0])

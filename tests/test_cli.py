@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import tunnelmol.cli
+import tunnelmol.info_flow
 from oracles import exact_direction
 from tunnelmol import trajectories
 from tunnelmol.channels import NonCPError
@@ -661,6 +662,28 @@ def test_info_csv_header_and_column_order(tmp_path):
         "t,chi_x_direct,chi_z_direct,chi_x_comp,chi_z_comp,sum_zx,sum_xz,quad_z_direct,quad_x_comp,mutual_info"
     )
     assert len(body) == 12
+    # the y family basis adds its direct information, the column its records must equal
+    assert run(tmp_path, "info", "--points", "11", "--tmax", "2", "--basis", "y") == 0
+    _, body = read_csv_body(tmp_path / "info.csv")
+    assert body[0] == (
+        "t,chi_x_direct,chi_z_direct,chi_x_comp,chi_z_comp,sum_zx,sum_xz,quad_z_direct,quad_x_comp,chi_y_direct,mutual_info"
+    )
+
+
+def test_the_record_identity_is_checked_at_every_grid_time(tmp_path, capsys, monkeypatch):
+    # records off by 1e-6 at the second grid time alone, far from tmax/2, fail the run
+    exact = tunnelmol.info_flow._flow_record_information
+
+    def shifted(n0, T, n1):
+        out = exact(n0, T, n1)
+        if out.ndim == 1:
+            out = out.copy()
+            out[1] += 1e-6
+        return out
+
+    monkeypatch.setattr(tunnelmol.info_flow, "_flow_record_information", shifted)
+    assert run(tmp_path, "info", "--points", "11") == 1
+    assert "VALIDATION FAILED: record_information_identity" in capsys.readouterr().out
 
 
 def _first_call(tmp_path, argv):

@@ -12,6 +12,8 @@ from oracles import (
     TangentBranchError,
     bloch_block,
     check_backward_condition,
+    check_forward_condition,
+    eigen_system,
     exact_direction,
     family_closed_form,
     family_ode_step,
@@ -23,13 +25,12 @@ from tunnelmol.families import (
     FamilyTrajectory,
     X_DIRECTION,
     Z_DIRECTION,
-    check_forward_condition,
     stationary_families,
     stationary_roots,
     transition_rate,
 )
 from tunnelmol.histories import Decomposition
-from tunnelmol.ptm import OVERDAMPED, UNDERDAMPED, ModelParams, eigen_system
+from tunnelmol.ptm import OVERDAMPED, UNDERDAMPED, ModelParams
 
 
 # gamma/omega over the paper's range, holding the critical ratio exactly and

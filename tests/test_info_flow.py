@@ -11,6 +11,7 @@ from oracles import (
     ComplementaryChannel,
     InputEnsemble,
     binary_entropy,
+    check_forward_condition,
     choi_to_kraus,
     complementary_apply,
     entropy_exchange,
@@ -22,32 +23,23 @@ from oracles import (
     quadratic_slopes_choi,
     quadratic_slopes_mp,
     record_information_from_entries,
+    short_time_leak_model,
     state_from_bloch,
     stinespring_isometry,
     unital_holevo_closed_form,
     von_neumann_entropy,
 )
 from tunnelmol.families import BlochDirection, flow_unit_vectors, FORWARD
-from tunnelmol.histories import (
-    CONSISTENCY_TOL,
-    Decomposition,
-    HistoryFamily,
-    NotConsistentError,
-    decoherence_entries,
-    decoherence_functional,
-)
+from tunnelmol.histories import CONSISTENCY_TOL, Decomposition, decoherence_entries
+from tunnelmol.info_flow import build_info_report, quadratic_information
 from tunnelmol.info_flow import (
-    ForwardConditionError,
-    build_info_report,
-    holevo_complementary,
-    holevo_direct,
-    mub_bound_check,
-    mutual_information_family,
-    quadratic_information,
-    short_time_leak_model,
-    verify_family_information_identity,
+    _exchange_entropy,
+    _flow_record_information,
+    _kept_square,
+    _leaked_square,
+    _output_and_arm_entropies,
+    _qubit_entropy,
 )
-from tunnelmol.info_flow import _leaked_square, _qubit_entropy
 from tunnelmol.ptm import PAULIS, ModelParams, generator, propagator_closed_form
 
 # frozen: one bit minus the binary entropy at (1 + 1/e)/2
@@ -84,10 +76,22 @@ def test_holevo_chi_of_orthogonal_pure_pair_is_one_bit():
         InputEnsemble(priors=(0.6, 0.6), states=(up, dn))
 
 
+def _direct(T, n):
+    """Direct Holevo information along a unit vector n, by the report's entropy kernel."""
+    out, arms = _output_and_arm_entropies(T, np.atleast_2d(n))
+    return out - arms[..., 0]
+
+
+def _leaked(T, n):
+    """Leaked Holevo information along a unit vector n, by the report's entropy kernels."""
+    return _exchange_entropy(T) - _output_and_arm_entropies(T, np.atleast_2d(n))[1][..., 0]
+
+
 def test_holevo_direct_frozen_value():
     # exponent -2 gamma t = -1
     p = ModelParams(omega=0.8, gamma=2.0)
-    assert holevo_direct("z", p, 0.25) == pytest.approx(CHI_Z_AT_UNIT_EXPONENT, abs=1e-14)
+    chi = build_info_report(p, np.array([0.0, 0.25])).curves["chi_z_direct"][1]
+    assert chi == pytest.approx(CHI_Z_AT_UNIT_EXPONENT, abs=1e-14)
 
 
 def test_holevo_direct_matches_unital_closed_form():
@@ -98,23 +102,24 @@ def test_holevo_direct_matches_unital_closed_form():
         d = BlochDirection(theta=math.acos(float(rng.uniform(-1, 1))), phi=float(rng.uniform(0, 2 * math.pi)))
         T = propagator_closed_form(p, t)
         r = float(np.linalg.norm(T[1:, 1:] @ d.unit_vector))
-        assert holevo_direct(d, p, t) == pytest.approx(unital_holevo_closed_form(r), abs=1e-12)
+        assert float(_direct(T, d.unit_vector)) == pytest.approx(unital_holevo_closed_form(r), abs=1e-12)
 
 
 def test_complementary_channel_information_endpoints():
     p = ModelParams(omega=0.8, gamma=2.0)
-    assert holevo_complementary("x", p, 0.0) == pytest.approx(0.0, abs=1e-12)
+    curves = build_info_report(p, np.array([0.0, 1.3, 6.0])).curves
+    assert curves["chi_x_comp"][0] == pytest.approx(0.0, abs=1e-12)
     # long times: the environment has taken essentially everything about x
-    assert holevo_complementary("x", p, 6.0) > 0.95
-    assert 0.0 <= holevo_complementary("z", p, 1.3) <= 1.0
+    assert curves["chi_x_comp"][2] > 0.95
+    assert 0.0 <= curves["chi_z_comp"][1] <= 1.0
 
 
 def test_short_time_leak_law():
     p = ModelParams(omega=0.8, gamma=2.0)
-    for t in (2e-4, 1e-3):
-        got = holevo_complementary("x", p, t)
-        model = short_time_leak_model(p, t)
-        assert got == pytest.approx(model, rel=0.06)
+    times = np.array([2e-4, 1e-3])
+    got = build_info_report(p, times).curves["chi_x_comp"]
+    for k, t in enumerate(times):
+        assert got[k] == pytest.approx(short_time_leak_model(p, t), rel=0.06)
     assert short_time_leak_model(p, 0.0) == 0.0
 
 
@@ -134,35 +139,6 @@ def test_entropy_exchange_matches_kraus_overlap_route():
             [[np.trace(ks.operators[i] @ rho @ ks.operators[j].conj().T) for j in range(d)] for i in range(d)]
         )
         assert entropy_exchange(p, t, rho) == pytest.approx(von_neumann_entropy(W), abs=1e-10)
-
-
-def test_mutual_information_z_family_equals_holevo():
-    p = ModelParams(omega=1.0, gamma=0.5)
-    for t in (0.3, 1.0, 2.7):
-        fam = HistoryFamily(
-            params=p,
-            times=np.array([0.0, t]),
-            decompositions=(Decomposition.z_basis(), Decomposition.z_basis()),
-        )
-        assert mutual_information_family(fam) == pytest.approx(holevo_direct("z", p, t), abs=1e-12)
-
-
-def test_mutual_information_rejects_bad_input():
-    p = ModelParams(omega=1.0, gamma=0.5)
-    three = HistoryFamily(
-        params=p,
-        times=np.array([0.0, 0.5, 1.0]),
-        decompositions=tuple(Decomposition.z_basis() for _ in range(3)),
-    )
-    with pytest.raises(ValueError):
-        mutual_information_family(three)
-    bad = HistoryFamily(
-        params=p,
-        times=np.array([0.0, 0.7]),
-        decompositions=(Decomposition.x_basis(), Decomposition.x_basis()),
-    )
-    with pytest.raises(ValueError):
-        mutual_information_family(bad, np.array([0.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -185,41 +161,47 @@ def test_record_information_column_matches_the_functional_route(params, times):
         assert np.abs(got - want).max() <= 4e-15
 
 
-def test_mutual_information_of_a_family_off_the_flow_comes_from_the_functional_verdict():
-    # x then z is no flow pair: the residual bound fails, and the exact
-    # largest off-diagonal decides (consistent from I/2, not from "up")
-    p = ModelParams(omega=1.0, gamma=0.7)
-    fam = HistoryFamily(params=p, times=np.array([0.0, 0.9]), decompositions=(Decomposition.x_basis(), Decomposition.z_basis()))
-    want = record_information_from_entries(decoherence_functional(fam).entries, CONSISTENCY_TOL)
-    assert mutual_information_family(fam) == pytest.approx(float(want), abs=1e-15)
-    with pytest.raises(NotConsistentError):
-        mutual_information_family(fam, np.array([0.0, 0.0, 1.0]))
+def test_mutual_information_z_family_equals_holevo():
+    p = ModelParams(omega=1.0, gamma=0.5)
+    times = np.array([0.0, 0.3, 1.0, 2.7])
+    curves = build_info_report(p, times, family_basis="z").curves
+    for k, t in enumerate(times):
+        assert curves["mutual_info"][k] == pytest.approx(curves["chi_z_direct"][k], abs=1e-12)
+        want = unital_holevo_closed_form(math.exp(-2.0 * p.gamma * t))
+        assert curves["mutual_info"][k] == pytest.approx(want, abs=1e-12)
 
 
 def test_record_identity_default_and_supplied_target():
+    # any direction: the records of the forward family carry the direct information of its first basis
     p = ModelParams(omega=0.9, gamma=1.2)
     d0 = BlochDirection(theta=1.1, phi=0.4)
-    rep = verify_family_information_identity(d0, p, 1.3)
-    assert rep.passed and rep.residual < 1e-12
-    good_target = Decomposition.from_direction(exact_direction(d0, p, FORWARD, 1.3))
-    rep2 = verify_family_information_identity(d0, p, 1.3, target=good_target)
-    assert rep2.passed
-    with pytest.raises(ForwardConditionError):
-        verify_family_information_identity(d0, p, 1.3, target=Decomposition.z_basis())
-    with pytest.raises(ValueError):
-        verify_family_information_identity(d0, p, 0.0)
+    n0 = d0.unit_vector
+    times = np.linspace(0.0, 2.6, 9)
+    T = propagator_closed_form(p, times)
+    got = _flow_record_information(n0, T, flow_unit_vectors(d0, p, FORWARD, times))
+    assert np.abs(got - _direct(T, n0)).max() < 1e-12
+    # a supplied target on the flow passes the forward span condition and gives the same records
+    T1 = propagator_closed_form(p, 1.3)
+    target = exact_direction(d0, p, FORWARD, 1.3).unit_vector
+    assert check_forward_condition([n0, target], p, np.array([0.0, 1.3])).passed
+    assert abs(_flow_record_information(n0, T1, target) - _direct(T1, n0)) < 1e-12
+    # one off the flow fails it, and its records fall short of the direct information
+    z = np.array([0.0, 0.0, 1.0])
+    assert not check_forward_condition([n0, z], p, np.array([0.0, 1.3])).passed
+    assert _flow_record_information(n0, T1, z) < _direct(T1, n0) - 0.01
 
 
-def test_mub_bound_holds_and_non_mub_rejected():
+def test_mub_bound_holds_for_every_unbiased_pair():
     p = ModelParams(omega=0.8, gamma=2.0)
-    for t in np.linspace(0.0, 3.0, 16):
-        rep = mub_bound_check("z", "x", p, float(t))
-        assert rep.slack > -1e-9
-        assert rep.passed
+    times = np.linspace(0.0, 3.0, 16)
+    curves = build_info_report(p, times).curves
+    assert (1.0 - curves["sum_zx"]).min() > -1e-9
+    assert (1.0 - curves["sum_xz"]).min() > -1e-9
     # y is also unbiased with respect to x and z
-    assert mub_bound_check("y", "x", p, 0.7).slack > -1e-9
-    with pytest.raises(ValueError):
-        mub_bound_check("z", Decomposition.from_direction(BlochDirection(0.3, 0.0)), p, 0.5)
+    T = propagator_closed_form(p, times)
+    ex, ey, ez = np.eye(3)
+    for n, m in ((ey, ex), (ey, ez), (ex, ey), (ez, ey)):
+        assert (1.0 - _direct(T, n) - _leaked(T, m)).min() > -1e-9
 
 
 def test_quadratic_information_values_and_slopes():
@@ -228,20 +210,15 @@ def test_quadratic_information_values_and_slopes():
     # value route: purity of the transported direction operator
     d = BlochDirection(theta=1.0, phi=0.4)
     nx = d.unit_vector[0]
-    t = 0.6
-    T = propagator_closed_form(p, t)
-    val, slope = quadratic_information(d, p, t, "direct")
-    assert val == pytest.approx(float(np.linalg.norm(T[1:, 1:] @ d.unit_vector) ** 2), abs=1e-12)
+    T = propagator_closed_form(p, 0.6)
+    want = float(np.linalg.norm(T[1:, 1:] @ d.unit_vector) ** 2)
+    assert _kept_square(T, d.unit_vector) == pytest.approx(want, abs=1e-12)
+    slope, slope_c = quadratic_information(p, d)
     assert slope == pytest.approx(-4.0 * g * (1.0 - nx * nx), rel=1e-14)
-    _, slope_c = quadratic_information(d, p, t, "complementary")
     assert slope_c == pytest.approx(4.0 * g * nx * nx, rel=1e-14)
     # the x direction leaks at the full rate, z not at all, and vice versa
-    assert quadratic_information("x", p, 0.1, "complementary")[1] == 4.0 * g
-    assert quadratic_information("z", p, 0.1, "complementary")[1] == 0.0
-    assert quadratic_information("z", p, 0.1, "direct")[1] == -4.0 * g
-    assert quadratic_information("x", p, 0.1, "direct")[1] == 0.0
-    with pytest.raises(ValueError):
-        quadratic_information("z", p, 0.1, "sideways")
+    assert quadratic_information(p, [1.0, 0.0, 0.0]) == (0.0, 4.0 * g)
+    assert quadratic_information(p, [0.0, 0.0, 1.0]) == (-4.0 * g, 0.0)
 
 
 def test_x_information_leaks_exactly_as_fast_as_z_information_decays():
@@ -250,16 +227,16 @@ def test_x_information_leaks_exactly_as_fast_as_z_information_decays():
     # at every damping ratio and with no omega in it
     for omega, gamma in RATE_GRID:
         p = ModelParams(omega=omega, gamma=gamma)
-        _, x_leak = quadratic_information("x", p, 0.0, "complementary")
-        _, z_decay = quadratic_information("z", p, 0.0, "direct")
+        _, x_leak = quadratic_information(p, [1.0, 0.0, 0.0])
+        z_decay, _ = quadratic_information(p, [0.0, 0.0, 1.0])
         assert x_leak == -z_decay == 4.0 * gamma
 
 
 _DIRECTIONS = (
-    ("x", np.array([1.0, 0.0, 0.0])),
-    ("z", np.array([0.0, 0.0, 1.0])),
-    (BlochDirection(theta=1.0, phi=0.4), BlochDirection(theta=1.0, phi=0.4).unit_vector),
-    (BlochDirection(theta=2.3, phi=-1.9), BlochDirection(theta=2.3, phi=-1.9).unit_vector),
+    np.array([1.0, 0.0, 0.0]),
+    np.array([0.0, 0.0, 1.0]),
+    BlochDirection(theta=1.0, phi=0.4).unit_vector,
+    BlochDirection(theta=2.3, phi=-1.9).unit_vector,
 )
 
 
@@ -268,10 +245,10 @@ def test_initial_slopes_match_the_choi_contraction_and_a_50_digit_difference(ome
     pytest.importorskip("mpmath")
     p = ModelParams(omega=omega, gamma=gamma)
     scale = 4.0 * max(gamma, 1.0)  # the slopes are 4 gamma times squares of n
-    for basis, n in _DIRECTIONS:
-        got = [quadratic_information(basis, p, 0.0, which)[1] for which in ("direct", "complementary")]
+    for n in _DIRECTIONS:
+        got = quadratic_information(p, n)
         for want in (quadratic_slopes_choi(generator(p), n), quadratic_slopes_mp(omega, gamma, n)):
-            assert np.abs(np.subtract(got, want)).max() < 1e-12 * scale, (basis, got, want)
+            assert np.abs(np.subtract(got, want)).max() < 1e-12 * scale, (n, got, want)
 
 
 @pytest.mark.parametrize("omega, gamma", RATE_GRID)
@@ -280,7 +257,7 @@ def test_closed_form_leaked_square_matches_the_choi_contraction(omega, gamma):
     times = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 46) / max(omega, gamma), [1e-6, 0.5, 3.0]])
     T = propagator_closed_form(p, times)
     C = ptm_to_choi(T)
-    for _, n in _DIRECTIONS:
+    for n in _DIRECTIONS:
         assert np.abs(_leaked_square(T, n) - leaked_square_choi(C, n)).max() < 1e-14
 
 
@@ -319,9 +296,8 @@ def test_environment_gain_balances_system_loss_across_bases():
     for _ in range(10):
         p = ModelParams(omega=float(rng.uniform(0.3, 3.0)), gamma=float(rng.uniform(0.3, 3.0)))
         t = float(rng.uniform(0.05, 3.0))
-        lhs = holevo_direct("z", p, t) + holevo_complementary("x", p, t)
-        rhs = holevo_direct("x", p, t) + holevo_complementary("z", p, t)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+        curves = build_info_report(p, np.array([t])).curves
+        assert curves["sum_zx"][0] == pytest.approx(curves["sum_xz"][0], abs=1e-10)
 
 
 def _definition_route_row(p, t, family_basis):
@@ -354,10 +330,14 @@ def _definition_route_row(p, t, family_basis):
         "sum_xz": kept(ex) + leaked(z),
         "quad_z_direct": float(np.linalg.norm(T[1:, 1:] @ ez) ** 2),
         "quad_x_comp": 0.5 * float(np.trace(sigma_x @ sigma_x).real),
-        # records are faithful: the forward family's record information is
-        # the Holevo information of its first basis
-        "mutual_info": kept({"x": ex, "z": ez}[family_basis]),
     }
+    if family_basis == "y":
+        # the y arms through the Kraus operators of the dilation
+        arms = [kraus.apply(P) for P in Decomposition(np.array([0.0, 1.0, 0.0])).projectors]
+        row["chi_y_direct"] = holevo_chi((0.5, 0.5), arms)
+    # records are faithful: the forward family's record information is
+    # the Holevo information of its first basis
+    row["mutual_info"] = row[f"chi_{family_basis}_direct"]
     return row
 
 
@@ -370,13 +350,16 @@ def _definition_route_row(p, t, family_basis):
         # D2S2, gamma t from 0 to 1e6
         (ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e6 / 9e9]), "x"),
         (ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e6 / 9e9]), "z"),
+        # the y family basis adds its direct column
+        (ModelParams(omega=1.0, gamma=0.35), np.linspace(0.0, 6.0, 13), "y"),
+        (ModelParams(omega=176.0, gamma=9e9), np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e6 / 9e9]), "y"),
     ],
 )
 def test_batched_report_matches_the_definition_route(params, times, basis):
     rep = build_info_report(params, times, family_basis=basis)
     assert list(rep.curves) == [
-        "chi_x_direct", "chi_z_direct", "chi_x_comp", "chi_z_comp",
-        "sum_zx", "sum_xz", "quad_z_direct", "quad_x_comp", "mutual_info",
+        "chi_x_direct", "chi_z_direct", "chi_x_comp", "chi_z_comp", "sum_zx", "sum_xz",
+        "quad_z_direct", "quad_x_comp", *(["chi_y_direct"] if basis == "y" else []), "mutual_info",
     ]
     for k, t in enumerate(times):
         for key, want in _definition_route_row(params, t, basis).items():
@@ -391,7 +374,6 @@ def test_leaked_parity_information_at_d2s2_matches_mpmath():
     exact = leaked_information_mp(p.omega, p.gamma, t, (0.0, 0.0, 1.0))
     assert exact == pytest.approx(3.5724125948e-11, rel=1e-10)
     assert build_info_report(p, np.array([0.0, t])).curves["chi_z_comp"][1] == pytest.approx(exact, abs=1e-13)
-    assert holevo_complementary("z", p, t) == pytest.approx(exact, abs=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -433,15 +415,15 @@ def test_one_time_quantities_agree_with_the_report_and_the_dilation_for_any_dire
     d = Decomposition.from_direction(BlochDirection(theta=0.7, phi=2.1))
     P0, P1 = d.projectors
     for k, t in enumerate(times):
-        assert holevo_direct("x", p, t) == pytest.approx(rep.curves["chi_x_direct"][k], abs=1e-14)
-        assert holevo_complementary("z", p, t) == pytest.approx(rep.curves["chi_z_comp"][k], abs=1e-14)
-        kraus = choi_to_kraus(ptm_to_choi(propagator_closed_form(p, float(t))), significance=0.0)
+        T = propagator_closed_form(p, float(t))
+        assert float(_direct(T, [1.0, 0.0, 0.0])) == pytest.approx(rep.curves["chi_x_direct"][k], abs=1e-14)
+        assert float(_leaked(T, [0.0, 0.0, 1.0])) == pytest.approx(rep.curves["chi_z_comp"][k], abs=1e-14)
+        kraus = choi_to_kraus(ptm_to_choi(T), significance=0.0)
         comp = ComplementaryChannel(isometry=stinespring_isometry(kraus), kraus=kraus)
         leaked = holevo_chi((0.5, 0.5), (complementary_apply(comp, P0), complementary_apply(comp, P1)))
-        assert holevo_complementary(d, p, t) == pytest.approx(leaked, abs=1e-12)
+        assert float(_leaked(T, d.n)) == pytest.approx(leaked, abs=1e-12)
         sigma = complementary_apply(comp, P0 - P1)
-        value, _ = quadratic_information(d, p, t, "complementary")
-        assert value == pytest.approx(0.5 * float(np.trace(sigma @ sigma).real), abs=1e-12)
+        assert float(_leaked_square(T, d.n)) == pytest.approx(0.5 * float(np.trace(sigma @ sigma).real), abs=1e-12)
 
 
 def test_bloch_lengths_beyond_one_are_clipped_as_roundoff_or_rejected_as_states():

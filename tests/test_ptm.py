@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from oracles import apply_ptm, bloch_from_state, exact_direction, propagator_numeric, state_from_bloch
+from oracles import apply_ptm, bloch_from_state, eigen_system, exact_direction, propagator_numeric, state_from_bloch
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, flow_unit_vectors
 from tunnelmol.ptm import (
     CRITICAL,
@@ -17,7 +17,6 @@ from tunnelmol.ptm import (
     SIGMA_X,
     SIGMA_Z,
     UNDERDAMPED,
-    eigen_system,
     generator,
     operator_from_pauli,
     pauli_coefficients,
