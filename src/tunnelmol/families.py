@@ -129,7 +129,7 @@ def _signed_gamma(params: ModelParams, direction: str) -> float:
 
 
 def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.ndarray, angles: bool = True):
-    """Closed-form family at elapsed times tau >= 0: (theta, phi, kappa, rate_integral).
+    """Closed-form family at elapsed times tau: (theta, phi, kappa, rate_integral).
 
     The x-y part of the flow acts on u0 = (cos phi0, sin phi0) alone, and the
     z part is exp(-2 g tau) cos theta0, so
@@ -143,8 +143,10 @@ def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.
     d ln|v| / dt = -+2 kappa gives the integrated flip rate from ln|v| in
     closed form.  kappa = gamma (n_y^2 + n_z^2) is gamma (1 - n_x^2) without
     the cancellation near the pointer axis.  With angles=False theta and phi
-    are None.
+    are None.  Before the family's start (tau < 0) every quantity is its
+    value at the start (Lambda 0 to rounding): the one rule for such times.
     """
+    tau = np.maximum(tau, 0.0)
     g = _signed_gamma(params, direction)
     L, a, b, c = scaled_block(g, params.omega, tau)
     c0, s0 = math.cos(initial.phi), math.sin(initial.phi)
@@ -178,10 +180,11 @@ def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.
 
 
 def flow_unit_vectors(initial, params: ModelParams, direction: str, times) -> np.ndarray:
-    """Unit vectors n(t) of the family through `initial`, one row per elapsed time t >= 0.
+    """Unit vectors n(t) of the family through `initial`, one row per elapsed time t.
 
     The normalized linear flow on a whole grid at once:
-    forward n(t) = T3(t) n0 / |T3(t) n0|, finite for any gamma t.
+    forward n(t) = T3(t) n0 / |T3(t) n0|, finite for any gamma t.  A time
+    below 0, before the family starts, gives n0.
     """
     theta, phi, _, _ = _flow(_as_direction(initial), params, direction, np.asarray(times, dtype=float))
     st = np.sin(theta)
@@ -196,7 +199,8 @@ class FamilyTrajectory:
     unwrapped, theta on the branch of the initial polar angle).
     rate_integral is the integrated flip rate Lambda(t), the integral of
     kappa from times[0] to t.  The *_at methods evaluate the same closed form
-    at any time, not by interpolation.
+    at any time, not by interpolation; at a time before times[0] they give
+    the family's values at times[0].
     """
 
     params: ModelParams

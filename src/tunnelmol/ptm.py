@@ -56,10 +56,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = np.array([SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-# below this value of |xi*t| the hyperbolic/trigonometric kernels switch to a
-# Taylor series, which keeps the critical point gamma = omega exact
-_SERIES_CUTOFF = 1e-4
-
 OVERDAMPED = "overdamped"
 CRITICAL = "critical"
 UNDERDAMPED = "underdamped"
@@ -96,7 +92,7 @@ class ModelParams:
     @property
     def discriminant(self) -> float:
         """xi = sqrt(gamma^2 - omega^2) when overdamped, eta = sqrt(omega^2 - gamma^2) otherwise."""
-        return _damping(self.gamma, self.omega)[1]
+        return float(_damping(self.gamma, self.omega)[1])
 
 
 def _damping(gamma, omega):
@@ -107,15 +103,8 @@ def _damping(gamma, omega):
     equatorial decay rates are fast = |gamma| + xi and slow = omega^2/fast,
     which equals |gamma| - xi without its cancellation at gamma >> omega
     (slow = 0 at gamma = omega = 0); both are NaN where |gamma| < omega, also
-    where d2 underflows to 0.  Floats stay on math, so the propagator pays no
-    array overhead per call; arrays broadcast.
+    where d2 underflows to 0.  Floats go through as 0-d arrays.
     """
-    if not isinstance(gamma, np.ndarray) and not isinstance(omega, np.ndarray):
-        G = abs(gamma)
-        d2 = (G - omega) * (G + omega)
-        root = math.sqrt(abs(d2))
-        fast = math.nan if G < omega else G + root
-        return d2, root, omega * omega / fast if fast != 0.0 else 0.0, fast
     G = np.abs(gamma)
     d2 = (G - omega) * (G + omega)
     root = np.sqrt(np.abs(d2))
@@ -143,13 +132,13 @@ def scaled_block(gamma: float, omega: float, t):
     [omega, -2 gamma]], the x-y block of the generator.  gamma may be negative:
     gamma -> -gamma turns exp(t S2) into exp(-t S2^T), the backward flow.
 
-    Overdamped, the block is a sum of the decaying (or, for negative gamma,
-    growing) exponentials exp(-(gamma -+ xi) t).  Writing the slow rate as
-    k1 = gamma - xi = omega^2/(gamma + xi) and factoring out the dominant
-    exponential leaves a, b, c of order one, so no term overflows or cancels
-    for any gamma t (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The
-    underdamped branch factors out exp(-gamma t), and below |xi t| = 1e-4 a
-    Taylor series keeps the critical point exact.
+    Underdamped (d2 < 0), the block factors out exp(-gamma t) and rotates at
+    eta; critical (d2 = 0), it is exactly a = 1 + gamma t, b = omega t,
+    c = 1 - gamma t.  Overdamped, it is a sum of the decaying (or, for
+    negative gamma, growing) exponentials exp(-(gamma -+ xi) t).  Writing the
+    slow rate as k1 = gamma - xi = omega^2/(gamma + xi) and factoring out the
+    dominant exponential leaves a, b, c of order one, so no term overflows or
+    cancels for any gamma t (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
 
     t is any array of times, evaluated elementwise; a float t is a 0-d array.
     """
@@ -159,25 +148,15 @@ def scaled_block(gamma: float, omega: float, t):
     if d2 < 0.0:
         C = np.cos(root * t)
         Sh = np.sin(root * t) / root
-        L, a, b, c = -g * t, C + g * Sh, om * Sh, C - g * Sh
-    elif d2 > 0.0:
+        return -g * t, C + g * Sh, om * Sh, C - g * Sh
+    if d2 > 0.0:
         xi = root
         h = -np.expm1(-2.0 * xi * t) / (2.0 * xi)
         D = np.exp(-2.0 * xi * t)
         p = 1.0 + k1 * h
         r = np.where(D * k2 > 2.0 * xi, 1.0 - k2 * h, (D * k2 - k1) / (2.0 * xi))
-        L, a, b, c = (-k1 * t, p, om * h, r) if g >= 0.0 else (k2 * t, r, om * h, p)
-    else:
-        L = a = b = c = np.zeros_like(t)
-    u = d2 * t * t
-    series = np.abs(u) < _SERIES_CUTOFF**2
-    if series.any():
-        L, a, b, c = (np.array(x, dtype=float, copy=True) for x in (L, a, b, c))
-        us, ts = u[series], t[series]
-        C = 1.0 + us / 2.0 + us * us / 24.0 + us**3 / 720.0
-        Sh = (1.0 + us / 6.0 + us * us / 120.0 + us**3 / 5040.0) * ts
-        L[series], a[series], b[series], c[series] = -g * ts, C + g * Sh, om * Sh, C - g * Sh
-    return L, a, b, c
+        return (-k1 * t, p, om * h, r) if g >= 0.0 else (k2 * t, r, om * h, p)
+    return -g * t, 1.0 + g * t, om * t, 1.0 - g * t
 
 
 def propagator_closed_form(params: ModelParams, t) -> np.ndarray:

@@ -166,12 +166,6 @@ class Ensemble:
         return np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], self.n_flips)
 
 
-def _rate_integral_within(family: FamilyTrajectory, times: np.ndarray) -> np.ndarray:
-    # Lambda only inside the family's span: outside it the closed form can
-    # overflow (exp(-2 xi t) at t < 0); clipping keeps the order of the times
-    return family.rate_integral_at(np.clip(times, family.times[0], family.times[-1]))
-
-
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products m * x, from 32-bit halves."""
     m_lo, m_hi = m & _LOW32, m >> _SHIFT32
@@ -428,9 +422,9 @@ def ensemble_average(ens: Ensemble, times=None) -> EnsembleSeries:
     moves = np.bincount(2 * bins + into_0, minlength=2 * m + 2).reshape(m + 1, 2)
     p0 = np.empty(m)
     p0[order] = (np.count_nonzero(ens.initial_arms == 0) + np.cumsum(moves[:m, 1] - moves[:m, 0])) / len(ens)
-    # before the family's start the ensemble sits in the arms at times[0]:
-    # the flow run backwards from there can overflow (stiff overdamped families)
-    bloch = (2.0 * p0 - 1.0)[:, None] * family.unit_vectors_at(np.maximum(times, family.times[0]))
+    # before the family's start the ensemble sits in the arms at times[0],
+    # and the family reads its start values there
+    bloch = (2.0 * p0 - 1.0)[:, None] * family.unit_vectors_at(times)
     return EnsembleSeries(times=times, p0=p0, bloch=bloch, n_trajectories=len(ens))
 
 
@@ -443,7 +437,7 @@ def _queries_before(ens: Ensemble, sorted_times: np.ndarray) -> np.ndarray:
     binned by their clock times, as arm_at counts.
     """
     family, s = ens.family, ens.flip_sums
-    lam = np.maximum.accumulate(_rate_integral_within(family, sorted_times))
+    lam = np.maximum.accumulate(family.rate_integral_at(sorted_times))
     bins, below, above = _locate(lam, s)
     # the sum of a flip and the Lambda of its inverted time differ by the
     # Newton residual: a few ulps of max(1, Lambda), or kappa <= gamma times
@@ -494,6 +488,7 @@ def deterministic_occupation(family: FamilyTrajectory, times=None, p0_initial: f
 
     Lambda, the integral of kappa along the family, is exact at every query
     time (the radius identity), so no quadrature or interpolation enters.
+    Before the family's start Lambda is 0, so the occupation is p0_initial.
     """
     if times is None:
         times = family.times

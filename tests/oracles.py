@@ -95,7 +95,7 @@ from tunnelmol.ptm import (
     pauli_coefficients,
     propagator_closed_form,
 )
-from tunnelmol.trajectories import _philox4x64, _rate_integral_within
+from tunnelmol.trajectories import _philox4x64
 
 # tangent values beyond this mean the closed form left its branch
 _TANGENT_LIMIT = 1e12
@@ -957,7 +957,7 @@ def searchsorted_bins(ens, sorted_times: np.ndarray) -> np.ndarray:
     np.searchsorted on those Lambdas; the rest by their inverted clock times.
     """
     family, s = ens.family, ens.flip_sums
-    lam = np.maximum.accumulate(_rate_integral_within(family, sorted_times))
+    lam = np.maximum.accumulate(family.rate_integral_at(sorted_times))
     bins = np.searchsorted(lam, s, side="left")
     params = family.params
     tol = 1e-9 * (1.0 + (params.gamma + params.omega) * float(family.times[-1]))

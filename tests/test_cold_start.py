@@ -59,7 +59,8 @@ GONE = (
     "ptm_to_choi choi_eigenvalues _CHOI_BASIS _distinct _HASH_MULTIPLIER _LOW_WORD MAX_RADIUS_PANELS _panels "
     "holevo_direct holevo_complementary MubBoundReport mub_bound_check InformationIdentityReport "
     "verify_family_information_identity ForwardConditionError short_time_leak_model mutual_information_family "
-    "_record_information _axis check_forward_condition ConditionReport EigenSystem eigen_system"
+    "_record_information _axis check_forward_condition ConditionReport EigenSystem eigen_system "
+    "_SERIES_CUTOFF _rate_integral_within"
 ).split()
 
 

@@ -7,7 +7,15 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from oracles import apply_ptm, bloch_from_state, eigen_system, exact_direction, propagator_numeric, state_from_bloch
+from oracles import (
+    _propagator_mp,
+    apply_ptm,
+    bloch_from_state,
+    eigen_system,
+    exact_direction,
+    propagator_numeric,
+    state_from_bloch,
+)
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, flow_unit_vectors
 from tunnelmol.ptm import (
     CRITICAL,
@@ -21,6 +29,7 @@ from tunnelmol.ptm import (
     operator_from_pauli,
     pauli_coefficients,
     propagator_closed_form,
+    scaled_block,
 )
 
 
@@ -88,9 +97,12 @@ def _mpmath_propagator(mpmath, p, t):
 def test_closed_form_matches_50_digit_expm_to_gamma_t_1e12():
     mpmath = pytest.importorskip("mpmath")
     cases = [(1.0, 3.0), (176.0, 9e9), (3.0, 1.0), (1.0, 1e-3), (1.0, 1.0), (1.0, 1.0 + 1e-9)]
+    # near the critical point, on both sides: the overdamped and underdamped
+    # closed forms at tiny |xi t|
+    cases += [(1.0, 1.0 + sign * d) for d in (1e-12, 1e-6, 1e-4) for sign in (1.0, -1.0)]
     for omega, gamma in cases:
         p = ModelParams(omega=omega, gamma=gamma)
-        for gamma_t in (1e-3, 1.0, 7e2, 1e4, 1e12):
+        for gamma_t in (1e-9, 1e-3, 1.0, 7e2, 1e4, 1e12):
             t = gamma_t / gamma
             want = _mpmath_propagator(mpmath, p, t)
             # the phase omega t of an underdamped rotation carries a rounding of a few ulps
@@ -98,6 +110,15 @@ def test_closed_form_matches_50_digit_expm_to_gamma_t_1e12():
             for T in (propagator_closed_form(p, t), propagator_closed_form(p, np.array([t]))[0]):
                 assert np.all(np.isfinite(T))
                 assert np.abs(T - want).max() <= tol, (omega, gamma, gamma_t)
+            if abs(gamma / omega - 1.0) <= 1e-4 and gamma_t <= 1e4:
+                # the backward sense, gamma -> -gamma: a growing block, so the
+                # scaled entries are compared relative to the largest of them
+                L, a, b, c = scaled_block(-gamma, omega, t)
+                with mpmath.workdps(50):
+                    E = _propagator_mp(mpmath, omega, -gamma, t) * mpmath.exp(-mpmath.mpf(float(L)))
+                    want = np.array([[float(E[i, j]) for j in (1, 2)] for i in (1, 2)])
+                got = np.array([[a, -b], [b, c]], dtype=float)
+                assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max()), (omega, gamma, gamma_t)
 
 
 def test_slow_decay_at_d2s2_out_to_the_slow_time():
@@ -149,9 +170,10 @@ def test_semigroup_property():
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_series_branch_is_continuous():
-    # the kernel switches to a Taylor series for tiny xi*t; both sides of the
-    # switch must agree with the brute-force exponential
+def test_closed_form_is_exact_through_the_critical_point():
+    # exactly critical, the kernel takes a = 1 + gamma t, b = omega t,
+    # c = 1 - gamma t; just above, the overdamped form at tiny xi t: both
+    # must agree with the brute-force exponential
     for p in (ModelParams(omega=1.0, gamma=1.0), ModelParams(omega=1.0, gamma=1.0 + 5e-9)):
         for t in (1e-7, 9e-5, 1.1e-4, 2e-4):
             gap = np.abs(propagator_closed_form(p, t) - expm(t * generator(p))).max()

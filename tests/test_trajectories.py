@@ -1,6 +1,7 @@
 """Telegraph sampling: streams, time change, ensemble against the master equation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,29 @@ def test_deterministic_occupation_is_exact_off_the_grid():
             radius = 1.0 / np.array([np.linalg.norm(expm(-t * S3.T) @ d0.unit_vector) for t in times])
         got = deterministic_occupation(fam, times, p0_initial=0.0)
         assert np.abs(got - 0.5 * (1.0 - radius)).max() < 1e-12
+
+
+def test_a_family_reads_its_start_values_before_its_start():
+    # one rule for times before a family's start: every quantity is its
+    # value at the start, so Lambda is 0 (to the rounding of ln|n0| at the
+    # start) and the occupation is p0_initial
+    d2s2 = ModelParams(omega=176.0, gamma=9e9)
+    cases = (
+        (z_traj_family(1.0, 5.0, points=11), np.array([-1.0, -1e-9])),
+        (FamilyTrajectory.integrate(BlochDirection(0.9, 0.2), d2s2, FORWARD, np.linspace(1e-7, 1e-6, 10)),
+         np.array([-1.0, 0.0, 5e-8, 1e-7 - 1e-16])),
+    )
+    for fam, before in cases:
+        start = fam.times[:1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lam = fam.rate_integral_at(before)
+            assert np.array_equal(lam, np.repeat(fam.rate_integral_at(start), len(before)))
+            assert np.abs(lam).max() <= 1e-16
+            assert np.array_equal(fam.kappa_at(before), np.repeat(fam.kappa_at(start), len(before)))
+            assert np.array_equal(fam.unit_vectors_at(before), np.repeat(fam.unit_vectors_at(start), len(before), axis=0))
+            for p0 in (1.0, 0.3):
+                assert np.array_equal(deterministic_occupation(fam, before, p0_initial=p0), np.full(len(before), p0))
 
 
 def test_ensemble_series_stderr_and_errors():
