@@ -49,7 +49,7 @@ from .families import (
     stationary_families,
     stationary_roots,
 )
-from .histories import Decomposition, HistoryFamily, consistency_check, decoherence_functional
+from .histories import HistoryFamily, consistency_check, decoherence_functional
 from .info_flow import build_info_report
 from .ptm import CRITICAL, OVERDAMPED, UNDERDAMPED, ModelParams, generator, propagator_closed_form
 from .trajectories import (
@@ -384,9 +384,9 @@ def cmd_histories(cfg: RunConfig) -> int:
     """Decoherence matrix of a history family.  Bounds: f = steps <= 10 times, so D has 4^f <= 4^10 complex entries."""
     params = cfg.params()
     times = np.arange(cfg.steps) * cfg.dt
-    axis = np.eye(3)["xyz".index(cfg.basis)]
-    units = [axis] * len(times) if cfg.moving == "static" else flow_unit_vectors(axis, params, cfg.moving, times)
-    family = HistoryFamily(params=params, times=times, decompositions=tuple(Decomposition(n) for n in units))
+    axes = np.eye(3)[["xyz".index(cfg.basis)] * cfg.steps]
+    units = axes if cfg.moving == "static" else flow_unit_vectors(axes[0], params, cfg.moving, times)
+    family = HistoryFamily(params=params, times=times, decompositions=units)
     D = decoherence_functional(family, _INITIAL_STATES[cfg.initial])
     _write_csv(cfg, "dmatrix.csv", D.write_csv)
 

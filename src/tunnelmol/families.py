@@ -78,16 +78,16 @@ Z_DIRECTION = BlochDirection(theta=0.0, phi=0.0)
 
 
 def _normalized(n) -> np.ndarray:
-    """n / |n| for a Bloch 3-vector, ValueError for a zero or non-finite one.
+    """n / |n| for Bloch 3-vectors (..., 3), ValueError unless each is nonzero and finite.
 
     A vector within 4 ulps of unit length (flow_unit_vectors rows are within
     1) is kept bit for bit: a division would only move its last bits.
     """
     n = np.asarray(n, dtype=float)
-    norm = np.linalg.norm(n)
-    if n.shape != (3,) or not 0.0 < norm < math.inf:
+    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+    if n.shape[-1:] != (3,) or not np.all((0.0 < norm) & (norm < math.inf)):
         raise ValueError("a Bloch direction needs a nonzero, finite 3-vector")
-    return n if abs(norm - 1.0) <= 4.0 * np.finfo(float).eps else n / norm
+    return np.where(np.abs(norm - 1.0) <= 4.0 * np.finfo(float).eps, n, n / norm)
 
 
 def _as_unit_vector(obj) -> np.ndarray:
@@ -144,9 +144,12 @@ def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.
     closed form.  kappa = gamma (n_y^2 + n_z^2) is gamma (1 - n_x^2) without
     the cancellation near the pointer axis.  With angles=False theta and phi
     are None.  Before the family's start (tau < 0) every quantity is its
-    value at the start (Lambda 0 to rounding): the one rule for such times.
+    value at the start, and Lambda is exactly 0: the one rule for such
+    times.  The start's own log-radius ln|n0|, a few ulps off 0, heads the
+    grid, so it is evaluated with the same arithmetic, and is subtracted.
     """
-    tau = np.maximum(tau, 0.0)
+    shape = np.shape(tau)
+    tau = np.concatenate(([0.0], np.maximum(tau, 0.0).ravel()))
     g = _signed_gamma(params, direction)
     L, a, b, c = scaled_block(g, params.omega, tau)
     c0, s0 = math.cos(initial.phi), math.sin(initial.phi)
@@ -161,9 +164,12 @@ def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.
     wz = np.where(xy_larger, e, 1.0)
     norm2 = 1.0 + e * e
     log_radius = np.maximum(lxy, lz) + 0.5 * np.log1p(e * e)
+    # Lambda = -+ (ln|v| - ln|n0|) / 2, written so that it is +0.0, not -0.0, at the start
+    lam = log_radius[0] - log_radius[1:] if g >= 0.0 else log_radius[1:] - log_radius[0]
+    rate_integral = 0.5 * lam.reshape(shape)
+    tau, ux, uy, rho, wxy, wz, norm2 = (v[1:].reshape(shape) for v in (tau, ux, uy, rho, wxy, wz, norm2))
     sy = uy / rho
     kappa = params.gamma * (wxy * wxy * sy * sy + wz * wz) / norm2
-    rate_integral = -0.5 * log_radius if g >= 0.0 else 0.5 * log_radius
     if not angles:
         return None, None, kappa, rate_integral
     branch = round((initial.theta - math.atan2(st, ct)) / (2.0 * math.pi))

@@ -2,8 +2,10 @@
 
 A history assigns one projector from a decomposition {P^0_m, P^1_m} to each of
 the times t_1 < ... < t_f; a decomposition is held as its Bloch unit vector
-n_m, P^a_m = (I + s_a n_m.sigma)/2.  With the collisional channel T carrying
-operators between neighboring times, the decoherence functional is
+n_m, P^a_m = (I + s_a n_m.sigma)/2, and a family as its times and the stack
+of those vectors, units (f, 3), with no object per time.  With the
+collisional channel T carrying operators between neighboring times, the
+decoherence functional is
 
     D(alpha, beta) = Tr[ P^{a_f}_f T( ... P^{a_2}_2 T( P^{a_1}_1 rho_0 P^{b_1}_1 ) P^{b_2}_2 ... ) P^{b_f}_f ].
 
@@ -29,7 +31,7 @@ significant bit of the row/column index.
 The weights read only the chain's real diagonal block, a = b and a' = b',
 so those of any family, from any initial state, are a Markov chain.  With
 s_0 = +1 and s_1 = -1, chain_kernel computes it in O(f) from one
-propagator stack:
+propagator stack, as p1 (2,) and one array of transitions (f - 1, 2, 2):
 
     p1(a)     = (1 + s_a n_1 . r0)/2,
     M_k(b|a)  = (1 + s_a s_b n_{k+1} . T3_k n_k)/2,
@@ -40,7 +42,8 @@ residuals, the miss of the forward condition, are twice |G_k(a' != b' | a = b)|.
 
 The off-diagonals are a product along the pair of histories too, so the
 largest is a max-product (Viterbi) path over the pair chain (Viterbi, IEEE
-TIT 13, 260 (1967)).  _largest_offdiag finds it exactly in O(f), and
+TIT 13, 260 (1967)).  _largest_offdiag finds it exactly in O(f), reading
+the factors a block of gaps at a time so that its memory stays bounded, and
 markov_from_family takes its verdict from it at any f.
 """
 
@@ -49,11 +52,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .families import FamilyTrajectory, _as_unit_vector, _normalized
+from .families import FamilyTrajectory, _normalized
 from .ptm import ModelParams, operator_from_pauli, pauli_coefficients, propagator_closed_form
 
 CONSISTENCY_TOL = 1e-8
@@ -69,6 +72,8 @@ _FORMAT_BLOCK_VALUES = 8192
 # lie in [-301, 300] even where log10 rounds across a power of ten
 _FORMAT_MAX_EXPONENT = 301
 _LOW32 = 0xFFFFFFFF
+# gaps per block of _largest_offdiag: their pair factors take about 1.2 KB each
+_VERDICT_BLOCK_GAPS = 4096
 # lines per block of write_csv: its grid of lines and the grid's NUL mask
 # stay near 1 MB each
 _CSV_BLOCK_LINES = 16384
@@ -128,7 +133,7 @@ class Decomposition:
 
     @classmethod
     def from_direction(cls, direction, label: str = "") -> "Decomposition":
-        return cls(_as_unit_vector(direction), label=label)
+        return cls(getattr(direction, "unit_vector", getattr(direction, "n", direction)), label=label)
 
     @classmethod
     def x_basis(cls) -> "Decomposition":
@@ -141,36 +146,35 @@ class Decomposition:
 
 @dataclass(frozen=True, eq=False)
 class HistoryFamily:
-    """Times plus one decomposition per time (f >= 1), their unit vectors stacked once as units (f, 3).
+    """Times t_1 < ... < t_f (f >= 1) and the decomposition at each, held as its unit vector: units (f, 3).
 
-    Warns, but proceeds, when a gap is shorter than the collision correlation
-    time tau_c: the Markovian channel between those instants is then of
-    doubtful physical meaning, though still perfectly computable.
+    decompositions, init-only, is one direction per time (a Decomposition or a 3-vector) as a sequence or an (f, 3)
+    array; they are normalized together.  Warns, but proceeds, when a gap is shorter than the collision correlation
+    time tau_c: the Markovian channel there is of doubtful physical meaning, though still perfectly computable.
     """
 
     params: ModelParams
     times: np.ndarray
-    decompositions: tuple
+    decompositions: InitVar[tuple | np.ndarray]
     units: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, decompositions):
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or len(times) < 1:
             raise ValueError("need at least one history time")
         if np.any(np.diff(times) <= 0):
             raise ValueError("history times must be strictly increasing")
-        if len(self.decompositions) != len(times):
+        if not isinstance(decompositions, np.ndarray):
+            decompositions = [getattr(d, "n", d) for d in decompositions]
+        units = _normalized(decompositions)
+        if units.shape != (len(times), 3):
             raise ValueError("need exactly one decomposition per time")
-        object.__setattr__(self, "units", np.array([d.n for d in self.decompositions]))
-        if self.params.tau_c > 0 and len(times) > 1:
-            gap = float(np.min(np.diff(times)))
-            if gap < self.params.tau_c:
-                warnings.warn(
-                    f"history gap {gap:.3g} is below the collision correlation time "
-                    f"tau_c = {self.params.tau_c:.3g}; treat the result with care",
-                    stacklevel=2,
-                )
+        object.__setattr__(self, "units", units)
+        gap = np.diff(times).min(initial=math.inf)
+        if gap < self.params.tau_c:
+            message = f"history gap {gap:.3g} is below the collision correlation time tau_c = {self.params.tau_c:.3g}"
+            warnings.warn(message + "; treat the result with care", stacklevel=2)
 
     @property
     def f(self) -> int:
@@ -180,8 +184,7 @@ class HistoryFamily:
     def from_trajectory(cls, traj: FamilyTrajectory, times) -> "HistoryFamily":
         """Sample a moving-basis family at the given instants."""
         times = np.asarray(times, dtype=float)
-        decomps = tuple(Decomposition(n) for n in traj.unit_vectors_at(times))
-        return cls(params=traj.params, times=times, decompositions=decomps)
+        return cls(params=traj.params, times=times, decompositions=traj.unit_vectors_at(times))
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,15 +536,20 @@ def _largest_offdiag(transfers, units, initial) -> float:
     so |G_k| <= 1 and no prefix of that path is lighter than the path: where the maximum is a
     normal float nothing it is built from underflows, and it keeps the rounding of a plain product.
     """
-    w, G = _pair_factors(transfers, units, initial)
     a, b, differed = np.array([0, 1, 0, 0, 1, 1]), np.array([0, 1, 0, 1, 0, 1]), np.arange(6) >= 2
     # a step [to, from] keeps the flag and sets it where the new pair differs;
     # its factor is G_k[(a', a), (b', b)], flattened
-    steps = np.abs(G).reshape(-1, 16)[:, 8 * a[:, None] + 4 * a + 2 * b[:, None] + b]
-    steps *= differed[:, None] == (differed | (a != b)[:, None])
-    v = np.abs(w)[a, b] * (differed == (a != b))
-    for step in steps:
-        v = (step * v).max(axis=1)
+    factor = 8 * a[:, None] + 4 * a + 2 * b[:, None] + b
+    allowed = differed[:, None] == (differed | (a != b)[:, None])
+    # the factors of a block of gaps at a time, so that memory stays bounded at any f
+    for start in range(0, max(len(transfers), 1), _VERDICT_BLOCK_GAPS):
+        stop = start + _VERDICT_BLOCK_GAPS
+        w, G = _pair_factors(transfers[start:stop], units[start : stop + 1], initial)
+        if start == 0:
+            v = np.abs(w)[a, b] * (differed == (a != b))
+        steps = np.abs(G).reshape(-1, 16)[:, factor] * allowed
+        for step in steps:
+            v = (step * v).max(axis=1)
     # the trace closes t_f on a = b, which counts once the histories have differed
     return float(v[differed & (a == b)].max())
 
@@ -575,14 +583,14 @@ def consistency_check(D: DecoherenceMatrix, tol: float = CONSISTENCY_TOL) -> Con
 
 @dataclass(frozen=True, eq=False)
 class MarkovChain:
-    """Initial distribution and per-step column-stochastic transition matrices.
+    """Initial distribution (2,) and the column-stochastic transitions as one array (f - 1, 2, 2), [step, next, now].
 
     factorization_error is always 0.0, the chain's product being the weights
     by construction; it stays while the benchmark's markov check reads it.
     """
 
     initial_distribution: np.ndarray
-    transitions: tuple
+    transitions: np.ndarray
     factorization_error: float = 0.0
 
 
@@ -646,7 +654,7 @@ def markov_from_family(family: HistoryFamily, initial=None, tol: float = CONSIST
     largest = _largest_offdiag(transfers, family.units, initial)
     if not largest < tol:
         raise NotConsistentError(f"family is not consistent: max off-diagonal {largest:.3e} >= {tol:.0e}")
-    return MarkovChain(initial_distribution=p1, transitions=tuple(transitions))
+    return MarkovChain(initial_distribution=p1, transitions=transitions)
 
 
 def telegraph_flip_probability(params: ModelParams, dt: float) -> float:

@@ -1,5 +1,6 @@
 """Decoherence functional, consistency, Markov extraction, collision averaging."""
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -244,7 +245,7 @@ def test_markov_extraction_from_z_family():
 def test_markov_single_time_has_no_transitions():
     fam = HistoryFamily(params=P05, times=np.array([0.0]), decompositions=(Decomposition.z_basis(),))
     chain = markov_from_family(fam)
-    assert chain.transitions == ()
+    assert chain.transitions.shape == (0, 2, 2)
     assert np.allclose(chain.initial_distribution, [0.5, 0.5])
 
 
@@ -933,6 +934,40 @@ def test_a_moving_d2s2_family_at_f2000_gets_a_chain():
     transfers = propagator_closed_form(params, np.diff(times))
     largest = histories._largest_offdiag(transfers, units, None)
     assert 0.0 < largest <= chain_kernel(units, transfers[:, 1:, 1:], np.zeros(3))[2][:-1].max() / 2.0
+
+
+def test_a_family_holds_its_times_and_unit_vectors_and_no_per_time_object():
+    params = ModelParams(omega=176.0, gamma=9e9)
+    times = 1e-10 * np.arange(5)
+    units = flow_unit_vectors(BlochDirection(1.2, 0.4), params, FORWARD, times)
+    fam = HistoryFamily(params=params, times=times, decompositions=units)
+    assert [f.name for f in dataclasses.fields(fam)] == ["params", "times", "units"]
+    assert not hasattr(fam, "decompositions")
+    # flow rows are unit to an ulp: kept bit for bit, the same from any input form
+    assert np.array_equal(fam.units, units)
+    for directions in (tuple(map(Decomposition, units)), list(units), [*units[:2], *map(Decomposition, units[2:])]):
+        assert np.array_equal(HistoryFamily(params=params, times=times, decompositions=directions).units, units)
+    assert np.array_equal(HistoryFamily(params=P05, times=[0.0, 1.0], decompositions=[[0, 3, 4], [2, 0, 0]]).units,
+                          [[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]])
+    for bad in (units[:4], units[:, :2], np.vstack([units[:4], np.zeros(3)]), [[np.nan, 0.0, 1.0]] * 5):
+        with pytest.raises(ValueError):
+            HistoryFamily(params=params, times=times, decompositions=bad)
+
+
+@pytest.mark.parametrize("block", [1, 7, 2000])
+def test_the_verdict_over_blocks_of_gaps_is_bitwise_the_one_block_verdict(monkeypatch, block):
+    params = ModelParams(omega=176.0, gamma=9e9)
+    times = 1e-10 * np.arange(2000)
+    units = flow_unit_vectors(BlochDirection(1.2, 0.4), params, FORWARD, times)
+    transfers = propagator_closed_form(params, np.diff(times))
+    for initial in (None, np.array([0.3, -0.2, 0.5])):
+        monkeypatch.setattr(histories, "_VERDICT_BLOCK_GAPS", 10**6)
+        whole = histories._largest_offdiag(transfers, units, initial)
+        monkeypatch.setattr(histories, "_VERDICT_BLOCK_GAPS", block)
+        assert histories._largest_offdiag(transfers, units, initial) == whole > 0.0
+    monkeypatch.setattr(histories, "_VERDICT_BLOCK_GAPS", block)
+    fam = HistoryFamily(params=P05, times=[0.0], decompositions=[X_DIRECTION.unit_vector])
+    assert histories._largest_offdiag(np.empty((0, 4, 4)), fam.units, None) == 0.0
 
 
 @pytest.mark.parametrize("x", [1e-12, 1e-8, 1.0, 30.0])

@@ -319,8 +319,7 @@ def test_deterministic_occupation_is_exact_off_the_grid():
 
 def test_a_family_reads_its_start_values_before_its_start():
     # one rule for times before a family's start: every quantity is its
-    # value at the start, so Lambda is 0 (to the rounding of ln|n0| at the
-    # start) and the occupation is p0_initial
+    # value at the start, so Lambda is 0 and the occupation is p0_initial
     d2s2 = ModelParams(omega=176.0, gamma=9e9)
     cases = (
         (z_traj_family(1.0, 5.0, points=11), np.array([-1.0, -1e-9])),
@@ -500,6 +499,20 @@ DRAW_INDICES = {
 def draw_family(name, points=1001):
     params, start, sense, t_end = DRAW_FAMILIES[name]
     return FamilyTrajectory.integrate(start, params, sense, np.linspace(0.0, t_end, points))
+
+
+@pytest.mark.parametrize("family", DRAW_FAMILIES)
+def test_lambda_is_exactly_zero_at_and_before_a_family_start(family):
+    # ln|n0| at the start reads a few ulps off 0 (1.4e-17 for d2s2 and
+    # backward-under); Lambda subtracts it, so it is +0.0 there, not -0.0
+    params, start, sense, t_end = DRAW_FAMILIES[family]
+    for t0 in (0.0, 0.37 * t_end):
+        fam = FamilyTrajectory.integrate(start, params, sense, t0 + np.linspace(0.0, t_end, 101))
+        before = t0 - t_end * np.array([[2.0, 1e-3], [1e-9, 0.0]])
+        for lam in (fam.rate_integral[0], fam.rate_integral_at(t0), *fam.rate_integral_at(before).ravel()):
+            assert lam == 0.0 and not np.signbit(lam)
+        assert fam.rate_integral_at(before).shape == (2, 2)
+        assert np.all(fam.rate_integral[1:] >= 0.0)
 
 
 @pytest.mark.parametrize("indices", DRAW_INDICES.values(), ids=DRAW_INDICES.keys())
