@@ -58,12 +58,10 @@ from .trajectories import (
     EnsembleSeries,
     GapStatistics,
     SamplerConfig,
-    Trajectory,
     deterministic_occupation,
     ensemble_average,
     gap_statistics,
     sample_ensemble,
-    sample_trajectory,
 )
 
 __version__ = "0.1.0"

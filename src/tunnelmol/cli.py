@@ -410,14 +410,18 @@ def cmd_histories(cfg: RunConfig) -> int:
 def cmd_sample(cfg: RunConfig) -> int:
     """Sample a telegraph ensemble, average it against the master curve and test its gaps.
 
+    --initial mixed, 0 or 1 is read once as p0, the probability of starting in arm 0 (0.5, 1 or 0); the sampler and
+    the master curve take that same number.
+
     Bounds: a run expected to draw more than MAX_EXPECTED_FLIPS flips (Lambda(tmax) x ntraj) is refused before
     drawing.  That bounds the draw's memory, not just the 8-byte-per-flip flat ensemble: every pass's sums and masks
     live until the final scatter, about 52 B a flip at the peak (0.26 GB for 5e6 flips, so about 0.5 GB at the cap).
-    The KS gap ensemble has at most 500 trajectories over 30 mean gaps and inverts only their first 11 flips each;
-    only the saved members' flips are inverted.
+    The KS gap ensemble has at most 500 trajectories over 30 mean gaps and inverts only their first 11 flips each.
+    Of the main ensemble only the saved members' flips are inverted, and the few the average finds within rounding of
+    a query time's Lambda.
     """
-    initial = None if cfg.initial == "mixed" else int(cfg.initial)
-    sampler = SamplerConfig(seed=cfg.seed, n_trajectories=cfg.ntraj, initial=initial)
+    p0 = {"mixed": 0.5, "0": 1.0, "1": 0.0}[cfg.initial]
+    sampler = SamplerConfig(seed=cfg.seed, n_trajectories=cfg.ntraj, p0=p0)
     params = cfg.params()
     times = np.linspace(0.0, cfg.tmax, cfg.points)
     dense = np.linspace(0.0, cfg.tmax, max(cfg.points, 1001))
@@ -431,8 +435,7 @@ def cmd_sample(cfg: RunConfig) -> int:
         )
     ensemble = sample_ensemble(family, sampler)
     series = ensemble_average(ensemble, times)
-    p0_init = {None: 0.5, 0: 1.0, 1: 0.0}[initial]
-    master = deterministic_occupation(family, times, p0_initial=p0_init)
+    master = deterministic_occupation(family, times, p0_initial=p0)
 
     header = ["t", "p0_sampled", "p0_master", "delta_p", "bloch_x", "bloch_y", "bloch_z"]
     columns = [times, series.p0, master, series.occupation_difference, series.bloch]
@@ -442,10 +445,10 @@ def cmd_sample(cfg: RunConfig) -> int:
     # leads into
     saved = min(cfg.save_trajectories, len(ensemble))
     offsets = ensemble.offsets
-    flips = ensemble._flip_times_at(slice(0, offsets[saved]))
+    flips = ensemble.flip_times(slice(0, offsets[saved]))
     for k in range(saved):
         arms = (ensemble.initial_arms[k] + np.arange(offsets[k + 1] - offsets[k] + 1)) % 2
-        columns = [np.concatenate(([ensemble.t_start], flips[offsets[k] : offsets[k + 1]])), arms]
+        columns = [np.concatenate((family.times[:1], flips[offsets[k] : offsets[k + 1]])), arms]
         _write_csv(cfg, f"trajectory_{k:03d}.csv", _table(["time", "arm"], columns))
 
     checks = _Checks()
@@ -460,9 +463,9 @@ def cmd_sample(cfg: RunConfig) -> int:
         rate = float(kap[0])
         horizon = np.linspace(0.0, 30.0 / rate, 201)
         gap_family = FamilyTrajectory.integrate(start, params, cfg.direction, horizon)
-        gap_sampler = SamplerConfig(seed=cfg.seed, n_trajectories=min(cfg.ntraj, 500), initial=0)
+        gap_sampler = SamplerConfig(seed=cfg.seed, n_trajectories=min(cfg.ntraj, 500), p0=1.0)
         stats = gap_statistics(sample_ensemble(gap_family, gap_sampler), rate=rate, max_gaps=10)
-        checks.below("gap_distribution", stats.ks_statistic, stats.ks_critical(0.01))
+        checks.below("gap_distribution", stats.ks_statistic, stats.ks_critical)
     return checks.status
 
 

@@ -165,7 +165,10 @@ def _flow(initial: BlochDirection, params: ModelParams, direction: str, tau: np.
     norm2 = 1.0 + e * e
     log_radius = np.maximum(lxy, lz) + 0.5 * np.log1p(e * e)
     # Lambda = -+ (ln|v| - ln|n0|) / 2, written so that it is +0.0, not -0.0, at the start
-    lam = log_radius[0] - log_radius[1:] if g >= 0.0 else log_radius[1:] - log_radius[0]
+    if g == 0.0:  # kappa is identically 0, so Lambda is +0.0 exactly, though ln|v| wanders by ulps
+        lam = np.zeros(len(tau) - 1)
+    else:
+        lam = log_radius[0] - log_radius[1:] if g > 0.0 else log_radius[1:] - log_radius[0]
     rate_integral = 0.5 * lam.reshape(shape)
     tau, ux, uy, rho, wxy, wz, norm2 = (v[1:].reshape(shape) for v in (tau, ux, uy, rho, wxy, wz, norm2))
     sy = uy / rho

@@ -122,7 +122,6 @@ class Decomposition:
     """
 
     n: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "n", _normalized(self.n))
@@ -132,16 +131,16 @@ class Decomposition:
         return projector_pairs(self.n)
 
     @classmethod
-    def from_direction(cls, direction, label: str = "") -> "Decomposition":
-        return cls(getattr(direction, "unit_vector", getattr(direction, "n", direction)), label=label)
+    def from_direction(cls, direction) -> "Decomposition":
+        return cls(getattr(direction, "unit_vector", getattr(direction, "n", direction)))
 
     @classmethod
     def x_basis(cls) -> "Decomposition":
-        return cls.from_direction(np.array([1.0, 0.0, 0.0]), label="x")
+        return cls.from_direction(np.array([1.0, 0.0, 0.0]))
 
     @classmethod
     def z_basis(cls) -> "Decomposition":
-        return cls.from_direction(np.array([0.0, 0.0, 1.0]), label="z")
+        return cls.from_direction(np.array([0.0, 0.0, 1.0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,9 +24,9 @@ The random stream of trajectory i is Philox4x64-10 (Salmon et al., SC'11,
 the generator behind numpy.random.Philox) with the 128-bit key
 (seed mod 2^64, seed >> 64) and the counter (i, block, 0, 0), block = 0, 1,
 2, ...; each block gives four 64-bit words x, read in order as uniforms
-u = (x >> 11) 2^-53.  Word 0 of block 0 sets the initial arm (used or not),
-and every later word gives one unit exponential -log1p(-u), so the flips do
-not depend on the initial mode.  The kernel draws the next blocks of every
+u = (x >> 11) 2^-53.  Word 0 of block 0 sets the initial arm (arm 1 where
+u >= p0), and every later word gives one unit exponential -log1p(-u), so
+the flips do not depend on p0.  The kernel draws the next blocks of every
 trajectory whose running sum is still below Lambda(t_end) in one vectorized
 pass.  With the trajectory index in the low counter word, one block of a run
 of indices is one contiguous run of counters, which numpy's C Philox
@@ -43,7 +43,6 @@ over all flips.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -67,53 +66,33 @@ class SamplerConfig:
     seed          master seed in [0, 2^128), the Philox key; trajectory i
                   uses the stream (seed, i)
     n_trajectories  ensemble size
-    initial       None draws the starting arm fairly (maximally mixed start);
-                  the ints 0 or 1 pin that arm; a float in [0, 1] is the
-                  probability of starting in arm 0
+    p0            probability of starting in arm 0: a trajectory starts in
+                  arm 1 where its arm uniform u >= p0, so 1 pins arm 0, 0
+                  pins arm 1 and 0.5 is the maximally mixed start
     """
 
     seed: int
     n_trajectories: int = 1
-    initial: float | int | None = None
+    p0: float = 0.5
 
     def __post_init__(self):
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 1 << 128:
             raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        if self.n_trajectories < 1:
-            raise ValueError("need at least one trajectory")
-        if self.initial is not None and not 0 <= float(self.initial) <= 1:
-            raise ValueError("initial must be None, an arm index, or a probability")
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One telegraph realization: a starting arm and its flip instants."""
-
-    t_start: float
-    t_end: float
-    initial_arm: int
-    flip_times: np.ndarray
-
-    @property
-    def n_flips(self) -> int:
-        return len(self.flip_times)
-
-    def arm_at(self, times) -> np.ndarray:
-        """Occupied arm (0 or 1) at each query time."""
-        times = np.asarray(times, dtype=float)
-        flips_before = np.searchsorted(self.flip_times, times, side="right")
-        return (self.initial_arm + flips_before) % 2
+        if not isinstance(self.n_trajectories, (int, np.integer)) or self.n_trajectories < 1:
+            raise ValueError(f"n_trajectories must be an integer >= 1, got {self.n_trajectories!r}")
+        if not 0.0 <= float(self.p0) <= 1.0:  # NaN fails too
+            raise ValueError(f"p0 must be a probability in [0, 1], got {self.p0!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Telegraph trajectories along a family, stored flat.
 
-    Trajectory i starts in initial_arms[i]; its flips are the unit-rate sums
-    flip_sums[offsets[i]:offsets[i + 1]] (sorted) in the integrated-rate time
-    Lambda of family.  flip_times, their clock times Lambda^{-1}(s), are
-    inverted all at once on first access and kept; indexing and iteration
-    give Trajectory views of slices of that array.
+    The i-th trajectory starts in initial_arms[i]; its flips are the
+    unit-rate sums flip_sums[offsets[i]:offsets[i + 1]] (sorted) in the
+    integrated-rate time Lambda of family.  Their clock times
+    Lambda^{-1}(s) are not kept: flip_times(index) inverts the sums at index
+    on each call.
     """
 
     family: FamilyTrajectory
@@ -121,39 +100,12 @@ class Ensemble:
     flip_sums: np.ndarray
     offsets: np.ndarray
 
-    @property
-    def t_start(self) -> float:
-        return float(self.family.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.family.times[-1])
-
-    @cached_property
-    def flip_times(self) -> np.ndarray:
-        return _invert(self.family, self.flip_sums)
-
-    def _flip_times_at(self, index) -> np.ndarray:
-        """Clock times of the flips at index, bitwise those entries of flip_times."""
-        if "flip_times" in vars(self):
-            return self.flip_times[index]
+    def flip_times(self, index=slice(None)) -> np.ndarray:
+        """Clock times of the flips at index (default all), bitwise those entries of the full inversion."""
         return _invert(self.family, self.flip_sums[index])
 
     def __len__(self) -> int:
         return len(self.initial_arms)
-
-    def __getitem__(self, i) -> Trajectory:
-        self.flip_times  # all inverted on first access, so members are views of it
-        return self.member(i)
-
-    def member(self, i) -> Trajectory:
-        """Trajectory i, inverting only its own flips until flip_times is known; bitwise self[i]."""
-        i = range(len(self))[i]  # negative indices and IndexError as for a list
-        flips = self._flip_times_at(slice(self.offsets[i], self.offsets[i + 1]))
-        return Trajectory(self.t_start, self.t_end, int(self.initial_arms[i]), flips)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     @property
     def n_flips(self) -> np.ndarray:
@@ -263,7 +215,7 @@ def _draw(family: FamilyTrajectory, config: SamplerConfig, indices: np.ndarray):
     above cli.MAX_EXPECTED_FLIPS).
     """
     total = float(family.rate_integral[-1])
-    if family.params.gamma == 0.0 or not total > 0.0:
+    if not total > 0.0:
         total = 0.0
     key = (int(config.seed) & _MASK64, int(config.seed) >> 64)
     index = np.asarray(indices, dtype=np.uint64)
@@ -302,14 +254,6 @@ def _draw(family: FamilyTrajectory, config: SamplerConfig, indices: np.ndarray):
         first = offsets[rows] + before
         flat[(first + np.arange(len(below))[:, None])[below]] = piece
     return arm_u, flat, offsets
-
-
-def _initial_arms(config: SamplerConfig, u: np.ndarray) -> np.ndarray:
-    if config.initial is None:
-        return (u >= 0.5).astype(np.int64)
-    if isinstance(config.initial, (int, np.integer)):
-        return np.full(len(u), int(config.initial), dtype=np.int64)
-    return (u >= float(config.initial)).astype(np.int64)
 
 
 def _invert(family: FamilyTrajectory, targets: np.ndarray) -> np.ndarray:
@@ -364,22 +308,14 @@ def _invert_block(family: FamilyTrajectory, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample(family: FamilyTrajectory, config: SamplerConfig, indices) -> Ensemble:
-    arm_u, sums, offsets = _draw(family, config, indices)
-    return Ensemble(family, _initial_arms(config, arm_u), sums, offsets)
-
-
-def sample_trajectory(family: FamilyTrajectory, config: SamplerConfig, index: int = 0) -> Trajectory:
-    """Draw trajectory `index` of the ensemble over the family's time span by time change."""
-    return _sample(family, config, [index])[0]
-
-
 def sample_ensemble(family: FamilyTrajectory, config: SamplerConfig) -> Ensemble:
     """Independent trajectories, one per stream index, drawn together.
 
-    Trajectory i is bit for bit sample_trajectory(family, config, index=i).
+    The i-th trajectory depends on (seed, i) alone: it is bit for bit what
+    _draw(family, config, [i]) draws, whatever the ensemble size.
     """
-    return _sample(family, config, np.arange(config.n_trajectories))
+    arm_u, sums, offsets = _draw(family, config, np.arange(config.n_trajectories))
+    return Ensemble(family, (arm_u >= config.p0).astype(np.int64), sums, offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +349,7 @@ def ensemble_average(ens: Ensemble, times=None) -> EnsembleSeries:
         times = family.times
     times = np.asarray(times, dtype=float)
     # a flip lands in arm (initial + rank + 1) % 2 and changes the arm-0
-    # count at every query time from its own on (arm_at counts flips <= t);
+    # count at every query time from its own on (a flip at t counts at t);
     # rank = flat index - offset, so (initial + rank) & 1 = (initial ^ offset ^ index) & 1
     order = np.argsort(times, kind="stable")
     bins = _queries_before(ens, times[order])
@@ -434,7 +370,7 @@ def _queries_before(ens: Ensemble, sorted_times: np.ndarray) -> np.ndarray:
     Lambda is nondecreasing, so a flip at sum s is at or before a query time
     tau exactly when s <= Lambda(tau).  That test decides every flip whose s
     is farther than tol from each Lambda(tau); the others are inverted and
-    binned by their clock times, as arm_at counts.
+    binned by their clock times, a flip at tau counting at tau.
     """
     family, s = ens.family, ens.flip_sums
     lam = np.maximum.accumulate(family.rate_integral_at(sorted_times))
@@ -447,7 +383,7 @@ def _queries_before(ens: Ensemble, sorted_times: np.ndarray) -> np.ndarray:
     params = family.params
     tol = 1e-9 * (1.0 + (params.gamma + params.omega) * float(family.times[-1]))
     near = np.flatnonzero((above - s <= tol) | (s - below <= tol))
-    bins[near] = np.searchsorted(sorted_times, ens._flip_times_at(near), side="left")
+    bins[near] = np.searchsorted(sorted_times, ens.flip_times(near), side="left")
     return bins
 
 
@@ -508,10 +444,10 @@ class GapStatistics:
     def __post_init__(self):
         object.__setattr__(self, "n", len(self.gaps))
 
-    def ks_critical(self, alpha: float = 0.01) -> float:
-        # asymptotic Kolmogorov quantile; 1.628 is the 1% point
-        coeff = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}[alpha]
-        return coeff / np.sqrt(self.n)
+    @property
+    def ks_critical(self) -> float:
+        """Critical KS distance at the 1% level, from the asymptotic Kolmogorov quantile 1.628."""
+        return 1.628 / np.sqrt(self.n)
 
     @property
     def mean_gap(self) -> float:
@@ -530,11 +466,8 @@ def gap_statistics(ens: Ensemble, rate: float, max_gaps: int | None = None) -> G
     # gap k ends at flip k + 1, inside one trajectory if that flip is not a
     # first; a cap needs the clock times of flips of rank <= max_gaps only
     rank = ens.flip_rank
-    if max_gaps is None:
-        flips = ens.flip_times
-    else:
-        pick = rank <= max_gaps
-        flips, rank = ens._flip_times_at(pick), rank[pick]
+    pick = slice(None) if max_gaps is None else rank <= max_gaps
+    flips, rank = ens.flip_times(pick), rank[pick]
     gaps = np.sort(np.diff(flips)[rank[1:] >= 1])
     if len(gaps) == 0:
         raise ValueError("no complete gaps in the ensemble")

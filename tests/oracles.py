@@ -71,7 +71,10 @@ checks need, and only the tests import them:
     streams a trajectory per row, from the Philox array kernel alone, and
     searchsorted_bins bins an ensemble's flips by np.searchsorted on the
     query Lambdas.  They check the (words, live) pass layout of
-    trajectories._draw and its table-lookup binning bit for bit.
+    trajectories._draw and its table-lookup binning bit for bit.  arm_at
+    reads one trajectory's arm at each query time from its flip times by
+    np.searchsorted, the per-trajectory count that ensemble_average is held
+    against.
 """
 
 from __future__ import annotations
@@ -963,5 +966,10 @@ def searchsorted_bins(ens, sorted_times: np.ndarray) -> np.ndarray:
     tol = 1e-9 * (1.0 + (params.gamma + params.omega) * float(family.times[-1]))
     padded = np.concatenate(([-np.inf], lam, [np.inf]))
     near = np.flatnonzero((padded[bins + 1] - s <= tol) | (s - padded[bins] <= tol))
-    bins[near] = np.searchsorted(sorted_times, ens._flip_times_at(near), side="left")
+    bins[near] = np.searchsorted(sorted_times, ens.flip_times(near), side="left")
     return bins
+
+
+def arm_at(initial_arm: int, flip_times: np.ndarray, times) -> np.ndarray:
+    """Arm (0 or 1) of one trajectory at each query time; a flip instant already shows the new arm."""
+    return (initial_arm + np.searchsorted(flip_times, np.asarray(times, dtype=float), side="right")) % 2

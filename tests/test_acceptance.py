@@ -223,13 +223,13 @@ def test_06_telegraph_gap_law_and_ensemble_relaxation():
     params = ModelParams(omega=1.0, gamma=1.0)
 
     family = FamilyTrajectory.integrate(Z_DIRECTION, params, FORWARD, np.linspace(0.0, 50.0, 501))
-    ensemble = sample_ensemble(family, SamplerConfig(seed=20260823, n_trajectories=5000, initial=0))
+    ensemble = sample_ensemble(family, SamplerConfig(seed=20260823, n_trajectories=5000, p0=1.0))
     stats = gap_statistics(ensemble, rate=params.gamma, max_gaps=20)
     assert stats.n == 100_000
-    assert stats.ks_statistic < stats.ks_critical(0.01)
+    assert stats.ks_statistic < stats.ks_critical
 
     short = FamilyTrajectory.integrate(Z_DIRECTION, params, FORWARD, np.linspace(0.0, 2.0, 201))
-    big = sample_ensemble(short, SamplerConfig(seed=77, n_trajectories=50_000, initial=0))
+    big = sample_ensemble(short, SamplerConfig(seed=77, n_trajectories=50_000, p0=1.0))
     grid = np.linspace(0.0, 2.0, 41)
     series = ensemble_average(big, grid)
     deviation = np.abs(series.occupation_difference - np.exp(-2.0 * params.gamma * grid)).max()

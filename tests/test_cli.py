@@ -21,7 +21,7 @@ from tunnelmol.channels import NonCPError
 from tunnelmol.cli import _Checks, _rate_integral, main
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, transition_rate
 from tunnelmol.ptm import ModelParams, generator, propagator_closed_form
-from tunnelmol.trajectories import SamplerConfig, _draw, sample_trajectory
+from tunnelmol.trajectories import SamplerConfig, _draw, _invert
 
 # deuterated disulfane: collisions outpace tunneling by 5e7
 D2S2 = ("--gamma", "9e9", "--omega", "176")
@@ -543,30 +543,31 @@ def test_sample_trajectory_files(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, params, start, sense, initial",
+    "flags, params, start, sense, p0",
     [
-        (("--points", "21"), ModelParams(omega=1.0, gamma=1.0), BlochDirection(0.0, 0.0), FORWARD, None),
+        (("--points", "21"), ModelParams(omega=1.0, gamma=1.0), BlochDirection(0.0, 0.0), FORWARD, 0.5),
         (("--direction", "backward", "--gamma", "0.41", "--omega", "0.86", "--theta0", "1.17", "--phi0", "0.52",
           "--tmax", "9", "--seed", "2024", "--initial", "1"),
-         ModelParams(omega=0.86, gamma=0.41), BlochDirection(1.17, 0.52), BACKWARD, 1),
+         ModelParams(omega=0.86, gamma=0.41), BlochDirection(1.17, 0.52), BACKWARD, 0.0),
     ],
     ids=["static-z", "moving-backward"],
 )
-def test_saved_trajectories_are_the_single_trajectory_draws(tmp_path, flags, params, start, sense, initial):
+def test_saved_trajectories_are_the_single_trajectory_draws(tmp_path, flags, params, start, sense, p0):
     assert run(tmp_path, "sample", "--ntraj", "300", "--save-trajectories", "4", *flags) == 0
     echo, _ = read_csv_body(tmp_path / "ensemble.csv")
     values = dict(line[2:].split("=", 1) for line in echo if "=" in line)
     tmax, points, seed = float(values["tmax"]), int(values["points"]), int(values["seed"])
     fam = FamilyTrajectory.integrate(start, params, sense, np.linspace(0.0, tmax, max(points, 1001)))
-    sampler = SamplerConfig(seed=seed, n_trajectories=300, initial=initial)
+    sampler = SamplerConfig(seed=seed, n_trajectories=300, p0=p0)
     for k in range(4):
-        want = sample_trajectory(fam, sampler, index=k)
+        arm_u, sums, _ = _draw(fam, sampler, [k])
+        want_arm, want_flips = int(arm_u[0] >= p0), _invert(fam, sums)
         saved_echo, body = read_csv_body(tmp_path / f"trajectory_{k:03d}.csv")
         assert saved_echo == echo and body[0] == "time,arm"
         rows = np.array([[float(x) for x in line.split(",")] for line in body[1:]])
         # the start in the initial arm, then each flip with the arm it leads into
-        assert np.array_equal(rows[:, 0], np.concatenate(([0.0], want.flip_times)))
-        assert np.array_equal(rows[:, 1], (want.initial_arm + np.arange(want.n_flips + 1)) % 2)
+        assert np.array_equal(rows[:, 0], np.concatenate(([0.0], want_flips)))
+        assert np.array_equal(rows[:, 1], (want_arm + np.arange(len(want_flips) + 1)) % 2)
 
 
 @pytest.mark.parametrize(
@@ -589,7 +590,7 @@ def test_sample_inverts_only_the_flips_it_writes_out(tmp_path, monkeypatch, fami
     gap_flips = 0
     if not family:  # the constant-rate family also samples the KS gap ensemble
         horizon = FamilyTrajectory.integrate(start, params, FORWARD, np.linspace(0.0, 30.0, 201))
-        gap_flips = len(_draw(horizon, SamplerConfig(seed=7, n_trajectories=500, initial=0), np.arange(500))[1])
+        gap_flips = len(_draw(horizon, SamplerConfig(seed=7, n_trajectories=500, p0=1.0), np.arange(500))[1])
 
     inverted = []
     invert = trajectories._invert

@@ -28,7 +28,6 @@ from tunnelmol import (
     HistoryFamily,
     ModelParams,
     SamplerConfig,
-    Trajectory,
     Z_DIRECTION,
     build_info_report,
     consistency_check,
@@ -45,8 +44,9 @@ SRC = str(Path(tunnelmol.__file__).resolve().parents[1])
 # routes of tests/oracles.py, deleted helpers that only tests called, the
 # coefficient trees the pair chain of the decoherence functional replaced, the
 # Choi matrix route the closed-form Choi spectrum replaced, the hash sort of
-# every float that the CSV writer's factor classes replaced, and the scalar
-# copies of the information report's columns
+# every float that the CSV writer's factor classes replaced, the scalar
+# copies of the information report's columns, and the per-member telegraph
+# views and cached flip times that the flat ensemble's flip_times replaced
 GONE = (
     "propagator_numeric IntegrationError state_from_bloch bloch_from_state "
     "family_ode_step family_closed_form TangentBranchError check_backward_condition bloch_block "
@@ -60,7 +60,8 @@ GONE = (
     "holevo_direct holevo_complementary MubBoundReport mub_bound_check InformationIdentityReport "
     "verify_family_information_identity ForwardConditionError short_time_leak_model mutual_information_family "
     "_record_information _axis check_forward_condition ConditionReport EigenSystem eigen_system "
-    "_SERIES_CUTOFF _rate_integral_within"
+    "_SERIES_CUTOFF _rate_integral_within "
+    "Trajectory sample_trajectory _sample _initial_arms _flip_times_at member t_start t_end arm_at"
 ).split()
 
 
@@ -151,7 +152,6 @@ def _records():
         "ConsistencyReport": consistency_check(decoherence_functional(history)),
         "MarkovChain": markov_from_family(history),
         "InfoReport": build_info_report(params, times),
-        "Trajectory": Trajectory(t_start=0.0, t_end=1.0, initial_arm=0, flip_times=np.array([0.5])),
         "Ensemble": ensemble,
         "EnsembleSeries": ensemble_average(ensemble, times),
         "GapStatistics": gap_statistics(ensemble, rate=params.gamma),
@@ -160,7 +160,7 @@ def _records():
 
 @pytest.mark.parametrize("name", [
     "ConsistencyReport", "DecoherenceMatrix", "Decomposition", "Ensemble", "EnsembleSeries",
-    "FamilyTrajectory", "GapStatistics", "HistoryFamily", "InfoReport", "MarkovChain", "Trajectory",
+    "FamilyTrajectory", "GapStatistics", "HistoryFamily", "InfoReport", "MarkovChain",
 ])
 def test_records_holding_arrays_compare_as_a_bool(name):
     first, second = _records()[name], _records()[name]

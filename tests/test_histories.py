@@ -73,6 +73,10 @@ def test_decomposition_validation_and_roundtrip():
     assert np.array_equal(Decomposition(np.array([0.0, 3.0, 4.0])).n, [0.0, 0.6, 0.8])
     with pytest.raises(ValueError):
         Decomposition(np.zeros(3))
+    # a decomposition is its unit vector and nothing more
+    assert [f.name for f in dataclasses.fields(Decomposition)] == ["n"]
+    assert np.array_equal(Decomposition.x_basis().n, [1.0, 0.0, 0.0])
+    assert np.array_equal(Decomposition.z_basis().n, [0.0, 0.0, 1.0])
 
 
 def test_from_direction_projectors_are_hermitian_idempotent_and_complete():

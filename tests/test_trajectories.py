@@ -8,14 +8,13 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
-from oracles import bloch_block, row_major_draw, searchsorted_bins
+from oracles import arm_at, bloch_block, row_major_draw, searchsorted_bins
 from tunnelmol.families import BACKWARD, FORWARD, BlochDirection, FamilyTrajectory, X_DIRECTION, Z_DIRECTION
 from tunnelmol.ptm import ModelParams
 from tunnelmol import trajectories
 from tunnelmol.trajectories import (
     Ensemble,
     SamplerConfig,
-    Trajectory,
     _draw,
     _invert,
     _locate,
@@ -25,8 +24,35 @@ from tunnelmol.trajectories import (
     ensemble_average,
     gap_statistics,
     sample_ensemble,
-    sample_trajectory,
 )
+
+
+def members(ens):
+    """(initial arm, flip times) of each trajectory, sliced from one inversion of every flip."""
+    flips, offsets = ens.flip_times(), ens.offsets
+    return [(int(ens.initial_arms[i]), flips[offsets[i] : offsets[i + 1]]) for i in range(len(ens))]
+
+
+def invert_spy(monkeypatch):
+    """A list that collects the number of targets of each trajectories._invert call."""
+    inverted = []
+    invert = trajectories._invert
+    monkeypatch.setattr(trajectories, "_invert", lambda f, s: inverted.append(len(s)) or invert(f, s))
+    return inverted
+
+
+def near_flips(ens, times) -> int:
+    """How many flips lie within the binning tolerance of some query time's Lambda.
+
+    These are the flips that the Lambda binning of ensemble_average cannot
+    place by their sums alone, and the only ones it may invert.
+    """
+    family, params = ens.family, ens.family.params
+    tol = 1e-9 * (1.0 + (params.gamma + params.omega) * float(family.times[-1]))
+    lam = np.sort(family.rate_integral_at(np.asarray(times, dtype=float)))
+    k = np.clip(np.searchsorted(lam, ens.flip_sums), 1, len(lam) - 1)
+    gap = np.minimum(np.abs(ens.flip_sums - lam[k - 1]), np.abs(ens.flip_sums - lam[k]))
+    return int(np.count_nonzero(gap <= tol))
 
 
 def z_traj_family(gamma, t_end, points=501):
@@ -37,14 +63,25 @@ def z_traj_family(gamma, t_end, points=501):
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, n_trajectories=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, initial=1.5)
+    # the starting arm is set by the probability p0 alone
+    with pytest.raises(TypeError):
+        SamplerConfig(seed=1, initial=0)
     # the seed is the 128-bit Philox key
     for bad in (-1, 2**128, 1.5):
         with pytest.raises(ValueError, match="seed"):
             SamplerConfig(seed=bad)
     SamplerConfig(seed=2**128 - 1)
     SamplerConfig(seed=np.uint64(2**64 - 1))
+
+
+def test_ensemble_size_must_be_a_whole_count():
+    # a fractional or NaN size once passed the check and drew ceil(n) members or failed inside np.arange
+    for bad in (0, -3, 2.5, 1.0, float("nan"), "4", None):
+        with pytest.raises(ValueError, match="n_trajectories"):
+            SamplerConfig(seed=1, n_trajectories=bad)
+    fam = FamilyTrajectory.integrate(Z_DIRECTION, ModelParams(omega=1.0, gamma=0.5), FORWARD, np.linspace(0.0, 1.0, 5))
+    for size in (1, np.int64(3), np.uint32(7)):
+        assert len(sample_ensemble(fam, SamplerConfig(seed=1, n_trajectories=size))) == size
 
 
 def numpy_philox_words(key, counter, n_words):
@@ -128,42 +165,37 @@ def test_dense_and_sparse_producers_give_the_same_draw(monkeypatch, indices):
 def test_flip_times_do_not_depend_on_the_initial_mode():
     p = ModelParams(omega=1.0, gamma=0.5)
     fam = FamilyTrajectory.integrate(BlochDirection(0.9, 0.3), p, FORWARD, np.linspace(0.0, 12.0, 241))
-    runs = [sample_ensemble(fam, SamplerConfig(seed=31, n_trajectories=400, initial=mode)) for mode in (None, 0, 0.3)]
+    runs = [sample_ensemble(fam, SamplerConfig(seed=31, n_trajectories=400, p0=p0)) for p0 in (0.5, 1.0, 0.3)]
     for ens in runs[1:]:
         assert np.array_equal(ens.offsets, runs[0].offsets)
-        assert np.array_equal(ens.flip_times, runs[0].flip_times)
+        assert np.array_equal(ens.flip_times(), runs[0].flip_times())
     assert np.all(runs[1].initial_arms == 0)
     assert 0 < np.count_nonzero(runs[0].initial_arms) < 400
 
 
-def test_ensemble_is_flat_with_trajectory_views():
+def test_ensemble_is_flat():
     fam = z_traj_family(0.8, 10.0)
     ens = sample_ensemble(fam, SamplerConfig(seed=8, n_trajectories=30))
     assert isinstance(ens, Ensemble) and len(ens) == 30
-    assert ens.offsets[0] == 0 and ens.offsets[-1] == len(ens.flip_times)
-    trajs = list(ens)
-    assert len(trajs) == 30
-    for i, t in enumerate(trajs):
-        assert isinstance(t, Trajectory) and (t.t_start, t.t_end) == (0.0, 10.0)
-        assert t.initial_arm == ens.initial_arms[i] and t.n_flips == ens.n_flips[i]
-        assert np.all(np.diff(t.flip_times) >= 0.0)
-        assert t.flip_times.base is not None  # a view, not a copy
-    assert np.array_equal(ens[-1].flip_times, trajs[29].flip_times)
-    with pytest.raises(IndexError):
-        ens[30]
+    flips = ens.flip_times()
+    assert ens.offsets.shape == (31,) and ens.offsets[0] == 0 and ens.offsets[-1] == len(flips)
+    assert np.array_equal(ens.n_flips, np.diff(ens.offsets)) and set(ens.initial_arms) <= {0, 1}
+    for i in range(30):
+        member = flips[ens.offsets[i] : ens.offsets[i + 1]]
+        assert np.all(np.diff(member) >= 0.0) and np.all((member >= 0.0) & (member <= 10.0))
 
 
 def test_streams_are_reproducible_and_index_keyed():
     fam = z_traj_family(0.8, 30.0)
-    cfg = SamplerConfig(seed=42, n_trajectories=5, initial=0)
-    a = sample_trajectory(fam, cfg, index=3)
-    b = sample_trajectory(fam, cfg, index=3)
-    assert np.array_equal(a.flip_times, b.flip_times)
+    cfg = SamplerConfig(seed=42, n_trajectories=5, p0=1.0)
+    a, b = _draw(fam, cfg, [3]), _draw(fam, cfg, [3])
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
     ens = sample_ensemble(fam, cfg)
-    assert np.array_equal(ens[3].flip_times, a.flip_times)
+    assert np.array_equal(ens.flip_sums[ens.offsets[3] : ens.offsets[4]], a[1])
     # different index, different stream
-    c = sample_trajectory(fam, cfg, index=4)
-    assert not np.array_equal(a.flip_times, c.flip_times)
+    c = _draw(fam, cfg, [4])
+    assert c[0] != a[0] and not np.array_equal(a[1], c[1])
 
 
 def test_ensemble_members_are_bitwise_single_trajectories_across_solver_blocks():
@@ -171,43 +203,46 @@ def test_ensemble_members_are_bitwise_single_trajectories_across_solver_blocks()
     # depend on (seed, i) alone, not on the ensemble size or its block
     p = ModelParams(omega=1.0, gamma=0.5)
     fam = FamilyTrajectory.integrate(BlochDirection(0.9, 0.3), p, FORWARD, np.linspace(0.0, 40.0, 401))
-    cfg = SamplerConfig(seed=4, n_trajectories=1000, initial=0)
+    cfg = SamplerConfig(seed=4, n_trajectories=1000)
     big = sample_ensemble(fam, cfg)
-    assert sum(t.n_flips for t in big) > 2 * 4096
-    small = sample_ensemble(fam, SamplerConfig(seed=4, n_trajectories=3, initial=0))
-    for i in range(3):
-        assert np.array_equal(small[i].flip_times, big[i].flip_times)
+    assert big.offsets[-1] > 2 * 4096
+    flips = big.flip_times()
+    small = sample_ensemble(fam, SamplerConfig(seed=4, n_trajectories=3))
+    assert np.array_equal(small.initial_arms, big.initial_arms[:3])
+    assert np.array_equal(small.offsets, big.offsets[:4])
+    assert np.array_equal(small.flip_times(), flips[: big.offsets[3]])
     for i in (0, 1, 2, 411, 999):
-        single = sample_trajectory(fam, cfg, index=i)
-        assert np.array_equal(big[i].flip_times, single.flip_times)
-        assert big[i].initial_arm == single.initial_arm
+        arm_u, sums, _ = _draw(fam, cfg, [i])
+        assert np.array_equal(flips[big.offsets[i] : big.offsets[i + 1]], _invert(fam, sums))
+        assert big.initial_arms[i] == (arm_u[0] >= cfg.p0)
 
 
-def test_initial_arm_modes():
+def test_initial_arms_are_the_arm_uniforms_at_or_above_p0():
     fam = z_traj_family(0.5, 5.0)
-    pinned = sample_ensemble(fam, SamplerConfig(seed=7, n_trajectories=50, initial=1))
-    assert all(t.initial_arm == 1 for t in pinned)
-    biased = sample_ensemble(fam, SamplerConfig(seed=7, n_trajectories=4000, initial=0.7))
-    frac0 = np.mean([t.initial_arm == 0 for t in biased])
-    assert abs(frac0 - 0.7) < 4.0 * math.sqrt(0.21 / 4000)
-    fair = sample_ensemble(fam, SamplerConfig(seed=7, n_trajectories=4000))
-    frac0 = np.mean([t.initial_arm == 0 for t in fair])
-    assert abs(frac0 - 0.5) < 4.0 * math.sqrt(0.25 / 4000)
+    for p0 in (0.0, 0.3, 0.5, 1.0):
+        cfg = SamplerConfig(seed=7, n_trajectories=4000, p0=p0)
+        arm_u, _, _ = _draw(fam, cfg, np.arange(4000))
+        arms = sample_ensemble(fam, cfg).initial_arms
+        assert arms.dtype == np.int64 and np.array_equal(arms, arm_u >= p0)
+        # 1 pins arm 0, 0 pins arm 1, and in between p0 is the arm-0 fraction
+        assert abs(np.mean(arms == 0) - p0) <= 4.0 * math.sqrt(p0 * (1.0 - p0) / 4000)
+    for bad in (math.nan, 1.5, -0.1):
+        with pytest.raises(ValueError, match="p0"):
+            SamplerConfig(seed=7, p0=bad)
 
 
 def test_arm_at_parity_and_events():
-    traj = Trajectory(t_start=0.0, t_end=4.0, initial_arm=0, flip_times=np.array([1.0, 2.0, 3.0]))
-    assert traj.n_flips == 3
-    assert list(traj.arm_at([0.5, 1.5, 2.5, 3.5])) == [0, 1, 0, 1]
+    flips = np.array([1.0, 2.0, 3.0])
+    assert list(arm_at(0, flips, [0.5, 1.5, 2.5, 3.5])) == [0, 1, 0, 1]
+    assert list(arm_at(1, flips, [0.5, 3.5])) == [1, 0]
     # each flip instant already shows the new arm
-    assert list(traj.arm_at(traj.flip_times)) == [1, 0, 1]
+    assert list(arm_at(0, flips, flips)) == [1, 0, 1]
 
 
 def test_no_collisions_no_flips():
     p = ModelParams(omega=1.0, gamma=0.0)
     fam = FamilyTrajectory.integrate(Z_DIRECTION, p, FORWARD, np.linspace(0.0, 5.0, 101))
-    traj = sample_trajectory(fam, SamplerConfig(seed=3, initial=0))
-    assert traj.n_flips == 0
+    assert sample_ensemble(fam, SamplerConfig(seed=3, p0=1.0)).offsets[-1] == 0
 
 
 def test_x_family_never_flips():
@@ -215,15 +250,14 @@ def test_x_family_never_flips():
     p = ModelParams(omega=0.0, gamma=2.0)
     fam = FamilyTrajectory.integrate(X_DIRECTION, p, FORWARD, np.linspace(0.0, 10.0, 201))
     assert fam.kappa.max() < 1e-12
-    traj = sample_trajectory(fam, SamplerConfig(seed=5, initial=0))
-    assert traj.n_flips == 0
+    assert sample_ensemble(fam, SamplerConfig(seed=5, p0=1.0)).offsets[-1] == 0
 
 
 def test_z_family_flip_count_is_poisson_like():
     gamma, t_end = 0.8, 25.0
     fam = z_traj_family(gamma, t_end)
-    ens = sample_ensemble(fam, SamplerConfig(seed=19, n_trajectories=2000, initial=0))
-    counts = np.array([t.n_flips for t in ens])
+    ens = sample_ensemble(fam, SamplerConfig(seed=19, n_trajectories=2000, p0=1.0))
+    counts = ens.n_flips
     mean = gamma * t_end
     assert abs(counts.mean() - mean) < 4.0 * math.sqrt(mean / 2000)
     assert abs(counts.var() / mean - 1.0) < 0.1
@@ -232,11 +266,11 @@ def test_z_family_flip_count_is_poisson_like():
 def test_z_family_gaps_are_exponential():
     gamma = 0.5
     fam = z_traj_family(gamma, 60.0 / gamma)
-    ens = sample_ensemble(fam, SamplerConfig(seed=11, n_trajectories=400, initial=0))
+    ens = sample_ensemble(fam, SamplerConfig(seed=11, n_trajectories=400, p0=1.0))
     stats = gap_statistics(ens, rate=gamma, max_gaps=15)
     assert stats.n == 6000
     assert stats.mean_gap == pytest.approx(1.0 / gamma, rel=0.05)
-    assert stats.ks_statistic < stats.ks_critical(0.01)
+    assert stats.ks_statistic < stats.ks_critical
 
 
 def test_moving_family_flips_follow_the_local_rate():
@@ -245,12 +279,12 @@ def test_moving_family_flips_follow_the_local_rate():
     p = ModelParams(omega=1.0, gamma=0.4)
     grid = np.linspace(0.0, 80.0, 4001)
     fam = FamilyTrajectory.integrate(X_DIRECTION, p, FORWARD, grid)
-    ens = sample_ensemble(fam, SamplerConfig(seed=5, n_trajectories=300, initial=0))
+    ens = sample_ensemble(fam, SamplerConfig(seed=5, n_trajectories=300, p0=1.0))
     integral = cumulative_trapezoid(fam.kappa, fam.times, initial=0.0)
     pooled = []
-    for t in ens:
-        if t.n_flips >= 2:
-            tau = np.interp(t.flip_times, fam.times, integral)
+    for _, flips in members(ens):
+        if len(flips) >= 2:
+            tau = np.interp(flips, fam.times, integral)
             pooled.append(np.diff(tau)[:10])
     g = np.sort(np.concatenate(pooled))
     n = len(g)
@@ -264,7 +298,7 @@ def test_ensemble_average_matches_master_equation_moving_family():
     grid = np.linspace(0.0, 6.0, 1201)
     fam = FamilyTrajectory.integrate(BlochDirection(0.9, 0.3), p, FORWARD, grid)
     n_traj = 3000
-    ens = sample_ensemble(fam, SamplerConfig(seed=99, n_trajectories=n_traj, initial=0))
+    ens = sample_ensemble(fam, SamplerConfig(seed=99, n_trajectories=n_traj, p0=1.0))
     query = np.linspace(0.0, 6.0, 25)
     series = ensemble_average(ens, query)
     master = deterministic_occupation(fam, query, p0_initial=1.0)
@@ -279,7 +313,7 @@ def test_ensemble_bloch_vector_tracks_linear_flow():
     d0 = BlochDirection(0.9, 0.3)
     grid = np.linspace(0.0, 6.0, 1201)
     fam = FamilyTrajectory.integrate(d0, p, FORWARD, grid)
-    ens = sample_ensemble(fam, SamplerConfig(seed=99, n_trajectories=3000, initial=0))
+    ens = sample_ensemble(fam, SamplerConfig(seed=99, n_trajectories=3000, p0=1.0))
     query = np.linspace(0.0, 6.0, 13)
     series = ensemble_average(ens, query)
     S3 = bloch_block(p)
@@ -341,7 +375,7 @@ def test_a_family_reads_its_start_values_before_its_start():
 
 def test_ensemble_series_stderr_and_errors():
     fam = z_traj_family(0.5, 5.0)
-    ens = sample_ensemble(fam, SamplerConfig(seed=2, n_trajectories=10, initial=0))
+    ens = sample_ensemble(fam, SamplerConfig(seed=2, n_trajectories=10, p0=1.0))
     series = ensemble_average(ens, np.linspace(0.0, 5.0, 6))
     assert series.stderr().shape == (6,)
     # no collisions, no flips: an ensemble without a single gap
@@ -354,7 +388,7 @@ def test_ensemble_series_stderr_and_errors():
 def test_backward_family_sampling_runs():
     p = ModelParams(omega=1.0, gamma=0.6)
     fam = FamilyTrajectory.integrate(BlochDirection(0.5, 0.2), p, BACKWARD, np.linspace(0.0, 4.0, 801))
-    ens = sample_ensemble(fam, SamplerConfig(seed=13, n_trajectories=200, initial=0))
+    ens = sample_ensemble(fam, SamplerConfig(seed=13, n_trajectories=200, p0=1.0))
     series = ensemble_average(ens, np.linspace(0.0, 4.0, 9))
     master = deterministic_occupation(fam, np.linspace(0.0, 4.0, 9), p0_initial=1.0)
     assert np.abs(series.p0 - master).max() < 0.12
@@ -363,69 +397,64 @@ def test_backward_family_sampling_runs():
 def test_vectorized_ensemble_average_is_bitwise_the_per_trajectory_count():
     p = ModelParams(omega=1.0, gamma=0.7)
     fam = FamilyTrajectory.integrate(BlochDirection(0.8, 0.2), p, FORWARD, np.linspace(0.0, 6.0, 301))
-    for initial in (None, 1, 0.25):
-        ens = sample_ensemble(fam, SamplerConfig(seed=12, n_trajectories=700, initial=initial))
-        flips = ens.flip_times
+    for p0 in (0.5, 0.0, 0.25):
+        ens = sample_ensemble(fam, SamplerConfig(seed=12, n_trajectories=700, p0=p0))
+        flips = ens.flip_times()
         # on a flip, before every flip, past t_end, unsorted and repeated
         query = np.concatenate(([-1.0, 0.0, flips.min()], flips[::97], [3.0, 1.0, 3.0, 6.0, 7.5]))
         series = ensemble_average(ens, query)
         counts = np.zeros(len(query))
-        for traj in ens:
-            counts += traj.arm_at(query) == 0
+        for arm, member in members(ens):
+            counts += arm_at(arm, member, query) == 0
         assert np.array_equal(series.p0, counts / len(ens))
         assert series.n_trajectories == 700
 
 
 def test_capped_gap_statistics_invert_only_the_flips_they_read(monkeypatch):
     fam = z_traj_family(0.9, 12.0)
-    ens = sample_ensemble(fam, SamplerConfig(seed=21, n_trajectories=300, initial=0))
-    inverted = []
-    invert = trajectories._invert
-    monkeypatch.setattr(trajectories, "_invert", lambda f, s: inverted.append(len(s)) or invert(f, s))
+    ens = sample_ensemble(fam, SamplerConfig(seed=21, n_trajectories=300, p0=1.0))
+    inverted = invert_spy(monkeypatch)
     stats = gap_statistics(ens, rate=0.9, max_gaps=4)
-    assert "flip_times" not in vars(ens)
     assert sum(inverted) == np.count_nonzero(ens.flip_rank <= 4) < ens.offsets[-1]
-    full = gap_statistics(ens, rate=0.9)  # inverts and keeps every flip
-    assert "flip_times" in vars(ens)
+    inverted.clear()
+    full = gap_statistics(ens, rate=0.9)  # inverts every flip
+    assert sum(inverted) == ens.offsets[-1]
     assert np.array_equal(gap_statistics(ens, rate=0.9, max_gaps=4).gaps, stats.gaps)
     assert full.n > stats.n
 
 
 def test_vectorized_gap_statistics_pools_like_the_per_trajectory_loop():
     fam = z_traj_family(0.9, 3.0)
-    ens = sample_ensemble(fam, SamplerConfig(seed=21, n_trajectories=300, initial=0))
+    ens = sample_ensemble(fam, SamplerConfig(seed=21, n_trajectories=300, p0=1.0))
     # trajectories without a gap are skipped; some have more gaps than the cap
     assert np.count_nonzero(ens.n_flips < 2) > 0 and np.count_nonzero(ens.n_flips > 5) > 0
     for cap in (None, 1, 4):
-        pooled = [np.diff(t.flip_times)[:cap] for t in ens if t.n_flips >= 2]
+        pooled = [np.diff(flips)[:cap] for _, flips in members(ens) if len(flips) >= 2]
         want = np.sort(np.concatenate(pooled))
         stats = gap_statistics(ens, rate=0.9, max_gaps=cap)
         assert np.array_equal(stats.gaps, want)
 
 
-def test_flip_times_are_inverted_once_on_first_access_and_sliced_into_views():
+def test_flip_times_invert_only_the_flips_at_their_index(monkeypatch):
     p = ModelParams(omega=1.0, gamma=0.5)
     fam = FamilyTrajectory.integrate(BlochDirection(0.9, 0.3), p, FORWARD, np.linspace(0.0, 40.0, 401))
     ens = sample_ensemble(fam, SamplerConfig(seed=4, n_trajectories=300))
+    inverted = invert_spy(monkeypatch)
     # counts, ranks and averages do not need clock times
     assert ens.flip_rank.shape == (ens.offsets[-1],) and ens.n_flips.sum() == ens.offsets[-1]
     ensemble_average(ens, np.linspace(0.0, 40.0, 41))
-    assert "flip_times" not in vars(ens)
-    some = np.arange(0, ens.offsets[-1], 7)
-    partial = ens._flip_times_at(some)
-    members = [ens.member(i) for i in (0, 17, -1)]
-    assert "flip_times" not in vars(ens)
+    assert sum(inverted) < ens.offsets[-1]
     eager = _invert(fam, ens.flip_sums)
-    for member, i in zip(members, (0, 17, 299)):
-        assert member.initial_arm == ens.initial_arms[i]
-        assert np.array_equal(member.flip_times, eager[ens.offsets[i] : ens.offsets[i + 1]])
-    assert np.array_equal(ens.flip_times, eager)
-    assert ens.flip_times is ens.flip_times
-    assert np.array_equal(partial, eager[some])
+    some = np.arange(0, ens.offsets[-1], 7)
+    inverted.clear()
+    assert np.array_equal(ens.flip_times(some), eager[some])
+    assert inverted == [len(some)]
     for i in (0, 17, 299):
-        flips = ens[i].flip_times
-        assert np.shares_memory(flips, ens.flip_times)
-        assert np.array_equal(flips, eager[ens.offsets[i] : ens.offsets[i + 1]])
+        inverted.clear()
+        member = slice(ens.offsets[i], ens.offsets[i + 1])
+        assert np.array_equal(ens.flip_times(member), eager[member])
+        assert inverted == [ens.n_flips[i]]
+    assert np.array_equal(ens.flip_times(), eager)
 
 
 @pytest.mark.parametrize(
@@ -436,22 +465,23 @@ def test_flip_times_are_inverted_once_on_first_access_and_sliced_into_views():
     ],
     ids=["d2s2", "underdamped-backward"],
 )
-def test_rate_binned_average_is_bitwise_the_time_count(params, start, sense, t_end, before):
+def test_rate_binned_average_is_bitwise_the_time_count(monkeypatch, params, start, sense, t_end, before):
     fam = FamilyTrajectory.integrate(start, params, sense, np.linspace(0.0, t_end, 1001))
-    cfg = SamplerConfig(seed=23, n_trajectories=300)
-    flips = sample_ensemble(fam, cfg).flip_times
+    ens = sample_ensemble(fam, SamplerConfig(seed=23, n_trajectories=300))
+    flips = ens.flip_times()
     # on flips, one ulp either side of flips, past the span, unsorted and repeated
     on = flips[:: max(1, len(flips) // 40)]
     query = np.concatenate((
         before, np.linspace(0.0, t_end, 41), on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
         on[::-1], [t_end / 3.0, t_end / 3.0, t_end, 2.0 * t_end],
     ))
-    ens = sample_ensemble(fam, cfg)
+    inverted = invert_spy(monkeypatch)
     series = ensemble_average(ens, query)
-    assert "flip_times" not in vars(ens)  # binned in Lambda, without the full inversion
+    # binned in Lambda: only the flips within rounding of a query's Lambda are inverted
+    assert sum(inverted) <= near_flips(ens, query)
     counts = np.zeros(len(query))
-    for traj in ens:
-        counts += traj.arm_at(query) == 0
+    for arm, member in members(ens):
+        counts += arm_at(arm, member, query) == 0
     assert np.array_equal(series.p0, counts / len(ens))
     assert np.isfinite(series.bloch).all()
 
@@ -513,6 +543,13 @@ def test_lambda_is_exactly_zero_at_and_before_a_family_start(family):
             assert lam == 0.0 and not np.signbit(lam)
         assert fam.rate_integral_at(before).shape == (2, 2)
         assert np.all(fam.rate_integral[1:] >= 0.0)
+    if params.gamma == 0.0:
+        # kappa is identically 0, so Lambda is +0.0 throughout, in either
+        # sense, though ln|v| wanders by ulps
+        for s in (FORWARD, BACKWARD):
+            fam = FamilyTrajectory.integrate(start, params, s, np.linspace(0.0, t_end, 1001))
+            lam = np.concatenate((fam.rate_integral, fam.rate_integral_at(np.linspace(-t_end, 3.0 * t_end, 37))))
+            assert np.all(lam == 0.0) and not np.signbit(lam).any()
 
 
 @pytest.mark.parametrize("indices", DRAW_INDICES.values(), ids=DRAW_INDICES.keys())
@@ -528,19 +565,23 @@ def test_pass_layout_draws_bitwise_the_row_major_draw(family, indices):
 
 
 @pytest.mark.parametrize("family", DRAW_FAMILIES)
-def test_table_lookup_bins_bitwise_as_searchsorted(family):
+def test_table_lookup_bins_bitwise_as_searchsorted(monkeypatch, family):
     fam = draw_family(family)
     t_end = float(fam.times[-1])
     ens = sample_ensemble(fam, SamplerConfig(seed=5, n_trajectories=2000))
-    on = np.sort(ens._flip_times_at(np.arange(0, ens.offsets[-1], 97)))
+    on = np.sort(ens.flip_times(np.arange(0, ens.offsets[-1], 97)))
     query = np.sort(np.concatenate((
         [-t_end, 0.0], np.linspace(0.0, t_end, 41), on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
         [t_end, 2.0 * t_end],
     )))
+    inverted = invert_spy(monkeypatch)
     for times in (query, np.linspace(0.0, t_end, 41), np.linspace(0.0, t_end / 3.0, 7), [t_end / 2.0] * 3):
         times = np.asarray(times)
-        assert np.array_equal(_queries_before(ens, times), searchsorted_bins(ens, times))
-    assert "flip_times" not in vars(ens)
+        inverted.clear()
+        bins = _queries_before(ens, times)
+        # only the flips within rounding of a query's Lambda are inverted
+        assert sum(inverted) <= near_flips(ens, times)
+        assert np.array_equal(bins, searchsorted_bins(ens, times))
 
 
 @pytest.mark.parametrize(
